@@ -2,9 +2,11 @@
 rationals, intersection lattices, characteristic polynomials, perfect
 labelings, lattice NBC theory, signed-graph coloring, and supersolvability.
 
-Subspaces are represented canonically by the reduced row-echelon form of a
-spanning set of hyperplane normals; two subspaces are equal exactly when
-their echelon forms are equal, which keeps all lattice computations exact.
+The intersection lattice is built as a lattice of flats: each element is
+the bitmask of the hyperplanes (atoms) containing it.  Construction joins
+flats with atoms in exact arithmetic and tells subspaces apart by the
+canonical reduced row-echelon form of their normals (`exactla.rref`); once
+built, order, meet and join are bit operations on the masks.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, InputError, InternalCheckError
+from .exactla import rref
 from .polycore import IntPolynomial, poly_from_linear_factors
 from .report import Report
 
@@ -325,7 +328,7 @@ def is_perfectly_labeled(G: LabeledMultigraph) -> PerfectLabelingResult:
 
 
 # ---------------------------------------------------------------------------
-# Arrangements and exact linear algebra
+# Arrangements and intersection lattices
 # ---------------------------------------------------------------------------
 
 
@@ -352,90 +355,51 @@ def build_arrangement(G: LabeledMultigraph) -> Arrangement:
     return Arrangement(G.n, tuple(normals), G.is_real())
 
 
-def _rref(rows: Iterable[Sequence[GaussRational]]) -> tuple:
-    """Reduced row-echelon form with unit pivots and no zero rows."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        scale = mat[rank][col]
-        mat[rank] = [x / scale for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return tuple(tuple(row) for row in mat[:rank])
-
-
-def _reduce_against(vec: Sequence[GaussRational], form: tuple) -> list:
-    v = list(vec)
-    for row in form:
-        pivot = next(i for i, x in enumerate(row) if x)
-        if v[pivot]:
-            c = v[pivot]
-            v = [a - c * b for a, b in zip(v, row)]
-    return v
-
-
-def _rowspace_contains(form: tuple, vec: Sequence[GaussRational]) -> bool:
-    return not any(_reduce_against(vec, form))
-
-
-def _form_sort_key(form: tuple):
-    return (len(form), tuple(x.sort_key() for row in form for x in row))
-
-
 class IntersectionLattice:
-    """The lattice of intersections of a central arrangement.
+    """The intersection lattice of a central arrangement, as its lattice of
+    flats.
 
-    Elements are canonical echelon forms of normal spans, ordered by
-    row-space inclusion; the bottom is the ambient space (empty form).
+    Each element is stored as the bitmask of the atoms below it: bit a is set
+    when the a-th distinct hyperplane contains the subspace.  A flat is the
+    intersection of the hyperplanes containing it, so this mask determines
+    the element, order is mask inclusion, the meet is the mask intersection
+    and a join adds one atom at a time.  Elements are sorted by (rank, mask):
+    the bottom (the ambient space, mask 0) comes first, then the atoms in
+    hyperplane order.
+
+    `ranks` maps the mask of every flat to its codimension; `atom_joins` maps
+    (mask, a) to the mask of that flat joined with each atom a not below it.
     """
 
-    def __init__(self, dim: int, forms: list[tuple], atom_forms: list[tuple]):
-        order = sorted(range(len(forms)), key=lambda i: _form_sort_key(forms[i]))
+    def __init__(self, dim: int, ranks: dict[int, int],
+                 atom_joins: dict[tuple[int, int], int]):
         self.dim = dim
-        self.forms = [forms[i] for i in order]
-        self.index = {f: i for i, f in enumerate(self.forms)}
-        self.rank = [len(f) for f in self.forms]
-        self.bottom = self.index[()]
-        self.atoms = [self.index[f] for f in atom_forms]
-        self.size = len(self.forms)
-        self._below: list[set[int]] = [
-            {
-                j
-                for j in range(self.size)
-                if j != i
-                and self.rank[j] < self.rank[i]
-                and all(_rowspace_contains(self.forms[i], row)
-                        for row in self.forms[j])
-            }
-            for i in range(self.size)
-        ]
-        top_form = _rref([row for f in atom_forms for row in f])
-        self.top = self.index[top_form]
+        self.masks = sorted(ranks, key=lambda m: (ranks[m], m))
+        self.index = {m: i for i, m in enumerate(self.masks)}
+        self.rank = [ranks[m] for m in self.masks]
+        self.size = len(self.masks)
+        self.bottom = self.index[0]
+        self.atoms = [i for i in range(self.size) if self.rank[i] == 1]
+        self.top = self.index[(1 << len(self.atoms)) - 1]
         self.rho = self.rank[self.top]
+        self._atom_joins = atom_joins
         self.mobius = self._mobius()
         self._join_memo: dict[tuple[int, int], int] = {}
 
     def _mobius(self) -> list[int]:
+        # a proper subflat has lower rank, so it comes earlier in the order
         mob = [0] * self.size
-        for i in sorted(range(self.size), key=self.rank.__getitem__):
+        for i, m in enumerate(self.masks):
             if i == self.bottom:
                 mob[i] = 1
             else:
-                mob[i] = -sum(mob[j] for j in self._below[i])
+                mob[i] = -sum(
+                    mob[j] for j in range(i) if self.masks[j] & ~m == 0
+                )
         return mob
 
     def leq(self, x: int, y: int) -> bool:
-        return x == y or x in self._below[y]
+        return self.masks[x] & ~self.masks[y] == 0
 
     def join(self, x: int, y: int) -> int:
         if x > y:
@@ -443,8 +407,13 @@ class IntersectionLattice:
         key = (x, y)
         cached = self._join_memo.get(key)
         if cached is None:
-            form = _rref(list(self.forms[x]) + list(self.forms[y]))
-            cached = self.index[form]
+            acc = self.masks[x]
+            rest = self.masks[y] & ~acc
+            while rest:
+                atom = (rest & -rest).bit_length() - 1
+                acc = self._atom_joins[acc, atom]
+                rest &= ~acc
+            cached = self.index[acc]
             self._join_memo[key] = cached
         return cached
 
@@ -455,21 +424,22 @@ class IntersectionLattice:
         return acc
 
     def meet(self, x: int, y: int) -> int:
-        lower = [
-            z
-            for z in range(self.size)
-            if self.leq(z, x) and self.leq(z, y)
-        ]
-        best = max(lower, key=self.rank.__getitem__)
-        if not all(self.leq(z, best) for z in lower):
-            raise InternalCheckError("meet is not unique; order data corrupt")
+        best = self.index.get(self.masks[x] & self.masks[y])
+        if best is None:
+            raise InternalCheckError("common atoms of two flats form no flat")
         return best
 
 
 def intersection_lattice(
     A: Arrangement, hyperplane_budget: int = 20, size_cap: int = 5000
 ) -> IntersectionLattice:
-    """Close the atoms under pairwise join, deduplicating by echelon form."""
+    """Build the flats rank by rank, deduplicating each rank by echelon form.
+
+    Each flat X is joined only with the atoms not below it.  Every atom a
+    below a flat Z of rank r is reached as X v a from some flat X of rank
+    r - 1 that does not contain a, so OR-ing the masks of all such X, plus
+    the bit of a, gives the full atom set of Z with no further elimination.
+    """
     if len(A.normals) > hyperplane_budget:
         raise BudgetExceededError(
             f"{len(A.normals)} hyperplanes exceeds budget {hyperplane_budget}"
@@ -478,27 +448,34 @@ def intersection_lattice(
         raise InputError("hyperplane normals must be nonzero")
     atom_forms: list[tuple] = []
     for normal in A.normals:
-        f = _rref([normal])
+        f = rref([normal])
         if f not in atom_forms:
             atom_forms.append(f)
-    forms: dict[tuple, None] = {(): None}
-    for f in atom_forms:
-        forms.setdefault(f, None)
-    frontier = list(forms)
-    while frontier:
-        new: list[tuple] = []
-        for x in frontier:
-            for a in atom_forms:
-                joined = _rref(list(x) + list(a))
-                if joined not in forms:
-                    forms[joined] = None
-                    new.append(joined)
-                    if len(forms) > size_cap:
+    ranks: dict[int, int] = {0: 0}
+    atom_joins: dict[tuple[int, int], int] = {}
+    level: dict[tuple, int] = {(): 0}
+    while level:
+        joined_masks: dict[tuple, int] = {}
+        joined_forms: list[tuple[int, int, tuple]] = []
+        for form, mask in level.items():
+            for a, atom in enumerate(atom_forms):
+                if mask >> a & 1:
+                    continue
+                joined = rref(form + atom)
+                if joined not in joined_masks:
+                    joined_masks[joined] = 0
+                    if len(ranks) + len(joined_masks) > size_cap:
                         raise BudgetExceededError(
                             f"intersection lattice exceeds {size_cap} elements"
                         )
-        frontier = new
-    return IntersectionLattice(A.dim, list(forms), atom_forms)
+                joined_masks[joined] |= mask | 1 << a
+                joined_forms.append((mask, a, joined))
+        for mask, a, joined in joined_forms:
+            atom_joins[mask, a] = joined_masks[joined]
+        for form, mask in joined_masks.items():
+            ranks[mask] = len(form)
+        level = joined_masks
+    return IntersectionLattice(A.dim, ranks, atom_joins)
 
 
 def characteristic_polynomial(L: IntersectionLattice) -> IntPolynomial:

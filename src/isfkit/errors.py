@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check of JSON input."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -14,3 +14,10 @@ class InternalCheckError(AssertionError):
 
 class InputError(ValueError):
     """Malformed or schema-violating input data."""
+
+
+def require_int(value, what: str) -> int:
+    """Return a JSON integer; reject bools, floats, strings and the rest."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InputError, InternalCheckError
+from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from .polycore import (
     IntPolynomial,
     WeightedGF,
@@ -108,7 +108,10 @@ class Graph:
             not isinstance(e, (list, tuple)) or len(e) != 2 for e in edges
         ):
             raise InputError("graph edges must be pairs [i, j]")
-        return cls(data["n"], [(e[0], e[1]) for e in edges])
+        return cls(
+            require_int(data["n"], "vertex count n"),
+            [tuple(require_int(v, "edge endpoint") for v in e) for e in edges],
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -192,22 +195,7 @@ def _increasing_by_blocks(edges: Iterable[Edge]) -> bool:
 
 
 def edges_are_acyclic(edges: Iterable[Edge]) -> bool:
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return _find_cycle_edge(edges) is None
 
 
 def _increasing_by_root_paths(edges: Iterable[Edge]) -> bool:
@@ -447,7 +435,8 @@ def count_proper_colorings(G: Graph, colors: int) -> int:
     return count
 
 
-def _find_cycle_edge(edges: frozenset[Edge]) -> Edge | None:
+def _find_cycle_edge(edges: Iterable[Edge]) -> Edge | None:
+    """The first edge, in sorted order, that closes a cycle (union-find)."""
     parent: dict[int, int] = {}
 
     def find(x):

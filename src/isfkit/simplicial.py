@@ -19,8 +19,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InputError, InternalCheckError
+from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from . import graphcore
+from .exactla import rref
 from .graphcore import Graph, counts_to_polynomial
 from .polycore import (
     IntPolynomial,
@@ -123,7 +124,16 @@ class PureComplex:
             raise InputError(
                 'complex JSON must be {"n": int, "d": int, "facets": [[...],...]}'
             )
-        return cls(data["n"], data["d"], data["facets"])
+        facets = data["facets"]
+        if not isinstance(facets, list) or any(
+            not isinstance(f, list) for f in facets
+        ):
+            raise InputError("complex facets must be a list of vertex lists")
+        return cls(
+            require_int(data["n"], "vertex count n"),
+            require_int(data["d"], "dimension d"),
+            [[require_int(v, "facet vertex") for v in f] for f in facets],
+        )
 
     def __eq__(self, other):
         if not isinstance(other, PureComplex):
@@ -397,27 +407,6 @@ def is_simplicial_peo(
 # ---------------------------------------------------------------------------
 
 
-def _rational_rank(rows: list[list[int]]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, len(mat)) if mat[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
     """Rank of the kernel of the top boundary map, over the rationals.
 
@@ -432,12 +421,12 @@ def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
         for i in range(len(f)):
             ridge = f[:i] + f[i + 1:]
             ridge_index.setdefault(ridge, len(ridge_index))
-    matrix = [[0] * len(kept) for _ in range(len(ridge_index))]
+    matrix = [[Fraction(0)] * len(kept) for _ in range(len(ridge_index))]
     for col, f in enumerate(kept):
         for i in range(len(f)):
             ridge = f[:i] + f[i + 1:]
-            matrix[ridge_index[ridge]][col] = (-1) ** i
-    return len(kept) - _rational_rank(matrix)
+            matrix[ridge_index[ridge]][col] = Fraction((-1) ** i)
+    return len(kept) - len(rref(matrix))
 
 
 def has_leaf(upsilon: SpanningSubcomplex) -> bool:

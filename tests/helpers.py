@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 from isfkit.graphcore import Graph
 from isfkit.simplicial import PureComplex
@@ -143,6 +144,44 @@ def oracle_coloring_count(G: Graph, t: int) -> int:
         if all(coloring[i - 1] != coloring[j - 1] for i, j in G.edges):
             total += 1
     return total
+
+
+def oracle_flat_count(G: LabeledMultigraph) -> int:
+    """Distinct closures of edge subsets, i.e. the flats of the arrangement.
+
+    The closure of a subset is every edge whose hyperplane normal lies in
+    the span of the subset's normals; spans are tested by Fraction
+    elimination on the real labels.
+    """
+    normals = []
+    for i, j, z in G.edge_list():
+        row = [Fraction(0)] * G.n
+        row[j - 1] = Fraction(1)
+        if i:
+            assert z.is_real()
+            row[i - 1], row[j - 1] = Fraction(1), -z.re
+        normals.append(row)
+
+    def reduce(vec, basis):
+        for pivot, row in basis:
+            if vec[pivot]:
+                c = vec[pivot] / row[pivot]
+                vec = [a - c * b for a, b in zip(vec, row)]
+        return vec
+
+    closures = set()
+    for r in range(len(normals) + 1):
+        for subset in itertools.combinations(normals, r):
+            basis = []
+            for vec in subset:
+                vec = reduce(vec, basis)
+                pivot = next((k for k, x in enumerate(vec) if x), None)
+                if pivot is not None:
+                    basis.append((pivot, vec))
+            closures.add(frozenset(
+                e for e, vec in enumerate(normals) if not any(reduce(vec, basis))
+            ))
+    return len(closures)
 
 
 def relabel_to_natural_peo(G: Graph, peo) -> Graph:

@@ -29,12 +29,14 @@ from isfkit.arrangement import (
 )
 from isfkit.polycore import IntPolynomial
 from isfkit import graphcore
+from isfkit.cli import gen_multigraph
 
 from helpers import (
     anchored_multigraph,
     bare_parallel_pair,
     cycle_graph,
     graph_as_multigraph,
+    oracle_flat_count,
     relabel_to_natural_peo,
 )
 
@@ -158,6 +160,34 @@ def test_lattice_two_parallel_hyperplanes_dim2():
     assert L.size == 4 and L.rho == 2
     assert sorted(L.mobius) == [-1, -1, 1, 1]
     assert characteristic_polynomial(L) == IntPolynomial([1, -2, 1])
+
+
+def seeded_multigraphs():
+    for n in range(1, 6):
+        for seed in range(8):
+            yield gen_multigraph(seed=100 * n + seed, n=n, max_edges=8)
+
+
+def test_lattice_size_counts_closures_of_edge_subsets():
+    for G in seeded_multigraphs():
+        L = intersection_lattice(build_arrangement(G))
+        assert L.size == oracle_flat_count(G), G
+
+
+def test_lattice_meet_and_join_are_glb_and_lub():
+    for G in seeded_multigraphs():
+        L = intersection_lattice(build_arrangement(G))
+        elems = range(L.size)
+        below = [{z for z in elems if L.leq(z, x)} for x in elems]
+        above = [{z for z in elems if L.leq(x, z)} for x in elems]
+        for x in elems:
+            for y in elems:
+                meet, join = L.meet(x, y), L.join(x, y)
+                lower = below[x] & below[y]
+                upper = above[x] & above[y]
+                assert meet in lower and lower <= below[meet], G
+                assert join in upper and upper <= above[join], G
+                assert L.rank[join] + L.rank[meet] <= L.rank[x] + L.rank[y], G
 
 
 def test_lattice_budget():

@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import isfkit
 from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.graphcore import Graph
 
@@ -68,10 +73,33 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "input error" in err
 
 
-def test_schema_violation_exits_two(tmp_path, capsys):
-    path = write(tmp_path, "g.json", {"n": 3, "edges": [[1, 5]]})
-    code, out, _ = invoke(capsys, ["graph", "isf", path])
+@pytest.mark.parametrize(
+    "kind, action, payload",
+    [
+        ("graph", "isf", {"n": 3, "edges": [[1, 5]]}),
+        ("graph", "isf", {"n": 2, "edges": [["a", 2]]}),
+        ("complex", "cf", {"n": 3, "d": 2, "facets": 5}),
+        ("graph", "isf", {"n": 2, "edges": [[1.7, 2.2]]}),
+        ("graph", "isf", {"n": True, "edges": []}),
+        ("complex", "cf", {"n": 4, "d": 2.0, "facets": [[1, 2, 3]]}),
+        ("complex", "cf", {"n": 4, "d": 2, "facets": [[1, 2, "3"]]}),
+    ],
+    ids=[
+        "edge-out-of-range",
+        "string-endpoint",
+        "facets-not-a-list",
+        "float-edge",
+        "bool-vertex-count",
+        "float-dimension",
+        "string-facet-vertex",
+    ],
+)
+def test_schema_violation_exits_two(tmp_path, capsys, kind, action, payload):
+    path = write(tmp_path, "in.json", payload)
+    code, out, err = invoke(capsys, [kind, action, path])
     assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
 
 
 def test_missing_file_exits_two(capsys):
@@ -194,10 +222,14 @@ def test_generators_are_seed_driven():
 
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "g.json", paw_peo().to_json())
+    # the child imports the isfkit under test, whether installed or not
+    package_root = str(Path(isfkit.__file__).resolve().parents[1])
+    search = [package_root, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "isfkit.cli", "graph", "isf", path],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == '["0","2","5","4","1"]'
