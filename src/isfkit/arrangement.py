@@ -19,10 +19,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InputError, InternalCheckError
+from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from .exactla import rref
+from .graphcore import _increasing_masks, counts_to_polynomial
 from .polycore import IntPolynomial, poly_from_linear_factors
 from .report import Report
+from .walks import avoiding, block_transversals, count_by_size, downward_closed, members
 
 __all__ = [
     "GaussRational",
@@ -32,7 +34,7 @@ __all__ = [
     "build_arrangement",
     "intersection_lattice",
     "characteristic_polynomial",
-    "edge_partition",
+    "multigraph_edge_partition",
     "multigraph_isf_polynomial",
     "is_perfectly_labeled",
     "PerfectLabelingResult",
@@ -220,12 +222,18 @@ class LabeledMultigraph:
             raise InputError(
                 'multigraph JSON must be {"n", "zero_edges", "edges"}'
             )
-        edges = []
-        for e in data["edges"]:
-            if not isinstance(e, (list, tuple)) or len(e) != 3:
-                raise InputError("multigraph edges must be [i, j, label]")
-            edges.append((e[0], e[1], GaussRational.from_json(e[2])))
-        return cls(data["n"], data["zero_edges"], edges)
+        zero, edges = data["zero_edges"], data["edges"]
+        if not isinstance(zero, list) or not isinstance(edges, list) or any(
+            not isinstance(e, list) or len(e) != 3 for e in edges
+        ):
+            raise InputError("multigraph zero_edges must be a list of vertices "
+                             "and edges a list of [i, j, label]")
+        return cls(
+            require_int(data["n"], "vertex count n"),
+            [require_int(k, "zero-edge endpoint") for k in zero],
+            [(require_int(i, "edge endpoint"), require_int(j, "edge endpoint"),
+              GaussRational.from_json(z)) for i, j, z in edges],
+        )
 
     def __repr__(self):
         return (
@@ -234,7 +242,7 @@ class LabeledMultigraph:
         )
 
 
-def edge_partition(G: LabeledMultigraph) -> dict[int, list[EdgeToken]]:
+def multigraph_edge_partition(G: LabeledMultigraph) -> dict[int, list[EdgeToken]]:
     """Edges grouped by larger nonzero endpoint; the 0--k edge joins group k."""
     blocks: dict[int, list[EdgeToken]] = {k: [] for k in range(1, G.n + 1)}
     for e in G.edge_list():
@@ -247,34 +255,17 @@ def multigraph_isf_polynomial(
 ) -> IntPolynomial:
     """The factored ISF generating function prod_k (t + |E_k|).
 
-    Within the budget, every edge subset is swept and classified by the
+    Within the budget, the edge sets are also enumerated by the
     no-two-edges-into-a-vertex-from-below criterion (parallel edges count
     as a cycle); disagreement with the factored form is a library bug.
     """
-    blocks = edge_partition(G)
+    blocks = multigraph_edge_partition(G)
     factored = poly_from_linear_factors(
         [len(blocks[k]) for k in range(1, G.n + 1)]
     )
     edges = G.edge_list()
     if len(edges) <= cross_check_budget:
-        tops = [e[1] for e in edges]
-        counts: Counter = Counter()
-        for bits in range(1 << len(edges)):
-            seen = set()
-            ok = True
-            size = 0
-            for idx, top in enumerate(tops):
-                if bits >> idx & 1:
-                    if top in seen:
-                        ok = False
-                        break
-                    seen.add(top)
-                    size += 1
-            if ok:
-                counts[size] += 1
-        enum = IntPolynomial()
-        for m, c in counts.items():
-            enum = enum + IntPolynomial.monomial(G.n - m, c)
+        enum = counts_to_polynomial(count_by_size(_increasing_masks(edges)), G.n)
         if enum != factored:
             raise InternalCheckError(
                 f"multigraph ISF enumeration {enum!r} != factored {factored!r}"
@@ -497,7 +488,7 @@ def prefix_multichain(G: LabeledMultigraph, L: IntersectionLattice) -> list[int]
     if len(L.atoms) != len(edges):
         raise InternalCheckError("atoms do not correspond to edges one-to-one")
     atom_of_edge = dict(zip(edges, L.atoms))
-    blocks = edge_partition(G)
+    blocks = multigraph_edge_partition(G)
     chain = [L.bottom]
     for k in range(1, G.n + 1):
         chain.append(L.join_all([chain[-1]] + [atom_of_edge[e] for e in blocks[k]]))
@@ -525,24 +516,42 @@ def block_compatible_atom_order(
     return order
 
 
-def _lattice_circuits(L: IntersectionLattice, budget: int) -> list[frozenset[int]]:
-    atoms = L.atoms
-    if len(atoms) > budget:
-        raise BudgetExceededError(
-            f"{len(atoms)} atoms exceeds the circuit budget {budget}"
-        )
-    independent: set[frozenset[int]] = {frozenset()}
-    circuits: list[frozenset[int]] = []
-    for size in range(1, len(atoms) + 1):
-        for combo in itertools.combinations(atoms, size):
-            fs = frozenset(combo)
-            if any(fs - {a} not in independent for a in fs):
-                continue
-            if L.rank[L.join_all(combo)] == size:
-                independent.add(fs)
-            else:
-                circuits.append(fs)
+def _lattice_circuits(L: IntersectionLattice, order: Sequence[int], budget: int) -> list[int]:
+    """The circuits of the lattice's matroid, as masks over positions in order.
+
+    The independent sets are walked with their flats as state; a circuit is
+    a dependent set whose every one-atom deletion is independent.
+    """
+    q = len(order)
+    if q > budget:
+        raise BudgetExceededError(f"{q} atoms exceeds the circuit budget {budget}")
+
+    def extend(mask: int, flat: int, i: int) -> int | None:
+        joined = L.join(flat, order[i])
+        return joined if L.rank[joined] > L.rank[flat] else None
+
+    independent = set(downward_closed(q, extend, L.bottom))
+    circuits = []
+    for mask in sorted(independent):
+        for i in range(mask.bit_length(), q):
+            c = mask | 1 << i
+            if c not in independent and all(
+                c ^ 1 << j in independent for j in members(range(q), mask)
+            ):
+                circuits.append(c)
     return circuits
+
+
+def _lattice_nbc_walk(L: IntersectionLattice, atom_order, budget: int):
+    order = list(atom_order) if atom_order is not None else list(L.atoms)
+    if sorted(order) != sorted(L.atoms):
+        raise InputError("atom order must be a permutation of the atoms")
+    blockers: list[list[int]] = [[] for _ in order]
+    for circuit in _lattice_circuits(L, order, budget):
+        broken = circuit & circuit - 1  # drop the smallest atom
+        top = broken.bit_length() - 1
+        blockers[top].append(broken ^ 1 << top)
+    return order, downward_closed(len(order), avoiding(blockers), 0)
 
 
 def lattice_nbc_sets(
@@ -551,27 +560,8 @@ def lattice_nbc_sets(
     budget: int = 14,
 ) -> list[frozenset[int]]:
     """All atom sets containing no broken circuit of the lattice's matroid."""
-    order = list(atom_order) if atom_order is not None else list(L.atoms)
-    if sorted(order) != sorted(L.atoms):
-        raise InputError("atom order must be a permutation of the atoms")
-    position = {a: i for i, a in enumerate(order)}
-    blockers: dict[int, list[frozenset[int]]] = defaultdict(list)
-    for circuit in _lattice_circuits(L, budget):
-        smallest = min(circuit, key=position.__getitem__)
-        broken = circuit - {smallest}
-        top = max(broken, key=position.__getitem__)
-        blockers[position[top]].append(broken - {top})
-    out: list[frozenset[int]] = []
-
-    def walk(current: frozenset[int], start: int):
-        out.append(current)
-        for idx in range(start, len(order)):
-            if any(rest <= current for rest in blockers.get(idx, ())):
-                continue
-            walk(current | {order[idx]}, idx + 1)
-
-    walk(frozenset(), 0)
-    return out
+    order, masks = _lattice_nbc_walk(L, atom_order, budget)
+    return [frozenset(members(order, mask)) for mask in masks]
 
 
 def lattice_nbc(
@@ -579,26 +569,22 @@ def lattice_nbc(
     atom_order: Sequence[int] | None = None,
     budget: int = 14,
 ) -> dict[int, int]:
-    counts = Counter(len(s) for s in lattice_nbc_sets(L, atom_order, budget))
-    return dict(sorted(counts.items()))
+    return count_by_size(_lattice_nbc_walk(L, atom_order, budget)[1])
 
 
 def atomic_transversal_sets(
     L: IntersectionLattice, multichain: Sequence[int]
 ) -> list[frozenset[int]]:
     """Atom sets meeting each multichain-induced block at most once."""
-    blocks = atom_blocks(L, multichain)
-    out = []
-    for choice in itertools.product(*[[None, *block] for block in blocks]):
-        out.append(frozenset(a for a in choice if a is not None))
-    return out
+    return [frozenset(t) for t in block_transversals(atom_blocks(L, multichain))]
 
 
 def atomic_transversals(
     L: IntersectionLattice, multichain: Sequence[int]
 ) -> dict[int, int]:
-    counts = Counter(len(s) for s in atomic_transversal_sets(L, multichain))
-    return dict(sorted(counts.items()))
+    # each atom a as the bit 1 << a, so a transversal sums to its mask
+    bits = [[1 << a for a in block] for block in atom_blocks(L, multichain)]
+    return count_by_size(map(sum, block_transversals(bits)))
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +655,7 @@ def verify_isf_chi(
     report.fact("isf_equals_nbc_iff_perfect", counts_equal == perfect.ok,
                 required=True)
 
-    rota = IntPolynomial()
-    for m, c in nbc_counts.items():
-        rota = rota + IntPolynomial.monomial(L.rho - m, (-1) ** m * c)
+    rota = counts_to_polynomial({m: (-1) ** m * c for m, c in nbc_counts.items()}, L.rho)
     report.check("rota_nbc_sum_vs_chi", rota, chi, expect_equal=True)
 
     supersolvable = is_supersolvable(L)

@@ -2,11 +2,11 @@
 circuits and NBC sets, chromatic polynomials, and perfect elimination
 orderings.
 
-Enumeration routines walk downward-closed families (increasing forests,
-NBC sets) by depth-first extension in a fixed edge order, so their cost is
-proportional to the number of objects found rather than 2**|E|.  The
-subset-sweep semantics are preserved exactly because both families are
-closed under taking subsets.
+Increasing forests and NBC sets are closed under taking subsets, so both
+are enumerated by `walks.downward_closed` over the edges in a fixed order,
+at a cost proportional to the number of sets found rather than 2**|E|.  The
+increasing forests are the edge sets in which no two edges share their
+larger endpoint; the NBC sets are those containing no broken circuit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .polycore import (
     product_of_weighted_factors,
 )
 from .report import Report
+from .walks import avoiding, count_by_size, downward_closed, members
 
 __all__ = [
     "Graph",
@@ -242,36 +243,39 @@ def is_increasing_forest(F: SpanningSubgraph) -> bool:
     return fast
 
 
-def isf_set_list(G: Graph, budget: int = 25) -> list[frozenset[Edge]]:
-    """All increasing spanning forests, as edge sets.
+def _increasing_masks(edges: Sequence[tuple]) -> Iterator[int]:
+    """Edge sets, as bitmasks over the edge list, in which no two edges share
+    their larger endpoint, edge[1]."""
+    tops = [1 << e[1] for e in edges]
 
-    Depth-first extension in lexicographic edge order; a branch dies as soon
-    as a vertex would receive a second edge from below, which is sound
-    because subsets of increasing forests are increasing.
-    """
+    def extend(mask: int, used: int, i: int) -> int | None:
+        return None if used & tops[i] else used | tops[i]
+
+    return downward_closed(len(tops), extend, 0)
+
+
+def _edges_within_budget(G: Graph, budget: int) -> list[Edge]:
     if len(G.edges) > budget:
         raise BudgetExceededError(
             f"{len(G.edges)} edges exceeds the enumeration budget {budget}"
         )
-    edges = G.sorted_edges()
-    out: list[frozenset[Edge]] = []
+    return G.sorted_edges()
 
-    def walk(chosen: tuple[Edge, ...], start: int, tops: frozenset[int]):
-        out.append(frozenset(chosen))
-        for idx in range(start, len(edges)):
-            e = edges[idx]
-            if e[1] in tops:
-                continue
-            walk(chosen + (e,), idx + 1, tops | {e[1]})
 
-    walk((), 0, frozenset())
-    return out
+def isf_set_list(G: Graph, budget: int = 25) -> list[frozenset[Edge]]:
+    """All increasing spanning forests, as edge sets.
+
+    Walks the edges in lexicographic order; a set dies as soon as a vertex
+    would receive a second edge from below, which is sound because subsets
+    of increasing forests are increasing.
+    """
+    edges = _edges_within_budget(G, budget)
+    return [frozenset(members(edges, mask)) for mask in _increasing_masks(edges)]
 
 
 def enumerate_isf(G: Graph, budget: int = 25) -> dict[int, int]:
     """Counts of increasing spanning forests by edge count."""
-    counts = Counter(len(s) for s in isf_set_list(G, budget=budget))
-    return dict(sorted(counts.items()))
+    return count_by_size(_increasing_masks(_edges_within_budget(G, budget)))
 
 
 def isf_polynomial(
@@ -363,42 +367,29 @@ def broken_circuits(
     return frozenset(out)
 
 
+def _nbc_walk(G: Graph, order: EdgeOrder | None, budget: int):
+    _edges_within_budget(G, budget)
+    order = order or EdgeOrder.lexicographic(G)
+    blockers: list[list[int]] = [[] for _ in order.sequence]
+    for b in broken_circuits(G, order):
+        ids = sorted(order.index[e] for e in b)
+        blockers[ids[-1]].append(sum(1 << i for i in ids[:-1]))
+    return order.sequence, downward_closed(len(blockers), avoiding(blockers), 0)
+
+
 def nbc_set_list(
     G: Graph, order: EdgeOrder | None = None, budget: int = 25
 ) -> list[frozenset[Edge]]:
     """All edge sets containing no broken circuit, under the given order."""
-    if len(G.edges) > budget:
-        raise BudgetExceededError(
-            f"{len(G.edges)} edges exceeds the enumeration budget {budget}"
-        )
-    order = order or EdgeOrder.lexicographic(G)
-    seq = order.sequence
-    q = len(seq)
-    blockers: dict[int, list[int]] = defaultdict(list)
-    for b in broken_circuits(G, order):
-        ids = sorted(order.index[e] for e in b)
-        blockers[ids[-1]].append(sum(1 << i for i in ids[:-1]))
-    masks: list[int] = []
-
-    def walk(mask: int, start: int):
-        masks.append(mask)
-        for i in range(start, q):
-            if any((mask & bm) == bm for bm in blockers.get(i, ())):
-                continue
-            walk(mask | (1 << i), i + 1)
-
-    walk(0, 0)
-    return [
-        frozenset(seq[i] for i in range(q) if mask >> i & 1) for mask in masks
-    ]
+    seq, masks = _nbc_walk(G, order, budget)
+    return [frozenset(members(seq, mask)) for mask in masks]
 
 
 def nbc_sets(
     G: Graph, order: EdgeOrder | None = None, budget: int = 25
 ) -> dict[int, int]:
     """Counts of NBC edge sets by size."""
-    counts = Counter(len(s) for s in nbc_set_list(G, order=order, budget=budget))
-    return dict(sorted(counts.items()))
+    return count_by_size(_nbc_walk(G, order, budget)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +642,7 @@ def verify_isf_nbc(G: Graph, budget: int = 25) -> Report:
     chrom = chromatic_polynomial(G)
     nbc_list = nbc_set_list(G, budget=budget)
     nbc_counts = Counter(len(s) for s in nbc_list)
-    whitney = IntPolynomial()
-    for m, c in nbc_counts.items():
-        whitney = whitney + IntPolynomial.monomial(G.n - m, (-1) ** m * c)
+    whitney = counts_to_polynomial({m: (-1) ** m * c for m, c in nbc_counts.items()}, G.n)
     report.check("whitney_alternating_sum_vs_chromatic", whitney, chrom,
                  expect_equal=True)
 

@@ -10,11 +10,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetExceededError, InputError, InternalCheckError
+from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from . import graphcore
 from .graphcore import Graph, counts_to_polynomial, edges_are_acyclic
 from .polycore import IntPolynomial, poly_integer_roots
 from .report import Report
+from .walks import count_by_size, downward_closed, members
 
 __all__ = [
     "Pattern",
@@ -253,10 +254,14 @@ class RootedLabeledForest:
     def from_json(cls, data) -> "RootedLabeledForest":
         if not isinstance(data, dict) or not {"labels", "parents"} <= set(data):
             raise InputError('forest JSON must be {"labels": [...], "parents": {...}}')
+        labels, raw = data["labels"], data["parents"]
+        if not isinstance(labels, list) or not isinstance(raw, dict):
+            raise InputError("forest labels must be a list, parents an object")
         parents = {}
-        for v in data["labels"]:
-            raw = data["parents"].get(str(v))
-            parents[int(v)] = None if raw is None else int(raw)
+        for v in labels:
+            v = require_int(v, "forest label")
+            p = raw.get(str(v))
+            parents[v] = None if p is None else require_int(p, "forest parent")
         return cls(parents)
 
     def __repr__(self):
@@ -288,77 +293,60 @@ def _bad_last_triple(a: int, b: int, c: int) -> bool:
     return not (c > a and c > b) and not (a < c < b)
 
 
-def _merged_component_is_tight(edges: Sequence[tuple[int, int]], seed: int) -> bool:
-    """Tightness of the component containing `seed`, by walking root paths."""
+def _component_is_tight(edges: Sequence[tuple[int, int]], root: int) -> bool:
+    """Tightness of the component rooted at its minimum `root`: no root path
+    ends in a bad triple."""
     adj: dict[int, list[int]] = defaultdict(list)
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    comp = {seed}
-    stack = [seed]
+    stack = [(root, 0, (root,))]
     while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    root = min(comp)
-    path = [root]
-
-    def walk(u: int, parent: int) -> bool:
+        u, parent, path = stack.pop()
         for w in adj[u]:
             if w == parent:
                 continue
-            if w < max(path):
-                if any(
-                    _bad_last_triple(path[i], path[j], w)
-                    for j in range(1, len(path))
-                    for i in range(j)
-                ):
-                    return False
-            path.append(w)
-            ok = walk(w, u)
-            path.pop()
-            if not ok:
+            if w < max(path) and any(
+                _bad_last_triple(path[i], path[j], w)
+                for j in range(1, len(path))
+                for i in range(j)
+            ):
                 return False
-        return True
+            stack.append((w, u, path + (w,)))
+    return True
 
-    return walk(root, 0)
+
+def _tf_walk(G: Graph, budget: int):
+    edges = graphcore._edges_within_budget(G, budget)
+
+    # state: each vertex's component, labeled by its minimum; the chosen edges
+    def extend(mask: int, state, i: int):
+        comp, chosen = state
+        lo, hi = sorted((comp[edges[i][0]], comp[edges[i][1]]))
+        if lo == hi:
+            return None
+        candidate = chosen + (edges[i],)
+        if not _component_is_tight(candidate, lo):
+            return None
+        return {w: (lo if c == hi else c) for w, c in comp.items()}, candidate
+
+    start = ({v: v for v in range(1, G.n + 1)}, ())
+    return edges, downward_closed(len(edges), extend, start)
 
 
 def tf_set_list(G: Graph, budget: int = 25) -> list[frozenset[tuple[int, int]]]:
     """All tight spanning forests, as edge sets.
 
-    Depth-first extension; pruning is sound because subforests of tight
-    forests are tight and subsets of forests are forests.  Only the
-    component touched by the new edge is rechecked.
+    Walks the edges in lexicographic order; pruning is sound because
+    subforests of tight forests are tight and subsets of forests are
+    forests.  Only the component touched by the new edge is rechecked.
     """
-    edges = G.sorted_edges()
-    if len(edges) > budget:
-        raise BudgetExceededError(
-            f"{len(edges)} edges exceeds the enumeration budget {budget}"
-        )
-    out: list[frozenset[tuple[int, int]]] = []
-
-    def walk(chosen: tuple, start: int, comp: dict[int, int]):
-        out.append(frozenset(chosen))
-        for idx in range(start, len(edges)):
-            u, v = edges[idx]
-            cu, cv = comp[u], comp[v]
-            if cu == cv:
-                continue
-            candidate = chosen + (edges[idx],)
-            if _merged_component_is_tight(candidate, u):
-                merged = {w: (cu if c == cv else c) for w, c in comp.items()}
-                walk(candidate, idx + 1, merged)
-
-    walk((), 0, {v: v for v in range(1, G.n + 1)})
-    return out
+    edges, masks = _tf_walk(G, budget)
+    return [frozenset(members(edges, mask)) for mask in masks]
 
 
 def tf_polynomial(G: Graph, budget: int = 25) -> IntPolynomial:
-    counts = Counter(len(s) for s in tf_set_list(G, budget=budget))
-    return counts_to_polynomial(counts, G.n)
+    return counts_to_polynomial(count_by_size(_tf_walk(G, budget)[1]), G.n)
 
 
 # ---------------------------------------------------------------------------

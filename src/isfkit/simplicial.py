@@ -7,6 +7,9 @@ spanning subcomplex keeps a subset of the facets and implicitly all faces
 of lower dimension.  Facets are grouped into blocks indexed by (peak,
 largest vertex); a subcomplex is cage-free exactly when it keeps at most
 one facet per block, which is what makes the generating function factor.
+The cross-check enumerates the cage-free subcomplexes without the blocks:
+two facets conflict when the pair scan finds a ridge they cage, and
+`walks.downward_closed` walks the facet sets free of conflicting pairs.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from . import graphcore
@@ -30,6 +31,7 @@ from .polycore import (
     product_of_weighted_factors,
 )
 from .report import Report
+from .walks import avoiding, block_transversals, count_by_size, downward_closed
 
 __all__ = [
     "PureComplex",
@@ -248,34 +250,25 @@ def is_cage_free(upsilon: SpanningSubcomplex) -> bool:
 
 def cage_free_subcomplexes(delta: PureComplex) -> list[SpanningSubcomplex]:
     """Every cage-free spanning subcomplex: at most one facet per block."""
-    partition = phi_partition(delta)
-    options = [
-        [None, *sorted(block)] for _, block in sorted(partition.blocks.items())
-    ]
-    out = []
-    for choice in itertools.product(*options):
-        kept = frozenset(f for f in choice if f is not None)
-        out.append(SpanningSubcomplex(delta, kept))
-    return out
+    blocks = [sorted(b) for _, b in sorted(phi_partition(delta).blocks.items())]
+    return [SpanningSubcomplex(delta, kept) for kept in block_transversals(blocks)]
 
 
 def enumerate_cage_free(delta: PureComplex, budget: int = 22) -> dict[int, int]:
-    """Counts of cage-free subcomplexes by facet count, by facet-subset sweep."""
+    """Counts of cage-free subcomplexes by facet count.
+
+    Walks the facet sets in which no pair of facets cages a ridge, by the
+    pair scan of the defining condition, so it does not use the blocks.
+    """
     facets = sorted(delta.facets)
     q = len(facets)
     if q > budget:
         raise BudgetExceededError(f"{q} facets exceeds the sweep budget {budget}")
-    block_masks: dict[tuple[Face, int], int] = defaultdict(int)
-    for idx, f in enumerate(facets):
-        block_masks[_facet_block(f)] |= 1 << idx
-    subsets = np.arange(1 << q, dtype=np.uint64)
-    ok = np.ones(subsets.shape, dtype=bool)
-    for mask in block_masks.values():
-        hits = subsets & np.uint64(mask)
-        ok &= (hits & (hits - np.uint64(1))) == 0
-    sizes = np.bitwise_count(subsets[ok])
-    counts = Counter(int(s) for s in sizes)
-    return dict(sorted(counts.items()))
+    blockers: list[list[int]] = [[] for _ in facets]
+    for a, b in itertools.combinations(range(q), 2):
+        if _caged_by_pair_scan(frozenset((facets[a], facets[b]))):
+            blockers[b].append(1 << a)
+    return count_by_size(downward_closed(q, avoiding(blockers), 0))
 
 
 def cf_polynomial(

@@ -1,0 +1,75 @@
+"""Enumeration kernels for the subset-closed families of the paper.
+
+Increasing spanning forests, NBC sets of a graph or of a lattice, tight
+forests and cage-free subcomplexes are all closed under taking subsets; each
+cross-check of a factored product enumerates one of them.  `downward_closed`
+walks such a family, a member being a bitmask over the items range(q) with
+bit i set when item i is chosen; `block_transversals` lists the "at most one
+item per block" products.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+from typing import Callable, Iterable, Iterator, Sequence
+
+
+def downward_closed(q: int, extend: Callable, state) -> Iterator[int]:
+    """Every member of a subset-closed family over range(q), as a bitmask.
+
+    The empty set is a member with the given state.  `extend(mask, state, i)`
+    is called only with i above every item of mask; it returns the state of
+    mask | 1 << i, or None when that set is not a member.  Every member is
+    reached from the member without its largest item, so the walk costs O(q)
+    per member, not 2**q.  Members come once each, in lexicographic
+    depth-first preorder: a set before its extensions, smaller items first.
+    """
+    yield 0
+    stack = [(0, state, 0)]
+    while stack:
+        mask, state, i = stack.pop()
+        while i < q:
+            child = extend(mask, state, i)
+            if child is not None:
+                stack.append((mask, state, i + 1))
+                mask |= 1 << i
+                state = child
+                yield mask
+            i += 1
+
+
+def avoiding(blockers: Sequence[Sequence[int]]) -> Callable:
+    """The `extend` of the sets containing no forbidden set: blockers[i] holds,
+    for each forbidden set whose largest item is i, the mask of its other
+    items.  The state passes through unchanged."""
+
+    def extend(mask: int, state, i: int):
+        for rest in blockers[i]:
+            if mask & rest == rest:
+                return None
+        return state
+
+    return extend
+
+
+def block_transversals(blocks: Iterable[Sequence]) -> Iterator[tuple]:
+    """Every choice of at most one item from each block, as the tuple of the
+    chosen items, in itertools.product order with "none" first."""
+    for choice in itertools.product(*[[None, *block] for block in blocks]):
+        yield tuple(item for item in choice if item is not None)
+
+
+def count_by_size(masks: Iterable[int]) -> dict[int, int]:
+    """Member counts keyed by member size, in increasing size."""
+    return dict(sorted(Counter(mask.bit_count() for mask in masks).items()))
+
+
+def members(items: Sequence, mask: int) -> list:
+    """The items whose bits are set in mask, in item order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out

@@ -146,13 +146,8 @@ def oracle_coloring_count(G: Graph, t: int) -> int:
     return total
 
 
-def oracle_flat_count(G: LabeledMultigraph) -> int:
-    """Distinct closures of edge subsets, i.e. the flats of the arrangement.
-
-    The closure of a subset is every edge whose hyperplane normal lies in
-    the span of the subset's normals; spans are tested by Fraction
-    elimination on the real labels.
-    """
+def _real_normals(G: LabeledMultigraph) -> list[list[Fraction]]:
+    """One hyperplane normal per edge, in edge order, over Fraction."""
     normals = []
     for i, j, z in G.edge_list():
         row = [Fraction(0)] * G.n
@@ -161,27 +156,69 @@ def oracle_flat_count(G: LabeledMultigraph) -> int:
             assert z.is_real()
             row[i - 1], row[j - 1] = Fraction(1), -z.re
         normals.append(row)
+    return normals
 
-    def reduce(vec, basis):
-        for pivot, row in basis:
-            if vec[pivot]:
-                c = vec[pivot] / row[pivot]
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
 
+def _reduce(vec, basis):
+    for pivot, row in basis:
+        if vec[pivot]:
+            c = vec[pivot] / row[pivot]
+            vec = [a - c * b for a, b in zip(vec, row)]
+    return vec
+
+
+def _echelon_basis(rows):
+    basis = []
+    for vec in rows:
+        vec = _reduce(vec, basis)
+        pivot = next((k for k, x in enumerate(vec) if x), None)
+        if pivot is not None:
+            basis.append((pivot, vec))
+    return basis
+
+
+def oracle_flat_count(G: LabeledMultigraph) -> int:
+    """Distinct closures of edge subsets, i.e. the flats of the arrangement.
+
+    The closure of a subset is every edge whose hyperplane normal lies in
+    the span of the subset's normals; spans are tested by Fraction
+    elimination on the real labels.
+    """
+    normals = _real_normals(G)
     closures = set()
     for r in range(len(normals) + 1):
         for subset in itertools.combinations(normals, r):
-            basis = []
-            for vec in subset:
-                vec = reduce(vec, basis)
-                pivot = next((k for k, x in enumerate(vec) if x), None)
-                if pivot is not None:
-                    basis.append((pivot, vec))
+            basis = _echelon_basis(subset)
             closures.add(frozenset(
-                e for e, vec in enumerate(normals) if not any(reduce(vec, basis))
+                e for e, vec in enumerate(normals) if not any(_reduce(vec, basis))
             ))
     return len(closures)
+
+
+def oracle_lattice_nbc_sets(G: LabeledMultigraph, order) -> set[frozenset[int]]:
+    """Edge-index sets containing no broken circuit of the arrangement's
+    matroid, where `order` lists the edge indices from smallest to largest.
+
+    Circuits are the minimal dependent edge sets, found by Fraction ranks of
+    the real normals over every subset.
+    """
+    normals = _real_normals(G)
+    subsets = [
+        frozenset(c)
+        for r in range(len(normals) + 1)
+        for c in itertools.combinations(range(len(normals)), r)
+    ]
+    independent = {
+        s for s in subsets
+        if len(_echelon_basis([normals[e] for e in s])) == len(s)
+    }
+    position = {e: k for k, e in enumerate(order)}
+    broken = [
+        s - {min(s, key=position.__getitem__)}
+        for s in subsets
+        if s not in independent and all(s - {e} in independent for e in s)
+    ]
+    return {s for s in subsets if not any(b <= s for b in broken)}
 
 
 def relabel_to_natural_peo(G: Graph, peo) -> Graph:

@@ -14,7 +14,7 @@ from isfkit.arrangement import (
     block_compatible_atom_order,
     build_arrangement,
     characteristic_polynomial,
-    edge_partition,
+    multigraph_edge_partition,
     intersection_lattice,
     is_perfectly_labeled,
     is_supersolvable,
@@ -37,6 +37,7 @@ from helpers import (
     cycle_graph,
     graph_as_multigraph,
     oracle_flat_count,
+    oracle_lattice_nbc_sets,
     relabel_to_natural_peo,
 )
 
@@ -103,7 +104,7 @@ def test_multigraph_json_roundtrip():
 
 
 def test_edge_partition_worked_example():
-    blocks = edge_partition(anchored_multigraph())
+    blocks = multigraph_edge_partition(anchored_multigraph())
     assert [e[:2] for e in blocks[1]] == [(0, 1)]
     assert [e[:2] for e in blocks[2]] == [(1, 2), (1, 2)]
     assert [e[:2] for e in blocks[3]] == [(0, 3), (1, 3)]
@@ -309,6 +310,21 @@ def test_lattice_nbc_and_transversals_worked_example():
     assert lattice_nbc(L, order) == {0: 1, 1: 5, 2: 8, 3: 4}
     transversals = set(atomic_transversal_sets(L, chain))
     assert transversals <= set(lattice_nbc_sets(L, order))
+
+
+def test_lattice_nbc_sets_match_oracle_under_shuffled_atom_order():
+    rng = random.Random(29)
+    for G in seeded_multigraphs():
+        L = intersection_lattice(build_arrangement(G))
+        # one atom per edge, in edge order
+        assert len(L.atoms) == len(G.edge_list())
+        edge_of = {a: e for e, a in enumerate(L.atoms)}
+        order = list(L.atoms)
+        rng.shuffle(order)
+        listing = lattice_nbc_sets(L, order)
+        assert len(listing) == len(set(listing))
+        expected = oracle_lattice_nbc_sets(G, [edge_of[a] for a in order])
+        assert {frozenset(edge_of[a] for a in s) for s in listing} == expected, G
 
 
 def test_lattice_nbc_rank_one():

@@ -83,6 +83,14 @@ def test_malformed_json_exits_two(tmp_path, capsys):
         ("graph", "isf", {"n": True, "edges": []}),
         ("complex", "cf", {"n": 4, "d": 2.0, "facets": [[1, 2, 3]]}),
         ("complex", "cf", {"n": 4, "d": 2, "facets": [[1, 2, "3"]]}),
+        ("multigraph", "isf",
+         {"n": 2, "zero_edges": [1.9], "edges": [[1, 2.5, {"re": "1"}]]}),
+        ("multigraph", "chi", {"n": "2", "zero_edges": [True], "edges": []}),
+        ("multigraph", "isf", {"n": 2, "zero_edges": 5, "edges": []}),
+        ("multigraph", "isf", {"n": 2, "zero_edges": [], "edges": 7}),
+        ("forest", "tight", {"labels": [1], "parents": [1]}),
+        ("forest", "tight",
+         {"labels": ["1", 2.0], "parents": {"1": None, "2": 1}}),
     ],
     ids=[
         "edge-out-of-range",
@@ -92,6 +100,12 @@ def test_malformed_json_exits_two(tmp_path, capsys):
         "bool-vertex-count",
         "float-dimension",
         "string-facet-vertex",
+        "float-multigraph-endpoints",
+        "string-n-bool-zero-edge",
+        "zero-edges-not-a-list",
+        "multigraph-edges-not-a-list",
+        "parents-not-an-object",
+        "non-int-forest-labels",
     ],
 )
 def test_schema_violation_exits_two(tmp_path, capsys, kind, action, payload):

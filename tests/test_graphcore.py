@@ -188,6 +188,18 @@ def test_nbc_counts_paw():
     assert nbc_sets(paw_peo()) == {0: 1, 1: 4, 2: 5, 3: 2}
 
 
+def test_nbc_listing_matches_subset_filter_under_shuffled_orders():
+    rng = random.Random(23)
+    for _ in range(25):
+        G = random_graph(rng, rng.randint(1, 6))
+        sequence = G.sorted_edges()
+        rng.shuffle(sequence)
+        order = EdgeOrder.from_sequence(G, sequence)
+        listing = nbc_set_list(G, order)
+        assert len(listing) == len(set(listing))
+        assert set(listing) == oracle_nbc_sets(G, broken_circuits(G, order))
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_nbc_counts_independent_of_order(seed):
