@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from .exactla import rref
 from .graphcore import _increasing_masks, counts_to_polynomial
@@ -772,23 +770,34 @@ def topology_report(
 
 
 def signed_chromatic_count(G: LabeledMultigraph, s: int) -> int:
-    """Proper colorings of a signed graph by {-s..s}, counted exhaustively."""
+    """Proper colorings of a signed graph by {-s..s}, counted by backtracking
+    over the vertices 1..n: x_k may not be eps * x_i for a lower neighbour i
+    joined by a sign-eps edge, nor 0 if k has a zero edge."""
     if s < 0:
         raise InputError("s must be nonnegative")
+    # a zero edge 0--k is a +1 edge to vertex 0, whose only value is 0
+    lower = [[(0, 1)] if k in G.zero_edges else [] for k in range(G.n + 1)]
     for i, j, z in G.labeled_edges:
         if not z.is_real() or z.re not in (1, -1):
             raise InputError("signed graphs require labels +1 or -1")
-    n = G.n
-    width = 2 * s + 1
-    shape = (width,) * n
-    coords = [arr - s for arr in np.indices(shape).reshape(n, -1)]
-    valid = np.ones(coords[0].shape, dtype=bool)
-    for i, j, z in G.labeled_edges:
-        eps = int(z.re)
-        valid &= coords[i - 1] != eps * coords[j - 1]
-    for k in G.zero_edges:
-        valid &= coords[k - 1] != 0
-    return int(valid.sum())
+        lower[j].append((i, int(z.re)))
+    x = [0] * (G.n + 1)
+
+    def values(k: int) -> list[int]:
+        banned = {eps * x[i] for i, eps in lower[k]}
+        return [v for v in range(-s, s + 1) if v not in banned]
+
+    count, stack = 0, [iter([0])]
+    while stack:
+        k = len(stack) - 1
+        x[k] = next(stack[-1], None)
+        if x[k] is None:
+            stack.pop()
+        elif k == G.n - 1:  # the values of vertex n are counted, not visited
+            count += len(values(G.n))
+        else:
+            stack.append(iter(values(k + 1)))
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
+from math import perm
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from .polycore import (
@@ -397,33 +396,53 @@ def nbc_sets(
 # ---------------------------------------------------------------------------
 
 
+# chromatic_polynomial's default; also caps the orientation cross-check's table
+_VERTEX_BUDGET = 8
+
+
+def _independent_sets(G: Graph) -> list[bool]:
+    """For each vertex set, as a bitmask with vertex v at bit v-1: is it
+    independent in G?"""
+    neighbors = [0] * G.n
+    for i, j in G.edges:
+        neighbors[i - 1] |= 1 << (j - 1)
+        neighbors[j - 1] |= 1 << (i - 1)
+    independent = [True] * (1 << G.n)
+    for S in range(1, 1 << G.n):
+        rest = S & (S - 1)
+        low = (S ^ rest).bit_length() - 1
+        independent[S] = independent[rest] and not neighbors[low] & rest
+    return independent
+
+
+def _independent_partition_counts(G: Graph) -> list[int]:
+    """a[k], the number of partitions of the vertices into k nonempty
+    independent sets; each set's partitions choose first the block T that
+    holds its lowest vertex."""
+    independent = _independent_sets(G)
+    partitions = [[1]]
+    for S in range(1, len(independent)):
+        low, counts = S & -S, [0] * (S.bit_count() + 1)
+        T = S
+        while T:
+            if T & low and independent[T]:
+                for k, c in enumerate(partitions[S ^ T]):
+                    counts[k + 1] += c
+            T = (T - 1) & S
+        partitions.append(counts)
+    return partitions[-1]
+
+
 def count_proper_colorings(G: Graph, colors: int) -> int:
     """Number of proper colorings of G with the given number of colors.
 
-    Literally sweeps all colors**n assignments (vectorized in chunks), so it
-    stays independent of the deletion-contraction recursion.
+    Sums a[k] * colors! / (colors - k)! over the partitions of the vertices
+    into k independent color classes, so it never uses deletion-contraction.
     """
     if colors < 0:
         raise InputError("color count must be nonnegative")
-    n = G.n
-    if n == 0:
-        return 1
-    if colors == 0:
-        return 0
-    if not G.edges:
-        return colors**n
-    shape = (colors,) * n
-    total = colors**n
-    count = 0
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        coords = np.unravel_index(idx, shape)
-        valid = np.ones(idx.shape, dtype=bool)
-        for i, j in G.edges:
-            valid &= coords[i - 1] != coords[j - 1]
-        count += int(valid.sum())
-    return count
+    partitions = _independent_partition_counts(G)
+    return sum(a * perm(colors, k) for k, a in enumerate(partitions))
 
 
 def _find_cycle_edge(edges: Iterable[Edge]) -> Edge | None:
@@ -502,20 +521,24 @@ def _lagrange_integer(points: list[tuple[int, int]]) -> IntPolynomial:
     return IntPolynomial(int(c) for c in coeffs)
 
 
-def chromatic_polynomial(G: Graph, interpolation_vertex_budget: int = 8) -> IntPolynomial:
+def chromatic_polynomial(
+    G: Graph, interpolation_vertex_budget: int = _VERTEX_BUDGET
+) -> IntPolynomial:
     """Chromatic polynomial computed by two independent routes.
 
     Route one is deletion-contraction; route two counts proper colorings at
-    t = 0..n and interpolates over exact rationals.  The routes must agree,
-    otherwise an InternalCheckError is raised.
+    t = 0..n from the independent-set partition counts and interpolates
+    over exact rationals.  The routes must agree, otherwise an
+    InternalCheckError is raised.
     """
     if G.n > interpolation_vertex_budget:
         raise BudgetExceededError(
-            f"n={G.n} exceeds the brute-force coloring budget "
-            f"{interpolation_vertex_budget}"
+            f"n={G.n} exceeds the coloring budget {interpolation_vertex_budget}"
         )
     by_recursion = _chromatic_deletion_contraction(G)
-    points = [(t, count_proper_colorings(G, t)) for t in range(G.n + 1)]
+    partitions = _independent_partition_counts(G)
+    points = [(t, sum(a * perm(t, k) for k, a in enumerate(partitions)))
+              for t in range(G.n + 1)]
     by_interpolation = _lagrange_integer(points)
     if by_recursion != by_interpolation:
         raise InternalCheckError(
@@ -570,24 +593,6 @@ def find_peo(G: Graph) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _orientation_is_acyclic(n: int, arcs: list[tuple[int, int]]) -> bool:
-    indeg = {v: 0 for v in range(1, n + 1)}
-    out: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for u, v in arcs:
-        out[u].append(v)
-        indeg[v] += 1
-    queue = [v for v in indeg if indeg[v] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for w in out[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == n
-
-
 def acyclic_orientation_count(
     G: Graph,
     orientation_budget: int = 16,
@@ -595,25 +600,26 @@ def acyclic_orientation_count(
 ) -> int:
     """Number of acyclic orientations, evaluated as (-1)**n P(G, -1).
 
-    When the edge count is within the orientation budget, all 2**|E|
-    orientations are also enumerated and tested; the totals must agree.
+    Within the orientation budget on edges and the coloring budget on
+    vertices, it is also counted without P by inclusion-exclusion over the
+    nonempty independent source sets T: a(S) = sum (-1)**(|T|+1) a(S - T)
+    over T within S, a(empty) = 1.  The totals must agree.
     """
     chrom = chromatic if chromatic is not None else chromatic_polynomial(G)
     count = (-1) ** G.n * chrom(-1)
-    edges = G.sorted_edges()
-    q = len(edges)
-    if q <= orientation_budget:
-        brute = 0
-        for bits in range(1 << q):
-            arcs = [
-                (e[0], e[1]) if bits >> i & 1 else (e[1], e[0])
-                for i, e in enumerate(edges)
-            ]
-            if _orientation_is_acyclic(G.n, arcs):
-                brute += 1
-        if brute != count:
+    if len(G.edges) <= orientation_budget and G.n <= _VERTEX_BUDGET:
+        independent = _independent_sets(G)
+        acyclic = [1]
+        for S in range(1, len(independent)):
+            acyclic.append(0)
+            T = S
+            while T:
+                if independent[T]:
+                    acyclic[S] -= (-1) ** T.bit_count() * acyclic[S ^ T]
+                T = (T - 1) & S
+        if acyclic[-1] != count:
             raise InternalCheckError(
-                f"orientation enumeration gives {brute}, chromatic route {count}"
+                f"source-set recursion gives {acyclic[-1]}, chromatic route {count}"
             )
     return count
 

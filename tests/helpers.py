@@ -146,6 +146,34 @@ def oracle_coloring_count(G: Graph, t: int) -> int:
     return total
 
 
+def oracle_acyclic_orientation_count(G: Graph) -> int:
+    """Sweep all 2**|E| orientations; one is acyclic when deleting the
+    vertices without incoming arcs, round after round, deletes them all."""
+    edges = G.sorted_edges()
+    total = 0
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        arcs = {(j, i) if flip else (i, j) for (i, j), flip in zip(edges, flips)}
+        left = set(range(1, G.n + 1))
+        while True:
+            sources = left - {head for _, head in arcs}
+            if not sources:
+                break
+            left -= sources
+            arcs = {(tail, head) for tail, head in arcs if tail in left}
+        total += not left
+    return total
+
+
+def oracle_signed_count(G: LabeledMultigraph, s: int) -> int:
+    """Sweep all (2s+1)**n vectors x over {-s..s}: x_k != 0 on each zero edge
+    0--k, x_i != label * x_j on each edge (i, j, +-1)."""
+    return sum(
+        all(x[k - 1] != 0 for k in G.zero_edges)
+        and all(x[i - 1] != z.re * x[j - 1] for i, j, z in G.labeled_edges)
+        for x in itertools.product(range(-s, s + 1), repeat=G.n)
+    )
+
+
 def _real_normals(G: LabeledMultigraph) -> list[list[Fraction]]:
     """One hyperplane normal per edge, in edge order, over Fraction."""
     normals = []

@@ -173,6 +173,9 @@ def test_multigraph_signed(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"count": 6, "s": 1}
     code, _, _ = invoke(capsys, ["multigraph", "signed", path])
     assert code == 2
+    path = write(tmp_path, "n70.json", {"n": 70, "zero_edges": [], "edges": []})
+    code, out, _ = invoke(capsys, ["multigraph", "signed", path, "--s", "0"])
+    assert code == 0 and json.loads(out) == {"count": 1, "s": 0}
 
 
 def test_signed_rejects_non_sign_labels(tmp_path, capsys):
@@ -234,16 +237,26 @@ def test_generators_are_seed_driven():
     assert a.zero_edges == b.zero_edges and a.labeled_edges == b.labeled_edges
 
 
-def test_console_entry_point(tmp_path):
-    path = write(tmp_path, "g.json", paw_peo().to_json())
-    # the child imports the isfkit under test, whether installed or not
+def run_child(*args):
+    """Run python with the given arguments, importing the isfkit under test
+    whether installed or not."""
     package_root = str(Path(isfkit.__file__).resolve().parents[1])
     search = [package_root, os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "isfkit.cli", "graph", "isf", path],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
     )
+
+
+def test_console_entry_point(tmp_path):
+    path = write(tmp_path, "g.json", paw_peo().to_json())
+    proc = run_child("-m", "isfkit.cli", "graph", "isf", path)
     assert proc.returncode == 0
     assert proc.stdout.strip() == '["0","2","5","4","1"]'
+
+
+def test_cli_import_loads_no_numpy():
+    proc = run_child("-c", "import isfkit.cli, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr

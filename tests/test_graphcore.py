@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isfkit.errors import BudgetExceededError, InputError
+from isfkit.errors import BudgetExceededError, InputError, InternalCheckError
 from isfkit.graphcore import (
     EdgeOrder,
     Graph,
@@ -37,6 +37,7 @@ from helpers import (
     house_graph,
     increasing_tree,
     non_increasing_tree,
+    oracle_acyclic_orientation_count,
     oracle_coloring_count,
     oracle_isf_counts,
     oracle_nbc_sets,
@@ -285,6 +286,17 @@ def test_acyclic_orientation_counts():
     assert acyclic_orientation_count(complete_graph(3)) == 6
     assert acyclic_orientation_count(paw_peo()) == 12
     assert acyclic_orientation_count(Graph(2, [(1, 2)])) == 2
+    # a wrong chromatic polynomial must be caught by the source-set route
+    with pytest.raises(InternalCheckError):
+        acyclic_orientation_count(
+            complete_graph(3), chromatic=IntPolynomial((0, 0, 0, 1))
+        )
+    rng = random.Random(41)
+    for n in range(8):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for _ in range(5):
+            G = Graph(n, rng.sample(pairs, rng.randint(0, min(12, len(pairs)))))
+            assert acyclic_orientation_count(G) == oracle_acyclic_orientation_count(G)
 
 
 def test_verify_isf_nbc_peo_labeling():
