@@ -4,9 +4,13 @@ labelings, lattice NBC theory, signed-graph coloring, and supersolvability.
 
 The intersection lattice is built as a lattice of flats: each element is
 the bitmask of the hyperplanes (atoms) containing it.  Construction joins
-flats with atoms in exact arithmetic and tells subspaces apart by the
-canonical reduced row-echelon form of their normals (`exactla.rref`); once
-built, order, meet and join are bit operations on the masks.
+flats with atoms in integer arithmetic.  A normal v = x + iy over the
+Gaussian rationals enters, with its denominators cleared, as the rows
+(x, y) and (-y, x) of its realification in Z^(2n); the Q(i)-span of a set of
+normals is determined by the Q-span of these rows, so their canonical
+integer echelon form (`exactla.echelon`) tells subspaces apart and half its
+length is the rank.  Once built, order, meet and join are bit operations on
+the masks.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
-from .exactla import rref
+from .exactla import echelon
 from .graphcore import _increasing_masks, counts_to_polynomial
 from .polycore import IntPolynomial, poly_from_linear_factors
 from .report import Report
@@ -419,6 +424,20 @@ class IntersectionLattice:
         return best
 
 
+def _integers(values: Sequence[Fraction]) -> list[int]:
+    """The values scaled by the lcm of their denominators."""
+    scale = lcm(*(q.denominator for q in values))
+    return [q.numerator * (scale // q.denominator) for q in values]
+
+
+def _realification(normal: Sequence[GaussRational]) -> tuple[tuple[int, ...], ...]:
+    """The rows (x, y) and (-y, x) of v = x + iy, a multiple of v and of i*v,
+    as integer vectors in Z^(2n)."""
+    n = len(normal)
+    xy = _integers([z.re for z in normal] + [z.im for z in normal])
+    return tuple(xy), tuple([-c for c in xy[n:]] + xy[:n])
+
+
 def intersection_lattice(
     A: Arrangement, hyperplane_budget: int = 20, size_cap: int = 5000
 ) -> IntersectionLattice:
@@ -437,7 +456,7 @@ def intersection_lattice(
         raise InputError("hyperplane normals must be nonzero")
     atom_forms: list[tuple] = []
     for normal in A.normals:
-        f = rref([normal])
+        f = echelon(_realification(normal))
         if f not in atom_forms:
             atom_forms.append(f)
     ranks: dict[int, int] = {0: 0}
@@ -450,7 +469,7 @@ def intersection_lattice(
             for a, atom in enumerate(atom_forms):
                 if mask >> a & 1:
                     continue
-                joined = rref(form + atom)
+                joined = echelon(form + atom)
                 if joined not in joined_masks:
                     joined_masks[joined] = 0
                     if len(ranks) + len(joined_masks) > size_cap:
@@ -462,7 +481,7 @@ def intersection_lattice(
         for mask, a, joined in joined_forms:
             atom_joins[mask, a] = joined_masks[joined]
         for form, mask in joined_masks.items():
-            ranks[mask] = len(form)
+            ranks[mask] = len(form) // 2
         level = joined_masks
     return IntersectionLattice(A.dim, ranks, atom_joins)
 
@@ -668,23 +687,25 @@ def verify_isf_chi(
 # ---------------------------------------------------------------------------
 
 
-def _real_normals(A: Arrangement) -> list[tuple[Fraction, ...]]:
+def _real_normals(A: Arrangement) -> list[list[int]]:
     if not A.real_flag:
         raise InputError("region counting requires all-real edge labels")
-    return [tuple(x.re for x in row) for row in A.normals]
+    return [_integers([x.re for x in row]) for row in A.normals]
 
 
-def _normalize_real(vec: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+def _normalize_real(vec: Sequence[int]) -> tuple[int, ...] | None:
+    """The primitive integer multiple of vec with a positive lead."""
     lead = next((x for x in vec if x != 0), None)
     if lead is None:
         return None
-    return tuple(x / lead for x in vec)
+    g = gcd(*vec) if lead > 0 else -gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
 def region_count_deletion_restriction(A: Arrangement) -> int:
     """Regions of a real arrangement via r(A) = r(A - H) + r(A restricted to H)."""
 
-    def rec(normals: list[tuple[Fraction, ...]], dim: int) -> int:
+    def rec(normals: list[Sequence[int]], dim: int) -> int:
         seen: dict[tuple, None] = {}
         for v in normals:
             norm = _normalize_real(v)
@@ -696,16 +717,10 @@ def region_count_deletion_restriction(A: Arrangement) -> int:
         h = hs[-1]
         rest = hs[:-1]
         pivot = next(i for i, x in enumerate(h) if x != 0)
-        basis = []
-        for free in range(dim):
-            if free == pivot:
-                continue
-            vec = [Fraction(0)] * dim
-            vec[free] = Fraction(1)
-            vec[pivot] = -h[free] / h[pivot]
-            basis.append(tuple(vec))
+        # the vectors h[pivot] * e_k - h[k] * e_pivot, k != pivot, are an
+        # integer basis of H
         restricted = [
-            tuple(sum(g[i] * b[i] for i in range(dim)) for b in basis)
+            [h[pivot] * g[k] - h[k] * g[pivot] for k in range(dim) if k != pivot]
             for g in rest
         ]
         return rec(rest, dim) + rec(restricted, dim - 1)

@@ -286,6 +286,10 @@ def run(argv: list[str]) -> int:
     except InternalCheckError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a bug, not a failed verification: keep exit 1 meaning the latter
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     print("ok" if passed else "FAILED: see report on stdout", file=sys.stderr)
     return 0 if passed else 1

@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from . import graphcore
-from .exactla import rref
+from .exactla import echelon
 from .graphcore import Graph, counts_to_polynomial
 from .polycore import (
     IntPolynomial,
@@ -414,12 +413,12 @@ def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
         for i in range(len(f)):
             ridge = f[:i] + f[i + 1:]
             ridge_index.setdefault(ridge, len(ridge_index))
-    matrix = [[Fraction(0)] * len(kept) for _ in range(len(ridge_index))]
+    matrix = [[0] * len(kept) for _ in range(len(ridge_index))]
     for col, f in enumerate(kept):
         for i in range(len(f)):
             ridge = f[:i] + f[i + 1:]
-            matrix[ridge_index[ridge]][col] = Fraction((-1) ** i)
-    return len(kept) - len(rref(matrix))
+            matrix[ridge_index[ridge]][col] = (-1) ** i
+    return len(kept) - len(echelon(matrix))
 
 
 def has_leaf(upsilon: SpanningSubcomplex) -> bool:

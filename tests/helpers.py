@@ -12,8 +12,9 @@ from collections import Counter
 from fractions import Fraction
 
 from isfkit.graphcore import Graph
-from isfkit.simplicial import PureComplex
-from isfkit.arrangement import LabeledMultigraph
+from isfkit.polycore import IntPolynomial
+from isfkit.simplicial import PureComplex, SpanningSubcomplex
+from isfkit.arrangement import GaussRational, LabeledMultigraph
 
 
 # -- the two labelings of the paw graph (triangle plus a pendant edge) -------
@@ -174,15 +175,14 @@ def oracle_signed_count(G: LabeledMultigraph, s: int) -> int:
     )
 
 
-def _real_normals(G: LabeledMultigraph) -> list[list[Fraction]]:
-    """One hyperplane normal per edge, in edge order, over Fraction."""
+def _normals(G: LabeledMultigraph) -> list[list[GaussRational]]:
+    """One hyperplane normal per edge, in edge order, over GaussRational."""
     normals = []
     for i, j, z in G.edge_list():
-        row = [Fraction(0)] * G.n
-        row[j - 1] = Fraction(1)
+        row = [GaussRational(0)] * G.n
+        row[j - 1] = GaussRational(1)
         if i:
-            assert z.is_real()
-            row[i - 1], row[j - 1] = Fraction(1), -z.re
+            row[i - 1], row[j - 1] = GaussRational(1), -z
         normals.append(row)
     return normals
 
@@ -196,6 +196,8 @@ def _reduce(vec, basis):
 
 
 def _echelon_basis(rows):
+    """Row echelon basis of the span of rows over any field whose elements
+    support + - * / and truthiness (Fraction, GaussRational)."""
     basis = []
     for vec in rows:
         vec = _reduce(vec, basis)
@@ -205,14 +207,40 @@ def _echelon_basis(rows):
     return basis
 
 
+def oracle_rank(rows) -> int:
+    """Rank over Q of integer or Fraction rows, by Fraction elimination."""
+    return len(_echelon_basis([[Fraction(x) for x in row] for row in rows]))
+
+
+def oracle_in_span(vec, rows) -> bool:
+    """Whether vec lies in the Q-span of rows, by Fraction elimination."""
+    basis = _echelon_basis([[Fraction(x) for x in row] for row in rows])
+    return not any(_reduce([Fraction(x) for x in vec], basis))
+
+
+def oracle_top_homology_rank(upsilon: SpanningSubcomplex) -> int:
+    """Kernel dimension of the top boundary map, by Fraction elimination on
+    its transpose: one row per kept facet f, one column per ridge r, with
+    entry (-1)**i when r is f without its i-th vertex."""
+    facets = sorted(upsilon.kept_facets)
+    ridges = sorted({f[:i] + f[i + 1:] for f in facets for i in range(len(f))})
+    rows = []
+    for f in facets:
+        row = [0] * len(ridges)
+        for i in range(len(f)):
+            row[ridges.index(f[:i] + f[i + 1:])] = (-1) ** i
+        rows.append(row)
+    return len(facets) - oracle_rank(rows)
+
+
 def oracle_flat_count(G: LabeledMultigraph) -> int:
     """Distinct closures of edge subsets, i.e. the flats of the arrangement.
 
     The closure of a subset is every edge whose hyperplane normal lies in
-    the span of the subset's normals; spans are tested by Fraction
-    elimination on the real labels.
+    the span of the subset's normals; spans are tested by GaussRational
+    elimination, so labels may be non-real.
     """
-    normals = _real_normals(G)
+    normals = _normals(G)
     closures = set()
     for r in range(len(normals) + 1):
         for subset in itertools.combinations(normals, r):
@@ -223,14 +251,29 @@ def oracle_flat_count(G: LabeledMultigraph) -> int:
     return len(closures)
 
 
+def oracle_rho_and_chi(G: LabeledMultigraph) -> tuple[int, IntPolynomial]:
+    """Rank of the arrangement and Whitney's formula for its characteristic
+    polynomial, chi(t) = sum over edge subsets S of (-1)**|S| *
+    t**(rank - rank(S)), with ranks by GaussRational elimination."""
+    normals = _normals(G)
+    rho = len(_echelon_basis(normals))
+    chi = IntPolynomial()
+    for r in range(len(normals) + 1):
+        for subset in itertools.combinations(normals, r):
+            chi = chi + IntPolynomial.monomial(
+                rho - len(_echelon_basis(subset)), (-1) ** r
+            )
+    return rho, chi
+
+
 def oracle_lattice_nbc_sets(G: LabeledMultigraph, order) -> set[frozenset[int]]:
     """Edge-index sets containing no broken circuit of the arrangement's
     matroid, where `order` lists the edge indices from smallest to largest.
 
-    Circuits are the minimal dependent edge sets, found by Fraction ranks of
-    the real normals over every subset.
+    Circuits are the minimal dependent edge sets, found by GaussRational
+    ranks of the normals over every subset.
     """
-    normals = _real_normals(G)
+    normals = _normals(G)
     subsets = [
         frozenset(c)
         for r in range(len(normals) + 1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from helpers import (
     graph_as_multigraph,
     oracle_flat_count,
     oracle_lattice_nbc_sets,
+    oracle_rho_and_chi,
     oracle_signed_count,
     relabel_to_natural_peo,
 )
@@ -174,6 +176,49 @@ def test_lattice_size_counts_closures_of_edge_subsets():
     for G in seeded_multigraphs():
         L = intersection_lattice(build_arrangement(G))
         assert L.size == oracle_flat_count(G), G
+
+
+GAUSSIAN_LABELS = [
+    GaussRational(0, 1),
+    GaussRational(1, 1),
+    GaussRational(3, -2),
+    GaussRational(Fraction(1, 3), Fraction(-2, 5)),
+    GaussRational(Fraction(-7, 4), 1),
+    GaussRational(Fraction(1, 2)),
+    GaussRational(-1),
+    GaussRational(2),
+]
+
+
+def gaussian_multigraphs(count=40):
+    """Seeded multigraphs, n <= 5 and at most 8 edges, at least one labeled
+    edge with a non-real label whenever n > 1."""
+    rng = random.Random(83)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        zero = sorted(rng.sample(range(1, n + 1), rng.randint(0, min(n, 3))))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        labeled = {}
+        for _ in range(rng.randint(1, 8 - len(zero)) if pairs else 0):
+            i, j = rng.choice(pairs)
+            labeled[i, j, rng.randrange(len(GAUSSIAN_LABELS))] = None
+        edges = [(i, j, GAUSSIAN_LABELS[k]) for i, j, k in labeled]
+        if edges:
+            i, j, _ = edges[0]
+            edges[0] = (i, j, GAUSSIAN_LABELS[rng.randrange(5)])
+        yield LabeledMultigraph(n, zero, list(dict.fromkeys(edges)))
+
+
+def test_lattice_with_gaussian_labels_matches_oracle():
+    non_real = 0
+    for G in gaussian_multigraphs():
+        non_real += not G.is_real()
+        L = intersection_lattice(build_arrangement(G))
+        rho, chi = oracle_rho_and_chi(G)
+        assert L.size == oracle_flat_count(G), G
+        assert L.rho == rho, G
+        assert characteristic_polynomial(L) == chi, G
+    assert non_real >= 30
 
 
 def test_lattice_meet_and_join_are_glb_and_lub():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import isfkit
+from isfkit import cli
 from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.graphcore import Graph
 
@@ -207,6 +208,18 @@ def test_forest_tight_parent_map(tmp_path, capsys):
     path = write(tmp_path, "f2.json", bad)
     code, _, _ = invoke(capsys, ["forest", "tight", path])
     assert code == 2
+
+
+def test_unexpected_exception_exits_three_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(action, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_graph_action", broken)
+    path = write(tmp_path, "g.json", paw_peo().to_json())
+    code, out, err = invoke(capsys, ["graph", "isf", path])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_gen_is_deterministic_and_verifiable(tmp_path, capsys):

@@ -34,6 +34,7 @@ from helpers import (
     bipyramid,
     bowtie_complex,
     fan_complex,
+    oracle_top_homology_rank,
     tetrahedron_boundary,
 )
 
@@ -215,6 +216,31 @@ def test_cage_free_subcomplexes_have_trivial_top_homology_and_leaves():
             assert top_homology_rank(upsilon) == 0
             if upsilon.kept_facets:
                 assert has_leaf(upsilon)
+
+
+def test_top_homology_rank_matches_fraction_oracle():
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(4, 7)
+        d = rng.choice([2, 3])
+        facets = [
+            f for f in itertools.combinations(range(1, n + 1), d + 1)
+            if rng.random() < 0.6
+        ]
+        upsilon = full_subcomplex(PureComplex(n, d, facets))
+        assert top_homology_rank(upsilon) == oracle_top_homology_rank(upsilon), facets
+
+
+def test_top_homology_rank_known_values():
+    # one vertex from each antipodal pair {1,2}, {3,4}, {5,6}: a 2-sphere
+    octahedron = PureComplex(6, 2, itertools.product((1, 2), (3, 4), (5, 6)))
+    assert top_homology_rank(full_subcomplex(octahedron)) == 1
+    two_spheres = PureComplex(
+        6, 2,
+        [*itertools.combinations((1, 2, 3, 4), 3), *itertools.combinations((1, 2, 5, 6), 3)],
+    )
+    assert top_homology_rank(full_subcomplex(two_spheres)) == 2
+    assert top_homology_rank(full_subcomplex(PureComplex(5, 3, [(1, 2, 3, 4)]))) == 0
 
 
 def test_tetrahedron_boundary_structure():
