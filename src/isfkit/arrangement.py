@@ -784,10 +784,16 @@ def topology_report(
 # ---------------------------------------------------------------------------
 
 
-def signed_chromatic_count(G: LabeledMultigraph, s: int) -> int:
+def signed_chromatic_count(
+    G: LabeledMultigraph, s: int, assignment_cap: int = 10**6
+) -> int:
     """Proper colorings of a signed graph by {-s..s}, counted by backtracking
     over the vertices 1..n: x_k may not be eps * x_i for a lower neighbour i
-    joined by a sign-eps edge, nor 0 if k has a zero edge."""
+    joined by a sign-eps edge, nor 0 if k has a zero edge.
+
+    The values of vertex n are counted, not visited, so the backtrack visits
+    at most (2s+1)^(n-1) colorings of vertices 1..n-1; above assignment_cap
+    it raises BudgetExceededError instead."""
     if s < 0:
         raise InputError("s must be nonnegative")
     # a zero edge 0--k is a +1 edge to vertex 0, whose only value is 0
@@ -796,11 +802,18 @@ def signed_chromatic_count(G: LabeledMultigraph, s: int) -> int:
         if not z.is_real() or z.re not in (1, -1):
             raise InputError("signed graphs require labels +1 or -1")
         lower[j].append((i, int(z.re)))
+    partial = 1  # grown factor by factor, so a huge n or s stops early
+    for _ in range(G.n - 1):
+        partial *= 2 * s + 1
+        if partial > assignment_cap:
+            raise BudgetExceededError(
+                f"(2s+1)^(n-1) = {2 * s + 1}^{G.n - 1} colorings exceed the "
+                f"signed-count cap {assignment_cap}"
+            )
     x = [0] * (G.n + 1)
 
-    def values(k: int) -> list[int]:
-        banned = {eps * x[i] for i, eps in lower[k]}
-        return [v for v in range(-s, s + 1) if v not in banned]
+    def banned(k: int) -> set[int]:
+        return {eps * x[i] for i, eps in lower[k]}
 
     count, stack = 0, [iter([0])]
     while stack:
@@ -808,10 +821,11 @@ def signed_chromatic_count(G: LabeledMultigraph, s: int) -> int:
         x[k] = next(stack[-1], None)
         if x[k] is None:
             stack.pop()
-        elif k == G.n - 1:  # the values of vertex n are counted, not visited
-            count += len(values(G.n))
+        elif k == G.n - 1:  # every banned value lies in -s..s
+            count += 2 * s + 1 - len(banned(G.n))
         else:
-            stack.append(iter(values(k + 1)))
+            ban = banned(k + 1)
+            stack.append(iter([v for v in range(-s, s + 1) if v not in ban]))
     return count
 
 

@@ -2,7 +2,7 @@
 
 One command per process: parse a JSON instance, dispatch to the library,
 emit the result as JSON on stdout and a one-line summary on stderr.
-Exit codes: 0 success, 1 failed assertion, 2 bad input.
+Exit codes: 0 success, 1 failed assertion, 2 bad input, 3 internal error.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 

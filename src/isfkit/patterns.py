@@ -41,27 +41,20 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Pattern:
     """A permutation pattern, stored as a permutation of {1..k}."""
 
-    __slots__ = ("perm",)
+    perm: tuple[int, ...]
 
-    def __init__(self, perm: Sequence[int]):
-        perm = tuple(int(v) for v in perm)
+    def __post_init__(self):
+        perm = tuple(int(v) for v in self.perm)
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise InputError(f"{perm} is not a permutation of 1..{len(perm)}")
-        self.perm = perm
+        object.__setattr__(self, "perm", perm)
 
     def __len__(self):
         return len(self.perm)
-
-    def __eq__(self, other):
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return self.perm == other.perm
-
-    def __hash__(self):
-        return hash(("Pattern", self.perm))
 
     def __repr__(self):
         return f"Pattern({''.join(map(str, self.perm))})"
@@ -87,12 +80,9 @@ def contains_pattern(seq: Sequence[int], pat: Pattern | Sequence[int]) -> bool:
     if not isinstance(pat, Pattern):
         pat = Pattern(pat)
     _check_distinct(seq)
-    k = len(pat)
-    if len(seq) < k:
-        return False
     return any(
         standardize([seq[i] for i in combo]) == pat.perm
-        for combo in itertools.combinations(range(len(seq)), k)
+        for combo in itertools.combinations(range(len(seq)), len(pat))
     )
 
 
@@ -114,15 +104,60 @@ def _is_adjacent_involution(perm: tuple[int, ...]) -> bool:
     return True
 
 
+def _avoids_231(seq: Sequence[int]) -> bool:
+    """Stack sorting (Knuth, TAOCP vol. 1, 2.2.1): every later entry must
+    exceed an entry popped because a larger one arrived."""
+    stack: list[int] = []
+    popped = None
+    for v in seq:
+        if popped is not None and v < popped:
+            return False
+        while stack and stack[-1] < v:
+            popped = stack.pop()
+        stack.append(v)
+    return True
+
+
+def _avoids_321(seq: Sequence[int]) -> bool:
+    """No entry lies below an earlier entry and above a later one."""
+    prefix_max = list(itertools.accumulate(seq, max))
+    suffix_min = list(itertools.accumulate(reversed(seq), min))[::-1]
+    return not any(
+        prefix_max[j - 1] > seq[j] > suffix_min[j + 1]
+        for j in range(1, len(seq) - 1)
+    )
+
+
+def _tight_step(state: tuple[int, int], w: int) -> tuple[int, int] | None:
+    """Extend a tight root path by the label w.
+
+    A tight sequence standardizes to a direct sum of 1s and 21s, so its state
+    is (m, low): its maximum m, and the bound low that a later entry below m
+    must exceed.  A root r starts at (r, 0).  A new maximum gives (w, m); an
+    entry between low and m closes a 21 block, after which nothing may go
+    below m, giving (m, m); any other w completes a 231, 312 or 321 (None).
+    """
+    m, low = state
+    if w > m:
+        return w, m
+    if low < w:
+        return m, m
+    return None
+
+
 def is_tight_sequence(seq: Sequence[int]) -> bool:
     """Whether the sequence avoids 231, 312, and 321.
 
-    Checked both by pattern containment and by the equivalent statement
-    that the standardization is an involution built from swaps of
-    consecutive values; the two must agree.
+    Checked both by three linear pattern tests (312 is 231 in the reverse
+    complement) and by the equivalent statement that the standardization is
+    an involution built from swaps of consecutive values; the two must agree.
     """
-    by_patterns = avoids_set(seq, TIGHT_PATTERNS)
     by_involution = _is_adjacent_involution(standardize(seq))
+    by_patterns = (
+        _avoids_231(seq)
+        and _avoids_231([-v for v in reversed(seq)])
+        and _avoids_321(seq)
+    )
     if by_patterns != by_involution:
         raise InternalCheckError(
             f"tightness criteria disagree on sequence {tuple(seq)}"
@@ -143,62 +178,24 @@ class RootedLabeledForest:
     def __init__(self, parents: Mapping[int, int | None]):
         parents = {int(v): (None if p is None else int(p))
                    for v, p in parents.items()}
-        labels = set(parents)
-        if any(v < 1 for v in labels):
+        if any(v < 1 for v in parents):
             raise InputError("labels must be positive integers")
         for v, p in parents.items():
-            if p is not None and p not in labels:
+            if p is not None and p not in parents:
                 raise InputError(f"parent {p} of {v} is not a label")
-        # climb to the root from every vertex, rejecting cycles
-        root_of: dict[int, int] = {}
-        for v in labels:
-            trail = []
-            u = v
-            while u not in root_of and parents[u] is not None:
-                if u in trail:
-                    raise InputError("parent map contains a cycle")
-                trail.append(u)
-                u = parents[u]
-            root = root_of.get(u, u)
-            for w in trail + [v]:
-                root_of[w] = root
-        components: dict[int, set[int]] = defaultdict(set)
-        for v, r in root_of.items():
-            components[r].add(v)
-        for r, members in components.items():
-            if r != min(members):
-                raise InputError(
-                    f"component {sorted(members)} must be rooted at its minimum"
-                )
         self.parents = parents
-
-    @classmethod
-    def from_edge_set(
-        cls, edges: Iterable[tuple[int, int]], vertices: Iterable[int] = ()
-    ) -> "RootedLabeledForest":
-        """Orient an acyclic edge set away from each component's minimum."""
-        edges = list(edges)
-        if not edges_are_acyclic(edges):
-            raise InputError("edge set contains a cycle")
-        verts = set(vertices)
-        adj: dict[int, list[int]] = defaultdict(list)
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-            verts.update((u, v))
-        parents: dict[int, int | None] = {}
-        for root in sorted(verts):
-            if root in parents:
-                continue
-            parents[root] = None
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in parents:
-                        parents[w] = u
-                        stack.append(w)
-        return cls(parents)
+        # a label on a cycle, or below one, is never reached from a root
+        order = self._preorder()
+        if len(order) != len(parents):
+            raise InputError("parent map contains a cycle")
+        root_of: dict[int, int] = {}
+        for v in order:
+            root_of[v] = v if parents[v] is None else root_of[parents[v]]
+            if v < root_of[v]:
+                raise InputError(
+                    f"the tree of {v} must be rooted at its minimum, "
+                    f"not at {root_of[v]}"
+                )
 
     def labels(self) -> set[int]:
         return set(self.parents)
@@ -208,41 +205,37 @@ class RootedLabeledForest:
 
     def children(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {v: [] for v in self.parents}
-        for v, p in self.parents.items():
+        for v, p in sorted(self.parents.items()):
             if p is not None:
                 out[p].append(v)
-        for v in out:
-            out[v].sort()
         return out
 
-    def root_to_leaf_paths(self) -> list[tuple[int, ...]]:
+    def _preorder(self) -> list[int]:
+        """Every label, trees in increasing root order, each depth first with
+        smaller children first, so a parent always precedes its children."""
         kids = self.children()
-        paths: list[tuple[int, ...]] = []
+        order: list[int] = []
+        stack = self.roots()[::-1]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            stack.extend(reversed(kids[u]))
+        return order
 
-        def walk(u: int, path: tuple[int, ...]):
-            if not kids[u]:
-                paths.append(path)
-                return
-            for w in kids[u]:
-                walk(w, path + (w,))
+    def _root_path(self, v: int) -> tuple[int, ...]:
+        """The labels from v's root down to v."""
+        path = [v]
+        while self.parents[path[-1]] is not None:
+            path.append(self.parents[path[-1]])
+        return tuple(reversed(path))
 
-        for r in self.roots():
-            walk(r, (r,))
-        return paths
+    def root_to_leaf_paths(self) -> list[tuple[int, ...]]:
+        inner = set(self.parents.values())
+        return [self._root_path(v) for v in self._preorder() if v not in inner]
 
     def all_root_paths(self) -> list[tuple[int, ...]]:
         """Every downward path starting at a root (all prefixes included)."""
-        kids = self.children()
-        paths: list[tuple[int, ...]] = []
-
-        def walk(u: int, path: tuple[int, ...]):
-            paths.append(path)
-            for w in kids[u]:
-                walk(w, path + (w,))
-
-        for r in self.roots():
-            walk(r, (r,))
-        return paths
+        return [self._root_path(v) for v in self._preorder()]
 
     def to_json(self) -> dict:
         return {
@@ -260,8 +253,13 @@ class RootedLabeledForest:
         parents = {}
         for v in labels:
             v = require_int(v, "forest label")
+            if v in parents:
+                raise InputError(f"forest label {v} is repeated")
             p = raw.get(str(v))
             parents[v] = None if p is None else require_int(p, "forest parent")
+        unknown = set(raw) - {str(v) for v in parents}
+        if unknown:
+            raise InputError(f"forest parents keys {sorted(unknown)} are not labels")
         return cls(parents)
 
     def __repr__(self):
@@ -271,16 +269,51 @@ class RootedLabeledForest:
 def forest_from_edge_set(
     edges: Iterable[tuple[int, int]], vertices: Iterable[int] = ()
 ) -> RootedLabeledForest:
-    return RootedLabeledForest.from_edge_set(edges, vertices)
+    """Orient an acyclic edge set away from each component's minimum."""
+    edges = list(edges)
+    if not edges_are_acyclic(edges):
+        raise InputError("edge set contains a cycle")
+    verts = set(vertices)
+    adj: dict[int, list[int]] = defaultdict(list)
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+        verts.update((u, v))
+    parents: dict[int, int | None] = {}
+    for root in sorted(verts):
+        if root in parents:
+            continue
+        parents[root] = None
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in parents:
+                    parents[w] = u
+                    stack.append(w)
+    return RootedLabeledForest(parents)
 
 
 def is_tight_forest(F: RootedLabeledForest) -> bool:
     """Whether every path starting at a root is a tight sequence.
 
-    Root-to-leaf paths suffice: any root path is a prefix of one, and
-    pattern containment only grows along extensions.
+    Route one carries the `_tight_step` state from each root down its tree,
+    in linear time.  Route two tests every root-to-leaf path with
+    `is_tight_sequence`; those paths suffice, because any root path is a
+    prefix of one and pattern containment only grows along extensions.  The
+    two must agree.
     """
-    return all(is_tight_sequence(p) for p in F.root_to_leaf_paths())
+    states: dict[int, tuple[int, int] | None] = {}
+    for v in F._preorder():
+        p = F.parents[v]
+        states[v] = (v, 0) if p is None else _tight_step(states[p], v)
+        if states[v] is None:
+            break
+    by_states = None not in states.values()
+    by_paths = all(is_tight_sequence(p) for p in F.root_to_leaf_paths())
+    if by_states != by_paths:
+        raise InternalCheckError(f"tightness routes disagree on {F!r}")
+    return by_states
 
 
 # ---------------------------------------------------------------------------
@@ -288,49 +321,36 @@ def is_tight_forest(F: RootedLabeledForest) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bad_last_triple(a: int, b: int, c: int) -> bool:
-    # c is the last element; allowed shapes are 123, 213 (c largest) and 132
-    return not (c > a and c > b) and not (a < c < b)
-
-
-def _component_is_tight(edges: Sequence[tuple[int, int]], root: int) -> bool:
-    """Tightness of the component rooted at its minimum `root`: no root path
-    ends in a bad triple."""
-    adj: dict[int, list[int]] = defaultdict(list)
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    stack = [(root, 0, (root,))]
-    while stack:
-        u, parent, path = stack.pop()
-        for w in adj[u]:
-            if w == parent:
-                continue
-            if w < max(path) and any(
-                _bad_last_triple(path[i], path[j], w)
-                for j in range(1, len(path))
-                for i in range(j)
-            ):
-                return False
-            stack.append((w, u, path + (w,)))
-    return True
-
-
 def _tf_walk(G: Graph, budget: int):
     edges = graphcore._edges_within_budget(G, budget)
 
-    # state: each vertex's component, labeled by its minimum; the chosen edges
+    # state, per vertex: the minimum of its component (the component's root),
+    # its neighbours in the forest, and the `_tight_step` state of its root
+    # path.  Joining two components re-roots only the one with the larger
+    # minimum: its root paths now run through the new edge.
     def extend(mask: int, state, i: int):
-        comp, chosen = state
-        lo, hi = sorted((comp[edges[i][0]], comp[edges[i][1]]))
-        if lo == hi:
+        comp, adj, paths = state
+        u, v = edges[i]
+        if comp[u] == comp[v]:
             return None
-        candidate = chosen + (edges[i],)
-        if not _component_is_tight(candidate, lo):
-            return None
-        return {w: (lo if c == hi else c) for w, c in comp.items()}, candidate
+        if comp[u] > comp[v]:
+            u, v = v, u
+        comp, paths = list(comp), list(paths)
+        stack = [(v, u)]
+        while stack:
+            w, parent = stack.pop()
+            paths[w] = _tight_step(paths[parent], w)
+            if paths[w] is None:
+                return None
+            comp[w] = comp[u]
+            stack.extend((x, w) for x in adj[w] if x != parent)
+        adj = list(adj)
+        adj[u] += (v,)
+        adj[v] += (u,)
+        return comp, adj, paths
 
-    start = ({v: v for v in range(1, G.n + 1)}, ())
+    vertices = range(G.n + 1)
+    start = (list(vertices), [()] * (G.n + 1), [(v, 0) for v in vertices])
     return edges, downward_closed(len(edges), extend, start)
 
 
@@ -339,7 +359,7 @@ def tf_set_list(G: Graph, budget: int = 25) -> list[frozenset[tuple[int, int]]]:
 
     Walks the edges in lexicographic order; pruning is sound because
     subforests of tight forests are tight and subsets of forests are
-    forests.  Only the component touched by the new edge is rechecked.
+    forests.  Only the re-rooted component of a new edge is rechecked.
     """
     edges, masks = _tf_walk(G, budget)
     return [frozenset(members(edges, mask)) for mask in masks]
@@ -529,24 +549,12 @@ def count_pattern_avoiding_permutations(
     # a value above the whole prefix can only complete a pattern whose
     # maximum sits in the last position
     max_last_pats = [p for p in all_pats if p[-1] == len(p)]
-    count = 0
-    prefix: list[int] = []
-    used = [False] * (k + 1)
 
-    def order_iso(sub: tuple[int, ...], perm: tuple[int, ...]) -> bool:
-        return all(
-            (sub[i] < sub[j]) == (perm[i] < perm[j])
-            for j in range(1, len(perm))
-            for i in range(j)
-        )
-
-    def new_containment(check: list[tuple[int, ...]]) -> bool:
+    def new_containment(prefix: tuple[int, ...], check) -> bool:
         m = len(prefix) - 1
         last = prefix[-1]
         for perm in check:
             L = len(perm)
-            if m + 1 < L:
-                continue
             if L == 3:
                 p01, p02, p12 = perm[0] < perm[1], perm[0] < perm[2], perm[1] < perm[2]
                 for j in range(1, m):
@@ -560,27 +568,22 @@ def count_pattern_avoiding_permutations(
                 continue
             for combo in itertools.combinations(range(m), L - 1):
                 sub = tuple(prefix[i] for i in combo) + (last,)
-                if order_iso(sub, perm):
+                if standardize(sub) == perm:
                     return True
         return False
 
-    def extend(prefix_max: int):
-        nonlocal count
+    count = 0
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
         if len(prefix) == k:
             count += 1
-            return
+            continue
+        top = max(prefix, default=0)
         for v in range(1, k + 1):
-            if used[v]:
-                continue
-            prefix.append(v)
-            used[v] = True
-            check = max_last_pats if v > prefix_max else all_pats
-            if not new_containment(check):
-                extend(max(prefix_max, v))
-            used[v] = False
-            prefix.pop()
-
-    extend(0)
+            check = max_last_pats if v > top else all_pats
+            if v not in prefix and not new_containment((*prefix, v), check):
+                stack.append((*prefix, v))
     return count
 
 

@@ -138,6 +138,60 @@ def oracle_nbc_sets(G: Graph, broken) -> set[frozenset]:
     }
 
 
+def _bad_last_triple(a: int, b: int, c: int) -> bool:
+    # c is the last element; allowed shapes are 123, 213 (c largest) and 132
+    return not (c > a and c > b) and not (a < c < b)
+
+
+def oracle_is_tight_forest(edges) -> bool:
+    """Whether the edges form a forest whose root paths, each component
+    rooted at its minimum, never end in a 231, 312 or 321 (an O(L^2) scan
+    of every root path for a bad last triple)."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = set()
+    for root in sorted(adj):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, 0, (root,))]
+        while stack:
+            u, parent, path = stack.pop()
+            for w in adj[u]:
+                if w == parent:
+                    continue
+                if w in seen:
+                    return False  # a cycle
+                if any(
+                    _bad_last_triple(path[i], path[j], w)
+                    for j in range(1, len(path))
+                    for i in range(j)
+                ):
+                    return False
+                seen.add(w)
+                stack.append((w, u, path + (w,)))
+    return True
+
+
+def oracle_tf_sets(G: Graph) -> set[frozenset]:
+    """Tight spanning forests, level by level: a tight forest minus its
+    largest edge is a tight forest one level down."""
+    edges = G.sorted_edges()
+    level: list[tuple[int, ...]] = [()]
+    found = {frozenset()}
+    while level:
+        level = [
+            (*chosen, i)
+            for chosen in level
+            for i in range(chosen[-1] + 1 if chosen else 0, len(edges))
+            if oracle_is_tight_forest([edges[j] for j in (*chosen, i)])
+        ]
+        found |= {frozenset(edges[j] for j in chosen) for chosen in level}
+    return found
+
+
 def oracle_coloring_count(G: Graph, t: int) -> int:
     """Pure-python sweep of all t**n colorings."""
     total = 0

@@ -459,6 +459,16 @@ def test_signed_chromatic_matches_lattice():
             assert count == oracle_signed_count(G, s) == t ** (n - L.rho) * chi(t)
 
 
+def test_signed_count_budget():
+    with pytest.raises(BudgetExceededError):
+        signed_chromatic_count(LabeledMultigraph(30), 1)
+    # the largest criterion-7 instances stay far below the default cap
+    assert signed_chromatic_count(LabeledMultigraph(4), 3) == 7**4
+    with pytest.raises(BudgetExceededError):
+        signed_chromatic_count(LabeledMultigraph(3), 1, assignment_cap=8)
+    assert signed_chromatic_count(LabeledMultigraph(3), 1, assignment_cap=9) == 27
+
+
 def test_supersolvable_examples():
     assert is_supersolvable(
         intersection_lattice(build_arrangement(bare_parallel_pair()))

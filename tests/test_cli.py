@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import isfkit
 from isfkit import cli
@@ -208,6 +212,100 @@ def test_forest_tight_parent_map(tmp_path, capsys):
     path = write(tmp_path, "f2.json", bad)
     code, _, _ = invoke(capsys, ["forest", "tight", path])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "tail, tight",
+    [((1498, 1499, 1500), True), ((1500, 1499, 1498), False)],
+    ids=["increasing", "ends-in-321"],
+)
+def test_forest_tight_on_a_1500_vertex_path(tmp_path, capsys, tail, tight):
+    order = [*range(1, 1498), *tail]
+    forest = {
+        "labels": order,
+        "parents": {str(v): u for u, v in zip([None, *order], order)},
+    }
+    path = write(tmp_path, "path.json", forest)
+    code, out, _ = invoke(capsys, ["forest", "tight", path])
+    assert code == 0 and json.loads(out) == {"is_tight": tight}
+
+
+@pytest.mark.parametrize(
+    "kind, action, payload, extra",
+    [
+        ("forest", "tight", {"labels": [1, 2], "parents": {"2": 1, "9": 1}}, []),
+        ("forest", "tight", {"labels": [1, 2], "parents": {"02": 1}}, []),
+        ("forest", "tight", {"labels": [1, 2, 2], "parents": {"2": 1}}, []),
+        ("multigraph", "signed", {"n": 30, "zero_edges": [], "edges": []},
+         ["--s", "1"]),
+    ],
+    ids=[
+        "parent-key-not-a-label",
+        "non-canonical-parent-key",
+        "repeated-label",
+        "signed-count-over-budget",
+    ],
+)
+def test_coerced_or_over_budget_input_exits_two(
+    tmp_path, capsys, kind, action, payload, extra
+):
+    path = write(tmp_path, "in.json", payload)
+    code, out, err = invoke(capsys, [kind, action, path, *extra])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"labels": [' + b"7" * 5000 + b'], "parents": {}}', b"\xff\xfe{}", None],
+    ids=["over-long-integer", "not-utf-8", "directory"],
+)
+def test_unreadable_input_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "in.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = invoke(capsys, ["forest", "tight", str(path)])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+
+
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+_label = st.integers(min_value=-1, max_value=9)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    labels=st.lists(_label, max_size=9) | st.lists(_json, max_size=4) | _json,
+    parents=st.dictionaries(
+        _label.map(str) | st.text(max_size=3),
+        st.none() | _label | _json,
+        max_size=9,
+    )
+    | _json,
+)
+def test_forest_tight_fuzz_exits_zero_or_two(labels, parents):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"labels": labels, "parents": parents}, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["forest", "tight", path])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_unexpected_exception_exits_three_with_one_line(tmp_path, capsys, monkeypatch):

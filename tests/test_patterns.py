@@ -37,6 +37,7 @@ from helpers import (
     cycle_graph,
     house_graph,
     non_increasing_tree,
+    oracle_tf_sets,
 )
 
 
@@ -202,6 +203,46 @@ def test_tf_listing_matches_subset_sweep():
             and is_tight_forest(forest_from_edge_set(s, range(1, G.n + 1)))
         }
         assert set(tf_set_list(G)) == swept
+
+
+def test_tf_sets_match_bad_triple_oracle_under_relabelings():
+    rng = random.Random(63)
+    graphs = [complete_graph(7)]
+    for _ in range(40):
+        G = random_graph(rng, rng.randint(1, 7), p=rng.choice([0.3, 0.5, 0.8]))
+        perm = list(range(1, G.n + 1))
+        rng.shuffle(perm)
+        graphs += [G, G.relabeled(perm)]
+    for G in graphs:
+        expected = oracle_tf_sets(G)
+        listed = tf_set_list(G)
+        assert len(listed) == len(expected) and set(listed) == expected
+        coeffs = [0] * (G.n + 1)
+        for s in expected:
+            coeffs[G.n - len(s)] += 1
+        assert tf_polynomial(G).coeffs == tuple(coeffs)
+
+
+def test_tight_forest_matches_pattern_scan_of_every_root_path():
+    rng = random.Random(69)
+    outcomes = set()
+    for _ in range(150):
+        labels = rng.sample(range(1, 40), rng.randint(1, 10))
+        edges = []
+        for k, v in enumerate(labels[1:], start=1):
+            if rng.random() < 0.85:
+                # attach to a recent vertex half the time, for long paths
+                u = labels[rng.randrange(k // 2 if rng.random() < 0.5 else 0, k)]
+                edges.append((min(u, v), max(u, v)))
+        forest = forest_from_edge_set(edges, labels)
+        expected = not any(
+            contains_pattern(path, pattern)
+            for path in forest.all_root_paths()
+            for pattern in TIGHT_PATTERNS
+        )
+        assert is_tight_forest(forest) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_tf_polynomial_triangle():
