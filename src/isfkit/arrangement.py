@@ -10,7 +10,10 @@ Gaussian rationals enters, with its denominators cleared, as the rows
 normals is determined by the Q-span of these rows, so their canonical
 integer echelon form (`exactla.echelon`) tells subspaces apart and half its
 length is the rank.  Once built, order, meet and join are bit operations on
-the masks.
+the masks.  The lattice NBC sets come from the closure test on these masks,
+with no circuit listed: the walk takes the atoms from the order-largest
+down, keeps the set's flat, and accepts an atom when its join with that
+flat lies above no earlier atom.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .exactla import echelon
 from .graphcore import _increasing_masks, counts_to_polynomial
 from .polycore import IntPolynomial, poly_from_linear_factors
 from .report import Report
-from .walks import avoiding, block_transversals, count_by_size, downward_closed, members
+from .walks import block_transversals, count_by_size, downward_closed, members
 
 __all__ = [
     "GaussRational",
@@ -172,18 +175,18 @@ class LabeledMultigraph:
         zero_edges: Iterable[int] = (),
         labeled_edges: Iterable[tuple[int, int, object]] = (),
     ):
-        n = int(n)
+        n = require_int(n, "vertex count n")
         if n < 1:
             raise InputError("multigraph needs at least one nonzero vertex")
         zset = set()
         for k in zero_edges:
-            k = int(k)
+            k = require_int(k, "zero-edge endpoint")
             if not 1 <= k <= n:
                 raise InputError(f"zero-edge endpoint {k} out of range")
             zset.add(k)
         lset = set()
         for i, j, label in labeled_edges:
-            i, j = int(i), int(j)
+            i, j = require_int(i, "edge endpoint"), require_int(j, "edge endpoint")
             label = _coerce(label) if not isinstance(label, GaussRational) else label
             if not 1 <= i < j <= n:
                 raise InputError(f"labeled edge ({i},{j}) out of range")
@@ -533,42 +536,29 @@ def block_compatible_atom_order(
     return order
 
 
-def _lattice_circuits(L: IntersectionLattice, order: Sequence[int], budget: int) -> list[int]:
-    """The circuits of the lattice's matroid, as masks over positions in order.
-
-    The independent sets are walked with their flats as state; a circuit is
-    a dependent set whose every one-atom deletion is independent.
-    """
-    q = len(order)
-    if q > budget:
-        raise BudgetExceededError(f"{q} atoms exceeds the circuit budget {budget}")
-
-    def extend(mask: int, flat: int, i: int) -> int | None:
-        joined = L.join(flat, order[i])
-        return joined if L.rank[joined] > L.rank[flat] else None
-
-    independent = set(downward_closed(q, extend, L.bottom))
-    circuits = []
-    for mask in sorted(independent):
-        for i in range(mask.bit_length(), q):
-            c = mask | 1 << i
-            if c not in independent and all(
-                c ^ 1 << j in independent for j in members(range(q), mask)
-            ):
-                circuits.append(c)
-    return circuits
-
-
 def _lattice_nbc_walk(L: IntersectionLattice, atom_order, budget: int):
+    """NBC atom sets by the closure test, as for graphs: each new atom s is
+    the smallest of its set, the state is the set's flat, and s is accepted
+    when its join with the flat lies above no atom that comes before s."""
     order = list(atom_order) if atom_order is not None else list(L.atoms)
     if sorted(order) != sorted(L.atoms):
         raise InputError("atom order must be a permutation of the atoms")
-    blockers: list[list[int]] = [[] for _ in order]
-    for circuit in _lattice_circuits(L, order, budget):
-        broken = circuit & circuit - 1  # drop the smallest atom
-        top = broken.bit_length() - 1
-        blockers[top].append(broken ^ 1 << top)
-    return order, downward_closed(len(order), avoiding(blockers), 0)
+    if len(order) > budget:
+        raise BudgetExceededError(
+            f"{len(order)} atoms exceeds the NBC budget {budget}"
+        )
+    order.reverse()
+    # lower[i]: the atoms that come before order[i], in the bits of L.masks
+    lower, below = [0] * len(order), 0
+    for i in reversed(range(len(order))):
+        lower[i] = below
+        below |= L.masks[order[i]]
+
+    def extend(mask: int, flat: int, i: int) -> int | None:
+        joined = L.join(flat, order[i])
+        return None if L.masks[joined] & lower[i] else joined
+
+    return order, downward_closed(len(order), extend, L.bottom)
 
 
 def lattice_nbc_sets(

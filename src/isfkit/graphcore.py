@@ -6,14 +6,18 @@ Increasing forests and NBC sets are closed under taking subsets, so both
 are enumerated by `walks.downward_closed` over the edges in a fixed order,
 at a cost proportional to the number of sets found rather than 2**|E|.  The
 increasing forests are the edge sets in which no two edges share their
-larger endpoint; the NBC sets are those containing no broken circuit.
+larger endpoint.  The NBC sets, those containing no broken circuit, are
+found by the closure test instead, with no cycle listed: the walk takes the
+edges from the order-largest down and accepts an edge when the edges that
+joining its endpoints' components closes hold none below it.  The chromatic
+polynomial is computed by deletion-contraction and checked against the
+independent-set partition counts expanded in the falling-factorial basis.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from fractions import Fraction
 from math import perm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -25,7 +29,7 @@ from .polycore import (
     product_of_weighted_factors,
 )
 from .report import Report
-from .walks import avoiding, count_by_size, downward_closed, members
+from .walks import count_by_size, downward_closed, members
 
 __all__ = [
     "Graph",
@@ -60,12 +64,13 @@ class Graph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
-        n = int(n)
+        n = require_int(n, "vertex count n")
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         clean = set()
         for e in edges:
-            i, j = int(e[0]), int(e[1])
+            i = require_int(e[0], "edge endpoint")
+            j = require_int(e[1], "edge endpoint")
             if not (1 <= i < j <= n):
                 raise InputError(f"edge ({i},{j}) out of range for n={n}")
             clean.add((i, j))
@@ -367,13 +372,31 @@ def broken_circuits(
 
 
 def _nbc_walk(G: Graph, order: EdgeOrder | None, budget: int):
+    """NBC sets by Bjorner's closure test: s_1 < ... < s_k is NBC exactly
+    when each s_i is the order-smallest edge of cl{s_i, ..., s_k}.  Each new
+    edge s is the smallest of its set, and the state holds, per vertex, the
+    bitmask of the edges incident to its component; merging the components
+    of s's endpoints closes the edges incident to both."""
     _edges_within_budget(G, budget)
     order = order or EdgeOrder.lexicographic(G)
-    blockers: list[list[int]] = [[] for _ in order.sequence]
-    for b in broken_circuits(G, order):
-        ids = sorted(order.index[e] for e in b)
-        blockers[ids[-1]].append(sum(1 << i for i in ids[:-1]))
-    return order.sequence, downward_closed(len(blockers), avoiding(blockers), 0)
+    # walk position i holds the i-th largest edge; the edges below it are
+    # the bits above i
+    seq = order.sequence[::-1]
+    incident = [0] * (G.n + 1)
+    for i, (u, v) in enumerate(seq):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+
+    def extend(mask: int, reach: tuple, i: int) -> tuple | None:
+        u, v = seq[i]
+        ru, rv = reach[u], reach[v]
+        if (ru & rv) >> (i + 1):
+            return None
+        # a component whose mask equals ru or rv holds u or v, since s is
+        # incident to it
+        return tuple(ru | rv if r == ru or r == rv else r for r in reach)
+
+    return seq, downward_closed(len(seq), extend, tuple(incident))
 
 
 def nbc_set_list(
@@ -498,37 +521,15 @@ def _chromatic_deletion_contraction(G: Graph) -> IntPolynomial:
     return rec(G.n, G.edges)
 
 
-def _lagrange_integer(points: list[tuple[int, int]]) -> IntPolynomial:
-    m = len(points)
-    coeffs = [Fraction(0)] * m
-    for i, (xi, yi) in enumerate(points):
-        num = [Fraction(1)]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                nxt[k + 1] += c
-                nxt[k] -= xj * c
-            num = nxt
-            denom *= xi - xj
-        scale = Fraction(yi, denom)
-        for k, c in enumerate(num):
-            coeffs[k] += c * scale
-    if any(c.denominator != 1 for c in coeffs):
-        raise InternalCheckError("interpolated chromatic coefficients not integral")
-    return IntPolynomial(int(c) for c in coeffs)
-
-
 def chromatic_polynomial(
     G: Graph, interpolation_vertex_budget: int = _VERTEX_BUDGET
 ) -> IntPolynomial:
     """Chromatic polynomial computed by two independent routes.
 
-    Route one is deletion-contraction; route two counts proper colorings at
-    t = 0..n from the independent-set partition counts and interpolates
-    over exact rationals.  The routes must agree, otherwise an
+    Route one is deletion-contraction; route two expands the independent-set
+    partition counts a[k] in the falling-factorial basis, sum a[k] *
+    t(t-1)...(t-k+1), since each partition into k color classes is colored in
+    t(t-1)...(t-k+1) ways.  The routes must agree, otherwise an
     InternalCheckError is raised.
     """
     if G.n > interpolation_vertex_budget:
@@ -536,14 +537,14 @@ def chromatic_polynomial(
             f"n={G.n} exceeds the coloring budget {interpolation_vertex_budget}"
         )
     by_recursion = _chromatic_deletion_contraction(G)
-    partitions = _independent_partition_counts(G)
-    points = [(t, sum(a * perm(t, k) for k, a in enumerate(partitions)))
-              for t in range(G.n + 1)]
-    by_interpolation = _lagrange_integer(points)
-    if by_recursion != by_interpolation:
+    by_partitions, falling = IntPolynomial(), IntPolynomial.one()
+    for k, a in enumerate(_independent_partition_counts(G)):
+        by_partitions = by_partitions + a * falling
+        falling = falling * IntPolynomial((-k, 1))
+    if by_recursion != by_partitions:
         raise InternalCheckError(
-            "deletion-contraction and interpolation chromatic polynomials differ: "
-            f"{by_recursion!r} vs {by_interpolation!r}"
+            "deletion-contraction and partition-count chromatic polynomials "
+            f"differ: {by_recursion!r} vs {by_partitions!r}"
         )
     return by_recursion
 

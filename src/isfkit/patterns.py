@@ -48,7 +48,7 @@ class Pattern:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        perm = tuple(int(v) for v in self.perm)
+        perm = tuple(require_int(v, "pattern entry") for v in self.perm)
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise InputError(f"{perm} is not a permutation of 1..{len(perm)}")
         object.__setattr__(self, "perm", perm)
@@ -176,8 +176,11 @@ class RootedLabeledForest:
     __slots__ = ("parents",)
 
     def __init__(self, parents: Mapping[int, int | None]):
-        parents = {int(v): (None if p is None else int(p))
-                   for v, p in parents.items()}
+        parents = {
+            require_int(v, "forest label"):
+                None if p is None else require_int(p, "forest parent")
+            for v, p in parents.items()
+        }
         if any(v < 1 for v in parents):
             raise InputError("labels must be positive integers")
         for v, p in parents.items():

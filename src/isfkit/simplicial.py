@@ -62,14 +62,14 @@ class PureComplex:
     __slots__ = ("n", "d", "facets")
 
     def __init__(self, n: int, d: int, facets: Iterable[Sequence[int]] = ()):
-        n, d = int(n), int(d)
+        n, d = require_int(n, "vertex count n"), require_int(d, "dimension d")
         if d < 1:
             raise InputError("complex dimension must be at least 1")
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         clean = set()
         for f in facets:
-            face = tuple(sorted(int(v) for v in f))
+            face = tuple(sorted(require_int(v, "facet vertex") for v in f))
             if len(face) != d + 1 or len(set(face)) != d + 1:
                 raise InputError(f"facet {f} must have {d + 1} distinct vertices")
             if face[0] < 1 or face[-1] > n:
@@ -432,12 +432,7 @@ def has_leaf(upsilon: SpanningSubcomplex) -> bool:
 
 def is_shifted(obj: PureComplex | SpanningSubcomplex) -> bool:
     """Exchange condition: swapping any vertex for a smaller one stays a face."""
-    if isinstance(obj, PureComplex):
-        faces = obj.faces()
-        n = obj.n
-    else:
-        faces = obj.faces()
-        n = obj.parent.n
+    faces = obj.faces()
     for face in faces:
         members = set(face)
         for k in face:

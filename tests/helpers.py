@@ -11,6 +11,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+from isfkit.errors import InternalCheckError
 from isfkit.graphcore import Graph
 from isfkit.polycore import IntPolynomial
 from isfkit.simplicial import PureComplex, SpanningSubcomplex
@@ -199,6 +200,29 @@ def oracle_coloring_count(G: Graph, t: int) -> int:
         if all(coloring[i - 1] != coloring[j - 1] for i, j in G.edges):
             total += 1
     return total
+
+
+def _lagrange_integer(points: list[tuple[int, int]]) -> IntPolynomial:
+    m = len(points)
+    coeffs = [Fraction(0)] * m
+    for i, (xi, yi) in enumerate(points):
+        num = [Fraction(1)]
+        denom = 1
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            nxt = [Fraction(0)] * (len(num) + 1)
+            for k, c in enumerate(num):
+                nxt[k + 1] += c
+                nxt[k] -= xj * c
+            num = nxt
+            denom *= xi - xj
+        scale = Fraction(yi, denom)
+        for k, c in enumerate(num):
+            coeffs[k] += c * scale
+    if any(c.denominator != 1 for c in coeffs):
+        raise InternalCheckError("interpolated chromatic coefficients not integral")
+    return IntPolynomial(int(c) for c in coeffs)
 
 
 def oracle_acyclic_orientation_count(G: Graph) -> int:

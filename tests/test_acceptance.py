@@ -75,10 +75,8 @@ def test_criterion_2_chromatic_identity_and_peo():
         chrom_g = graphcore.chromatic_polynomial(G)  # dual-route by contract
         assert chrom_g == expected
         # make the two routes explicit as well
-        from isfkit.graphcore import (
-            _chromatic_deletion_contraction,
-            _lagrange_integer,
-        )
+        from helpers import _lagrange_integer
+        from isfkit.graphcore import _chromatic_deletion_contraction
 
         pts = [(v, graphcore.count_proper_colorings(G, v)) for v in range(5)]
         assert _chromatic_deletion_contraction(G) == _lagrange_integer(pts)

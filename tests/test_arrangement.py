@@ -373,6 +373,16 @@ def test_lattice_nbc_sets_match_oracle_under_shuffled_atom_order():
         assert {frozenset(edge_of[a] for a in s) for s in listing} == expected, G
 
 
+def test_lattice_nbc_refuses_more_atoms_than_budget():
+    L = intersection_lattice(build_arrangement(anchored_multigraph()))
+    q = len(L.atoms)
+    assert sum(lattice_nbc(L, budget=q).values()) == len(lattice_nbc_sets(L, budget=q))
+    with pytest.raises(BudgetExceededError):
+        lattice_nbc(L, budget=q - 1)
+    with pytest.raises(BudgetExceededError):
+        lattice_nbc_sets(L, budget=q - 1)
+
+
 def test_lattice_nbc_rank_one():
     L = intersection_lattice(build_arrangement(LabeledMultigraph(1, [1], [])))
     assert lattice_nbc(L) == {0: 1, 1: 1}

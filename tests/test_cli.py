@@ -13,7 +13,11 @@ from hypothesis import given, settings, strategies as st
 import isfkit
 from isfkit import cli
 from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
+from isfkit.arrangement import LabeledMultigraph
+from isfkit.errors import InputError
 from isfkit.graphcore import Graph
+from isfkit.patterns import Pattern, RootedLabeledForest
+from isfkit.simplicial import PureComplex
 
 from helpers import bipyramid, house_graph, paw_peo, anchored_multigraph
 
@@ -254,6 +258,22 @@ def test_coerced_or_over_budget_input_exits_two(
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RootedLabeledForest({1: None, 2.7: 1, "3": 2.7}),
+        lambda: Pattern((1.9, 2.2)),
+        lambda: Graph(2, [(1.7, 2.2)]),
+        lambda: PureComplex(3.9, 2, [(1, 2, 3.5)]),
+        lambda: LabeledMultigraph(2.5, [1.2], []),
+    ],
+    ids=["forest", "pattern", "graph", "complex", "multigraph"],
+)
+def test_constructors_reject_non_integers(build):
+    with pytest.raises(InputError):
+        build()
 
 
 @pytest.mark.parametrize(

@@ -201,6 +201,24 @@ def test_nbc_listing_matches_subset_filter_under_shuffled_orders():
         assert set(listing) == oracle_nbc_sets(G, broken_circuits(G, order))
 
 
+def test_nbc_counts_of_complete_graphs_are_stirling_numbers():
+    # P(K_n) = t(t-1)...(t-n+1), so the NBC sets of size m number the
+    # coefficient of t**(n-m) in t(t+1)...(t+n-1) under every edge order
+    rng = random.Random(31)
+    stirling = [1]
+    for n in range(1, 8):
+        stirling = [0] + stirling
+        for k in range(n):
+            stirling[k] += (n - 1) * stirling[k + 1]
+        expected = {m: stirling[n - m] for m in range(n)}
+        K = complete_graph(n)
+        assert nbc_sets(K) == expected
+        for _ in range(3):
+            sequence = K.sorted_edges()
+            rng.shuffle(sequence)
+            assert nbc_sets(K, EdgeOrder.from_sequence(K, sequence)) == expected
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_nbc_counts_independent_of_order(seed):
@@ -229,7 +247,8 @@ def test_chromatic_four_cycle_against_coloring_oracle():
 
 
 def test_chromatic_internal_routes_agree():
-    from isfkit.graphcore import _chromatic_deletion_contraction, _lagrange_integer
+    from helpers import _lagrange_integer
+    from isfkit.graphcore import _chromatic_deletion_contraction
 
     rng = random.Random(3)
     for _ in range(20):
