@@ -155,7 +155,8 @@ def _complex_action(action: str, args) -> tuple[object, bool]:
         ordering = _parse_ordering(args.ordering)
         return {"is_peo": simplicial.is_simplicial_peo(delta, ordering)}, True
     if action == "verify":
-        report = simplicial.verify_product_formula(delta)
+        budget = args.budget if args.budget is not None else 22
+        report = simplicial.verify_product_formula(delta, budget=budget)
         extra = simplicial.structure_report(simplicial.full_subcomplex(delta))
         payload = report.to_json()
         payload["structure"] = Report(witnesses=extra).to_json()["witnesses"]

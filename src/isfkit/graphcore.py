@@ -69,6 +69,8 @@ class Graph:
             raise InputError("vertex count must be nonnegative")
         clean = set()
         for e in edges:
+            if len(e) != 2:
+                raise InputError(f"edge {e} must have exactly two endpoints")
             i = require_int(e[0], "edge endpoint")
             j = require_int(e[1], "edge endpoint")
             if not (1 <= i < j <= n):
@@ -171,7 +173,7 @@ class EdgeOrder:
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> list[int]:
-    perm = [int(v) for v in perm]
+    perm = [require_int(v, "permutation entry") for v in perm]
     if sorted(perm) != list(range(1, n + 1)):
         raise InputError(f"expected a permutation of 1..{n}")
     return perm

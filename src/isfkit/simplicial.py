@@ -104,7 +104,7 @@ class PureComplex:
 
     def relabeled(self, perm: Sequence[int]) -> "PureComplex":
         """Apply the vertex relabeling v -> perm[v-1]."""
-        perm = [int(v) for v in perm]
+        perm = [require_int(v, "permutation entry") for v in perm]
         if sorted(perm) != list(range(1, self.n + 1)):
             raise InputError(f"expected a permutation of 1..{self.n}")
         return PureComplex(
@@ -154,7 +154,14 @@ class SpanningSubcomplex:
     __slots__ = ("parent", "kept_facets")
 
     def __init__(self, parent: PureComplex, kept_facets: Iterable[Sequence[int]]):
-        kept = frozenset(tuple(sorted(int(v) for v in f)) for f in kept_facets)
+        facets = [tuple(f) for f in kept_facets]
+        # require_int's test inline: this runs for every vertex of every
+        # cage-free subcomplex, and fails only on bad input
+        for f in facets:
+            for v in f:
+                if type(v) is not int:
+                    require_int(v, "facet vertex")
+        kept = frozenset(tuple(sorted(f)) for f in facets)
         if not kept <= parent.facets:
             raise InputError("kept facets must be facets of the parent complex")
         self.parent = parent
@@ -291,7 +298,7 @@ def cf_polynomial(
 
 def upper_link(delta: PureComplex, sigma: Sequence[int]) -> Graph:
     """The graph whose edge ij records the facet obtained by appending i < j."""
-    sigma = tuple(sorted(int(v) for v in sigma))
+    sigma = tuple(sorted(require_int(v, "peak vertex") for v in sigma))
     bound = sigma[-1] if sigma else 0
     edges = set()
     for f in delta.facets:
@@ -402,32 +409,54 @@ def is_simplicial_peo(
 def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
     """Rank of the kernel of the top boundary map, over the rationals.
 
-    The top homology group embeds in a free abelian group, so it is
-    torsion-free and its integral rank equals this rational one.
+    First collapse: a facet with a free ridge (one in no other kept facet)
+    has the only nonzero entry of that ridge's row, so no cycle uses it and
+    removing it leaves the rank unchanged (an elementary collapse, which
+    preserves homology).  Facets are removed until no free ridge is left,
+    and only the remaining core is eliminated with `exactla.echelon`; an
+    empty core has rank 0.  The top homology group embeds in a free abelian
+    group, so it is torsion-free and its integral rank equals this rational
+    one.
     """
-    kept = sorted(upsilon.kept_facets)
-    if not kept:
+    cofaces: dict[Face, set[Face]] = defaultdict(set)
+    for f in upsilon.kept_facets:
+        for i in range(len(f)):
+            cofaces[f[:i] + f[i + 1:]].add(f)
+    left = len(upsilon.kept_facets)
+    free = [on for on in cofaces.values() if len(on) == 1]
+    while free:
+        on = free.pop()
+        if not on:  # its one facet went with another free ridge
+            continue
+        (f,) = on
+        left -= 1
+        for i in range(len(f)):
+            other = cofaces[f[:i] + f[i + 1:]]
+            other.discard(f)
+            if len(other) == 1:
+                free.append(other)
+    if not left:
         return 0
+    core = sorted({f for on in cofaces.values() for f in on})
     ridge_index: dict[Face, int] = {}
-    for f in kept:
+    for f in core:
         for i in range(len(f)):
             ridge = f[:i] + f[i + 1:]
             ridge_index.setdefault(ridge, len(ridge_index))
-    matrix = [[0] * len(kept) for _ in range(len(ridge_index))]
-    for col, f in enumerate(kept):
+    matrix = [[0] * len(core) for _ in range(len(ridge_index))]
+    for col, f in enumerate(core):
         for i in range(len(f)):
             ridge = f[:i] + f[i + 1:]
             matrix[ridge_index[ridge]][col] = (-1) ** i
-    return len(kept) - len(echelon(matrix))
+    return len(core) - len(echelon(matrix))
 
 
 def has_leaf(upsilon: SpanningSubcomplex) -> bool:
     """Whether some ridge lies in exactly one kept facet."""
-    counts: Counter = Counter()
-    for f in upsilon.kept_facets:
-        for i in range(len(f)):
-            counts[f[:i] + f[i + 1:]] += 1
-    return any(c == 1 for c in counts.values())
+    counts = Counter(
+        f[:i] + f[i + 1:] for f in upsilon.kept_facets for i in range(len(f))
+    )
+    return 1 in counts.values()
 
 
 def is_shifted(obj: PureComplex | SpanningSubcomplex) -> bool:

@@ -15,11 +15,17 @@ from isfkit import cli
 from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.arrangement import LabeledMultigraph
 from isfkit.errors import InputError
-from isfkit.graphcore import Graph
+from isfkit.graphcore import Graph, is_peo
 from isfkit.patterns import Pattern, RootedLabeledForest
-from isfkit.simplicial import PureComplex
+from isfkit.simplicial import PureComplex, SpanningSubcomplex, upper_link
 
-from helpers import bipyramid, house_graph, paw_peo, anchored_multigraph
+from helpers import (
+    anchored_multigraph,
+    bipyramid,
+    house_graph,
+    paw_peo,
+    tetrahedron_boundary,
+)
 
 
 def write(tmp_path, name, payload):
@@ -242,12 +248,15 @@ def test_forest_tight_on_a_1500_vertex_path(tmp_path, capsys, tail, tight):
         ("forest", "tight", {"labels": [1, 2, 2], "parents": {"2": 1}}, []),
         ("multigraph", "signed", {"n": 30, "zero_edges": [], "edges": []},
          ["--s", "1"]),
+        ("complex", "verify", tetrahedron_boundary().to_json(),
+         ["--budget", "3"]),
     ],
     ids=[
         "parent-key-not-a-label",
         "non-canonical-parent-key",
         "repeated-label",
         "signed-count-over-budget",
+        "complex-verify-over-budget",
     ],
 )
 def test_coerced_or_over_budget_input_exits_two(
@@ -260,6 +269,9 @@ def test_coerced_or_over_budget_input_exits_two(
     assert len(lines) == 1 and lines[0].startswith("input error:")
 
 
+_K = PureComplex(3, 2, [(1, 2, 3)])
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -268,12 +280,54 @@ def test_coerced_or_over_budget_input_exits_two(
         lambda: Graph(2, [(1.7, 2.2)]),
         lambda: PureComplex(3.9, 2, [(1, 2, 3.5)]),
         lambda: LabeledMultigraph(2.5, [1.2], []),
+        lambda: Graph(3, [(1, 2, 3)]),
+        lambda: is_peo(Graph(2, [(1, 2)]), [1.5, 2.7]),
+        lambda: Graph(2, [(1, 2)]).relabeled([2.9, 1.2]),
+        lambda: SpanningSubcomplex(_K, [(1.2, 2.9, 3.1)]),
+        lambda: _K.relabeled([1.0, 2.5, 3]),
+        lambda: upper_link(_K, [1.7]),
     ],
-    ids=["forest", "pattern", "graph", "complex", "multigraph"],
+    ids=[
+        "forest",
+        "pattern",
+        "graph",
+        "complex",
+        "multigraph",
+        "three-endpoint-edge",
+        "peo-ordering",
+        "graph-relabeling",
+        "subcomplex-facet",
+        "complex-relabeling",
+        "upper-link-peak",
+    ],
 )
 def test_constructors_reject_non_integers(build):
     with pytest.raises(InputError):
         build()
+
+
+_TETRAHEDRON_VERIFY = (
+    '{"boolean_facts":{"cf_at_most_ao_product":true,'
+    '"cf_equals_ao_product_iff_peo":true,"natural_labeling_is_peo":true},'
+    '"identity_checks":[{"equal":true,"left":["2","5","4","1"],'
+    '"name":"cf_factorization_vs_enumeration","right":["2","5","4","1"]},'
+    '{"equal":true,"left":["0","0","0","0","0","2","5","4","1"],'
+    '"name":"cf_times_t_gap_vs_isf_product",'
+    '"right":["0","0","0","0","0","2","5","4","1"]},'
+    '{"equal":true,"left":12,"name":"cage_free_count_vs_isf_count_product",'
+    '"right":12}],"passed":true,"structure":{"has_leaf":false,'
+    '"is_shifted":true,"lex_min_peak":[1],"lex_min_peak_link_chordal":true,'
+    '"link_peo_witness":[1,2,3,4],"top_homology_rank":1},'
+    '"witnesses":{"ao_product":12,"cage_free_count":12,'
+    '"effective_peaks":[[1],[2]]}}\n'
+)
+
+
+def test_complex_verify_output_within_budget(tmp_path, capsys):
+    path = write(tmp_path, "tet.json", tetrahedron_boundary().to_json())
+    for extra in ([], ["--budget", "4"]):
+        code, out, _ = invoke(capsys, ["complex", "verify", path, *extra])
+        assert code == 0 and out == _TETRAHEDRON_VERIFY
 
 
 @pytest.mark.parametrize(

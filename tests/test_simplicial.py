@@ -241,6 +241,44 @@ def test_top_homology_rank_known_values():
     )
     assert top_homology_rank(full_subcomplex(two_spheres)) == 2
     assert top_homology_rank(full_subcomplex(PureComplex(5, 3, [(1, 2, 3, 4)]))) == 0
+    # the 6-vertex real projective plane: every ridge lies in two facets, so
+    # nothing collapses, yet its top homology over Q is zero
+    rp2 = full_subcomplex(PureComplex(6, 2, [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+    ]))
+    assert not has_leaf(rp2)
+    assert oracle_top_homology_rank(rp2) == 0
+    assert top_homology_rank(rp2) == 0
+
+
+def test_top_homology_rank_of_facet_subsets_matches_fraction_oracle():
+    # random facet subsets collapse partway, leaving cores with and without
+    # homology; the oracle eliminates the whole boundary matrix
+    rng = random.Random(59)
+    nonzero = 0
+    for _ in range(40):
+        n = rng.randint(4, 7)
+        d = rng.choice([2, 3])
+        delta = PureComplex(n, d, [
+            f for f in itertools.combinations(range(1, n + 1), d + 1)
+            if rng.random() < 0.6
+        ])
+        facets = sorted(delta.facets)
+        for _ in range(8):
+            keep = rng.uniform(0.5, 1.0)
+            upsilon = SpanningSubcomplex(
+                delta, [f for f in facets if rng.random() < keep]
+            )
+            rank = top_homology_rank(upsilon)
+            assert rank == oracle_top_homology_rank(upsilon), upsilon
+            ridges = Counter(
+                r for f in upsilon.kept_facets
+                for r in itertools.combinations(f, d)
+            )
+            assert has_leaf(upsilon) == any(c == 1 for c in ridges.values())
+            nonzero += rank > 0
+    assert nonzero >= 75  # 79 of the 320 subsets have homology
 
 
 def test_tetrahedron_boundary_structure():
