@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import arrangement, graphcore, patterns, simplicial
-from .errors import BudgetExceededError, InputError, InternalCheckError
+from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from .graphcore import Graph
 from .arrangement import LabeledMultigraph
 from .simplicial import PureComplex
@@ -93,9 +93,9 @@ def _parse_ordering(raw: str | None):
         value = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"--ordering must be a JSON array: {exc}") from exc
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    if not isinstance(value, list):
         raise InputError("--ordering must be a JSON array of integers")
-    return value
+    return [require_int(v, "--ordering entry") for v in value]
 
 
 def _graph_action(action: str, args) -> tuple[object, bool]:

@@ -15,7 +15,7 @@ from . import graphcore
 from .graphcore import Graph, counts_to_polynomial, edges_are_acyclic
 from .polycore import IntPolynomial, poly_integer_roots
 from .report import Report
-from .walks import count_by_size, downward_closed, members
+from .walks import downward_closed, members
 
 __all__ = [
     "Pattern",
@@ -369,7 +369,60 @@ def tf_set_list(G: Graph, budget: int = 25) -> list[frozenset[tuple[int, int]]]:
 
 
 def tf_polynomial(G: Graph, budget: int = 25) -> IntPolynomial:
-    return counts_to_polynomial(count_by_size(_tf_walk(G, budget)[1]), G.n)
+    """The tight-forest generating function, sum over tight spanning forests
+    F of t**(n - |F|), counted without listing the forests.
+
+    Add the vertices w = 1..n in increasing order, each with its edges to
+    earlier vertices.  As w is larger than every earlier label, a root path
+    ending in w takes the `_tight_step` branch of a new maximum, whatever
+    came before it; so all a later vertex needs of an earlier one is m, the
+    maximum of its root path.  When w arrives:
+
+    - w may hang below any earlier neighbour x, whose root path has
+      maximum m (x itself when x is still alone);
+    - any other component that w joins is re-rooted through w, its root
+      paths reading ..., m, ..., w, y, ... from its vertex y next to w.
+      Nothing after y may go below w, and y must lie above m, so that
+      component is a single vertex y with y > m;
+    - so two components with more than one vertex never merge, and a root
+      path never changes once its vertex has company.
+
+    The state is the tuple of m over the frontier, the earlier vertices
+    that still have a later neighbour, with 0 for a vertex still alone;
+    each state maps to its counts by edge number.  `verify_tf_theorems`
+    checks these counts against the forests that `tf_set_list` lists.
+    """
+    edges = graphcore._edges_within_budget(G, budget)
+    adj = G.adjacency()
+    # the counts by edge number k, packed as the sum of count << width * k;
+    # no count exceeds 2**len(edges), so one field never carries into the next
+    width = len(edges) + 1
+    frontier: list[int] = []
+    table: dict[tuple[int, ...], int] = {(): 1}
+    for w in range(1, G.n + 1):
+        below = [x for x in adj[w] if x < w]
+        kept = [v for v in (*frontier, w) if adj[v] and adj[v][-1] > w]
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, counts in table.items():
+            tops = dict(zip(frontier, state))
+            tops[w] = 0
+            grown = [(tops, 0)]
+            alone = [y for y in below if not tops[y]]
+            for x in below:
+                m = tops[x] or x
+                hung = {**tops, x: m, w: w}
+                larger = [y for y in alone if y > m]
+                for r in range(len(larger) + 1):
+                    for ys in itertools.combinations(larger, r):
+                        grown.append(({**hung, **dict.fromkeys(ys, w)}, 1 + r))
+            for g, k in grown:
+                key = tuple([g[v] for v in kept])
+                nxt[key] = nxt.get(key, 0) + (counts << width * k)
+        frontier, table = kept, nxt
+    fields = table[()]
+    return counts_to_polynomial(
+        {k: fields >> width * k & (1 << width) - 1 for k in range(G.n + 1)}, G.n
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +508,24 @@ def long_cycle_chord_check(G: Graph, cap: int = 10**6) -> bool:
 
 
 def verify_tf_theorems(G: Graph, budget: int = 25) -> Report:
-    """Containment, strictness, and equivalence checks for tight forests."""
+    """Containment, strictness, and equivalence checks for tight forests.
+
+    The forests listed by `tf_set_list` and the counts of `tf_polynomial`
+    are two routes to the generating function; they must agree.
+    """
     report = Report()
     triangle = graphcore.has_triangle(G)
     report.fact("has_triangle", triangle)
 
     tf_sets = set(tf_set_list(G, budget=budget))
     nbc = set(graphcore.nbc_set_list(G, budget=budget))
-    tf_poly = counts_to_polynomial(Counter(len(s) for s in tf_sets), G.n)
+    tf_poly = tf_polynomial(G, budget=budget)
+    listed = counts_to_polynomial(Counter(len(s) for s in tf_sets), G.n)
+    if tf_poly != listed:
+        raise InternalCheckError(
+            f"tight-forest counts {tf_poly.coeffs} by vertex order differ "
+            f"from the {listed.coeffs} of the listed forests on {G!r}"
+        )
     chrom = graphcore.chromatic_polynomial(G)
     signed = (-1) ** G.n * chrom.compose_neg()
     poly_equal = report.check("tf_vs_signed_chromatic", tf_poly, signed)
@@ -506,14 +569,29 @@ def verify_tf_theorems(G: Graph, budget: int = 25) -> Report:
 
 def tf_integer_roots_classification(G: Graph, vertex_cap: int = 6) -> Report:
     """Search all vertex orderings for one whose tight-forest generating
-    function has only integer roots; this succeeds exactly for forests."""
+    function has only integer roots; this succeeds exactly for forests.
+
+    Orderings are tried in `itertools.permutations` order.  Orderings that
+    differ by a symmetry of G give the same labeled graph, so an ordering
+    whose relabeled edge set was seen before is skipped: the sweep stops at
+    the first graph with integer roots, so every graph seen before had none.
+    The first witness ordering and its roots are those of the full sweep.
+    """
     if G.n > vertex_cap:
         raise BudgetExceededError(f"n={G.n} exceeds the ordering-sweep cap")
     forest = edges_are_acyclic(G.edges)
     report = Report()
     report.fact("is_forest", forest)
     found = None
+    seen: set[frozenset[tuple[int, int]]] = set()
     for perm in itertools.permutations(range(1, G.n + 1)):
+        edges = frozenset(
+            (min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1]))
+            for i, j in G.edges
+        )
+        if edges in seen:
+            continue
+        seen.add(edges)
         roots = poly_integer_roots(tf_polynomial(G.relabeled(perm)))
         if roots is not None:
             found = {"ordering": list(perm), "roots": roots}

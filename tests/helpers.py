@@ -193,6 +193,41 @@ def oracle_tf_sets(G: Graph) -> set[frozenset]:
     return found
 
 
+def oracle_tf_roots_report(G: Graph, roots_of) -> dict:
+    """The report JSON of the integer-roots ordering sweep, with no ordering
+    skipped: `roots_of` is asked about every relabeling, in
+    itertools.permutations order, until one has integer roots."""
+    parent = list(range(G.n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    forest = True
+    for i, j in G.edges:
+        if find(i) == find(j):
+            forest = False
+        parent[find(i)] = find(j)
+    witnesses = {}
+    for perm in itertools.permutations(range(1, G.n + 1)):
+        roots = roots_of(G.relabeled(perm))
+        if roots is not None:
+            witnesses = {"ordering": list(perm), "roots": roots}
+            break
+    found = bool(witnesses)
+    return {
+        "passed": found == forest,
+        "identity_checks": [],
+        "boolean_facts": {
+            "integer_root_ordering_exists": found,
+            "integer_roots_iff_forest": found == forest,
+            "is_forest": forest,
+        },
+        "witnesses": witnesses,
+    }
+
+
 def oracle_coloring_count(G: Graph, t: int) -> int:
     """Pure-python sweep of all t**n colorings."""
     total = 0

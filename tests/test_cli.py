@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -213,6 +215,19 @@ def test_forest_actions(tmp_path, capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def test_forest_tf_on_a_26_vertex_path_within_the_edge_budget(tmp_path, capsys):
+    path = write(tmp_path, "p.json", Graph(26, [(k, k + 1) for k in range(1, 26)]).to_json())
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, ["forest", "tf", path])
+    assert time.perf_counter() - start < 2
+    # every subset of the increasing path's 25 edges is tight: t(t+1)^25
+    assert code == 0 and json.loads(out) == ["0", *(str(comb(25, k)) for k in range(26))]
+    longer = write(tmp_path, "q.json", Graph(27, [(k, k + 1) for k in range(1, 27)]).to_json())
+    code, out, err = invoke(capsys, ["forest", "tf", longer])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["input error: 26 edges exceeds the enumeration budget 25"]
+
+
 def test_forest_tight_parent_map(tmp_path, capsys):
     forest = {"labels": [1, 2, 3], "parents": {"1": None, "3": 1, "2": 3}}
     path = write(tmp_path, "f.json", forest)
@@ -270,6 +285,23 @@ def test_coerced_or_over_budget_input_exits_two(
 
 
 _K = PureComplex(3, 2, [(1, 2, 3)])
+
+
+@pytest.mark.parametrize(
+    "kind, action, payload, ordering",
+    [
+        ("graph", "nbc", Graph(3, [(1, 2), (2, 3)]).to_json(), "[true,false]"),
+        ("graph", "peo", paw_peo().to_json(), "[1,2,true,4]"),
+        ("complex", "peo", _K.to_json(), "[1,true,3]"),
+    ],
+    ids=["graph-nbc", "graph-peo", "complex-peo"],
+)
+def test_boolean_ordering_entries_exit_two(tmp_path, capsys, kind, action, payload, ordering):
+    path = write(tmp_path, "in.json", payload)
+    code, out, err = invoke(capsys, [kind, action, path, "--ordering", ordering])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -37,6 +38,7 @@ from helpers import (
     cycle_graph,
     house_graph,
     non_increasing_tree,
+    oracle_tf_roots_report,
     oracle_tf_sets,
 )
 
@@ -266,6 +268,48 @@ def test_tf_polynomial_increasing_forest():
         assert tf_polynomial(G) == poly_from_linear_factors([1] * q, n - q)
 
 
+def _counts(sets, n):
+    coeffs = [0] * (n + 1)
+    for s in sets:
+        coeffs[n - len(s)] += 1
+    return IntPolynomial(coeffs)
+
+
+def _transfer_corpus():
+    rng = random.Random(1105)
+    graphs = [Graph(n) for n in range(10)] + [complete_graph(k) for k in range(1, 8)]
+    for n in range(10):
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+            graphs += [random_graph(rng, n, p) for _ in range(2)]
+    for _ in range(20):
+        a = rng.randint(1, 5)
+        b = rng.randint(1, 9 - a)
+        left, right = random_graph(rng, a, 0.7), random_graph(rng, b, 0.7)
+        graphs.append(Graph(a + b, [*left.edges, *((i + a, j + a) for i, j in right.edges)]))
+    for n in range(2, 10):
+        labels = rng.sample(range(1, n + 1), n)
+        graphs.append(Graph(n, [tuple(sorted(e)) for e in zip(labels, labels[1:])]))
+    return graphs
+
+
+def test_tf_transfer_matches_listed_and_oracle_forests():
+    compared = 0
+    for G in _transfer_corpus():
+        if len(G.edges) > 20:
+            continue
+        poly = tf_polynomial(G)
+        assert poly == _counts(tf_set_list(G), G.n), G
+        if len(G.edges) <= 14:
+            assert poly == _counts(oracle_tf_sets(G), G.n), G
+            compared += 1
+    assert compared >= 190
+
+
+def test_tf_polynomial_of_a_26_vertex_increasing_path():
+    path = Graph(26, [(k, k + 1) for k in range(1, 26)])
+    assert tf_polynomial(path) == poly_from_linear_factors([1] * 25, 1)
+
+
 # -- quasi-perfect orderings -------------------------------------------------------
 
 
@@ -389,6 +433,34 @@ def test_roots_classification_edgeless():
 def test_roots_classification_cap():
     with pytest.raises(BudgetExceededError):
         tf_integer_roots_classification(Graph(7))
+
+
+def _roots_table():
+    """The integer roots of each labeled graph, computed once: they depend
+    on the labeled graph alone, not on the graph it was relabeled from."""
+    return functools.cache(lambda H: poly_integer_roots(tf_polynomial(H)))
+
+
+def test_roots_sweep_matches_the_unskipped_sweep_on_every_small_graph():
+    roots_of = _roots_table()
+    for n in range(6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            G = Graph(n, itertools.compress(pairs, chosen))
+            assert (tf_integer_roots_classification(G).to_json()
+                    == oracle_tf_roots_report(G, roots_of)), G
+
+
+def test_roots_sweep_matches_the_unskipped_sweep_on_six_vertices():
+    rng = random.Random(1106)
+    roots_of = _roots_table()
+    found = set()
+    for _ in range(50):
+        G = random_graph(rng, 6, rng.choice([0.2, 0.3, 0.5]))
+        report = tf_integer_roots_classification(G).to_json()
+        assert report == oracle_tf_roots_report(G, roots_of), G
+        found.add(report["boolean_facts"]["is_forest"])
+    assert found == {True, False}
 
 
 # -- pattern-avoiding permutation counts ----------------------------------------------
