@@ -94,14 +94,17 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
+    def relabeled_edges(self, perm: Sequence[int]) -> frozenset[Edge]:
+        """The edge set under the vertex relabeling v -> perm[v-1]."""
+        perm = _check_permutation(perm, self.n)
+        return frozenset(
+            (min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1]))
+            for i, j in self.edges
+        )
+
     def relabeled(self, perm: Sequence[int]) -> "Graph":
         """Apply the vertex relabeling v -> perm[v-1]."""
-        perm = _check_permutation(perm, self.n)
-        return Graph(
-            self.n,
-            ((min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1]))
-             for i, j in self.edges),
-        )
+        return Graph(self.n, self.relabeled_edges(perm))
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}

@@ -389,35 +389,48 @@ def tf_polynomial(G: Graph, budget: int = 25) -> IntPolynomial:
 
     The state is the tuple of m over the frontier, the earlier vertices
     that still have a later neighbour, with 0 for a vertex still alone;
-    each state maps to its counts by edge number.  `verify_tf_theorems`
-    checks these counts against the forests that `tf_set_list` lists.
+    each state maps to its counts by edge number.  A lone y that leaves the
+    frontier when it joins w changes only the edge number, so the subsets
+    of those are counted by a binomial, not listed; only the lone y that
+    stay on the frontier are listed.  `verify_tf_theorems` checks these
+    counts against the forests that `tf_set_list` lists.
     """
     edges = graphcore._edges_within_budget(G, budget)
     adj = G.adjacency()
     # the counts by edge number k, packed as the sum of count << width * k;
-    # no count exceeds 2**len(edges), so one field never carries into the next
+    # no count exceeds 2**len(edges), so one field never carries into the
+    # next, and multiplying by (1 + 2**width)**a spreads them over a subset
+    # of a further edges
     width = len(edges) + 1
     frontier: list[int] = []
     table: dict[tuple[int, ...], int] = {(): 1}
     for w in range(1, G.n + 1):
         below = [x for x in adj[w] if x < w]
         kept = [v for v in (*frontier, w) if adj[v] and adj[v][-1] > w]
+        slot = {v: i for i, v in enumerate(kept)}
         nxt: dict[tuple[int, ...], int] = {}
         for state, counts in table.items():
             tops = dict(zip(frontier, state))
             tops[w] = 0
-            grown = [(tops, 0)]
+            key = tuple([tops[v] for v in kept])
+            nxt[key] = nxt.get(key, 0) + counts
             alone = [y for y in below if not tops[y]]
             for x in below:
                 m = tops[x] or x
-                hung = {**tops, x: m, w: w}
                 larger = [y for y in alone if y > m]
-                for r in range(len(larger) + 1):
-                    for ys in itertools.combinations(larger, r):
-                        grown.append(({**hung, **dict.fromkeys(ys, w)}, 1 + r))
-            for g, k in grown:
-                key = tuple([g[v] for v in kept])
-                nxt[key] = nxt.get(key, 0) + (counts << width * k)
+                listed = [y for y in larger if y in slot]
+                hung = {**tops, x: m, w: w}
+                base = [hung[v] for v in kept]
+                packed = (counts << width) * (
+                    (1 + (1 << width)) ** (len(larger) - len(listed))
+                )
+                for r in range(len(listed) + 1):
+                    for ys in itertools.combinations(listed, r):
+                        grown = base.copy()
+                        for y in ys:
+                            grown[slot[y]] = w
+                        key = tuple(grown)
+                        nxt[key] = nxt.get(key, 0) + (packed << width * r)
         frontier, table = kept, nxt
     fields = table[()]
     return counts_to_polynomial(
@@ -585,14 +598,11 @@ def tf_integer_roots_classification(G: Graph, vertex_cap: int = 6) -> Report:
     found = None
     seen: set[frozenset[tuple[int, int]]] = set()
     for perm in itertools.permutations(range(1, G.n + 1)):
-        edges = frozenset(
-            (min(perm[i - 1], perm[j - 1]), max(perm[i - 1], perm[j - 1]))
-            for i, j in G.edges
-        )
+        edges = G.relabeled_edges(perm)
         if edges in seen:
             continue
         seen.add(edges)
-        roots = poly_integer_roots(tf_polynomial(G.relabeled(perm)))
+        roots = poly_integer_roots(tf_polynomial(Graph(G.n, edges)))
         if roots is not None:
             found = {"ordering": list(perm), "roots": roots}
             break

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,6 +309,15 @@ def test_tf_transfer_matches_listed_and_oracle_forests():
 def test_tf_polynomial_of_a_26_vertex_increasing_path():
     path = Graph(26, [(k, k + 1) for k in range(1, 26)])
     assert tf_polynomial(path) == poly_from_linear_factors([1] * 25, 1)
+
+
+def test_tf_polynomial_of_a_star_with_its_centre_last():
+    """Every leaf is still alone when the centre 25 arrives, and leaves the
+    frontier with it: its 2**24 leaf subsets are counted, not listed."""
+    star = Graph(25, [(k, 25) for k in range(1, 25)])
+    start = time.perf_counter()
+    assert tf_polynomial(star) == poly_from_linear_factors([1] * 24, 1)
+    assert time.perf_counter() - start < 2
 
 
 # -- quasi-perfect orderings -------------------------------------------------------
