@@ -19,7 +19,7 @@ flat lies above no earlier atom.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -599,17 +599,14 @@ def atomic_transversals(
 # ---------------------------------------------------------------------------
 
 
-def verify_isf_chi(
-    G: LabeledMultigraph,
-    hyperplane_budget: int = 20,
-    atom_budget: int = 14,
-) -> Report:
+def verify_isf_chi(G: LabeledMultigraph) -> Report:
     """Check that the ISF polynomial matches the signed characteristic
     polynomial exactly when the labeling is perfect, along with the
-    multichain factorization and the transversal/NBC facts."""
+    multichain factorization and the transversal/NBC facts.  Transversals
+    and NBC sets are bitmasks over the NBC walk's atom order."""
     report = Report()
     isf = multigraph_isf_polynomial(G)
-    L = intersection_lattice(build_arrangement(G), hyperplane_budget)
+    L = intersection_lattice(build_arrangement(G))
     chi = characteristic_polynomial(L)
     perfect = is_perfectly_labeled(G)
     report.fact("perfectly_labeled", perfect.ok)
@@ -638,14 +635,16 @@ def verify_isf_chi(
                 required=True)
 
     order = block_compatible_atom_order(L, blocks)
-    transversals = set(atomic_transversal_sets(L, chain))
-    nbc = set(lattice_nbc_sets(L, order, atom_budget))
+    atoms, nbc_masks = _lattice_nbc_walk(L, order, 14)
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    bits = [[bit[a] for a in block] for block in blocks]
+    transversals = set(map(sum, block_transversals(bits)))
+    nbc = set(nbc_masks)
     report.fact("transversals_are_nbc", transversals <= nbc, required=True)
-    trans_counts = Counter(len(s) for s in transversals)
-    nbc_counts = Counter(len(s) for s in nbc)
+    trans_counts, nbc_counts = count_by_size(transversals), count_by_size(nbc)
     report.check(
         "transversal_counts_vs_isf_coefficients",
-        dict(sorted(trans_counts.items())),
+        trans_counts,
         {m: isf.coefficient(G.n - m) for m in range(G.n + 1)
          if isf.coefficient(G.n - m)},
         expect_equal=True,
@@ -718,16 +717,12 @@ def region_count_deletion_restriction(A: Arrangement) -> int:
     return rec(_real_normals(A), A.dim)
 
 
-def topology_report(
-    G: LabeledMultigraph,
-    hyperplane_budget: int = 20,
-    atom_budget: int = 14,
-) -> Report:
+def topology_report(G: LabeledMultigraph) -> Report:
     """Betti profile of the complement from lattice NBC counts and, for real
     labels, the region count cross-checked by deletion-restriction."""
     report = Report()
-    L = intersection_lattice(build_arrangement(G), hyperplane_budget)
-    nbc_counts = lattice_nbc(L, budget=atom_budget)
+    L = intersection_lattice(build_arrangement(G))
+    nbc_counts = lattice_nbc(L)
     betti = {G.n - m: c for m, c in nbc_counts.items()}
     report.witnesses["betti_profile"] = dict(sorted(betti.items()))
 

@@ -17,7 +17,7 @@ independent-set partition counts expanded in the falling-factorial basis.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from math import perm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -424,7 +424,7 @@ def nbc_sets(
 # ---------------------------------------------------------------------------
 
 
-# chromatic_polynomial's default; also caps the orientation cross-check's table
+# chromatic_polynomial's budget; also caps the orientation cross-check's table
 _VERTEX_BUDGET = 8
 
 
@@ -526,9 +526,7 @@ def _chromatic_deletion_contraction(G: Graph) -> IntPolynomial:
     return rec(G.n, G.edges)
 
 
-def chromatic_polynomial(
-    G: Graph, interpolation_vertex_budget: int = _VERTEX_BUDGET
-) -> IntPolynomial:
+def chromatic_polynomial(G: Graph) -> IntPolynomial:
     """Chromatic polynomial computed by two independent routes.
 
     Route one is deletion-contraction; route two expands the independent-set
@@ -537,9 +535,9 @@ def chromatic_polynomial(
     t(t-1)...(t-k+1) ways.  The routes must agree, otherwise an
     InternalCheckError is raised.
     """
-    if G.n > interpolation_vertex_budget:
+    if G.n > _VERTEX_BUDGET:
         raise BudgetExceededError(
-            f"n={G.n} exceeds the coloring budget {interpolation_vertex_budget}"
+            f"n={G.n} exceeds the coloring budget {_VERTEX_BUDGET}"
         )
     by_recursion = _chromatic_deletion_contraction(G)
     by_partitions, falling = IntPolynomial(), IntPolynomial.one()
@@ -640,20 +638,21 @@ def verify_isf_nbc(G: Graph, budget: int = 25) -> Report:
 
     Every identity is computed along both of its routes.  `passed` is False
     only if an assertion that must hold for every graph fails, which would
-    falsify this implementation rather than the mathematics.
+    falsify this implementation rather than the mathematics.  The coloring
+    budget refuses before either walk starts, and both families are kept as
+    bitmasks over the NBC walk's edge order.
     """
     report = Report()
-    isf_list = isf_set_list(G, budget=budget)
-    isf_counts = Counter(len(s) for s in isf_list)
-    enum_poly = counts_to_polynomial(isf_counts, G.n)
+    chrom = chromatic_polynomial(G)
+    seq, nbc_masks = _nbc_walk(G, None, budget)
+    isf, nbc = set(_increasing_masks(seq)), set(nbc_masks)
+    enum_poly = counts_to_polynomial(count_by_size(isf), G.n)
     factored = isf_polynomial(G)
     report.check(
         "isf_enumeration_vs_factorization", enum_poly, factored, expect_equal=True
     )
 
-    chrom = chromatic_polynomial(G)
-    nbc_list = nbc_set_list(G, budget=budget)
-    nbc_counts = Counter(len(s) for s in nbc_list)
+    nbc_counts = count_by_size(nbc)
     whitney = counts_to_polynomial({m: (-1) ** m * c for m, c in nbc_counts.items()}, G.n)
     report.check("whitney_alternating_sum_vs_chromatic", whitney, chrom,
                  expect_equal=True)
@@ -666,18 +665,16 @@ def verify_isf_nbc(G: Graph, budget: int = 25) -> Report:
     report.fact("isf_chromatic_identity_iff_peo", isf_eq_chrom == natural_peo,
                 required=True)
 
-    isf_sets = set(isf_list)
-    nbc_sets_ = set(nbc_list)
-    contained = isf_sets <= nbc_sets_
+    contained = isf <= nbc
     report.fact("isf_subset_of_nbc", contained, required=True)
     if not contained:
         report.witnesses["isf_not_in_nbc"] = sorted(
-            sorted(s) for s in isf_sets - nbc_sets_
+            sorted(members(seq, s)) for s in isf - nbc
         )[:3]
 
-    eq_all = isf_sets == nbc_sets_
-    eq_two = {s for s in isf_sets if len(s) == 2} == {
-        s for s in nbc_sets_ if len(s) == 2
+    eq_all = isf == nbc
+    eq_two = {s for s in isf if s.bit_count() == 2} == {
+        s for s in nbc if s.bit_count() == 2
     }
     report.fact("isf_equals_nbc_all_sizes", eq_all)
     report.fact("isf_equals_nbc_at_size_2", eq_two)
@@ -688,7 +685,7 @@ def verify_isf_nbc(G: Graph, budget: int = 25) -> Report:
     )
 
     ao = acyclic_orientation_count(G, chromatic=chrom)
-    isf_total = len(isf_list)
+    isf_total = len(isf)
     report.fact("isf_at_most_ao", isf_total <= ao, required=True)
     report.fact("isf_equals_ao_iff_peo", (isf_total == ao) == natural_peo,
                 required=True)

@@ -6,7 +6,7 @@ generating-function identities for triangle-free graphs.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -15,7 +15,7 @@ from . import graphcore
 from .graphcore import Graph, counts_to_polynomial, edges_are_acyclic
 from .polycore import IntPolynomial, poly_integer_roots
 from .report import Report
-from .walks import downward_closed, members
+from .walks import count_by_size, downward_closed, members
 
 __all__ = [
     "Pattern",
@@ -324,8 +324,8 @@ def is_tight_forest(F: RootedLabeledForest) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tf_walk(G: Graph, budget: int):
-    edges = graphcore._edges_within_budget(G, budget)
+def _tf_walk(n: int, edges: Sequence[tuple[int, int]]):
+    """Tight spanning forests on {1..n}, as bitmasks over the edge list."""
 
     # state, per vertex: the minimum of its component (the component's root),
     # its neighbours in the forest, and the `_tight_step` state of its root
@@ -352,9 +352,9 @@ def _tf_walk(G: Graph, budget: int):
         adj[v] += (u,)
         return comp, adj, paths
 
-    vertices = range(G.n + 1)
-    start = (list(vertices), [()] * (G.n + 1), [(v, 0) for v in vertices])
-    return edges, downward_closed(len(edges), extend, start)
+    vertices = range(n + 1)
+    start = (list(vertices), [()] * (n + 1), [(v, 0) for v in vertices])
+    return downward_closed(len(edges), extend, start)
 
 
 def tf_set_list(G: Graph, budget: int = 25) -> list[frozenset[tuple[int, int]]]:
@@ -364,8 +364,8 @@ def tf_set_list(G: Graph, budget: int = 25) -> list[frozenset[tuple[int, int]]]:
     subforests of tight forests are tight and subsets of forests are
     forests.  Only the re-rooted component of a new edge is rechecked.
     """
-    edges, masks = _tf_walk(G, budget)
-    return [frozenset(members(edges, mask)) for mask in masks]
+    edges = graphcore._edges_within_budget(G, budget)
+    return [frozenset(members(edges, mask)) for mask in _tf_walk(G.n, edges)]
 
 
 def tf_polynomial(G: Graph, budget: int = 25) -> IntPolynomial:
@@ -393,7 +393,7 @@ def tf_polynomial(G: Graph, budget: int = 25) -> IntPolynomial:
     frontier when it joins w changes only the edge number, so the subsets
     of those are counted by a binomial, not listed; only the lone y that
     stay on the frontier are listed.  `verify_tf_theorems` checks these
-    counts against the forests that `tf_set_list` lists.
+    counts against the forest masks of the tight-forest walk.
     """
     edges = graphcore._edges_within_budget(G, budget)
     adj = G.adjacency()
@@ -523,27 +523,30 @@ def long_cycle_chord_check(G: Graph, cap: int = 10**6) -> bool:
 def verify_tf_theorems(G: Graph, budget: int = 25) -> Report:
     """Containment, strictness, and equivalence checks for tight forests.
 
-    The forests listed by `tf_set_list` and the counts of `tf_polynomial`
-    are two routes to the generating function; they must agree.
+    The forest masks of the tight-forest walk and the counts of
+    `tf_polynomial` are two routes to the generating function; they must
+    agree.  The coloring and candidate-path budgets refuse before any walk
+    starts, and the tight forests and NBC sets are kept as bitmasks over the
+    NBC walk's edge order.
     """
     report = Report()
     triangle = graphcore.has_triangle(G)
     report.fact("has_triangle", triangle)
 
-    tf_sets = set(tf_set_list(G, budget=budget))
-    nbc = set(graphcore.nbc_set_list(G, budget=budget))
+    chrom = graphcore.chromatic_polynomial(G)
+    qpo = is_qpo(G)
+    seq, nbc_masks = graphcore._nbc_walk(G, None, budget)
+    tf, nbc = set(_tf_walk(G.n, seq)), set(nbc_masks)
     tf_poly = tf_polynomial(G, budget=budget)
-    listed = counts_to_polynomial(Counter(len(s) for s in tf_sets), G.n)
+    listed = counts_to_polynomial(count_by_size(tf), G.n)
     if tf_poly != listed:
         raise InternalCheckError(
             f"tight-forest counts {tf_poly.coeffs} by vertex order differ "
             f"from the {listed.coeffs} of the listed forests on {G!r}"
         )
-    chrom = graphcore.chromatic_polynomial(G)
     signed = (-1) ** G.n * chrom.compose_neg()
     poly_equal = report.check("tf_vs_signed_chromatic", tf_poly, signed)
 
-    qpo = is_qpo(G)
     report.fact("is_qpo", qpo.ok)
     if qpo.witness is not None:
         report.witnesses["qpo_violation_path"] = list(qpo.witness)
@@ -555,8 +558,8 @@ def verify_tf_theorems(G: Graph, budget: int = 25) -> Report:
                         graphcore.is_bipartite(G), required=True)
 
     if not triangle:
-        report.fact("tf_subset_of_nbc", tf_sets <= nbc, required=True)
-        sets_equal = tf_sets == nbc
+        report.fact("tf_subset_of_nbc", tf <= nbc, required=True)
+        sets_equal = tf == nbc
         report.fact("tf_equals_nbc", sets_equal)
         report.fact(
             "three_way_equivalence",
@@ -564,17 +567,17 @@ def verify_tf_theorems(G: Graph, budget: int = 25) -> Report:
             required=True,
         )
     else:
-        tf_two = {s for s in tf_sets if len(s) == 2}
-        nbc_two = {s for s in nbc if len(s) == 2}
+        tf_two = {s for s in tf if s.bit_count() == 2}
+        nbc_two = {s for s in nbc if s.bit_count() == 2}
         report.witnesses["tf_size_2_count"] = len(tf_two)
         report.witnesses["nbc_size_2_count"] = len(nbc_two)
         report.fact("nbc_2_subset_of_tf_2", nbc_two <= tf_two, required=True)
         strict = tf_two - nbc_two
         report.fact("tf_2_strictly_contains_nbc_2", bool(strict), required=True)
         if strict:
-            report.witnesses["tight_broken_circuit"] = sorted(
-                sorted(s) for s in strict
-            )[0]
+            report.witnesses["tight_broken_circuit"] = min(
+                sorted(members(seq, s)) for s in strict
+            )
         report.fact("tf_differs_from_signed_chromatic", not poly_equal,
                     required=True)
     return report

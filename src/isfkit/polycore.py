@@ -217,7 +217,9 @@ def poly_integer_roots(p: IntPolynomial) -> list[int] | None:
     Returns the multiset of roots (largest first, so 0 precedes -1), or
     ``None`` when p does not split into factors (t + a) with a >= 0.
     Works by repeated trial division, trying a = 0 first and then every
-    positive a up to the absolute value of the running constant term.
+    positive a up to the absolute value of the running constant term.  Every
+    root left is -a or below, and the t^(degree-1) coefficient is minus
+    their sum (Vieta), so once a * degree exceeds it no root is left.
     """
     if p.is_zero():
         return None
@@ -230,8 +232,8 @@ def poly_integer_roots(p: IntPolynomial) -> list[int] | None:
         current = IntPolynomial(current.coeffs[1:])
     a = 1
     while current.degree > 0:
-        bound = abs(current.constant_term())
-        if a > bound:
+        vieta = current.coefficient(current.degree - 1)
+        if a > abs(current.constant_term()) or a * current.degree > vieta:
             return None
         if current.constant_term() % a == 0:
             quotient = _divide_linear(current, a)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -454,9 +455,9 @@ def test_generators_are_seed_driven():
     assert a.zero_edges == b.zero_edges and a.labeled_edges == b.labeled_edges
 
 
-def run_child(*args):
+def run_child(*args, **options):
     """Run python with the given arguments, importing the isfkit under test
-    whether installed or not."""
+    whether installed or not; options go to subprocess.run."""
     package_root = str(Path(isfkit.__file__).resolve().parents[1])
     search = [package_root, os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
@@ -464,7 +465,33 @@ def run_child(*args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
+        **options,
     )
+
+
+def _limit_address_space_to_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+_PATH_26 = Graph(26, [(k, k + 1) for k in range(1, 26)]).to_json()
+_FAN_22 = PureComplex(24, 2, [(1, k, k + 1) for k in range(2, 24)]).to_json()
+
+
+@pytest.mark.parametrize(
+    "kind, payload, n",
+    [("graph", _PATH_26, 26), ("forest", _PATH_26, 26), ("complex", _FAN_22, 24)],
+    ids=["graph-26-vertex-path", "forest-26-vertex-path", "complex-22-facet-fan"],
+)
+def test_verify_refuses_before_it_walks(tmp_path, kind, payload, n):
+    # within the edge or facet budget, every subset is a member: a walk
+    # before the coloring budget's refusal would list 2**25 or 2**22 sets
+    path = write(tmp_path, "in.json", payload)
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", kind, "verify", path,
+                     preexec_fn=_limit_address_space_to_1_gib, timeout=20)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"input error: n={n} exceeds the coloring budget 8"]
 
 
 def test_console_entry_point(tmp_path):

@@ -1,0 +1,63 @@
+"""Golden digest of the verify actions' CLI output on a small seeded corpus.
+
+Each record is (argv, exit code, stdout, stderr) of one `cli.run` call, with
+the input path in argv replaced by the instance's name.  The records are
+hashed in order with SHA-256; a refactor that keeps every report and every
+error message byte for byte keeps the digest.  A change that means to alter
+an output must say so and record the new digest.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
+from isfkit.graphcore import Graph
+
+GOLDEN = "6b0636286df654feb86219705e1d1bc42f0350fb64409db617dc4f685636df79"
+
+
+def _corpus():
+    """(name, kind, actions, instance JSON), about 2 s of verification."""
+    for n in range(1, 9):
+        for p in (0.3, 0.6):
+            for seed in (1, 2):
+                G = gen_graph(seed * 100 + n, n, p)
+                yield f"g{n}-{p}-{seed}", "graph", ("verify",), G.to_json()
+                yield f"f{n}-{p}-{seed}", "forest", ("verify",), G.to_json()
+    complete = {n: [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+                for n in (3, 4, 8)}
+    for n, edges in complete.items():
+        # K8 has 28 edges: both verify actions refuse it
+        for kind in ("graph", "forest"):
+            yield f"K{n}-{kind}", kind, ("verify",), Graph(n, edges).to_json()
+    # within the edge budget, but past the coloring budget
+    sparse = gen_graph(9, 9, 0.3).to_json()
+    yield "g9", "graph", ("verify",), sparse
+    yield "f9", "forest", ("verify",), sparse
+    for n in range(3, 7):
+        for p in (0.3, 0.6):
+            delta = gen_complex(n * 10 + int(p * 10), n, p)
+            yield f"c{n}-{p}", "complex", ("verify",), delta.to_json()
+    # past the facet budget, then past the coloring budget
+    for n, p in ((8, 0.5), (9, 0.1)):
+        yield f"c{n}", "complex", ("verify",), gen_complex(n, n, p).to_json()
+    for n in range(1, 5):
+        for seed in (1, 2, 3):
+            G = gen_multigraph(seed * 10 + n, n)
+            yield f"m{n}-{seed}", "multigraph", ("verify", "regions"), G.to_json()
+
+
+def test_verify_outputs_match_the_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for name, kind, actions, instance in _corpus():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(instance))
+        for action in actions:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([kind, action, str(path)])
+            record = [[kind, action, name], code, out.getvalue(), err.getvalue()]
+            digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == GOLDEN

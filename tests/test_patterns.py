@@ -395,6 +395,24 @@ def test_verify_triangle_case_house():
     assert report.witnesses["tf_size_2_count"] > report.witnesses["nbc_size_2_count"]
 
 
+@pytest.mark.parametrize(
+    "G, circuit, path",
+    [
+        (complete_graph(3), [[1, 3], [2, 3]], None),
+        (complete_graph(4), [[1, 3], [2, 3]], None),
+        (Graph(5, [(1, 4), (2, 4), (1, 2), (3, 5), (4, 5), (3, 4)]),
+         [[1, 4], [2, 4]], [3, 5, 4, 1]),
+    ],
+    ids=["K3", "K4", "two-triangles"],
+)
+def test_verify_witnesses_name_edges_not_walk_positions(G, circuit, path):
+    # the walks' masks are over the reversed edge order; the witness must
+    # still be the lexicographically first tight broken circuit, as edges
+    witnesses = verify_tf_theorems(G).to_json()["witnesses"]
+    assert witnesses["tight_broken_circuit"] == circuit
+    assert witnesses.get("qpo_violation_path") == path
+
+
 def test_verify_triangle_free_four_cycle():
     report = verify_tf_theorems(cycle_graph(4))
     assert report.passed

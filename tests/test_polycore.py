@@ -35,6 +35,8 @@ def test_linear_factors_reject_negative():
 def test_integer_roots_examples():
     assert poly_integer_roots(IntPolynomial([0, 2, 3, 1])) == [0, -1, -2]
     assert poly_integer_roots(IntPolynomial([1, 1, 1])) is None
+    # no root to find: stops at once, not after 10**6 trial divisions
+    assert poly_integer_roots(IntPolynomial([10**12, 0, 1])) is None
     assert poly_integer_roots(IntPolynomial([4, 8, 5, 1])) == [-1, -2, -2]
 
 
