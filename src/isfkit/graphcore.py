@@ -1,6 +1,6 @@
-"""Simple labeled graphs on {1..n}: increasing spanning forests, broken
-circuits and NBC sets, chromatic polynomials, and perfect elimination
-orderings.
+"""Simple labeled graphs on {1..n}: increasing spanning forests, NBC sets,
+chromatic polynomials, perfect elimination orderings, and the simple-cycle
+listing that the tests keep as their reference.
 
 Increasing forests and NBC sets are closed under taking subsets, so both
 are enumerated by `walks.downward_closed` over the edges in a fixed order,
@@ -41,7 +41,6 @@ __all__ = [
     "enumerate_isf",
     "isf_polynomial",
     "simple_cycles",
-    "broken_circuits",
     "nbc_set_list",
     "nbc_sets",
     "chromatic_polynomial",
@@ -154,14 +153,13 @@ class SpanningSubgraph:
 class EdgeOrder:
     """A total order on the edges of a graph; default is lexicographic."""
 
-    __slots__ = ("sequence", "index")
+    __slots__ = ("sequence",)
 
     def __init__(self, sequence: Sequence[Edge]):
         seq = [(min(e), max(e)) for e in sequence]
         if len(set(seq)) != len(seq):
             raise InputError("edge order contains duplicates")
         self.sequence = tuple(seq)
-        self.index = {e: i for i, e in enumerate(self.sequence)}
 
     @classmethod
     def lexicographic(cls, graph: Graph) -> "EdgeOrder":
@@ -317,7 +315,7 @@ def counts_to_polynomial(counts: Mapping[int, int], n: int) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Cycles, broken circuits, NBC sets
+# Simple cycles, NBC sets
 # ---------------------------------------------------------------------------
 
 
@@ -325,16 +323,21 @@ def simple_cycles(G: Graph, cap: int = 10**6) -> list[tuple[int, ...]]:
     """Every simple cycle, as a vertex tuple starting at its smallest vertex.
 
     Each cycle appears once: the walk fixes the smallest vertex first and
-    keeps the orientation with second vertex below last vertex.
+    keeps the orientation with second vertex below last vertex.  The walk
+    keeps an explicit stack of neighbour iterators, one per path vertex, so
+    long paths do not recurse.  Nothing in the package calls it; the tests
+    use it as the reference listing.
     """
     adj = G.adjacency()
     cycles: list[tuple[int, ...]] = []
-    path: list[int] = []
-    on_path: set[int] = set()
-
-    def walk(s: int, u: int):
-        for w in adj[u]:
-            if w == s:
+    for s in range(1, G.n + 1):
+        path, on_path, stack = [s], {s}, [iter(adj[s])]
+        while stack:
+            w = next(stack[-1], None)
+            if w is None:
+                stack.pop()
+                on_path.discard(path.pop())
+            elif w == s:
                 if len(path) >= 3 and path[1] < path[-1]:
                     cycles.append(tuple(path))
                     if len(cycles) > cap:
@@ -344,36 +347,8 @@ def simple_cycles(G: Graph, cap: int = 10**6) -> list[tuple[int, ...]]:
             elif w > s and w not in on_path:
                 path.append(w)
                 on_path.add(w)
-                walk(s, w)
-                on_path.discard(w)
-                path.pop()
-
-    for s in range(1, G.n + 1):
-        path = [s]
-        on_path = {s}
-        walk(s, s)
+                stack.append(iter(adj[w]))
     return cycles
-
-
-def cycle_edge_set(cycle: Sequence[int]) -> frozenset[Edge]:
-    k = len(cycle)
-    return frozenset(
-        (min(cycle[i], cycle[(i + 1) % k]), max(cycle[i], cycle[(i + 1) % k]))
-        for i in range(k)
-    )
-
-
-def broken_circuits(
-    G: Graph, order: EdgeOrder | None = None, cap: int = 10**6
-) -> frozenset[frozenset[Edge]]:
-    """Each cycle minus its order-smallest edge, deduplicated."""
-    order = order or EdgeOrder.lexicographic(G)
-    out = set()
-    for cycle in simple_cycles(G, cap=cap):
-        es = cycle_edge_set(cycle)
-        smallest = min(es, key=order.index.__getitem__)
-        out.add(es - {smallest})
-    return frozenset(out)
 
 
 def _nbc_walk(G: Graph, order: EdgeOrder | None, budget: int):

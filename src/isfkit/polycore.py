@@ -8,9 +8,10 @@ Both are immutable and hashable, so values can be shared freely.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, require_int
 
 __all__ = [
     "IntPolynomial",
@@ -18,6 +19,9 @@ __all__ = [
     "poly_from_linear_factors",
     "poly_integer_roots",
 ]
+
+# the coefficient strings that to_json writes
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class IntPolynomial:
@@ -180,12 +184,18 @@ class IntPolynomial:
 
     @classmethod
     def from_json(cls, data) -> "IntPolynomial":
+        """Coefficients, ascending degree, as decimal strings or JSON
+        integers; bools, floats and other strings are rejected."""
         if not isinstance(data, list):
             raise InputError("polynomial JSON must be an array of decimal strings")
         try:
-            return cls(int(s) for s in data)
-        except (TypeError, ValueError) as exc:
+            coeffs = [
+                int(c) if isinstance(c, str) and _DECIMAL.fullmatch(c) else c
+                for c in data
+            ]
+        except ValueError as exc:  # past the int-string digit limit
             raise InputError(f"bad polynomial coefficient: {exc}") from exc
+        return cls(require_int(c, "polynomial coefficient") for c in coeffs)
 
 
 def _coerce(value) -> IntPolynomial:
@@ -200,12 +210,11 @@ def poly_from_linear_factors(
     roots_negated: Iterable[int], tshift: int = 0
 ) -> IntPolynomial:
     """Expand ``t**tshift * prod_k (t + a_k)`` for nonnegative integers a_k."""
-    if tshift < 0:
+    if require_int(tshift, "tshift") < 0:
         raise InputError("tshift must be nonnegative")
     result = IntPolynomial.one()
     for a in roots_negated:
-        a = int(a)
-        if a < 0:
+        if require_int(a, "linear-factor constant") < 0:
             raise InputError("linear-factor constants must be nonnegative")
         result = result * IntPolynomial((a, 1))
     return result.shifted(tshift)

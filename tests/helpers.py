@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 from isfkit.errors import InternalCheckError
-from isfkit.graphcore import Graph
+from isfkit.graphcore import EdgeOrder, Graph, simple_cycles
 from isfkit.polycore import IntPolynomial
 from isfkit.simplicial import PureComplex, SpanningSubcomplex
 from isfkit.arrangement import GaussRational, LabeledMultigraph
@@ -133,10 +133,40 @@ def oracle_isf_counts(G: Graph) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
+def _cycle_edges(cycle) -> list[tuple[int, int]]:
+    return [
+        (min(u, v), max(u, v)) for u, v in zip(cycle, cycle[1:] + cycle[:1])
+    ]
+
+
+def broken_circuits(G: Graph, order: EdgeOrder | None = None) -> frozenset:
+    """By definition: each cycle's edge set minus its order-smallest edge."""
+    sequence = (order or EdgeOrder.lexicographic(G)).sequence
+    index = {e: i for i, e in enumerate(sequence)}
+    out = set()
+    for cycle in simple_cycles(G):
+        es = frozenset(_cycle_edges(cycle))
+        out.add(es - {min(es, key=index.__getitem__)})
+    return frozenset(out)
+
+
 def oracle_nbc_sets(G: Graph, broken) -> set[frozenset]:
     return {
         s for s in all_edge_subsets(G) if not any(b <= s for b in broken)
     }
+
+
+def oracle_long_cycles_have_chords(G: Graph) -> bool:
+    """Lists every simple cycle and looks for one of length at least 5 with
+    no chord."""
+    for cycle in simple_cycles(G):
+        sides = set(_cycle_edges(cycle))
+        if len(cycle) >= 5 and not any(
+            G.has_edge(u, v) and (u, v) not in sides
+            for u, v in itertools.combinations(sorted(cycle), 2)
+        ):
+            return False
+    return True
 
 
 def _bad_last_triple(a: int, b: int, c: int) -> bool:

@@ -10,7 +10,6 @@ from isfkit.graphcore import (
     Graph,
     SpanningSubgraph,
     acyclic_orientation_count,
-    broken_circuits,
     chromatic_polynomial,
     count_proper_colorings,
     counts_to_polynomial,
@@ -32,6 +31,7 @@ from isfkit.polycore import IntPolynomial, WeightedGF, poly_from_linear_factors
 
 from helpers import (
     all_edge_subsets,
+    broken_circuits,
     complete_graph,
     cycle_graph,
     house_graph,
@@ -171,6 +171,12 @@ def test_broken_circuits_four_cycle():
     C4 = cycle_graph(4)
     assert simple_cycles(C4) == [(1, 2, 3, 4)]
     assert broken_circuits(C4) == {frozenset({(1, 4), (2, 3), (3, 4)})}
+
+
+def test_simple_cycles_walk_does_not_recurse():
+    path = Graph(1500, [(i, i + 1) for i in range(1, 1500)])
+    assert simple_cycles(path) == []
+    assert simple_cycles(cycle_graph(4)) == [(1, 2, 3, 4)]
 
 
 def test_nbc_counts_triangle_against_subset_filter():

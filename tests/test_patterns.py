@@ -39,6 +39,7 @@ from helpers import (
     cycle_graph,
     house_graph,
     non_increasing_tree,
+    oracle_long_cycles_have_chords,
     oracle_tf_roots_report,
     oracle_tf_sets,
 )
@@ -360,6 +361,28 @@ def test_long_cycle_chord_check():
             continue
         seen += 1
         assert long_cycle_chord_check(G)
+
+
+def test_long_hole_search_matches_cycle_listing():
+    rng = random.Random(57)
+    holes = 0
+    for _ in range(1200):
+        G = random_graph(rng, rng.randint(5, 8), p=rng.uniform(0.25, 0.5))
+        expected = oracle_long_cycles_have_chords(G)
+        assert long_cycle_chord_check(G) == expected, G
+        holes += not expected
+    assert holes > 100
+
+
+def test_long_hole_search_shapes():
+    # no induced path on four vertices at all; the listing exceeds its
+    # 10**6-cycle cap here
+    assert long_cycle_chord_check(complete_graph(12))
+    start = time.perf_counter()
+    assert not long_cycle_chord_check(cycle_graph(200))
+    assert time.perf_counter() - start < 1
+    square_with_tail = Graph(7, cycle_graph(4).edges | {(4, 5), (5, 6), (6, 7)})
+    assert long_cycle_chord_check(square_with_tail)
 
 
 def test_qpo_graphs_have_chorded_long_cycles():

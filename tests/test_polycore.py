@@ -96,6 +96,23 @@ def test_json_roundtrip():
     assert IntPolynomial.from_json(huge.to_json()) == huge
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1.7, True], [True], [False], [2.0], ["1.7"], ["+5"], [" 5"], [None], ["1" * 5000]],
+)
+def test_json_rejects_non_integer_coefficients(coeffs):
+    with pytest.raises(InputError):
+        IntPolynomial.from_json(coeffs)
+
+
+@pytest.mark.parametrize(
+    "roots_negated, tshift", [([2.9], 0), ([True], 0), (["2"], 0), ([1], 1.0), ([1], True)]
+)
+def test_linear_factors_reject_non_integers(roots_negated, tshift):
+    with pytest.raises(InputError):
+        poly_from_linear_factors(roots_negated, tshift)
+
+
 def test_weighted_gf_expansion():
     a, b, c = "a", "b", "c"
     gf = WeightedGF.t_plus_vars([a]) * WeightedGF.t_plus_vars([b, c])
