@@ -2,40 +2,4 @@
 spanning forests and their relatives (cage-free subcomplexes, labeled
 multigraph arrangements, tight forests)."""
 
-from .polycore import (
-    IntPolynomial,
-    WeightedGF,
-    poly_from_linear_factors,
-    poly_integer_roots,
-)
-from .graphcore import Graph, SpanningSubgraph, EdgeOrder
-from .simplicial import PureComplex, SpanningSubcomplex, PhiPartition
-from .arrangement import GaussRational, LabeledMultigraph, Arrangement
-from .patterns import Pattern, RootedLabeledForest
-from .report import Report
-from .errors import BudgetExceededError, InputError, InternalCheckError
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "IntPolynomial",
-    "WeightedGF",
-    "poly_from_linear_factors",
-    "poly_integer_roots",
-    "Graph",
-    "SpanningSubgraph",
-    "EdgeOrder",
-    "PureComplex",
-    "SpanningSubcomplex",
-    "PhiPartition",
-    "GaussRational",
-    "LabeledMultigraph",
-    "Arrangement",
-    "Pattern",
-    "RootedLabeledForest",
-    "Report",
-    "BudgetExceededError",
-    "InputError",
-    "InternalCheckError",
-    "__version__",
-]

@@ -12,11 +12,8 @@ import json
 import random
 import sys
 
-from . import arrangement, graphcore, patterns, simplicial
+from . import graphcore
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
-from .graphcore import Graph
-from .arrangement import LabeledMultigraph
-from .simplicial import PureComplex
 from .report import Report
 
 __all__ = ["main", "run", "gen_graph", "gen_complex", "gen_multigraph"]
@@ -27,7 +24,7 @@ __all__ = ["main", "run", "gen_graph", "gen_complex", "gen_multigraph"]
 # ---------------------------------------------------------------------------
 
 
-def gen_graph(seed: int, n: int, p: float = 0.5) -> Graph:
+def gen_graph(seed: int, n: int, p: float = 0.5) -> graphcore.Graph:
     rng = random.Random(seed)
     edges = [
         (i, j)
@@ -35,10 +32,11 @@ def gen_graph(seed: int, n: int, p: float = 0.5) -> Graph:
         for j in range(i + 1, n + 1)
         if rng.random() < p
     ]
-    return Graph(n, edges)
+    return graphcore.Graph(n, edges)
 
 
 def gen_complex(seed: int, n: int, p: float = 0.5) -> PureComplex:
+    from .simplicial import PureComplex
     rng = random.Random(seed)
     facets = [
         (i, j, k)
@@ -52,6 +50,7 @@ def gen_complex(seed: int, n: int, p: float = 0.5) -> PureComplex:
 
 def gen_multigraph(seed: int, n: int, max_edges: int = 7) -> LabeledMultigraph:
     # labels drawn from small distinct primes, which keeps them generic
+    from .arrangement import LabeledMultigraph
     rng = random.Random(seed)
     primes = [1, 2, 3, 5, 7]
     pool: list[tuple] = [("z", k) for k in range(1, n + 1)]
@@ -98,9 +97,12 @@ def _parse_ordering(raw: str | None):
     return [require_int(v, "--ordering entry") for v in value]
 
 
+def _budget(args) -> dict:  # passed only when given: the library owns the defaults
+    return {} if args.budget is None else {"budget": args.budget}
+
+
 def _graph_action(action: str, args) -> tuple[object, bool]:
-    G = Graph.from_json(_load_json(args.input))
-    budget = args.budget if args.budget is not None else 25
+    G = graphcore.Graph.from_json(_load_json(args.input))
     if action == "isf":
         if args.weighted:
             gf = graphcore.isf_polynomial(G, weights={e: e for e in G.edges})
@@ -119,7 +121,7 @@ def _graph_action(action: str, args) -> tuple[object, bool]:
                     "(positions into the sorted edge list)"
                 )
             order = graphcore.EdgeOrder([edges[i] for i in ordering])
-        counts = graphcore.nbc_sets(G, order=order, budget=budget)
+        counts = graphcore.nbc_sets(G, order=order, **_budget(args))
         return {str(m): c for m, c in counts.items()}, True
     if action == "peo":
         ordering = _parse_ordering(args.ordering)
@@ -128,13 +130,14 @@ def _graph_action(action: str, args) -> tuple[object, bool]:
         peo = graphcore.find_peo(G)
         return {"chordal": peo is not None, "peo": peo}, True
     if action == "verify":
-        report = graphcore.verify_isf_nbc(G, budget=budget)
+        report = graphcore.verify_isf_nbc(G, **_budget(args))
         return report.to_json(), report.passed
     raise InputError(f"unknown graph action {action!r}")
 
 
 def _complex_action(action: str, args) -> tuple[object, bool]:
-    delta = PureComplex.from_json(_load_json(args.input))
+    from . import simplicial
+    delta = simplicial.PureComplex.from_json(_load_json(args.input))
     if action == "cf":
         if args.weighted:
             gf = simplicial.cf_polynomial(
@@ -155,8 +158,7 @@ def _complex_action(action: str, args) -> tuple[object, bool]:
         ordering = _parse_ordering(args.ordering)
         return {"is_peo": simplicial.is_simplicial_peo(delta, ordering)}, True
     if action == "verify":
-        budget = args.budget if args.budget is not None else 22
-        report = simplicial.verify_product_formula(delta, budget=budget)
+        report = simplicial.verify_product_formula(delta, **_budget(args))
         extra = simplicial.structure_report(simplicial.full_subcomplex(delta))
         payload = report.to_json()
         payload["structure"] = Report(witnesses=extra).to_json()["witnesses"]
@@ -165,7 +167,8 @@ def _complex_action(action: str, args) -> tuple[object, bool]:
 
 
 def _multigraph_action(action: str, args) -> tuple[object, bool]:
-    G = LabeledMultigraph.from_json(_load_json(args.input))
+    from . import arrangement
+    G = arrangement.LabeledMultigraph.from_json(_load_json(args.input))
     if action == "chi":
         L = arrangement.intersection_lattice(arrangement.build_arrangement(G))
         chi = arrangement.characteristic_polynomial(L)
@@ -202,13 +205,13 @@ def _multigraph_action(action: str, args) -> tuple[object, bool]:
 
 
 def _forest_action(action: str, args) -> tuple[object, bool]:
+    from . import patterns
     if action == "tight":
         forest = patterns.RootedLabeledForest.from_json(_load_json(args.input))
         return {"is_tight": patterns.is_tight_forest(forest)}, True
-    G = Graph.from_json(_load_json(args.input))
-    budget = args.budget if args.budget is not None else 25
+    G = graphcore.Graph.from_json(_load_json(args.input))
     if action == "tf":
-        return patterns.tf_polynomial(G, budget=budget).to_json(), True
+        return patterns.tf_polynomial(G, **_budget(args)).to_json(), True
     if action == "qpo":
         result = patterns.is_qpo(G)
         payload = {"is_qpo": result.ok}
@@ -216,7 +219,7 @@ def _forest_action(action: str, args) -> tuple[object, bool]:
             payload["witness"] = list(result.witness)
         return payload, True
     if action == "verify":
-        report = patterns.verify_tf_theorems(G, budget=budget)
+        report = patterns.verify_tf_theorems(G, **_budget(args))
         return report.to_json(), report.passed
     if action == "roots":
         report = patterns.tf_integer_roots_classification(G)
@@ -281,6 +284,10 @@ def run(argv: list[str]) -> int:
             payload, passed = _forest_action(args.action, args)
         else:
             payload, passed = _gen_action(args)
+        try:
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        except ValueError as exc:  # an int past the int-to-string digit limit
+            raise BudgetExceededError(f"result too large to write: {exc}") from exc
     except (InputError, BudgetExceededError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -291,7 +298,7 @@ def run(argv: list[str]) -> int:
         # a bug, not a failed verification: keep exit 1 meaning the latter
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    print(text)
     print("ok" if passed else "FAILED: see report on stdout", file=sys.stderr)
     return 0 if passed else 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from .errors import InputError, require_int
+from .errors import BudgetExceededError, InputError, require_int
 
 __all__ = [
     "IntPolynomial",
@@ -22,6 +22,13 @@ __all__ = [
 
 # the coefficient strings that to_json writes
 _DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(c: int) -> str:
+    try:  # str raises ValueError past the interpreter's int-to-string digit limit
+        return str(c)
+    except ValueError as exc:
+        raise BudgetExceededError(f"result too large to write: {exc}") from exc
 
 
 class IntPolynomial:
@@ -180,7 +187,7 @@ class IntPolynomial:
 
     def to_json(self) -> list[str]:
         """Coefficients as decimal strings, ascending degree."""
-        return [str(c) for c in self.coeffs]
+        return [_decimal(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data) -> "IntPolynomial":
@@ -370,7 +377,7 @@ class WeightedGF:
             {
                 "monomial": [list(v) if isinstance(v, tuple) else v for v in mono],
                 "tpow": tpow,
-                "coeff": str(coeff),
+                "coeff": _decimal(coeff),
             }
             for (mono, tpow), coeff in items
         ]

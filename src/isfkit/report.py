@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .polycore import IntPolynomial, WeightedGF
@@ -65,9 +64,6 @@ class Report:
             "boolean_facts": dict(sorted(self.boolean_facts.items())),
             "witnesses": {k: _plain(v) for k, v in sorted(self.witnesses.items())},
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 def _plain(value):

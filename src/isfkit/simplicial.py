@@ -104,9 +104,7 @@ class PureComplex:
 
     def relabeled(self, perm: Sequence[int]) -> "PureComplex":
         """Apply the vertex relabeling v -> perm[v-1]."""
-        perm = [require_int(v, "permutation entry") for v in perm]
-        if sorted(perm) != list(range(1, self.n + 1)):
-            raise InputError(f"expected a permutation of 1..{self.n}")
+        perm = graphcore._check_permutation(perm, self.n)
         return PureComplex(
             self.n, self.d,
             (tuple(perm[v - 1] for v in f) for f in self.facets),

@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -194,6 +196,14 @@ def test_multigraph_signed(tmp_path, capsys):
     path = write(tmp_path, "n70.json", {"n": 70, "zero_edges": [], "edges": []})
     code, out, _ = invoke(capsys, ["multigraph", "signed", path, "--s", "0"])
     assert code == 0 and json.loads(out) == {"count": 1, "s": 0}
+
+
+def test_signed_count_past_the_digit_limit_exits_two(tmp_path, capsys):
+    # the count 2s + 1 has 4,301 digits, one past the int-to-string limit
+    path = write(tmp_path, "n1.json", {"n": 1, "zero_edges": [], "edges": []})
+    code, out, err = invoke(capsys, ["multigraph", "signed", path, "--s", "9" * 4300])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
 
 
 def test_signed_rejects_non_sign_labels(tmp_path, capsys):
@@ -504,3 +514,50 @@ def test_console_entry_point(tmp_path):
 def test_cli_import_loads_no_numpy():
     proc = run_child("-c", "import isfkit.cli, sys; assert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_loads_no_submodule():
+    proc = run_child("-c", "import isfkit, sys; print(sorted(m for m in sys.modules "
+                           "if m.startswith('isfkit')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['isfkit']"
+
+
+# each command loads its own subject module and none of the other three
+_SUBJECTS = {"graph": "graphcore", "complex": "simplicial",
+             "multigraph": "arrangement", "forest": "patterns"}
+_COMMANDS = [
+    ("graph", "isf", paw_peo()),
+    ("complex", "cf", tetrahedron_boundary()),
+    ("multigraph", "chi", anchored_multigraph()),
+    ("forest", "tf", paw_peo()),
+]
+
+
+@pytest.mark.parametrize("kind, action, instance", _COMMANDS,
+                         ids=[f"{kind}-{action}" for kind, action, _ in _COMMANDS])
+def test_cli_command_loads_only_its_subject_module(tmp_path, kind, action, instance):
+    path = write(tmp_path, "instance.json", instance.to_json())
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from isfkit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(sys.argv[1:]) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('isfkit.')]))\n"
+    )
+    proc = run_child("-c", script, kind, action, path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.removeprefix("isfkit.") for m in json.loads(proc.stdout)}
+    subjects = set(_SUBJECTS.values()) - {"graphcore"}
+    assert _SUBJECTS[kind] in loaded
+    assert not loaded & (subjects - {_SUBJECTS[kind]})
+
+
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(isfkit.__path__))
+)
+def test_every_public_name_resolves(name):
+    # with no package-level re-exports, each module's __all__ is its public API
+    module = importlib.import_module(f"isfkit.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from isfkit.errors import InputError
+from isfkit.errors import BudgetExceededError, InputError
 from isfkit.polycore import (
     IntPolynomial,
     WeightedGF,
@@ -94,6 +94,15 @@ def test_json_roundtrip():
     assert IntPolynomial.from_json(p.to_json()) == p
     huge = IntPolynomial([10**40, -(10**41)])
     assert IntPolynomial.from_json(huge.to_json()) == huge
+
+
+def test_json_refuses_coefficients_past_the_digit_limit():
+    # str() of an int with more than 4,300 digits raises ValueError; the
+    # result is refused like any other over-budget one
+    with pytest.raises(BudgetExceededError):
+        IntPolynomial((10**4400, 1)).to_json()
+    with pytest.raises(BudgetExceededError):
+        WeightedGF({(("a",), 1): 10**4400}).to_json()
 
 
 @pytest.mark.parametrize(
