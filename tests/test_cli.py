@@ -524,8 +524,8 @@ def test_package_import_loads_no_submodule():
 
 
 # each command loads its own subject module and none of the other three
-_SUBJECTS = {"graph": "graphcore", "complex": "simplicial",
-             "multigraph": "arrangement", "forest": "patterns"}
+_SUBJECT = {"graph": "graphcore", "complex": "simplicial",
+            "multigraph": "arrangement", "forest": "patterns"}
 _COMMANDS = [
     ("graph", "isf", paw_peo()),
     ("complex", "cf", tetrahedron_boundary()),
@@ -548,9 +548,8 @@ def test_cli_command_loads_only_its_subject_module(tmp_path, kind, action, insta
     proc = run_child("-c", script, kind, action, path)
     assert proc.returncode == 0, proc.stderr
     loaded = {m.removeprefix("isfkit.") for m in json.loads(proc.stdout)}
-    subjects = set(_SUBJECTS.values()) - {"graphcore"}
-    assert _SUBJECTS[kind] in loaded
-    assert not loaded & (subjects - {_SUBJECTS[kind]})
+    others = {"simplicial", "arrangement", "patterns"} - {_SUBJECT[kind]}
+    assert _SUBJECT[kind] in loaded and not loaded & others
 
 
 @pytest.mark.parametrize(
