@@ -59,7 +59,7 @@ Face = tuple[int, ...]
 class PureComplex:
     """A pure d-dimensional simplicial complex on {1..n}, stored by facets."""
 
-    __slots__ = ("n", "d", "facets")
+    __slots__ = ("n", "d", "facets", "_masks")
 
     def __init__(self, n: int, d: int, facets: Iterable[Sequence[int]] = ()):
         n, d = require_int(n, "vertex count n"), require_int(d, "dimension d")
@@ -78,6 +78,7 @@ class PureComplex:
         self.n = n
         self.d = d
         self.facets = frozenset(clean)
+        self._masks = None
 
     def faces(self) -> set[Face]:
         """Downward closure of the facets, excluding the empty face."""
@@ -101,6 +102,17 @@ class PureComplex:
             {sub for f in self.facets
              for sub in itertools.combinations(f, self.d)}
         )
+
+    def _ridge_masks(self, facets: Iterable[Face]) -> list[int]:
+        """The facets' ridge bitmasks, bit i for the i-th sorted ridge, so a
+        facet's lowest bit omits its last vertex; built once, not compared."""
+        if self._masks is None:
+            index = {r: i for i, r in enumerate(self.ridges())}
+            self._masks = {
+                f: sum(1 << index[f[:i] + f[i + 1:]] for i in range(len(f)))
+                for f in self.facets
+            }
+        return [self._masks[f] for f in facets]
 
     def relabeled(self, perm: Sequence[int]) -> "PureComplex":
         """Apply the vertex relabeling v -> perm[v-1]."""
@@ -159,9 +171,11 @@ class SpanningSubcomplex:
             for v in f:
                 if type(v) is not int:
                     require_int(v, "facet vertex")
-        kept = frozenset(tuple(sorted(f)) for f in facets)
+        kept = frozenset(facets)
         if not kept <= parent.facets:
-            raise InputError("kept facets must be facets of the parent complex")
+            kept = frozenset(tuple(sorted(f)) for f in facets)
+            if not kept <= parent.facets:
+                raise InputError("kept facets must be facets of the parent complex")
         self.parent = parent
         self.kept_facets = kept
 
@@ -378,16 +392,11 @@ def is_simplicial_peo(
     the natural labels; the routes must agree.
     """
     complex_ = delta if labeling is None else delta.relabeled(labeling)
-    partition = phi_partition(complex_)
-    direct = True
-    for (sigma, _), block in partition.blocks.items():
-        tops = sorted(f[-2] for f in block)
-        for i, j in itertools.combinations(tops, 2):
-            if tuple(sorted(sigma + (i, j))) not in complex_.facets:
-                direct = False
-                break
-        if not direct:
-            break
+    direct = all(
+        tuple(sorted(sigma + (i, j))) in complex_.facets
+        for (sigma, _), block in phi_partition(complex_).blocks.items()
+        for i, j in itertools.combinations(sorted(f[-2] for f in block), 2)
+    )
     links, _ = upper_links(complex_)
     via_links = all(
         graphcore.is_peo(g, range(1, complex_.n + 1)) for g in links.values()
@@ -405,57 +414,48 @@ def is_simplicial_peo(
 # ---------------------------------------------------------------------------
 
 
+def _free_ridges(masks: Iterable[int]) -> int:
+    """The ridges, as a bitmask, that lie in exactly one of the facets."""
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    return once & ~twice
+
+
 def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
     """Rank of the kernel of the top boundary map, over the rationals.
 
     First collapse: a facet with a free ridge (one in no other kept facet)
     has the only nonzero entry of that ridge's row, so no cycle uses it and
     removing it leaves the rank unchanged (an elementary collapse, which
-    preserves homology).  Facets are removed until no free ridge is left,
-    and only the remaining core is eliminated with `exactla.echelon`; an
-    empty core has rank 0.  The top homology group embeds in a free abelian
-    group, so it is torsion-free and its integral rank equals this rational
-    one.
+    preserves homology).  A free ridge stays free as other facets go, so
+    each round removes every facet with a free ridge, until none is left.
+    Only the remaining core is eliminated with `exactla.echelon` (rows by
+    the parent's ridge index; an empty core has rank 0).  The top homology
+    group embeds in a free abelian group, so it is torsion-free and its
+    integral rank equals this rational one.
     """
-    cofaces: dict[Face, set[Face]] = defaultdict(set)
-    for f in upsilon.kept_facets:
-        for i in range(len(f)):
-            cofaces[f[:i] + f[i + 1:]].add(f)
-    left = len(upsilon.kept_facets)
-    free = [on for on in cofaces.values() if len(on) == 1]
+    core = upsilon.parent._ridge_masks(upsilon.kept_facets)
+    free = _free_ridges(core)
     while free:
-        on = free.pop()
-        if not on:  # its one facet went with another free ridge
-            continue
-        (f,) = on
-        left -= 1
-        for i in range(len(f)):
-            other = cofaces[f[:i] + f[i + 1:]]
-            other.discard(f)
-            if len(other) == 1:
-                free.append(other)
-    if not left:
+        core = [m for m in core if not m & free]
+        free = _free_ridges(core)
+    if not core:
         return 0
-    core = sorted({f for on in cofaces.values() for f in on})
-    ridge_index: dict[Face, int] = {}
-    for f in core:
-        for i in range(len(f)):
-            ridge = f[:i] + f[i + 1:]
-            ridge_index.setdefault(ridge, len(ridge_index))
-    matrix = [[0] * len(core) for _ in range(len(ridge_index))]
-    for col, f in enumerate(core):
-        for i in range(len(f)):
-            ridge = f[:i] + f[i + 1:]
-            matrix[ridge_index[ridge]][col] = (-1) ** i
+    matrix = [[0] * len(core) for _ in range(max(core).bit_length())]
+    for col, m in enumerate(core):
+        sign = (-1) ** upsilon.parent.d  # the lowest bit omits the last vertex
+        while m:
+            low = m & -m
+            matrix[low.bit_length() - 1][col] = sign
+            sign, m = -sign, m ^ low
     return len(core) - len(echelon(matrix))
 
 
 def has_leaf(upsilon: SpanningSubcomplex) -> bool:
     """Whether some ridge lies in exactly one kept facet."""
-    counts = Counter(
-        f[:i] + f[i + 1:] for f in upsilon.kept_facets for i in range(len(f))
-    )
-    return 1 in counts.values()
+    return bool(_free_ridges(upsilon.parent._ridge_masks(upsilon.kept_facets)))
 
 
 def is_shifted(obj: PureComplex | SpanningSubcomplex) -> bool:

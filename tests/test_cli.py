@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import os
 import pkgutil
@@ -423,6 +424,55 @@ def test_forest_tight_fuzz_exits_zero_or_two(labels, parents):
             code = run(["forest", "tight", path])
     assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _run_complex(action, payload):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["complex", action, path])
+    return code, err.getvalue()
+
+
+_complex_actions = st.sampled_from(["cf", "links", "peo", "verify"])
+
+
+# n stays small: `complex peo` and `complex verify` build links on all n
+# vertices, so their time and memory grow with n (ROADMAP item 8)
+@settings(deadline=None, max_examples=150)
+@given(
+    action=_complex_actions,
+    payload=st.fixed_dictionaries({
+        "n": _label | _json.filter(lambda v: type(v) is not int),
+        "d": _label | _json,
+        "facets": st.lists(st.lists(_label | _json, max_size=5), max_size=6) | _json,
+    })
+    | _json,
+)
+def test_complex_fuzz_exits_zero_or_two(action, payload):
+    code, err = _run_complex(action, payload)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+
+
+@st.composite
+def _small_complexes(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    d = draw(st.integers(min_value=1, max_value=3))
+    faces = list(itertools.combinations(range(1, n + 1), d + 1))
+    # at most 12 facets keeps every upper link and the sweep within budget
+    facets = draw(st.sets(st.sampled_from(faces), max_size=12)) if faces else set()
+    return {"n": n, "d": d, "facets": [list(f) for f in facets]}
+
+
+@settings(deadline=None, max_examples=40)
+@given(action=_complex_actions, payload=_small_complexes())
+def test_small_complexes_exit_zero(action, payload):
+    code, err = _run_complex(action, payload)
+    assert code == 0, err
 
 
 def test_unexpected_exception_exits_three_with_one_line(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -26,7 +28,8 @@ from isfkit.simplicial import (
     upper_links,
     verify_product_formula,
 )
-from isfkit import graphcore
+from isfkit import graphcore, simplicial
+from isfkit.exactla import echelon
 
 from helpers import (
     BIPYRAMID_NON_PEO_RELABELING,
@@ -39,11 +42,12 @@ from helpers import (
 )
 
 
-def random_complex(rng, n, p=0.5):
+def random_complex(rng, n, p=0.5, d=2):
     facets = [
-        t for t in itertools.combinations(range(1, n + 1), 3) if rng.random() < p
+        t for t in itertools.combinations(range(1, n + 1), d + 1)
+        if rng.random() < p
     ]
-    return PureComplex(n, 2, facets)
+    return PureComplex(n, d, facets)
 
 
 def shifted_closure(n, d, seed_facets):
@@ -111,6 +115,46 @@ def test_cage_free_sub():
     assert is_cage_free(SpanningSubcomplex(fan, []))
     with pytest.raises(InputError):
         SpanningSubcomplex(fan, [(2, 3, 4)])
+
+
+def test_subcomplex_accepts_facets_in_any_vertex_order():
+    fan = fan_complex()
+    as_given = SpanningSubcomplex(fan, [(1, 2, 3), (1, 3, 4)])
+    unsorted = SpanningSubcomplex(fan, [(3, 1, 2), [4, 3, 1]])
+    assert unsorted.kept_facets == as_given.kept_facets == {(1, 2, 3), (1, 3, 4)}
+    assert top_homology_rank(unsorted) == 0 and has_leaf(unsorted)
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [[(True, 2, 3)], [(1, 2.0, 3)], [([1], 2, 3)], [(1, 2, 3), (2, 3, 4)],
+     [(3, 2, 4)], [(1, 2, 3, 4)], [(1, 2)]],
+    ids=["bool", "float", "list", "non-facet", "unsorted-non-facet",
+         "too-long", "too-short"],
+)
+def test_subcomplex_rejects_bad_facets_with_input_error(facets):
+    with pytest.raises(InputError):
+        SpanningSubcomplex(fan_complex(), facets)
+
+
+def test_ridge_masks_are_not_part_of_the_complex():
+    delta = bipyramid()
+    fresh = bipyramid()
+    assert top_homology_rank(full_subcomplex(delta)) == 1  # builds the masks
+    assert delta == fresh and hash(delta) == hash(fresh)
+    assert repr(delta) == repr(fresh) and delta.to_json() == fresh.to_json()
+    for clone in (copy.copy(delta), pickle.loads(pickle.dumps(delta))):
+        assert clone == delta and clone.to_json() == delta.to_json()
+        assert top_homology_rank(full_subcomplex(clone)) == 1
+        assert not has_leaf(full_subcomplex(clone))
+    # the relabeled complex has other ridges, so it builds its own masks
+    relabeled = delta.relabeled(BIPYRAMID_NON_PEO_RELABELING)
+    for upsilon in [full_subcomplex(relabeled), *cage_free_subcomplexes(relabeled)]:
+        assert top_homology_rank(upsilon) == oracle_top_homology_rank(upsilon)
+        ridges = Counter(
+            r for f in upsilon.kept_facets for r in itertools.combinations(f, 2)
+        )
+        assert has_leaf(upsilon) == (1 in ridges.values())
 
 
 def test_cf_polynomial_fan():
@@ -218,6 +262,44 @@ def test_cage_free_subcomplexes_have_trivial_top_homology_and_leaves():
                 assert has_leaf(upsilon)
 
 
+def test_cage_free_subcomplexes_never_reach_the_elimination(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("a cage-free subcomplex reached echelon")
+
+    monkeypatch.setattr(simplicial, "echelon", refuse)
+    rng = random.Random(61)
+    for d in (1, 2, 3):
+        for _ in range(6):
+            delta = random_complex(rng, rng.randint(d + 1, 6), d=d)
+            for upsilon in cage_free_subcomplexes(delta):
+                assert top_homology_rank(upsilon) == 0
+
+
+def test_collapse_peels_a_fan_off_the_octahedron_in_rounds(monkeypatch):
+    # five triangles with apex 7 over the octahedron path 1-3-5-2-4-6: only
+    # the two end triangles start with a free ridge, so the collapse takes
+    # three rounds before the octahedron is left
+    octahedron = list(itertools.product((1, 2), (3, 4), (5, 6)))
+    path = (1, 3, 5, 2, 4, 6)
+    fan = [(a, b, 7) for a, b in zip(path, path[1:])]
+    delta = PureComplex(7, 2, octahedron + fan)
+    ridges = Counter(
+        r for f in delta.facets for r in itertools.combinations(f, 2)
+    )
+    assert {
+        f for f in delta.facets
+        if any(ridges[r] == 1 for r in itertools.combinations(f, 2))
+    } == {(1, 3, 7), (4, 6, 7)}
+    cores = []
+    monkeypatch.setattr(
+        simplicial, "echelon", lambda rows: cores.append(rows) or echelon(rows)
+    )
+    assert top_homology_rank(full_subcomplex(delta)) == 1
+    assert [len(rows[0]) for rows in cores] == [8]  # the octahedron's facets
+    assert top_homology_rank(SpanningSubcomplex(delta, fan)) == 0
+    assert len(cores) == 1
+
+
 def test_top_homology_rank_matches_fraction_oracle():
     rng = random.Random(41)
     for _ in range(40):
@@ -256,10 +338,10 @@ def test_top_homology_rank_of_facet_subsets_matches_fraction_oracle():
     # random facet subsets collapse partway, leaving cores with and without
     # homology; the oracle eliminates the whole boundary matrix
     rng = random.Random(59)
-    nonzero = 0
-    for _ in range(40):
-        n = rng.randint(4, 7)
-        d = rng.choice([2, 3])
+    nonzero = Counter()
+    for trial in range(45):
+        d = 1 + trial % 3
+        n = rng.randint(d + 3, 7)
         delta = PureComplex(n, d, [
             f for f in itertools.combinations(range(1, n + 1), d + 1)
             if rng.random() < 0.6
@@ -277,8 +359,10 @@ def test_top_homology_rank_of_facet_subsets_matches_fraction_oracle():
                 for r in itertools.combinations(f, d)
             )
             assert has_leaf(upsilon) == any(c == 1 for c in ridges.values())
-            nonzero += rank > 0
-    assert nonzero >= 75  # 79 of the 320 subsets have homology
+            nonzero[d] += rank > 0
+    # of the 120 subsets in each dimension, 73 graphs, 60 2-complexes and
+    # 42 3-complexes have homology
+    assert nonzero[1] >= 70 and nonzero[2] >= 55 and nonzero[3] >= 40
 
 
 def test_tetrahedron_boundary_structure():
