@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
+import math
 import sys
 
 from . import graphcore
@@ -25,6 +25,7 @@ __all__ = ["main", "run", "gen_graph", "gen_complex", "gen_multigraph"]
 
 
 def gen_graph(seed: int, n: int, p: float = 0.5) -> graphcore.Graph:
+    import random
     rng = random.Random(seed)
     edges = [
         (i, j)
@@ -36,6 +37,7 @@ def gen_graph(seed: int, n: int, p: float = 0.5) -> graphcore.Graph:
 
 
 def gen_complex(seed: int, n: int, p: float = 0.5) -> PureComplex:
+    import random
     from .simplicial import PureComplex
     rng = random.Random(seed)
     facets = [
@@ -49,9 +51,10 @@ def gen_complex(seed: int, n: int, p: float = 0.5) -> PureComplex:
 
 
 def gen_multigraph(seed: int, n: int, max_edges: int = 7) -> LabeledMultigraph:
-    # labels drawn from small distinct primes, which keeps them generic
+    import random
     from .arrangement import LabeledMultigraph
     rng = random.Random(seed)
+    # labels drawn from small distinct primes, which keeps them generic
     primes = [1, 2, 3, 5, 7]
     pool: list[tuple] = [("z", k) for k in range(1, n + 1)]
     pool += [
@@ -101,12 +104,33 @@ def _budget(args) -> dict:  # passed only when given: the library owns the defau
     return {} if args.budget is None else {"budget": args.budget}
 
 
+def _refuse_unprintable_isf(G: graphcore.Graph) -> None:
+    """Refuse an ISF polynomial that the int-to-string limit cannot write,
+    before expanding it.  Its value at 1, prod_k (1 + |E_k|), is the sum of
+    its n + 1 nonnegative coefficients, so the largest is at least
+    p(1) / (n + 1): past the bound below, it has more digits than the limit
+    allows.  A result under the bound is expanded, and `to_json` still
+    refuses it if it is too large."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    sizes = [0] * (G.n + 1)
+    for _, j in G.edges:
+        sizes[j] += 1
+    if math.prod(1 + s for s in sizes) >= (G.n + 1) * 10**limit:
+        raise BudgetExceededError(
+            f"result too large to write: a coefficient exceeds the limit "
+            f"({limit} digits) for integer string conversion"
+        )
+
+
 def _graph_action(action: str, args) -> tuple[object, bool]:
     G = graphcore.Graph.from_json(_load_json(args.input))
     if action == "isf":
         if args.weighted:
             gf = graphcore.isf_polynomial(G, weights={e: e for e in G.edges})
             return gf.to_json(), True
+        _refuse_unprintable_isf(G)
         return graphcore.isf_polynomial(G).to_json(), True
     if action == "chromatic":
         return graphcore.chromatic_polynomial(G).to_json(), True

@@ -389,11 +389,10 @@ def tf_polynomial(G: Graph, budget: int = 25) -> IntPolynomial:
 
     The state is the tuple of m over the frontier, the earlier vertices
     that still have a later neighbour, with 0 for a vertex still alone;
-    each state maps to its counts by edge number.  A lone y that leaves the
-    frontier when it joins w changes only the edge number, so the subsets
-    of those are counted by a binomial, not listed; only the lone y that
-    stay on the frontier are listed.  `verify_tf_theorems` checks these
-    counts against the forest masks of the tight-forest walk.
+    each state maps to its counts by edge number.  One vertex is one call
+    of `_tf_step`, which the integer-roots ordering sweep shares.
+    `verify_tf_theorems` checks these counts against the forest masks of
+    the tight-forest walk.
     """
     edges = graphcore._edges_within_budget(G, budget)
     adj = G.adjacency()
@@ -402,39 +401,72 @@ def tf_polynomial(G: Graph, budget: int = 25) -> IntPolynomial:
     # next, and multiplying by (1 + 2**width)**a spreads them over a subset
     # of a further edges
     width = len(edges) + 1
+    top = [0] + [max(adj[v], default=0) for v in range(1, G.n + 1)]
     frontier: list[int] = []
     table: dict[tuple[int, ...], int] = {(): 1}
     for w in range(1, G.n + 1):
         below = [x for x in adj[w] if x < w]
-        kept = [v for v in (*frontier, w) if adj[v] and adj[v][-1] > w]
-        slot = {v: i for i, v in enumerate(kept)}
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, counts in table.items():
-            tops = dict(zip(frontier, state))
-            tops[w] = 0
-            key = tuple([tops[v] for v in kept])
-            nxt[key] = nxt.get(key, 0) + counts
-            alone = [y for y in below if not tops[y]]
-            for x in below:
-                m = tops[x] or x
-                larger = [y for y in alone if y > m]
-                listed = [y for y in larger if y in slot]
-                hung = {**tops, x: m, w: w}
-                base = [hung[v] for v in kept]
-                packed = (counts << width) * (
-                    (1 + (1 << width)) ** (len(larger) - len(listed))
-                )
-                for r in range(len(listed) + 1):
-                    for ys in itertools.combinations(listed, r):
-                        grown = base.copy()
-                        for y in ys:
-                            grown[slot[y]] = w
-                        key = tuple(grown)
-                        nxt[key] = nxt.get(key, 0) + (packed << width * r)
-        frontier, table = kept, nxt
-    fields = table[()]
+        frontier, table = _tf_step(table, frontier, w, below, top, width)
+    return _tf_unpack(table[()], width, G.n)
+
+
+def _tf_step(table: dict, frontier: list[int], w: int, below: list[int],
+             top: Sequence[int], width: int) -> tuple[list[int], dict]:
+    """One vertex of the `tf_polynomial` transfer: the label w, joined to
+    the earlier labels `below`, is added to `table`, a table over
+    `frontier`; top[v] is the largest neighbour of the label v.  Returns
+    the new frontier, the labels up to w that keep a later neighbour, and
+    its table.
+
+    States are read by frontier position, w at the end with 0.  A lone y
+    that leaves the frontier when it joins w changes only the edge number,
+    so the subsets of those are counted by a binomial, not listed; only the
+    lone y that stay on the frontier are listed.
+    """
+    kept = [v for v in (*frontier, w) if top[v] > w]
+    at = {v: i for i, v in enumerate(frontier)}
+    at[w] = len(frontier)
+    pick = [at[v] for v in kept]
+    slot = {v: s for s, v in enumerate(kept)}
+    w_slot = slot.get(w)
+    below = [(at[x], x, slot.get(x)) for x in below]
+    spread = 1 + (1 << width)
+    nxt: dict[tuple[int, ...], int] = {}
+    for state, counts in table.items():
+        tops = (*state, 0)
+        stay = [tops[i] for i in pick]
+        key = tuple(stay)
+        nxt[key] = nxt.get(key, 0) + counts
+        alone = [(y, s) for i, y, s in below if not tops[i]]
+        for i, x, x_slot in below:
+            m = tops[i] or x
+            base = stay.copy()
+            if x_slot is not None:
+                base[x_slot] = m
+            if w_slot is not None:
+                base[w_slot] = w
+            larger = [s for y, s in alone if y > m]
+            listed = [s for s in larger if s is not None]
+            packed = (counts << width) * spread ** (len(larger) - len(listed))
+            if not listed:
+                key = tuple(base)
+                nxt[key] = nxt.get(key, 0) + packed
+                continue
+            for r in range(len(listed) + 1):
+                for ys in itertools.combinations(listed, r):
+                    grown = base.copy()
+                    for s in ys:
+                        grown[s] = w
+                    key = tuple(grown)
+                    nxt[key] = nxt.get(key, 0) + (packed << width * r)
+    return kept, nxt
+
+
+def _tf_unpack(fields: int, width: int, n: int) -> IntPolynomial:
+    """The polynomial of the packed counts by edge number."""
+    mask = (1 << width) - 1
     return counts_to_polynomial(
-        {k: fields >> width * k & (1 << width) - 1 for k in range(G.n + 1)}, G.n
+        {k: fields >> width * k & mask for k in range(n + 1)}, n
     )
 
 
@@ -596,6 +628,48 @@ def verify_tf_theorems(G: Graph, budget: int = 25) -> Report:
     return report
 
 
+def _tf_orderings(G: Graph):
+    """(perm, tf_polynomial of G.relabeled(perm)) for every ordering, in
+    `itertools.permutations` order, whose labeled graph was not seen before.
+
+    Let sigma be the inverse of perm: sigma[k-1] gets label k.  The
+    transfer table after labels 1..k depends only on sigma[:k], which fixes
+    the edges among those labels and which of them keep a later neighbour,
+    so each table is kept under its prefix for k <= n - 2 and a later
+    ordering resumes from its longest kept prefix.  A labeled graph is
+    keyed by its edges as a bitmask over label pairs.
+    """
+    n = G.n
+    # the edge budget of tf_polynomial, which the sweep called per ordering
+    width = len(graphcore._edges_within_budget(G, 25)) + 1
+    adj = G.adjacency()
+    seen: set[int] = set()
+    tables = {(): ([], {(): 1})}
+    for perm in itertools.permutations(range(1, n + 1)):
+        key = 0
+        for u, v in G.edges:
+            a, b = perm[u - 1], perm[v - 1]
+            key |= 1 << (a * n + b if a < b else b * n + a)
+        if key in seen:
+            continue
+        seen.add(key)
+        sigma = [0] * n
+        top = [0] * (n + 1)  # each label's largest neighbour label
+        for v, label in enumerate(perm, start=1):
+            sigma[label - 1] = v
+            top[label] = max((perm[u - 1] for u in adj[v]), default=0)
+        k = max(n - 2, 0)
+        while tuple(sigma[:k]) not in tables:
+            k -= 1
+        frontier, table = tables[tuple(sigma[:k])]
+        for w in range(k + 1, n + 1):
+            below = [x for u in adj[sigma[w - 1]] if (x := perm[u - 1]) < w]
+            frontier, table = _tf_step(table, frontier, w, below, top, width)
+            if w <= n - 2:
+                tables[tuple(sigma[:w])] = (frontier, table)
+        yield perm, _tf_unpack(table[()], width, n)
+
+
 def tf_integer_roots_classification(G: Graph, vertex_cap: int = 6) -> Report:
     """Search all vertex orderings for one whose tight-forest generating
     function has only integer roots; this succeeds exactly for forests.
@@ -605,6 +679,8 @@ def tf_integer_roots_classification(G: Graph, vertex_cap: int = 6) -> Report:
     whose relabeled edge set was seen before is skipped: the sweep stops at
     the first graph with integer roots, so every graph seen before had none.
     The first witness ordering and its roots are those of the full sweep.
+    `_tf_orderings` runs the `tf_polynomial` transfer step by step and
+    shares the tables of common label prefixes between orderings.
     """
     if G.n > vertex_cap:
         raise BudgetExceededError(f"n={G.n} exceeds the ordering-sweep cap")
@@ -612,13 +688,8 @@ def tf_integer_roots_classification(G: Graph, vertex_cap: int = 6) -> Report:
     report = Report()
     report.fact("is_forest", forest)
     found = None
-    seen: set[frozenset[tuple[int, int]]] = set()
-    for perm in itertools.permutations(range(1, G.n + 1)):
-        edges = G.relabeled_edges(perm)
-        if edges in seen:
-            continue
-        seen.add(edges)
-        roots = poly_integer_roots(tf_polynomial(Graph(G.n, edges)))
+    for perm, poly in _tf_orderings(G):
+        roots = poly_integer_roots(poly)
         if roots is not None:
             found = {"ordering": list(perm), "roots": roots}
             break

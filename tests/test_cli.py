@@ -21,7 +21,7 @@ from isfkit import cli
 from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.arrangement import LabeledMultigraph
 from isfkit.errors import InputError
-from isfkit.graphcore import Graph, is_peo
+from isfkit.graphcore import Graph, is_peo, isf_polynomial
 from isfkit.patterns import Pattern, RootedLabeledForest
 from isfkit.simplicial import PureComplex, SpanningSubcomplex, upper_link
 
@@ -205,6 +205,40 @@ def test_signed_count_past_the_digit_limit_exits_two(tmp_path, capsys):
     code, out, err = invoke(capsys, ["multigraph", "signed", path, "--s", "9" * 4300])
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
+def _banded(n: int) -> dict:
+    """Edges (j, k) for k - 10 <= j < k."""
+    return {"n": n, "edges": [[j, k] for k in range(1, n + 1)
+                              for j in range(max(1, k - 10), k)]}
+
+
+def test_graph_isf_refuses_an_unprintable_result_before_expanding_it(tmp_path, capsys):
+    # p(1) = 11**4490 * 10! has 4,683 digits; expanding the product takes 20 s
+    path = write(tmp_path, "banded.json", _banded(4500))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, ["graph", "isf", path])
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: result too large to write: ")
+
+
+def test_graph_isf_refuses_exactly_the_unprintable_results(tmp_path, capsys):
+    # at the smallest digit limit, n = 620 passes the limit but is refused
+    # only when written, and n = 622 is refused before it is expanded
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in range(616, 625, 2):
+            path = write(tmp_path, f"b{n}.json", _banded(n))
+            code, out, err = invoke(capsys, ["graph", "isf", path])
+            top = max(isf_polynomial(Graph.from_json(_banded(n))).coeffs)
+            assert (code == 2) == (top >= 10**640), n
+            assert (code, bool(out)) in ((0, True), (2, False)), n
+            assert ("a coefficient exceeds" in err) == (n >= 622), (n, err)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_signed_rejects_non_sign_labels(tmp_path, capsys):
@@ -600,6 +634,24 @@ def test_cli_command_loads_only_its_subject_module(tmp_path, kind, action, insta
     loaded = {m.removeprefix("isfkit.") for m in json.loads(proc.stdout)}
     others = {"simplicial", "arrangement", "patterns"} - {_SUBJECT[kind]}
     assert _SUBJECT[kind] in loaded and not loaded & others
+
+
+@pytest.mark.parametrize("kind, action, instance", _COMMANDS,
+                         ids=[f"{kind}-{action}" for kind, action, _ in _COMMANDS])
+def test_only_gen_loads_random(tmp_path, kind, action, instance):
+    path = write(tmp_path, "instance.json", instance.to_json())
+    script = (
+        "import contextlib, io, sys\n"
+        "from isfkit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(sys.argv[1:]) == 0\n"
+        "print('random' in sys.modules)\n"
+    )
+    # -S: the site hooks of some installations import random themselves
+    proc = run_child("-S", "-c", script, kind, action, path)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    proc = run_child("-S", "-c", script, "gen", "graph", "--seed", "1", "--n", "3")
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
 @pytest.mark.parametrize(

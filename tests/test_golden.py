@@ -1,4 +1,5 @@
-"""Golden digest of the verify actions' CLI output on a small seeded corpus.
+"""Golden digests of CLI output on a small seeded corpus: one over the verify
+actions, one over `forest roots` and `forest tf` on the corpus's graphs.
 
 Each record is (argv, exit code, stdout, stderr) of one `cli.run` call, with
 the input path in argv replaced by the instance's name.  The records are
@@ -16,6 +17,7 @@ from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.graphcore import Graph
 
 GOLDEN = "6b0636286df654feb86219705e1d1bc42f0350fb64409db617dc4f685636df79"
+FOREST_GOLDEN = "04972fccc87f8b40c01632de0125f1c543562d9b60ca3846229a7ec3c33afe8a"
 
 
 def _corpus():
@@ -49,9 +51,9 @@ def _corpus():
             yield f"m{n}-{seed}", "multigraph", ("verify", "regions"), G.to_json()
 
 
-def test_verify_outputs_match_the_golden_digest(tmp_path):
+def _digest(tmp_path, corpus) -> str:
     digest = hashlib.sha256()
-    for name, kind, actions, instance in _corpus():
+    for name, kind, actions, instance in corpus:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(instance))
         for action in actions:
@@ -60,4 +62,18 @@ def test_verify_outputs_match_the_golden_digest(tmp_path):
                 code = run([kind, action, str(path)])
             record = [[kind, action, name], code, out.getvalue(), err.getvalue()]
             digest.update(json.dumps(record).encode())
-    assert digest.hexdigest() == GOLDEN
+    return digest.hexdigest()
+
+
+def test_verify_outputs_match_the_golden_digest(tmp_path):
+    assert _digest(tmp_path, _corpus()) == GOLDEN
+
+
+def test_forest_roots_and_tf_outputs_match_their_golden_digest(tmp_path):
+    # every graph of the corpus once; the ordering sweep refuses n > 6
+    graphs = [
+        (name, kind, ("roots", "tf"), instance)
+        for name, kind, _, instance in _corpus()
+        if kind == "forest"
+    ]
+    assert _digest(tmp_path, graphs) == FOREST_GOLDEN

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isfkit.errors import BudgetExceededError, InputError
-from isfkit.graphcore import Graph
+from isfkit.graphcore import Graph, counts_to_polynomial
 from isfkit.polycore import IntPolynomial, poly_from_linear_factors, poly_integer_roots
 from isfkit.patterns import (
     Pattern,
@@ -31,6 +31,7 @@ from isfkit.patterns import (
     verify_tf_theorems,
 )
 from isfkit import graphcore
+from isfkit.walks import count_by_size
 
 from helpers import (
     all_edge_subsets,
@@ -512,6 +513,38 @@ def test_roots_sweep_matches_the_unskipped_sweep_on_six_vertices():
         assert report == oracle_tf_roots_report(G, roots_of), G
         found.add(report["boolean_facts"]["is_forest"])
     assert found == {True, False}
+
+
+def _check_sweep_against_the_walk(G):
+    """Each polynomial of the prefix-sharing sweep equals the count of the
+    tight-forest walk, which does not use the transfer, on the relabeled
+    graph; the sweep yields exactly the first ordering of each labeled
+    graph, in permutations order."""
+    from isfkit.patterns import _tf_orderings, _tf_walk
+    first = {}
+    for perm in itertools.permutations(range(1, G.n + 1)):
+        first.setdefault(G.relabeled_edges(perm), perm)
+    yielded = []
+    for perm, poly in _tf_orderings(G):
+        H = G.relabeled(perm)
+        walked = count_by_size(_tf_walk(H.n, H.sorted_edges()))
+        assert poly == counts_to_polynomial(walked, H.n), (G, perm)
+        yielded.append(perm)
+    assert yielded == list(first.values()), G
+
+
+def test_roots_sweep_polynomials_match_the_walk_on_every_small_graph():
+    for n in range(5):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            _check_sweep_against_the_walk(Graph(n, itertools.compress(pairs, chosen)))
+
+
+def test_roots_sweep_polynomials_match_the_walk_on_six_vertices():
+    rng = random.Random(615)
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    for _ in range(5):
+        _check_sweep_against_the_walk(Graph(6, rng.sample(pairs, 8)))
 
 
 # -- pattern-avoiding permutation counts ----------------------------------------------
