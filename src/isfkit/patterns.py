@@ -640,7 +640,7 @@ def _tf_orderings(G: Graph):
     keyed by its edges as a bitmask over label pairs.
     """
     n = G.n
-    # the edge budget of tf_polynomial, which the sweep called per ordering
+    # tf_polynomial's default edge budget
     width = len(graphcore._edges_within_budget(G, 25)) + 1
     adj = G.adjacency()
     seen: set[int] = set()
