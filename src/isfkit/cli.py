@@ -282,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weighted", action="store_true",
                        help="emit the weighted generating function")
         p.add_argument("--ordering", help="JSON permutation array")
-        p.add_argument("--budget", type=int, help="enumeration budget")
+        p.add_argument("--budget", type=int,
+                       help="enumeration budget (graph nbc: transfer-table states)")
         p.add_argument("--s", type=int, help="signed palette radius")
     g = sub.add_parser("gen", help="generate a random instance")
     g.add_argument("target", choices=["graph", "complex", "multigraph"])

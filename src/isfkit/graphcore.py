@@ -9,9 +9,12 @@ increasing forests are the edge sets in which no two edges share their
 larger endpoint.  The NBC sets, those containing no broken circuit, are
 found by the closure test instead, with no cycle listed: the walk takes the
 edges from the order-largest down and accepts an edge when the edges that
-joining its endpoints' components closes hold none below it.  The chromatic
-polynomial is computed by deletion-contraction and checked against the
-independent-set partition counts expanded in the falling-factorial basis.
+joining its endpoints' components closes hold none below it.  `nbc_sets`
+counts them without the walk: a transfer over the same edges keeps only the
+partition of the vertices that still have an edge to come, and the walk is
+its second route in the verify operations.  The chromatic polynomial is
+computed by deletion-contraction and checked against the independent-set
+partition counts expanded in the falling-factorial basis.
 """
 
 from __future__ import annotations
@@ -379,6 +382,20 @@ def _nbc_walk(G: Graph, order: EdgeOrder | None, budget: int):
     return seq, downward_closed(len(seq), extend, tuple(incident))
 
 
+def _checked_nbc_walk(G: Graph, budget: int) -> tuple[tuple, set[int], dict]:
+    """The NBC walk's edge order, its sets as bitmasks over that order, and
+    their counts by size, which must equal the counts of `nbc_sets`."""
+    seq, masks = _nbc_walk(G, None, budget)
+    nbc = set(masks)
+    walked, counted = count_by_size(nbc), nbc_sets(G)
+    if walked != counted:
+        raise InternalCheckError(
+            f"NBC counts {counted} of the transfer differ from the {walked} "
+            f"of the walk on {G!r}"
+        )
+    return seq, nbc, walked
+
+
 def nbc_set_list(
     G: Graph, order: EdgeOrder | None = None, budget: int = 25
 ) -> list[frozenset[Edge]]:
@@ -387,11 +404,112 @@ def nbc_set_list(
     return [frozenset(members(seq, mask)) for mask in masks]
 
 
+# nbc_sets' budget: the most states its transfer table may hold
+_TABLE_BUDGET = 1 << 17
+# and the most bits of counts it may handle, summed over the edges
+_COUNT_BITS = 1 << 31
+
+
 def nbc_sets(
-    G: Graph, order: EdgeOrder | None = None, budget: int = 25
+    G: Graph, order: EdgeOrder | None = None, budget: int = _TABLE_BUDGET
 ) -> dict[int, int]:
-    """Counts of NBC edge sets by size."""
-    return count_by_size(_nbc_walk(G, order, budget)[1])
+    """Counts of NBC edge sets by size, by a connectivity transfer that
+    lists no set.
+
+    The edges are taken from the order-largest down, as `_nbc_walk` takes
+    them.  A state is the partition, into the components of the chosen
+    edges, of the frontier: the vertices that still have an edge to come.
+    Only blocks of two or more vertices are kept, as a sorted tuple of
+    vertex bitmasks, and each state maps to its counts by size, packed
+    into one int.  Skipping the edge s = uv keeps the state; taking it is
+    the closure test of the walk: u and v lie in different blocks, and no
+    edge still to come joins those blocks.  Taking s merges them.  A vertex
+    leaves its block after its last edge.
+
+    The cost grows with the table, not with the sets: the 200-vertex path
+    keeps one state, K_n peaks at the Bell number B(n-1).  `budget` caps
+    the states the table holds, and `_COUNT_BITS` the bits of packed counts
+    it handles, summed over the edges, which bounds long counts, as on a
+    long path; both are checked as the table grows.  `_nbc_walk`, which
+    lists the sets, is the second route: `verify_isf_nbc` and
+    `verify_tf_theorems` check these counts against it.
+    """
+    seq = order.sequence if order else G.sorted_edges()
+    # the counts by size k, packed as the sum of count << width * k; no
+    # count exceeds 2**len(seq), so one field never carries into the next
+    width = len(seq) + 1
+    # every step keeps a state, and a state holds at most min(step + 1, n)
+    # counts of width bits; a table of one state already spends this much
+    ramp = min(len(seq), G.n - 1)
+    if width * (ramp * (ramp + 3) // 2 + (len(seq) - ramp) * G.n) > _COUNT_BITS:
+        raise _count_bits_exceeded()
+    # rest[w]: the neighbours of w over the edges still to come
+    rest = [0] * (G.n + 1)
+    for u, v in seq:
+        rest[u] |= 1 << v
+        rest[v] |= 1 << u
+    table: dict[tuple[int, ...], int] = {(): 1}
+    spent = 0
+    for step, (u, v) in enumerate(reversed(seq), 1):
+        ub, vb = 1 << u, 1 << v
+        rest[u] ^= vb
+        rest[v] ^= ub
+        gone = (0 if rest[u] else ub) | (0 if rest[v] else vb)
+        # a state holds at most min(step + 1, n) counts of width bits; the
+        # table may grow to the states either budget leaves
+        per_state = min(step + 1, G.n) * width
+        limit = min(budget, (_COUNT_BITS - spent) // per_state)
+        nxt: dict[tuple[int, ...], int] = {}
+        for blocks, counts in table.items():
+            bu, bv = ub, vb
+            for b in blocks:
+                if b & ub:
+                    bu = b
+                if b & vb:
+                    bv = b
+            # only the blocks of u and v can lose a vertex
+            key = _without(blocks, gone) if gone and (bu != ub or bv != vb) else blocks
+            nxt[key] = nxt.get(key, 0) + counts
+            if bu != bv:
+                w = bu
+                while w and not rest[(w & -w).bit_length() - 1] & bv:
+                    w &= w - 1
+                if not w:  # no edge still to come joins bu and bv
+                    merged = (bu | bv) & ~gone
+                    kept = [b for b in blocks if b != bu and b != bv]
+                    if merged & (merged - 1):
+                        kept.append(merged)
+                    key = tuple(sorted(kept))
+                    nxt[key] = nxt.get(key, 0) + (counts << width)
+            if len(nxt) > limit:
+                if limit < budget:
+                    raise _count_bits_exceeded()
+                raise BudgetExceededError(
+                    f"NBC transfer table exceeds its budget of {budget} states"
+                )
+        spent += len(nxt) * per_state
+        table = nxt
+    packed, mask = table[()], (1 << width) - 1
+    counts_by_size, k = {}, 0
+    while packed:
+        if packed & mask:
+            counts_by_size[k] = packed & mask
+        packed >>= width
+        k += 1
+    return counts_by_size
+
+
+def _count_bits_exceeded() -> BudgetExceededError:
+    return BudgetExceededError(
+        f"NBC transfer exceeds its budget of {_COUNT_BITS} bits of counts "
+        "summed over the edges"
+    )
+
+
+def _without(blocks: tuple[int, ...], gone: int) -> tuple[int, ...]:
+    """The blocks with the vertices of `gone` removed and lone vertices
+    dropped."""
+    return tuple(sorted(b for b in (x & ~gone for x in blocks) if b & (b - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +667,34 @@ def find_peo(G: Graph) -> list[int] | None:
     """A perfect elimination ordering via maximum cardinality search.
 
     Returns None exactly when the graph is not chordal; the MCS output is
-    always validated with is_peo before being returned.
+    always validated with is_peo before being returned.  Each step numbers
+    the unnumbered vertex of largest weight, the smallest on a tie, from a
+    bucket queue (Tarjan-Yannakakis): one min-heap of vertices per weight,
+    where an entry whose vertex was numbered or has moved up is skipped.
     """
+    import heapq  # only this search needs it; every CLI command loads graphcore
     adj = G.adjacency()
-    weights = {v: 0 for v in range(1, G.n + 1)}
-    unnumbered = set(weights)
+    weight = [0] * (G.n + 1)
+    numbered = [False] * (G.n + 1)
+    buckets = [list(range(1, G.n + 1))]  # sorted, so already a heap
+    top = 0
     selection: list[int] = []
-    while unnumbered:
-        z = max(unnumbered, key=lambda v: (weights[v], -v))
+    while len(selection) < G.n:
+        if not buckets[top]:
+            top -= 1
+            continue
+        z = heapq.heappop(buckets[top])
+        if numbered[z] or weight[z] != top:
+            continue
+        numbered[z] = True
         selection.append(z)
-        unnumbered.discard(z)
         for u in adj[z]:
-            if u in unnumbered:
-                weights[u] += 1
+            if not numbered[u]:
+                weight[u] += 1
+                if weight[u] == len(buckets):
+                    buckets.append([])
+                heapq.heappush(buckets[weight[u]], u)
+                top = max(top, weight[u])
     # the earlier-neighbors-form-a-clique convention wants the MCS visit
     # order itself, not its reversal
     return selection if is_peo(G, selection) else None
@@ -615,19 +748,19 @@ def verify_isf_nbc(G: Graph, budget: int = 25) -> Report:
     only if an assertion that must hold for every graph fails, which would
     falsify this implementation rather than the mathematics.  The coloring
     budget refuses before either walk starts, and both families are kept as
-    bitmasks over the NBC walk's edge order.
+    bitmasks over the NBC walk's edge order.  The NBC counts of the walk
+    must equal those of the `nbc_sets` transfer.
     """
     report = Report()
     chrom = chromatic_polynomial(G)
-    seq, nbc_masks = _nbc_walk(G, None, budget)
-    isf, nbc = set(_increasing_masks(seq)), set(nbc_masks)
+    seq, nbc, nbc_counts = _checked_nbc_walk(G, budget)
+    isf = set(_increasing_masks(seq))
     enum_poly = counts_to_polynomial(count_by_size(isf), G.n)
     factored = isf_polynomial(G)
     report.check(
         "isf_enumeration_vs_factorization", enum_poly, factored, expect_equal=True
     )
 
-    nbc_counts = count_by_size(nbc)
     whitney = counts_to_polynomial({m: (-1) ** m * c for m, c in nbc_counts.items()}, G.n)
     report.check("whitney_alternating_sum_vs_chromatic", whitney, chrom,
                  expect_equal=True)

@@ -570,9 +570,10 @@ def verify_tf_theorems(G: Graph, budget: int = 25) -> Report:
 
     The forest masks of the tight-forest walk and the counts of
     `tf_polynomial` are two routes to the generating function; they must
-    agree.  The coloring and candidate-path budgets refuse before any walk
-    starts, and the tight forests and NBC sets are kept as bitmasks over the
-    NBC walk's edge order.
+    agree, and so must the NBC counts of the walk and of the `nbc_sets`
+    transfer.  The coloring and candidate-path budgets refuse before any
+    walk starts, and the tight forests and NBC sets are kept as bitmasks
+    over the NBC walk's edge order.
     """
     report = Report()
     triangle = graphcore.has_triangle(G)
@@ -580,8 +581,8 @@ def verify_tf_theorems(G: Graph, budget: int = 25) -> Report:
 
     chrom = graphcore.chromatic_polynomial(G)
     qpo = is_qpo(G)
-    seq, nbc_masks = graphcore._nbc_walk(G, None, budget)
-    tf, nbc = set(_tf_walk(G.n, seq)), set(nbc_masks)
+    seq, nbc, _ = graphcore._checked_nbc_walk(G, budget)
+    tf = set(_tf_walk(G.n, seq))
     tf_poly = tf_polynomial(G, budget=budget)
     listed = counts_to_polynomial(count_by_size(tf), G.n)
     if tf_poly != listed:

@@ -9,6 +9,7 @@ Both are immutable and hashable, so values can be shared freely.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .errors import BudgetExceededError, InputError, require_int
@@ -216,15 +217,36 @@ def _coerce(value) -> IntPolynomial:
 def poly_from_linear_factors(
     roots_negated: Iterable[int], tshift: int = 0
 ) -> IntPolynomial:
-    """Expand ``t**tshift * prod_k (t + a_k)`` for nonnegative integers a_k."""
+    """Expand ``t**tshift * prod_k (t + a_k)`` for nonnegative integers a_k.
+
+    Equal constants are grouped and the factors t fold into the shift.  The
+    largest group (t + a)**k is written out by the binomial theorem, and
+    the other factors multiply it one at a time, which keeps every step a
+    product of a long coefficient by a small constant.
+    """
     if require_int(tshift, "tshift") < 0:
         raise InputError("tshift must be nonnegative")
-    result = IntPolynomial.one()
+    powers: Counter[int] = Counter()
     for a in roots_negated:
         if require_int(a, "linear-factor constant") < 0:
             raise InputError("linear-factor constants must be nonnegative")
-        result = result * IntPolynomial((a, 1))
-    return result.shifted(tshift)
+        powers[a] += 1
+    tshift += powers.pop(0, 0)
+    coeffs = [1]
+    if powers:
+        a, k = max(powers.items(), key=lambda item: item[1])
+        del powers[a]
+        # descending: C(k, j-1) a**(k-j+1) = C(k, j) a**(k-j) * j * a / (k-j+1)
+        for j in range(k, 0, -1):
+            coeffs.append(coeffs[-1] * j * a // (k - j + 1))
+        coeffs.reverse()
+    for a, k in powers.items():
+        for _ in range(k):
+            coeffs.append(0)
+            for i in range(len(coeffs) - 1, 0, -1):
+                coeffs[i] = coeffs[i - 1] + a * coeffs[i]
+            coeffs[0] *= a
+    return IntPolynomial(coeffs).shifted(tshift)
 
 
 def poly_integer_roots(p: IntPolynomial) -> list[int] | None:

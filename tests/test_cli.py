@@ -69,6 +69,35 @@ def test_graph_chromatic_and_nbc(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"0": 1, "1": 4, "2": 5, "3": 2}
 
 
+def test_graph_nbc_counts_a_long_path_and_a_grid(tmp_path, capsys):
+    # both are past the 25-edge budget of the walks
+    path = write(tmp_path, "p.json",
+                 Graph(200, [(i, i + 1) for i in range(1, 200)]).to_json())
+    code, out, err = invoke(capsys, ["graph", "nbc", path])
+    assert code == 0 and err == "ok\n"
+    assert json.loads(out) == {str(m): comb(199, m) for m in range(200)}
+    cell = {(i, j): 7 * i + j + 1 for i in range(7) for j in range(7)}
+    edges = [(cell[i, j], cell[i, j + 1]) for i in range(7) for j in range(6)]
+    edges += [(cell[i, j], cell[i + 1, j]) for i in range(6) for j in range(7)]
+    grid = write(tmp_path, "grid.json", Graph(49, edges).to_json())
+    code, out, err = invoke(capsys, ["graph", "nbc", grid])
+    assert code == 0 and err == "ok\n"
+    counts = json.loads(out)
+    # a spanning tree has 48 edges; every 0-, 1- and 2-edge set is NBC, as
+    # the shortest cycle has four edges
+    assert sorted(map(int, counts)) == list(range(49))
+    assert counts["0"] == 1 and counts["1"] == 84 and counts["2"] == comb(84, 2)
+
+
+def test_graph_nbc_over_a_tiny_budget_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "g.json", Graph(4, itertools.combinations(range(1, 5), 2)).to_json())
+    code, out, err = invoke(capsys, ["graph", "nbc", path, "--budget", "4"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["input error: NBC transfer table exceeds its budget of 4 states"]
+    code, out, _ = invoke(capsys, ["graph", "nbc", path, "--budget", "5"])
+    assert code == 0 and json.loads(out) == {"0": 1, "1": 6, "2": 11, "3": 6}
+
+
 def test_graph_peo_with_and_without_ordering(tmp_path, capsys):
     path = write(tmp_path, "g.json", paw_peo().to_json())
     code, out, _ = invoke(capsys, ["graph", "peo", path, "--ordering", "[1,2,3,4]"])

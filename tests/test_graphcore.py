@@ -1,11 +1,15 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isfkit import graphcore
 from isfkit.errors import BudgetExceededError, InputError, InternalCheckError
 from isfkit.graphcore import (
+    _nbc_walk,
     EdgeOrder,
     Graph,
     SpanningSubgraph,
@@ -28,6 +32,7 @@ from isfkit.graphcore import (
     verify_isf_nbc,
 )
 from isfkit.polycore import IntPolynomial, WeightedGF, poly_from_linear_factors
+from isfkit.walks import count_by_size
 
 from helpers import (
     all_edge_subsets,
@@ -272,6 +277,57 @@ def test_count_proper_colorings_matches_pure_python():
             assert count_proper_colorings(G, t) == oracle_coloring_count(G, t)
 
 
+def test_nbc_transfer_matches_the_walk_on_every_small_graph():
+    # the transfer's steps depend on the edge order, so every graph with
+    # n <= 5 is counted under three seeded orders
+    rng = random.Random(43)
+    for n in range(6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            G = Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            for _ in range(3):
+                sequence = G.sorted_edges()
+                rng.shuffle(sequence)
+                order = EdgeOrder.from_sequence(G, sequence)
+                walked = count_by_size(_nbc_walk(G, order, 25)[1])
+                assert nbc_sets(G, order) == walked, (G, sequence)
+
+
+def test_nbc_transfer_table_budget_counts_states():
+    # under the lexicographic order the table of K_n peaks at the
+    # partitions of n - 1 frontier vertices, the Bell number B(n-1)
+    for n, bell in ((4, 5), (5, 15), (6, 52)):
+        K = complete_graph(n)
+        assert sum(nbc_sets(K, budget=bell).values()) == math.factorial(n)
+        with pytest.raises(BudgetExceededError, match=f"budget of {bell - 1} states"):
+            nbc_sets(K, budget=bell - 1)
+    # a path keeps one state, whatever its length
+    path = Graph(200, [(i, i + 1) for i in range(1, 200)])
+    assert nbc_sets(path, budget=1) == {m: math.comb(199, m) for m in range(200)}
+
+
+def test_nbc_transfer_refuses_past_its_count_bits(monkeypatch):
+    # a 10-vertex path handles sum(min(k + 1, 10) * 10 for k in 1..9) = 540
+    # bits of counts; a 30-vertex path passes 540 bits early
+    monkeypatch.setattr(graphcore, "_COUNT_BITS", 540)
+    assert sum(nbc_sets(Graph(10, [(i, i + 1) for i in range(1, 10)])).values()) == 2**9
+    with pytest.raises(BudgetExceededError, match="540 bits of counts"):
+        nbc_sets(Graph(30, [(i, i + 1) for i in range(1, 30)]))
+
+
+def test_verify_isf_nbc_catches_transfer_counts_that_differ_from_the_walk(monkeypatch):
+    transfer = graphcore.nbc_sets
+
+    def one_set_too_many(G, order=None, **budget):
+        counts = transfer(G, order, **budget)
+        counts[0] += 1
+        return counts
+
+    monkeypatch.setattr(graphcore, "nbc_sets", one_set_too_many)
+    with pytest.raises(InternalCheckError, match="NBC counts"):
+        verify_isf_nbc(paw_peo())
+
+
 def test_whitney_alternating_sum():
     rng = random.Random(13)
     for _ in range(15):
@@ -305,6 +361,51 @@ def test_find_peo_agrees_with_exhaustive_search():
             assert not chordal
         else:
             assert chordal and is_peo(G, peo)
+
+
+def _reference_mcs(G: Graph) -> list[int]:
+    """Maximum cardinality search by a scan of every unnumbered vertex:
+    the largest weight, then the smallest vertex."""
+    adj = G.adjacency()
+    weights = {v: 0 for v in range(1, G.n + 1)}
+    selection: list[int] = []
+    while weights:
+        z = max(weights, key=lambda v: (weights[v], -v))
+        selection.append(z)
+        del weights[z]
+        for u in adj[z]:
+            if u in weights:
+                weights[u] += 1
+    return selection
+
+
+def test_find_peo_keeps_the_scan_order_of_maximum_cardinality_search():
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        G = Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                      if rng.random() < rng.choice((0.1, 0.3, 0.8))])
+        selection = _reference_mcs(G)
+        assert find_peo(G) == (selection if is_peo(G, selection) else None)
+    # chordal graphs: every vertex joined to a clique of earlier ones
+    for _ in range(100):
+        n = rng.randint(2, 30)
+        labels = rng.sample(range(1, n + 1), n)
+        edges = set()
+        for k in range(1, n):
+            for c in rng.sample(range(k), min(k, rng.randint(1, 3))):
+                edges.add((min(labels[k], labels[c]), max(labels[k], labels[c])))
+        G = Graph(n, edges)
+        selection = _reference_mcs(G)
+        assert find_peo(G) == (selection if is_peo(G, selection) else None)
+
+
+def test_isf_polynomial_and_find_peo_on_a_large_edgeless_graph():
+    G = Graph(100_000)
+    start = time.perf_counter()
+    assert isf_polynomial(G) == IntPolynomial.monomial(100_000)
+    assert find_peo(G) == list(range(1, 100_001))
+    assert time.perf_counter() - start < 5
 
 
 def test_acyclic_orientation_counts():

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isfkit.errors import BudgetExceededError, InputError
+from isfkit.errors import BudgetExceededError, InputError, InternalCheckError
 from isfkit.graphcore import Graph, counts_to_polynomial
 from isfkit.polycore import IntPolynomial, poly_from_linear_factors, poly_integer_roots
 from isfkit.patterns import (
@@ -442,6 +442,19 @@ def test_verify_triangle_free_four_cycle():
     assert report.passed
     assert report.boolean_facts["tf_subset_of_nbc"]
     assert report.boolean_facts["three_way_equivalence"]
+
+
+def test_verify_catches_transfer_counts_that_differ_from_the_walk(monkeypatch):
+    transfer = graphcore.nbc_sets
+
+    def one_set_too_many(G, order=None, **budget):
+        counts = transfer(G, order, **budget)
+        counts[0] += 1
+        return counts
+
+    monkeypatch.setattr(graphcore, "nbc_sets", one_set_too_many)
+    with pytest.raises(InternalCheckError, match="NBC counts"):
+        verify_tf_theorems(cycle_graph(4))
 
 
 def test_verify_triangle_free_random():

@@ -27,6 +27,18 @@ def test_linear_factors_with_shift():
     assert p.coeffs == (0, 0, 3, 4, 1)
 
 
+def test_linear_factors_match_the_factor_by_factor_product():
+    # equal constants are grouped, so draw from few values with repeats
+    rng = random.Random(7)
+    for _ in range(200):
+        roots_negated = [rng.choice([0, 1, 1, 2, 2, 2, 5]) for _ in range(rng.randint(0, 12))]
+        shift = rng.randint(0, 3)
+        expected = IntPolynomial.monomial(shift)
+        for a in roots_negated:
+            expected = expected * IntPolynomial((a, 1))
+        assert poly_from_linear_factors(roots_negated, shift) == expected
+
+
 def test_linear_factors_reject_negative():
     with pytest.raises(InputError):
         poly_from_linear_factors([-1])
