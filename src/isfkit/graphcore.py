@@ -420,8 +420,8 @@ def nbc_sets(
     them.  A state is the partition, into the components of the chosen
     edges, of the frontier: the vertices that still have an edge to come.
     Only blocks of two or more vertices are kept, as a sorted tuple of
-    vertex bitmasks, and each state maps to its counts by size, packed
-    into one int.  Skipping the edge s = uv keeps the state; taking it is
+    bitmasks over the vertices numbered as the steps reach them, and each
+    state maps to its counts by size, packed into one int.  Skipping the edge s = uv keeps the state; taking it is
     the closure test of the walk: u and v lie in different blocks, and no
     edge still to come joins those blocks.  Taking s merges them.  A vertex
     leaves its block after its last edge.
@@ -430,7 +430,8 @@ def nbc_sets(
     keeps one state, K_n peaks at the Bell number B(n-1).  `budget` caps
     the states the table holds, and `_COUNT_BITS` the bits of packed counts
     it handles, summed over the edges, which bounds long counts, as on a
-    long path; both are checked as the table grows.  `_nbc_walk`, which
+    long path, and with them the blocks, whose bitmasks are no wider than
+    the vertices with an edge; both are checked as the table grows.  `_nbc_walk`, which
     lists the sets, is the second route: `verify_isf_nbc` and
     `verify_tf_theorems` check these counts against it.
     """
@@ -438,26 +439,32 @@ def nbc_sets(
     # the counts by size k, packed as the sum of count << width * k; no
     # count exceeds 2**len(seq), so one field never carries into the next
     width = len(seq) + 1
-    # every step keeps a state, and a state holds at most min(step + 1, n)
-    # counts of width bits; a table of one state already spends this much
-    ramp = min(len(seq), G.n - 1)
-    if width * (ramp * (ramp + 3) // 2 + (len(seq) - ramp) * G.n) > _COUNT_BITS:
+    # a state holds at most min(step + 1, n) counts of width bits
+    state_bits = [min(step + 1, G.n) * width for step in range(1, width)]
+    # every step keeps a state: a table of one state already spends this much
+    if sum(state_bits) > _COUNT_BITS:
         raise _count_bits_exceeded()
+    # the k vertices with an edge are numbered 0..k-1 as the steps reach
+    # them, so a bitmask has at most k <= min(2|E|, n) bits whatever the
+    # labels; a state's at most min(step, k/2) blocks then hold less than
+    # twice the bits of its counts
+    index: dict[int, int] = {}
+    down = []
+    for u, v in reversed(seq):
+        down.append((index.setdefault(u, len(index)), index.setdefault(v, len(index))))
     # rest[w]: the neighbours of w over the edges still to come
-    rest = [0] * (G.n + 1)
-    for u, v in seq:
+    rest = [0] * len(index)
+    for u, v in down:
         rest[u] |= 1 << v
         rest[v] |= 1 << u
     table: dict[tuple[int, ...], int] = {(): 1}
     spent = 0
-    for step, (u, v) in enumerate(reversed(seq), 1):
+    for (u, v), per_state in zip(down, state_bits):
         ub, vb = 1 << u, 1 << v
         rest[u] ^= vb
         rest[v] ^= ub
         gone = (0 if rest[u] else ub) | (0 if rest[v] else vb)
-        # a state holds at most min(step + 1, n) counts of width bits; the
-        # table may grow to the states either budget leaves
-        per_state = min(step + 1, G.n) * width
+        # the table may grow to the states either budget leaves
         limit = min(budget, (_COUNT_BITS - spent) // per_state)
         nxt: dict[tuple[int, ...], int] = {}
         for blocks, counts in table.items():

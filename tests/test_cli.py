@@ -89,6 +89,20 @@ def test_graph_nbc_counts_a_long_path_and_a_grid(tmp_path, capsys):
     assert counts["0"] == 1 and counts["1"] == 84 and counts["2"] == comb(84, 2)
 
 
+def test_graph_nbc_counts_k8_on_any_labels(tmp_path, capsys):
+    # K8 has 28 edges, past the walks' budget; the transfer counts it the
+    # same on the labels 1..8 and on the last eight of 10**7
+    expected = {"0": 1, "1": 28, "2": 322, "3": 1960, "4": 6769, "5": 13132,
+                "6": 13068, "7": 5040}
+    for shift in (0, 10**7 - 8):
+        K8 = Graph(shift + 8, [(i + shift, j + shift)
+                               for i, j in itertools.combinations(range(1, 9), 2)])
+        path = write(tmp_path, f"k8-{shift}.json", K8.to_json())
+        code, out, err = invoke(capsys, ["graph", "nbc", path])
+        assert code == 0 and err == "ok\n"
+        assert list(json.loads(out).items()) == list(expected.items())
+
+
 def test_graph_nbc_over_a_tiny_budget_exits_two(tmp_path, capsys):
     path = write(tmp_path, "g.json", Graph(4, itertools.combinations(range(1, 5), 2)).to_json())
     code, out, err = invoke(capsys, ["graph", "nbc", path, "--budget", "4"])

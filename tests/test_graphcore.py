@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +305,25 @@ def test_nbc_transfer_table_budget_counts_states():
     # a path keeps one state, whatever its length
     path = Graph(200, [(i, i + 1) for i in range(1, 200)])
     assert nbc_sets(path, budget=1) == {m: math.comb(199, m) for m in range(200)}
+
+
+def test_nbc_transfer_memory_does_not_grow_with_the_vertex_labels():
+    # the bitmasks run over the vertices with an edge, not over 1..n: a
+    # 999-edge star on the labels just below n = 10**6 keeps one small
+    # state, where masks over the labels would take about 125 MB
+    n = 10**6
+    star = Graph(n, [(n - 999, v) for v in range(n - 998, n + 1)])
+    tracemalloc.start()
+    try:
+        counts = nbc_sets(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == {m: math.comb(999, m) for m in range(1000)}
+    assert peak < 8 * 2**20
+    shift = n - 6
+    K6 = Graph(n, [(i + shift, j + shift) for i, j in complete_graph(6).edges])
+    assert nbc_sets(K6, budget=52) == nbc_sets(complete_graph(6))
 
 
 def test_nbc_transfer_refuses_past_its_count_bits(monkeypatch):
