@@ -49,7 +49,6 @@ __all__ = [
     "block_compatible_atom_order",
     "lattice_nbc_sets",
     "lattice_nbc",
-    "atomic_transversal_sets",
     "atomic_transversals",
     "verify_isf_chi",
     "topology_report",
@@ -57,6 +56,14 @@ __all__ = [
     "signed_chromatic_count",
     "is_supersolvable",
 ]
+
+# The budgets: past one, BudgetExceededError is raised, or a cross-check skipped
+_CROSS_CHECK_BUDGET = 16  # edges that multigraph_isf_polynomial enumerates
+_HYPERPLANE_BUDGET = 20  # hyperplanes of an intersection lattice
+_LATTICE_BUDGET = 5000  # elements of an intersection lattice
+_ATOM_BUDGET = 14  # atoms of the lattice NBC walk
+_ASSIGNMENT_BUDGET = 10**6  # partial colorings signed_chromatic_count visits
+_MODULARITY_BUDGET = 600  # lattice elements is_supersolvable takes
 
 
 class GaussRational:
@@ -257,7 +264,7 @@ def multigraph_edge_partition(G: LabeledMultigraph) -> dict[int, list[EdgeToken]
 
 
 def multigraph_isf_polynomial(
-    G: LabeledMultigraph, cross_check_budget: int = 16
+    G: LabeledMultigraph, cross_check_budget: int = _CROSS_CHECK_BUDGET
 ) -> IntPolynomial:
     """The factored ISF generating function prod_k (t + |E_k|).
 
@@ -441,9 +448,7 @@ def _realification(normal: Sequence[GaussRational]) -> tuple[tuple[int, ...], ..
     return tuple(xy), tuple([-c for c in xy[n:]] + xy[:n])
 
 
-def intersection_lattice(
-    A: Arrangement, hyperplane_budget: int = 20, size_cap: int = 5000
-) -> IntersectionLattice:
+def intersection_lattice(A: Arrangement) -> IntersectionLattice:
     """Build the flats rank by rank, deduplicating each rank by echelon form.
 
     Each flat X is joined only with the atoms not below it.  Every atom a
@@ -451,9 +456,9 @@ def intersection_lattice(
     r - 1 that does not contain a, so OR-ing the masks of all such X, plus
     the bit of a, gives the full atom set of Z with no further elimination.
     """
-    if len(A.normals) > hyperplane_budget:
+    if len(A.normals) > _HYPERPLANE_BUDGET:
         raise BudgetExceededError(
-            f"{len(A.normals)} hyperplanes exceeds budget {hyperplane_budget}"
+            f"{len(A.normals)} hyperplanes exceeds budget {_HYPERPLANE_BUDGET}"
         )
     if any(not any(row) for row in A.normals):
         raise InputError("hyperplane normals must be nonzero")
@@ -475,9 +480,9 @@ def intersection_lattice(
                 joined = echelon(form + atom)
                 if joined not in joined_masks:
                     joined_masks[joined] = 0
-                    if len(ranks) + len(joined_masks) > size_cap:
+                    if len(ranks) + len(joined_masks) > _LATTICE_BUDGET:
                         raise BudgetExceededError(
-                            f"intersection lattice exceeds {size_cap} elements"
+                            f"intersection lattice exceeds {_LATTICE_BUDGET} elements"
                         )
                 joined_masks[joined] |= mask | 1 << a
                 joined_forms.append((mask, a, joined))
@@ -536,16 +541,16 @@ def block_compatible_atom_order(
     return order
 
 
-def _lattice_nbc_walk(L: IntersectionLattice, atom_order, budget: int):
+def _lattice_nbc_walk(L: IntersectionLattice, atom_order):
     """NBC atom sets by the closure test, as for graphs: each new atom s is
     the smallest of its set, the state is the set's flat, and s is accepted
     when its join with the flat lies above no atom that comes before s."""
     order = list(atom_order) if atom_order is not None else list(L.atoms)
     if sorted(order) != sorted(L.atoms):
         raise InputError("atom order must be a permutation of the atoms")
-    if len(order) > budget:
+    if len(order) > _ATOM_BUDGET:
         raise BudgetExceededError(
-            f"{len(order)} atoms exceeds the NBC budget {budget}"
+            f"{len(order)} atoms exceeds the NBC budget {_ATOM_BUDGET}"
         )
     order.reverse()
     # lower[i]: the atoms that come before order[i], in the bits of L.masks
@@ -562,28 +567,17 @@ def _lattice_nbc_walk(L: IntersectionLattice, atom_order, budget: int):
 
 
 def lattice_nbc_sets(
-    L: IntersectionLattice,
-    atom_order: Sequence[int] | None = None,
-    budget: int = 14,
+    L: IntersectionLattice, atom_order: Sequence[int] | None = None
 ) -> list[frozenset[int]]:
     """All atom sets containing no broken circuit of the lattice's matroid."""
-    order, masks = _lattice_nbc_walk(L, atom_order, budget)
+    order, masks = _lattice_nbc_walk(L, atom_order)
     return [frozenset(members(order, mask)) for mask in masks]
 
 
 def lattice_nbc(
-    L: IntersectionLattice,
-    atom_order: Sequence[int] | None = None,
-    budget: int = 14,
+    L: IntersectionLattice, atom_order: Sequence[int] | None = None
 ) -> dict[int, int]:
-    return count_by_size(_lattice_nbc_walk(L, atom_order, budget)[1])
-
-
-def atomic_transversal_sets(
-    L: IntersectionLattice, multichain: Sequence[int]
-) -> list[frozenset[int]]:
-    """Atom sets meeting each multichain-induced block at most once."""
-    return [frozenset(t) for t in block_transversals(atom_blocks(L, multichain))]
+    return count_by_size(_lattice_nbc_walk(L, atom_order)[1])
 
 
 def atomic_transversals(
@@ -635,7 +629,7 @@ def verify_isf_chi(G: LabeledMultigraph) -> Report:
                 required=True)
 
     order = block_compatible_atom_order(L, blocks)
-    atoms, nbc_masks = _lattice_nbc_walk(L, order, 14)
+    atoms, nbc_masks = _lattice_nbc_walk(L, order)
     bit = {a: 1 << i for i, a in enumerate(atoms)}
     bits = [[bit[a] for a in block] for block in blocks]
     transversals = set(map(sum, block_transversals(bits)))
@@ -769,16 +763,14 @@ def topology_report(G: LabeledMultigraph) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def signed_chromatic_count(
-    G: LabeledMultigraph, s: int, assignment_cap: int = 10**6
-) -> int:
+def signed_chromatic_count(G: LabeledMultigraph, s: int) -> int:
     """Proper colorings of a signed graph by {-s..s}, counted by backtracking
     over the vertices 1..n: x_k may not be eps * x_i for a lower neighbour i
     joined by a sign-eps edge, nor 0 if k has a zero edge.
 
     The values of vertex n are counted, not visited, so the backtrack visits
-    at most (2s+1)^(n-1) colorings of vertices 1..n-1; above assignment_cap
-    it raises BudgetExceededError instead."""
+    at most (2s+1)^(n-1) colorings of vertices 1..n-1; above
+    _ASSIGNMENT_BUDGET it raises BudgetExceededError instead."""
     if s < 0:
         raise InputError("s must be nonnegative")
     # a zero edge 0--k is a +1 edge to vertex 0, whose only value is 0
@@ -790,10 +782,10 @@ def signed_chromatic_count(
     partial = 1  # grown factor by factor, so a huge n or s stops early
     for _ in range(G.n - 1):
         partial *= 2 * s + 1
-        if partial > assignment_cap:
+        if partial > _ASSIGNMENT_BUDGET:
             raise BudgetExceededError(
                 f"(2s+1)^(n-1) = {2 * s + 1}^{G.n - 1} colorings exceed the "
-                f"signed-count cap {assignment_cap}"
+                f"signed-count cap {_ASSIGNMENT_BUDGET}"
             )
     x = [0] * (G.n + 1)
 
@@ -819,11 +811,11 @@ def signed_chromatic_count(
 # ---------------------------------------------------------------------------
 
 
-def is_supersolvable(L: IntersectionLattice, size_budget: int = 600) -> bool:
+def is_supersolvable(L: IntersectionLattice) -> bool:
     """Search for a maximal bottom-to-top chain of modular elements."""
-    if L.size > size_budget:
+    if L.size > _MODULARITY_BUDGET:
         raise BudgetExceededError(
-            f"lattice size {L.size} exceeds the modularity budget {size_budget}"
+            f"lattice size {L.size} exceeds the modularity budget {_MODULARITY_BUDGET}"
         )
     modular = set()
     for x in range(L.size):

@@ -32,7 +32,7 @@ from .polycore import (
     product_of_weighted_factors,
 )
 from .report import Report
-from .walks import count_by_size, downward_closed, members
+from .walks import count_by_size, downward_closed, members, unpack_counts
 
 __all__ = [
     "Graph",
@@ -58,6 +58,14 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
+
+# The budgets: past one, BudgetExceededError is raised, or a cross-check skipped
+_EDGE_BUDGET = 25  # edges of the ISF, NBC and tight-forest walks and tf_polynomial
+_CYCLE_BUDGET = 10**6  # cycles that simple_cycles lists
+_TABLE_BUDGET = 1 << 17  # states of nbc_sets' transfer table
+_COUNT_BITS = 1 << 31  # bits of counts it handles, summed over the edges
+_VERTEX_BUDGET = 8  # vertices of chromatic_polynomial and the orientation table
+_ORIENTATION_BUDGET = 16  # edges that acyclic_orientation_count cross-checks
 
 
 class Graph:
@@ -272,18 +280,18 @@ def _edges_within_budget(G: Graph, budget: int) -> list[Edge]:
     return G.sorted_edges()
 
 
-def isf_set_list(G: Graph, budget: int = 25) -> list[frozenset[Edge]]:
+def isf_set_list(G: Graph) -> list[frozenset[Edge]]:
     """All increasing spanning forests, as edge sets.
 
     Walks the edges in lexicographic order; a set dies as soon as a vertex
     would receive a second edge from below, which is sound because subsets
     of increasing forests are increasing.
     """
-    edges = _edges_within_budget(G, budget)
+    edges = _edges_within_budget(G, _EDGE_BUDGET)
     return [frozenset(members(edges, mask)) for mask in _increasing_masks(edges)]
 
 
-def enumerate_isf(G: Graph, budget: int = 25) -> dict[int, int]:
+def enumerate_isf(G: Graph, budget: int = _EDGE_BUDGET) -> dict[int, int]:
     """Counts of increasing spanning forests by edge count."""
     return count_by_size(_increasing_masks(_edges_within_budget(G, budget)))
 
@@ -322,7 +330,7 @@ def counts_to_polynomial(counts: Mapping[int, int], n: int) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def simple_cycles(G: Graph, cap: int = 10**6) -> list[tuple[int, ...]]:
+def simple_cycles(G: Graph) -> list[tuple[int, ...]]:
     """Every simple cycle, as a vertex tuple starting at its smallest vertex.
 
     Each cycle appears once: the walk fixes the smallest vertex first and
@@ -343,9 +351,9 @@ def simple_cycles(G: Graph, cap: int = 10**6) -> list[tuple[int, ...]]:
             elif w == s:
                 if len(path) >= 3 and path[1] < path[-1]:
                     cycles.append(tuple(path))
-                    if len(cycles) > cap:
+                    if len(cycles) > _CYCLE_BUDGET:
                         raise BudgetExceededError(
-                            f"more than {cap} simple cycles"
+                            f"more than {_CYCLE_BUDGET} simple cycles"
                         )
             elif w > s and w not in on_path:
                 path.append(w)
@@ -396,18 +404,10 @@ def _checked_nbc_walk(G: Graph, budget: int) -> tuple[tuple, set[int], dict]:
     return seq, nbc, walked
 
 
-def nbc_set_list(
-    G: Graph, order: EdgeOrder | None = None, budget: int = 25
-) -> list[frozenset[Edge]]:
+def nbc_set_list(G: Graph, order: EdgeOrder | None = None) -> list[frozenset[Edge]]:
     """All edge sets containing no broken circuit, under the given order."""
-    seq, masks = _nbc_walk(G, order, budget)
+    seq, masks = _nbc_walk(G, order, _EDGE_BUDGET)
     return [frozenset(members(seq, mask)) for mask in masks]
-
-
-# nbc_sets' budget: the most states its transfer table may hold
-_TABLE_BUDGET = 1 << 17
-# and the most bits of counts it may handle, summed over the edges
-_COUNT_BITS = 1 << 31
 
 
 def nbc_sets(
@@ -496,14 +496,7 @@ def nbc_sets(
                 )
         spent += len(nxt) * per_state
         table = nxt
-    packed, mask = table[()], (1 << width) - 1
-    counts_by_size, k = {}, 0
-    while packed:
-        if packed & mask:
-            counts_by_size[k] = packed & mask
-        packed >>= width
-        k += 1
-    return counts_by_size
+    return unpack_counts(table[()], width)
 
 
 def _count_bits_exceeded() -> BudgetExceededError:
@@ -522,10 +515,6 @@ def _without(blocks: tuple[int, ...], gone: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Chromatic polynomial, two ways
 # ---------------------------------------------------------------------------
-
-
-# chromatic_polynomial's budget; also caps the orientation cross-check's table
-_VERTEX_BUDGET = 8
 
 
 def _independent_sets(G: Graph) -> list[bool]:
@@ -714,7 +703,7 @@ def find_peo(G: Graph) -> list[int] | None:
 
 def acyclic_orientation_count(
     G: Graph,
-    orientation_budget: int = 16,
+    orientation_budget: int = _ORIENTATION_BUDGET,
     chromatic: IntPolynomial | None = None,
 ) -> int:
     """Number of acyclic orientations, evaluated as (-1)**n P(G, -1).
@@ -748,7 +737,7 @@ def acyclic_orientation_count(
 # ---------------------------------------------------------------------------
 
 
-def verify_isf_nbc(G: Graph, budget: int = 25) -> Report:
+def verify_isf_nbc(G: Graph, budget: int = _EDGE_BUDGET) -> Report:
     """Cross-check the ISF/NBC/chromatic theorems on one graph.
 
     Every identity is computed along both of its routes.  `passed` is False

@@ -12,10 +12,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from . import graphcore
-from .graphcore import Graph, counts_to_polynomial, edges_are_acyclic
+from .graphcore import _EDGE_BUDGET, Graph, counts_to_polynomial, edges_are_acyclic
 from .polycore import IntPolynomial, poly_integer_roots
 from .report import Report
-from .walks import count_by_size, downward_closed, members
+from .walks import count_by_size, downward_closed, members, unpack_counts
 
 __all__ = [
     "Pattern",
@@ -39,6 +39,11 @@ __all__ = [
     "count_pattern_avoiding_permutations",
     "tight_permutation_count",
 ]
+
+# The budgets, past which BudgetExceededError is raised; walks use _EDGE_BUDGET
+_PATH_VERTEX_BUDGET = 12  # vertices of candidate_paths
+_SWEEP_VERTEX_BUDGET = 6  # vertices of the integer-roots ordering sweep
+_PERMUTATION_BUDGET = 15  # k of the pattern-avoiding permutation count
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -236,10 +241,6 @@ class RootedLabeledForest:
         inner = set(self.parents.values())
         return [self._root_path(v) for v in self._preorder() if v not in inner]
 
-    def all_root_paths(self) -> list[tuple[int, ...]]:
-        """Every downward path starting at a root (all prefixes included)."""
-        return [self._root_path(v) for v in self._preorder()]
-
     def to_json(self) -> dict:
         return {
             "labels": sorted(self.parents),
@@ -357,18 +358,18 @@ def _tf_walk(n: int, edges: Sequence[tuple[int, int]]):
     return downward_closed(len(edges), extend, start)
 
 
-def tf_set_list(G: Graph, budget: int = 25) -> list[frozenset[tuple[int, int]]]:
+def tf_set_list(G: Graph) -> list[frozenset[tuple[int, int]]]:
     """All tight spanning forests, as edge sets.
 
     Walks the edges in lexicographic order; pruning is sound because
     subforests of tight forests are tight and subsets of forests are
     forests.  Only the re-rooted component of a new edge is rechecked.
     """
-    edges = graphcore._edges_within_budget(G, budget)
+    edges = graphcore._edges_within_budget(G, _EDGE_BUDGET)
     return [frozenset(members(edges, mask)) for mask in _tf_walk(G.n, edges)]
 
 
-def tf_polynomial(G: Graph, budget: int = 25) -> IntPolynomial:
+def tf_polynomial(G: Graph, budget: int = _EDGE_BUDGET) -> IntPolynomial:
     """The tight-forest generating function, sum over tight spanning forests
     F of t**(n - |F|), counted without listing the forests.
 
@@ -407,7 +408,7 @@ def tf_polynomial(G: Graph, budget: int = 25) -> IntPolynomial:
     for w in range(1, G.n + 1):
         below = [x for x in adj[w] if x < w]
         frontier, table = _tf_step(table, frontier, w, below, top, width)
-    return _tf_unpack(table[()], width, G.n)
+    return counts_to_polynomial(unpack_counts(table[()], width), G.n)
 
 
 def _tf_step(table: dict, frontier: list[int], w: int, below: list[int],
@@ -462,24 +463,16 @@ def _tf_step(table: dict, frontier: list[int], w: int, below: list[int],
     return kept, nxt
 
 
-def _tf_unpack(fields: int, width: int, n: int) -> IntPolynomial:
-    """The polynomial of the packed counts by edge number."""
-    mask = (1 << width) - 1
-    return counts_to_polynomial(
-        {k: fields >> width * k & mask for k in range(n + 1)}, n
-    )
-
-
 # ---------------------------------------------------------------------------
 # Quasi-perfect orderings
 # ---------------------------------------------------------------------------
 
 
-def candidate_paths(G: Graph, vertex_cap: int = 12) -> list[tuple[int, ...]]:
+def candidate_paths(G: Graph) -> list[tuple[int, ...]]:
     """Simple paths a,c,b,v_1..v_m with a<b<c, m>=1, and only v_m below c."""
-    if G.n > vertex_cap:
+    if G.n > _PATH_VERTEX_BUDGET:
         raise BudgetExceededError(
-            f"n={G.n} exceeds the candidate-path cap {vertex_cap}"
+            f"n={G.n} exceeds the candidate-path cap {_PATH_VERTEX_BUDGET}"
         )
     adj = G.adjacency()
     out: list[tuple[int, ...]] = []
@@ -522,9 +515,9 @@ class QPOResult:
         return self.ok
 
 
-def is_qpo(G: Graph, vertex_cap: int = 12) -> QPOResult:
+def is_qpo(G: Graph) -> QPOResult:
     """Whether every candidate path satisfies the quasi-perfect condition."""
-    for path in candidate_paths(G, vertex_cap=vertex_cap):
+    for path in candidate_paths(G):
         if not qpo_condition_holds(G, path):
             return QPOResult(False, path)
     return QPOResult(True)
@@ -565,7 +558,7 @@ def long_cycle_chord_check(G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def verify_tf_theorems(G: Graph, budget: int = 25) -> Report:
+def verify_tf_theorems(G: Graph, budget: int = _EDGE_BUDGET) -> Report:
     """Containment, strictness, and equivalence checks for tight forests.
 
     The forest masks of the tight-forest walk and the counts of
@@ -641,8 +634,7 @@ def _tf_orderings(G: Graph):
     keyed by its edges as a bitmask over label pairs.
     """
     n = G.n
-    # tf_polynomial's default edge budget
-    width = len(graphcore._edges_within_budget(G, 25)) + 1
+    width = len(graphcore._edges_within_budget(G, _EDGE_BUDGET)) + 1
     adj = G.adjacency()
     seen: set[int] = set()
     tables = {(): ([], {(): 1})}
@@ -668,10 +660,10 @@ def _tf_orderings(G: Graph):
             frontier, table = _tf_step(table, frontier, w, below, top, width)
             if w <= n - 2:
                 tables[tuple(sigma[:w])] = (frontier, table)
-        yield perm, _tf_unpack(table[()], width, n)
+        yield perm, counts_to_polynomial(unpack_counts(table[()], width), n)
 
 
-def tf_integer_roots_classification(G: Graph, vertex_cap: int = 6) -> Report:
+def tf_integer_roots_classification(G: Graph) -> Report:
     """Search all vertex orderings for one whose tight-forest generating
     function has only integer roots; this succeeds exactly for forests.
 
@@ -683,7 +675,7 @@ def tf_integer_roots_classification(G: Graph, vertex_cap: int = 6) -> Report:
     `_tf_orderings` runs the `tf_polynomial` transfer step by step and
     shares the tables of common label prefixes between orderings.
     """
-    if G.n > vertex_cap:
+    if G.n > _SWEEP_VERTEX_BUDGET:
         raise BudgetExceededError(f"n={G.n} exceeds the ordering-sweep cap")
     forest = edges_are_acyclic(G.edges)
     report = Report()
@@ -709,7 +701,7 @@ def tf_integer_roots_classification(G: Graph, vertex_cap: int = 6) -> Report:
 
 
 def count_pattern_avoiding_permutations(
-    k: int, patterns: Iterable[Pattern] = TIGHT_PATTERNS, cap: int = 15
+    k: int, patterns: Iterable[Pattern] = TIGHT_PATTERNS
 ) -> int:
     """Exhaustive count of permutations of {1..k} avoiding every pattern.
 
@@ -719,8 +711,10 @@ def count_pattern_avoiding_permutations(
     """
     if k < 1:
         raise InputError("k must be positive")
-    if k > cap:
-        raise BudgetExceededError(f"k={k} exceeds the counting cap {cap}")
+    if k > _PERMUTATION_BUDGET:
+        raise BudgetExceededError(
+            f"k={k} exceeds the counting cap {_PERMUTATION_BUDGET}"
+        )
     pats = [p if isinstance(p, Pattern) else Pattern(p) for p in patterns]
     if any(len(p) > 4 for p in pats):
         raise InputError("patterns of length at most 4 are supported")
@@ -766,6 +760,6 @@ def count_pattern_avoiding_permutations(
     return count
 
 
-def tight_permutation_count(k: int, cap: int = 15) -> int:
+def tight_permutation_count(k: int) -> int:
     """Permutations of {1..k} avoiding 231, 312, and 321."""
-    return count_pattern_avoiding_permutations(k, TIGHT_PATTERNS, cap=cap)
+    return count_pattern_avoiding_permutations(k, TIGHT_PATTERNS)

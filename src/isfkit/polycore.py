@@ -43,7 +43,10 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:  # require_int's test inline: deletion-contraction is hot
+            if type(c) is not int:
+                require_int(c, "polynomial coefficient")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -203,7 +206,7 @@ class IntPolynomial:
             ]
         except ValueError as exc:  # past the int-string digit limit
             raise InputError(f"bad polynomial coefficient: {exc}") from exc
-        return cls(require_int(c, "polynomial coefficient") for c in coeffs)
+        return cls(coeffs)
 
 
 def _coerce(value) -> IntPolynomial:
@@ -312,12 +315,12 @@ class WeightedGF:
     def __init__(self, terms: Mapping[tuple[tuple, int], int] | None = None):
         clean: dict[tuple[tuple, int], int] = {}
         for (mono, tpow), coeff in (terms or {}).items():
-            coeff = int(coeff)
+            require_int(coeff, "WeightedGF coefficient")
             if coeff == 0:
                 continue
-            if tpow < 0:
+            if require_int(tpow, "WeightedGF power of t") < 0:
                 raise InputError("WeightedGF powers of t must be nonnegative")
-            key = (tuple(sorted(mono)), int(tpow))
+            key = (tuple(sorted(mono)), tpow)
             clean[key] = clean.get(key, 0) + coeff
         self.terms = {k: v for k, v in clean.items() if v != 0}
 

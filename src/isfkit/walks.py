@@ -65,6 +65,13 @@ def count_by_size(masks: Iterable[int]) -> dict[int, int]:
     return dict(sorted(Counter(mask.bit_count() for mask in masks).items()))
 
 
+def unpack_counts(packed: int, width: int) -> dict[int, int]:
+    """The nonzero counts c_k of the packing sum c_k << width * k, each below
+    2**width, keyed by k in increasing order."""
+    mask, fields = (1 << width) - 1, -(-packed.bit_length() // width)
+    return {k: c for k in range(fields) if (c := packed >> width * k & mask)}
+
+
 def members(items: Sequence, mask: int) -> list:
     """The items whose bits are set in mask, in item order."""
     out = []

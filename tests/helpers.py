@@ -15,7 +15,7 @@ from isfkit.errors import InternalCheckError
 from isfkit.graphcore import EdgeOrder, Graph, simple_cycles
 from isfkit.polycore import IntPolynomial
 from isfkit.simplicial import PureComplex, SpanningSubcomplex
-from isfkit.arrangement import GaussRational, LabeledMultigraph
+from isfkit.arrangement import GaussRational, LabeledMultigraph, atom_blocks
 
 
 # -- the two labelings of the paw graph (triangle plus a pendant edge) -------
@@ -433,6 +433,24 @@ def oracle_lattice_nbc_sets(G: LabeledMultigraph, order) -> set[frozenset[int]]:
         if s not in independent and all(s - {e} in independent for e in s)
     ]
     return {s for s in subsets if not any(b <= s for b in broken)}
+
+
+def all_root_paths(F) -> list[tuple[int, ...]]:
+    """Every downward path from a root of the forest, one per label: the
+    labels from its root down to it."""
+    paths = []
+    for v in F.parents:
+        path = [v]
+        while F.parents[path[-1]] is not None:
+            path.append(F.parents[path[-1]])
+        paths.append(tuple(reversed(path)))
+    return paths
+
+
+def atomic_transversal_sets(L, multichain) -> list[frozenset[int]]:
+    """Atom sets meeting each multichain-induced block at most once."""
+    choices = itertools.product(*[[None, *b] for b in atom_blocks(L, multichain)])
+    return [frozenset(a for a in choice if a is not None) for choice in choices]
 
 
 def relabel_to_natural_peo(G: Graph, peo) -> Graph:

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from isfkit.errors import BudgetExceededError, InputError
+from isfkit import arrangement
+from isfkit.errors import BudgetExceededError, InputError, InternalCheckError
 from isfkit.arrangement import (
     Arrangement,
     GaussRational,
     LabeledMultigraph,
     atom_blocks,
-    atomic_transversal_sets,
     atomic_transversals,
     block_compatible_atom_order,
     build_arrangement,
@@ -34,6 +34,7 @@ from isfkit.cli import gen_multigraph
 
 from helpers import (
     anchored_multigraph,
+    atomic_transversal_sets,
     bare_parallel_pair,
     cycle_graph,
     graph_as_multigraph,
@@ -237,10 +238,38 @@ def test_lattice_meet_and_join_are_glb_and_lub():
                 assert L.rank[join] + L.rank[meet] <= L.rank[x] + L.rank[y], G
 
 
-def test_lattice_budget():
+def test_lattice_budget(monkeypatch):
+    # 21 hyperplanes are refused before any elimination
+    G = LabeledMultigraph(2, [1, 2], [(1, 2, z) for z in range(1, 20)])
+    with pytest.raises(BudgetExceededError, match="^21 hyperplanes exceeds budget 20$"):
+        intersection_lattice(build_arrangement(G))
     G = LabeledMultigraph(4, [1, 2, 3, 4], [])
-    with pytest.raises(BudgetExceededError):
-        intersection_lattice(build_arrangement(G), hyperplane_budget=3)
+    monkeypatch.setattr(arrangement, "_HYPERPLANE_BUDGET", 3)
+    with pytest.raises(BudgetExceededError, match="^4 hyperplanes exceeds budget 3$"):
+        intersection_lattice(build_arrangement(G))
+    monkeypatch.setattr(arrangement, "_HYPERPLANE_BUDGET", 4)
+    assert intersection_lattice(build_arrangement(G)).size == 16
+
+
+def test_lattice_size_budget(monkeypatch):
+    A = build_arrangement(anchored_multigraph())
+    monkeypatch.setattr(arrangement, "_LATTICE_BUDGET", 13)
+    assert intersection_lattice(A).size == 13
+    monkeypatch.setattr(arrangement, "_LATTICE_BUDGET", 12)
+    with pytest.raises(BudgetExceededError, match="^intersection lattice exceeds 12 elements$"):
+        intersection_lattice(A)
+
+
+def test_multigraph_isf_cross_check_budget(monkeypatch):
+    # with an enumeration that finds nothing, the cross-check fails exactly
+    # when it runs: on at most 16 edges
+    monkeypatch.setattr(arrangement, "_increasing_masks", lambda edges: iter(()))
+    sixteen = LabeledMultigraph(2, [1, 2], [(1, 2, z) for z in range(1, 15)])
+    seventeen = LabeledMultigraph(2, [1, 2], [(1, 2, z) for z in range(1, 16)])
+    with pytest.raises(InternalCheckError):
+        multigraph_isf_polynomial(sixteen)
+    assert multigraph_isf_polynomial(seventeen).coeffs == (16, 17, 1)
+    assert multigraph_isf_polynomial(sixteen, cross_check_budget=15).coeffs == (15, 16, 1)
 
 
 def test_mobius_sums_to_zero():
@@ -373,14 +402,20 @@ def test_lattice_nbc_sets_match_oracle_under_shuffled_atom_order():
         assert {frozenset(edge_of[a] for a in s) for s in listing} == expected, G
 
 
-def test_lattice_nbc_refuses_more_atoms_than_budget():
+def test_lattice_nbc_refuses_more_atoms_than_budget(monkeypatch):
     L = intersection_lattice(build_arrangement(anchored_multigraph()))
     q = len(L.atoms)
-    assert sum(lattice_nbc(L, budget=q).values()) == len(lattice_nbc_sets(L, budget=q))
-    with pytest.raises(BudgetExceededError):
-        lattice_nbc(L, budget=q - 1)
-    with pytest.raises(BudgetExceededError):
-        lattice_nbc_sets(L, budget=q - 1)
+    monkeypatch.setattr(arrangement, "_ATOM_BUDGET", q)
+    assert sum(lattice_nbc(L).values()) == len(lattice_nbc_sets(L))
+    monkeypatch.setattr(arrangement, "_ATOM_BUDGET", q - 1)
+    message = f"^{q} atoms exceeds the NBC budget {q - 1}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        lattice_nbc(L)
+    with pytest.raises(BudgetExceededError, match=message):
+        lattice_nbc_sets(L)
+    # verify_isf_chi's walk reads the same budget
+    with pytest.raises(BudgetExceededError, match=message):
+        verify_isf_chi(anchored_multigraph())
 
 
 def test_lattice_nbc_rank_one():
@@ -469,14 +504,26 @@ def test_signed_chromatic_matches_lattice():
             assert count == oracle_signed_count(G, s) == t ** (n - L.rho) * chi(t)
 
 
-def test_signed_count_budget():
-    with pytest.raises(BudgetExceededError):
+def test_signed_count_budget(monkeypatch):
+    with pytest.raises(BudgetExceededError, match="signed-count cap 1000000$"):
         signed_chromatic_count(LabeledMultigraph(30), 1)
     # the largest criterion-7 instances stay far below the default cap
     assert signed_chromatic_count(LabeledMultigraph(4), 3) == 7**4
-    with pytest.raises(BudgetExceededError):
-        signed_chromatic_count(LabeledMultigraph(3), 1, assignment_cap=8)
-    assert signed_chromatic_count(LabeledMultigraph(3), 1, assignment_cap=9) == 27
+    monkeypatch.setattr(arrangement, "_ASSIGNMENT_BUDGET", 8)
+    with pytest.raises(BudgetExceededError, match=r"= 3\^2 colorings exceed the signed-count cap 8$"):
+        signed_chromatic_count(LabeledMultigraph(3), 1)
+    monkeypatch.setattr(arrangement, "_ASSIGNMENT_BUDGET", 9)
+    assert signed_chromatic_count(LabeledMultigraph(3), 1) == 27
+
+
+def test_supersolvable_budget(monkeypatch):
+    L = intersection_lattice(build_arrangement(anchored_multigraph()))
+    monkeypatch.setattr(arrangement, "_MODULARITY_BUDGET", 12)
+    with pytest.raises(BudgetExceededError,
+                       match="^lattice size 13 exceeds the modularity budget 12$"):
+        is_supersolvable(L)
+    monkeypatch.setattr(arrangement, "_MODULARITY_BUDGET", 13)
+    assert is_supersolvable(L)
 
 
 def test_supersolvable_examples():

@@ -23,6 +23,7 @@ from isfkit.arrangement import LabeledMultigraph
 from isfkit.errors import InputError
 from isfkit.graphcore import Graph, is_peo, isf_polynomial
 from isfkit.patterns import Pattern, RootedLabeledForest
+from isfkit.polycore import IntPolynomial, WeightedGF
 from isfkit.simplicial import PureComplex, SpanningSubcomplex, upper_link
 
 from helpers import (
@@ -407,6 +408,9 @@ def test_boolean_ordering_entries_exit_two(tmp_path, capsys, kind, action, paylo
         lambda: SpanningSubcomplex(_K, [(1.2, 2.9, 3.1)]),
         lambda: _K.relabeled([1.0, 2.5, 3]),
         lambda: upper_link(_K, [1.7]),
+        lambda: IntPolynomial([1.7, 2.2]),
+        lambda: IntPolynomial([True, "3"]),
+        lambda: WeightedGF({((), 1.9): 2.5}),
     ],
     ids=[
         "forest",
@@ -420,6 +424,9 @@ def test_boolean_ordering_entries_exit_two(tmp_path, capsys, kind, action, paylo
         "subcomplex-facet",
         "complex-relabeling",
         "upper-link-peak",
+        "polynomial-floats",
+        "polynomial-bool-and-string",
+        "weighted-gf-floats",
     ],
 )
 def test_constructors_reject_non_integers(build):
@@ -517,8 +524,8 @@ def _run_complex(action, payload):
 _complex_actions = st.sampled_from(["cf", "links", "peo", "verify"])
 
 
-# n stays small: `complex peo` and `complex verify` build links on all n
-# vertices, so their time and memory grow with n (ROADMAP item 8)
+# n stays small: `complex verify` builds the structure report's link on all
+# n vertices, so its time and memory grow with n (ROADMAP item 7)
 @settings(deadline=None, max_examples=150)
 @given(
     action=_complex_actions,
@@ -629,6 +636,17 @@ def test_verify_refuses_before_it_walks(tmp_path, kind, payload, n):
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [f"input error: n={n} exceeds the coloring budget 8"]
+
+
+def test_complex_peo_does_not_grow_with_the_vertex_count(tmp_path):
+    # each upper link is tested on the vertices its edges touch, so a
+    # one-facet complex on 10**8 vertices needs no per-vertex list
+    path = write(tmp_path, "in.json", {"n": 10**8, "d": 2, "facets": [[1, 2, 3]]})
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", "complex", "peo", path,
+                     preexec_fn=_limit_address_space_to_1_gib, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0 and proc.stdout == '{"is_peo":true}\n'
 
 
 def test_console_entry_point(tmp_path):

@@ -128,6 +128,13 @@ def test_enumerate_isf_five_cycle_matches_factorization():
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_isf(complete_graph(7), budget=10)
+    # the walks refuse past the 25 edges of the shared edge budget before
+    # they start
+    path = Graph(27, [(k, k + 1) for k in range(1, 27)])
+    for walk in (enumerate_isf, isf_set_list, nbc_set_list):
+        with pytest.raises(BudgetExceededError,
+                           match="^26 edges exceeds the enumeration budget 25$"):
+            walk(path)
 
 
 def test_isf_listing_matches_subset_sweep():
@@ -177,6 +184,15 @@ def test_broken_circuits_four_cycle():
     C4 = cycle_graph(4)
     assert simple_cycles(C4) == [(1, 2, 3, 4)]
     assert broken_circuits(C4) == {frozenset({(1, 4), (2, 3), (3, 4)})}
+
+
+def test_simple_cycles_budget(monkeypatch):
+    # K4 has four triangles and three 4-cycles
+    monkeypatch.setattr(graphcore, "_CYCLE_BUDGET", 7)
+    assert len(simple_cycles(complete_graph(4))) == 7
+    monkeypatch.setattr(graphcore, "_CYCLE_BUDGET", 6)
+    with pytest.raises(BudgetExceededError, match="^more than 6 simple cycles$"):
+        simple_cycles(complete_graph(4))
 
 
 def test_simple_cycles_walk_does_not_recurse():
@@ -290,7 +306,7 @@ def test_nbc_transfer_matches_the_walk_on_every_small_graph():
                 sequence = G.sorted_edges()
                 rng.shuffle(sequence)
                 order = EdgeOrder.from_sequence(G, sequence)
-                walked = count_by_size(_nbc_walk(G, order, 25)[1])
+                walked = count_by_size(_nbc_walk(G, order, graphcore._EDGE_BUDGET)[1])
                 assert nbc_sets(G, order) == walked, (G, sequence)
 
 
@@ -443,6 +459,19 @@ def test_acyclic_orientation_counts():
         for _ in range(5):
             G = Graph(n, rng.sample(pairs, rng.randint(0, min(12, len(pairs)))))
             assert acyclic_orientation_count(G) == oracle_acyclic_orientation_count(G)
+
+
+def test_orientation_cross_check_budget():
+    # with a wrong chromatic polynomial the cross-check fails exactly when it
+    # runs: on at most 16 edges
+    wrong = IntPolynomial.t() ** 8
+    pairs = list(itertools.combinations(range(1, 9), 2))
+    with pytest.raises(InternalCheckError):
+        acyclic_orientation_count(Graph(8, pairs[:16]), chromatic=wrong)
+    assert acyclic_orientation_count(Graph(8, pairs[:17]), chromatic=wrong) == 1
+    assert acyclic_orientation_count(
+        Graph(8, pairs[:16]), orientation_budget=15, chromatic=wrong
+    ) == 1
 
 
 def test_verify_isf_nbc_peo_labeling():

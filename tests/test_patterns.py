@@ -30,11 +30,12 @@ from isfkit.patterns import (
     tight_permutation_count,
     verify_tf_theorems,
 )
-from isfkit import graphcore
+from isfkit import graphcore, patterns
 from isfkit.walks import count_by_size
 
 from helpers import (
     all_edge_subsets,
+    all_root_paths,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -159,7 +160,7 @@ def test_root_paths_are_prefixes_of_leaf_paths():
             forest = forest_from_edge_set(subset, range(1, G.n + 1))
             by_leaf = is_tight_forest(forest)
             by_all = all(
-                is_tight_sequence(p) for p in forest.all_root_paths()
+                is_tight_sequence(p) for p in all_root_paths(forest)
             )
             assert by_leaf == by_all
 
@@ -242,7 +243,7 @@ def test_tight_forest_matches_pattern_scan_of_every_root_path():
         forest = forest_from_edge_set(edges, labels)
         expected = not any(
             contains_pattern(path, pattern)
-            for path in forest.all_root_paths()
+            for path in all_root_paths(forest)
             for pattern in TIGHT_PATTERNS
         )
         assert is_tight_forest(forest) == expected
@@ -346,9 +347,14 @@ def test_k44_is_never_qpo_small_sample():
     assert not qpo_condition_holds(G, result.witness)
 
 
-def test_candidate_path_budget():
-    with pytest.raises(BudgetExceededError):
-        candidate_paths(Graph(13), vertex_cap=12)
+def test_candidate_path_budget(monkeypatch):
+    assert candidate_paths(Graph(12)) == []
+    with pytest.raises(BudgetExceededError, match="^n=13 exceeds the candidate-path cap 12$"):
+        candidate_paths(Graph(13))
+    monkeypatch.setattr(patterns, "_PATH_VERTEX_BUDGET", 4)
+    assert is_qpo(cycle_graph(4)).ok
+    with pytest.raises(BudgetExceededError, match="^n=5 exceeds the candidate-path cap 4$"):
+        is_qpo(cycle_graph(5))
 
 
 def test_long_cycle_chord_check():
@@ -496,7 +502,7 @@ def test_roots_classification_edgeless():
 
 
 def test_roots_classification_cap():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="^n=7 exceeds the ordering-sweep cap$"):
         tf_integer_roots_classification(Graph(7))
 
 
@@ -579,9 +585,13 @@ def test_tight_counts_match_filter_oracle():
         assert tight_permutation_count(k) == oracle
 
 
-def test_tight_count_cap():
-    with pytest.raises(BudgetExceededError):
+def test_tight_count_cap(monkeypatch):
+    with pytest.raises(BudgetExceededError, match="^k=16 exceeds the counting cap 15$"):
         tight_permutation_count(16)
+    monkeypatch.setattr(patterns, "_PERMUTATION_BUDGET", 5)
+    assert tight_permutation_count(5) == 8
+    with pytest.raises(BudgetExceededError, match="^k=6 exceeds the counting cap 5$"):
+        count_pattern_avoiding_permutations(6, [Pattern((1, 2, 3))])
 
 
 def test_tight_counts_follow_fibonacci_recurrence():

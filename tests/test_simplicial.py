@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from isfkit.errors import InputError
+from isfkit.errors import BudgetExceededError, InputError
 from isfkit.graphcore import Graph, find_peo, is_peo
 from isfkit.polycore import WeightedGF, poly_from_linear_factors
 from isfkit.simplicial import (
@@ -250,6 +250,17 @@ def test_simplicial_peo_equals_link_peo():
             is_peo(g, range(1, delta.n + 1)) for g in links.values()
         )
         assert is_simplicial_peo(delta) == expected
+
+
+def test_cage_free_sweep_budget():
+    # every two of these facets cage their common ridge (1, q + 2), so the
+    # sweep finds only the singletons
+    def star(q):
+        return PureComplex(q + 2, 2, [(1, i, q + 2) for i in range(2, q + 2)])
+
+    assert enumerate_cage_free(star(22)) == {0: 1, 1: 22}
+    with pytest.raises(BudgetExceededError, match="^23 facets exceeds the sweep budget 22$"):
+        enumerate_cage_free(star(23))
 
 
 def test_cage_free_subcomplexes_have_trivial_top_homology_and_leaves():
