@@ -19,6 +19,7 @@ flat lies above no earlier atom.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,8 @@ _LATTICE_BUDGET = 5000  # elements of an intersection lattice
 _ATOM_BUDGET = 14  # atoms of the lattice NBC walk
 _ASSIGNMENT_BUDGET = 10**6  # partial colorings signed_chromatic_count visits
 _MODULARITY_BUDGET = 600  # lattice elements is_supersolvable takes
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # what to_json writes
 
 
 class GaussRational:
@@ -141,12 +144,24 @@ class GaussRational:
 
     @classmethod
     def from_json(cls, data) -> "GaussRational":
+        """Components as JSON integers or "p" / "p/q" decimal strings; bools,
+        floats, exponents and other strings are rejected."""
         if not isinstance(data, dict) or "re" not in data:
             raise InputError('labels must be {"re": "p/q", "im": "r/s"}')
-        try:
-            return cls(Fraction(str(data["re"])), Fraction(str(data.get("im", 0))))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational component: {exc}") from exc
+        return cls(_component(data["re"]), _component(data.get("im", 0)))
+
+
+def _component(value) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise InputError(f"rational component must be an integer or a "
+                         f"\"p/q\" string, got {value!r}")
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError) as exc:  # digit limit, or q = 0
+        raise InputError(f"bad rational component: {exc}") from exc
 
 
 def _coerce(value) -> GaussRational:
@@ -172,9 +187,13 @@ EdgeToken = tuple[int, int, GaussRational | None]
 
 class LabeledMultigraph:
     """A multigraph on {0..n}: optional plain edges from 0, labeled edges between
-    nonzero vertices (nonzero Gaussian-rational labels, parallels allowed)."""
+    nonzero vertices (nonzero Gaussian-rational labels, parallels allowed).
 
-    __slots__ = ("n", "zero_edges", "labeled_edges")
+    The fields are never assigned after construction, so the intersection
+    lattice, built on first use by `_lattice_of`, is kept in `_lattice`;
+    it takes no part in repr or JSON."""
+
+    __slots__ = ("n", "zero_edges", "labeled_edges", "_lattice")
 
     def __init__(
         self,
@@ -205,6 +224,7 @@ class LabeledMultigraph:
         self.n = n
         self.zero_edges = frozenset(zset)
         self.labeled_edges = frozenset(lset)
+        self._lattice = None
 
     def edge_list(self) -> list[EdgeToken]:
         """All edges in a canonical deterministic order."""
@@ -455,6 +475,8 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
     below a flat Z of rank r is reached as X v a from some flat X of rank
     r - 1 that does not contain a, so OR-ing the masks of all such X, plus
     the bit of a, gives the full atom set of Z with no further elimination.
+    A central arrangement has one flat of top rank rho, the span of all
+    atoms, so the joins from rank rho - 1 take its form with no elimination.
     """
     if len(A.normals) > _HYPERPLANE_BUDGET:
         raise BudgetExceededError(
@@ -467,17 +489,20 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
         f = echelon(_realification(normal))
         if f not in atom_forms:
             atom_forms.append(f)
+    top_form = echelon(row for atom in atom_forms for row in atom)
     ranks: dict[int, int] = {0: 0}
     atom_joins: dict[tuple[int, int], int] = {}
     level: dict[tuple, int] = {(): 0}
     while level:
         joined_masks: dict[tuple, int] = {}
         joined_forms: list[tuple[int, int, tuple]] = []
+        # a level's flats share one rank; from rank rho - 1 each join is the top
+        coatoms = len(next(iter(level))) + 2 == len(top_form)
         for form, mask in level.items():
             for a, atom in enumerate(atom_forms):
                 if mask >> a & 1:
                     continue
-                joined = echelon(form + atom)
+                joined = top_form if coatoms else echelon(form + atom)
                 if joined not in joined_masks:
                     joined_masks[joined] = 0
                     if len(ranks) + len(joined_masks) > _LATTICE_BUDGET:
@@ -492,6 +517,13 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
             ranks[mask] = len(form) // 2
         level = joined_masks
     return IntersectionLattice(A.dim, ranks, atom_joins)
+
+
+def _lattice_of(G: LabeledMultigraph) -> IntersectionLattice:
+    """G's intersection lattice, built on the first call and kept on G."""
+    if G._lattice is None:
+        G._lattice = intersection_lattice(build_arrangement(G))
+    return G._lattice
 
 
 def characteristic_polynomial(L: IntersectionLattice) -> IntPolynomial:
@@ -600,7 +632,7 @@ def verify_isf_chi(G: LabeledMultigraph) -> Report:
     and NBC sets are bitmasks over the NBC walk's atom order."""
     report = Report()
     isf = multigraph_isf_polynomial(G)
-    L = intersection_lattice(build_arrangement(G))
+    L = _lattice_of(G)
     chi = characteristic_polynomial(L)
     perfect = is_perfectly_labeled(G)
     report.fact("perfectly_labeled", perfect.ok)
@@ -715,7 +747,7 @@ def topology_report(G: LabeledMultigraph) -> Report:
     """Betti profile of the complement from lattice NBC counts and, for real
     labels, the region count cross-checked by deletion-restriction."""
     report = Report()
-    L = intersection_lattice(build_arrangement(G))
+    L = _lattice_of(G)
     nbc_counts = lattice_nbc(L)
     betti = {G.n - m: c for m, c in nbc_counts.items()}
     report.witnesses["betti_profile"] = dict(sorted(betti.items()))

@@ -86,6 +86,20 @@ def test_gauss_rational_json():
     assert z.to_json() == {"re": "3/4", "im": "-2/5"}
     assert GaussRational.from_json(z.to_json()) == z
     assert GaussRational.from_json({"re": "2"}) == GaussRational(2)
+    assert GaussRational.from_json({"re": -3, "im": "06/4"}) == GaussRational(-3, Fraction(3, 2))
+
+
+@pytest.mark.parametrize(
+    "component",
+    [1.5, 2.0, True, None, [1], "1e10", "1.5", "+1", " 1", "1/-2", "1/0", "١", "9" * 5000],
+    ids=["float", "integral-float", "bool", "null", "list", "exponent", "decimal-point",
+         "plus-sign", "space", "negative-denominator", "zero-denominator",
+         "non-ascii-digit", "past-digit-limit"],
+)
+def test_gauss_rational_json_rejects_all_but_integers_and_fractions(component):
+    for data in ({"re": component}, {"re": "1", "im": component}):
+        with pytest.raises(InputError):
+            GaussRational.from_json(data)
 
 
 # -- multigraphs --------------------------------------------------------------
@@ -220,6 +234,28 @@ def test_lattice_with_gaussian_labels_matches_oracle():
         assert L.rho == rho, G
         assert characteristic_polynomial(L) == chi, G
     assert non_real >= 30
+
+
+def test_verify_and_topology_share_one_lattice(monkeypatch):
+    built = []
+
+    def counting(A):
+        built.append(A)
+        return intersection_lattice(A)
+
+    monkeypatch.setattr(arrangement, "intersection_lattice", counting)
+    G = anchored_multigraph()
+    assert verify_isf_chi(G).passed and topology_report(G).passed
+    assert len(built) == 1
+
+
+def test_kept_lattice_equals_a_fresh_build():
+    for G in itertools.chain(seeded_multigraphs(), gaussian_multigraphs()):
+        L = arrangement._lattice_of(G)
+        fresh = intersection_lattice(build_arrangement(G))
+        assert arrangement._lattice_of(G) is L
+        assert L.masks == fresh.masks and L.rank == fresh.rank, G
+        assert L._atom_joins == fresh._atom_joins, G
 
 
 def test_lattice_meet_and_join_are_glb_and_lub():

@@ -353,6 +353,8 @@ def test_forest_tight_on_a_1500_vertex_path(tmp_path, capsys, tail, tight):
         ("forest", "tight", {"labels": [1, 2, 2], "parents": {"2": 1}}, []),
         ("multigraph", "signed", {"n": 30, "zero_edges": [], "edges": []},
          ["--s", "1"]),
+        ("multigraph", "chi", {"n": 2, "zero_edges": [], "edges": [[1, 2, {"re": 1.5}]]},
+         []),
         ("complex", "verify", tetrahedron_boundary().to_json(),
          ["--budget", "3"]),
     ],
@@ -361,6 +363,7 @@ def test_forest_tight_on_a_1500_vertex_path(tmp_path, capsys, tail, tight):
         "non-canonical-parent-key",
         "repeated-label",
         "signed-count-over-budget",
+        "float-label",
         "complex-verify-over-budget",
     ],
 )
@@ -510,14 +513,14 @@ def test_forest_tight_fuzz_exits_zero_or_two(labels, parents):
     assert "Traceback" not in err.getvalue()
 
 
-def _run_complex(action, payload):
+def _run_on_json(kind, action, payload, *extra):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "c.json")
+        path = os.path.join(tmp, "in.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run(["complex", action, path])
+            code = run([kind, action, path, *extra])
     return code, err.getvalue()
 
 
@@ -537,7 +540,56 @@ _complex_actions = st.sampled_from(["cf", "links", "peo", "verify"])
     | _json,
 )
 def test_complex_fuzz_exits_zero_or_two(action, payload):
-    code, err = _run_complex(action, payload)
+    code, err = _run_on_json("complex", action, payload)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+
+
+_small = st.integers(min_value=-3, max_value=3)
+_rational = (
+    _small
+    | _small.map(str)
+    | st.tuples(_small, st.integers(min_value=1, max_value=4)).map("{0[0]}/{0[1]}".format)
+)
+
+
+@st.composite
+def _multigraph_payloads(draw):
+    """Well-formed JSON: n from -1..9, endpoints from 1..n (so an edge i-i is
+    the only bad one when n >= 1), labels mostly nonzero."""
+    n = draw(_label)
+    vertex = st.integers(min_value=1, max_value=max(n, 1))
+    label = st.fixed_dictionaries({"re": _rational}, optional={"im": _rational})
+    edge = st.tuples(vertex, vertex, label).map(lambda e: [*sorted(e[:2]), e[2]])
+    return {
+        "n": n,
+        "zero_edges": draw(st.lists(vertex, max_size=3)),
+        "edges": draw(st.lists(edge, max_size=6)),
+    }
+
+
+# n stays small: every action but `perfect` builds per-vertex lists, so a
+# huge n ends in MemoryError (ROADMAP item 7)
+@settings(deadline=None, max_examples=200)
+@given(
+    action=st.sampled_from(["chi", "isf", "perfect", "verify", "regions", "signed"]),
+    s=st.integers(min_value=-1, max_value=3),
+    payload=_multigraph_payloads()
+    | st.fixed_dictionaries({
+        "n": _label | _json,
+        "zero_edges": st.lists(_label | _json, max_size=4) | _json,
+        "edges": st.lists(
+            st.tuples(_label, _label, st.fixed_dictionaries({"re": _rational | _json})
+                      | _json).map(list)
+            | st.lists(_label | _json, max_size=4),
+            max_size=6,
+        )
+        | _json,
+    })
+    | _json,
+)
+def test_multigraph_fuzz_exits_zero_or_two(action, s, payload):
+    code, err = _run_on_json("multigraph", action, payload, "--s", str(s))
     assert code in (0, 2), err
     assert "Traceback" not in err
 
@@ -555,7 +607,7 @@ def _small_complexes(draw):
 @settings(deadline=None, max_examples=40)
 @given(action=_complex_actions, payload=_small_complexes())
 def test_small_complexes_exit_zero(action, payload):
-    code, err = _run_complex(action, payload)
+    code, err = _run_on_json("complex", action, payload)
     assert code == 0, err
 
 
@@ -647,6 +699,17 @@ def test_complex_peo_does_not_grow_with_the_vertex_count(tmp_path):
                      preexec_fn=_limit_address_space_to_1_gib, timeout=20)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 0 and proc.stdout == '{"is_peo":true}\n'
+
+
+def test_exponent_label_exits_two_at_once(tmp_path):
+    # Fraction("1e100000000") would build a 10**8-digit integer
+    G = {"n": 2, "zero_edges": [], "edges": [[1, 2, {"re": "1e100000000"}]]}
+    path = write(tmp_path, "in.json", G)
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", "multigraph", "chi", path, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("input error: ") and len(proc.stderr.splitlines()) == 1
 
 
 def test_console_entry_point(tmp_path):
