@@ -191,6 +191,13 @@ def _check_permutation(perm: Sequence[int], n: int) -> list[int]:
     return perm
 
 
+def _by_rank(vertices: Iterable[int], edges: Iterable[Edge]) -> Graph:
+    """The edges among the vertices, as a graph on 1..k that numbers the k
+    vertices in increasing order, so the relative order of labels is kept."""
+    rank = {v: r for r, v in enumerate(sorted(vertices), start=1)}
+    return Graph(len(rank), [(rank[i], rank[j]) for i, j in edges])
+
+
 # ---------------------------------------------------------------------------
 # Increasing spanning forests
 # ---------------------------------------------------------------------------

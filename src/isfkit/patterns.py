@@ -431,7 +431,8 @@ def _tf_step(table: dict, frontier: list[int], w: int, below: list[int],
     slot = {v: s for s, v in enumerate(kept)}
     w_slot = slot.get(w)
     below = [(at[x], x, slot.get(x)) for x in below]
-    spread = 1 + (1 << width)
+    # x itself is never a lone y above m, so fewer than len(below) leave
+    spreads = [(1 + (1 << width)) ** a for a in range(len(below))]
     nxt: dict[tuple[int, ...], int] = {}
     for state, counts in table.items():
         tops = (*state, 0)
@@ -446,9 +447,14 @@ def _tf_step(table: dict, frontier: list[int], w: int, below: list[int],
                 base[x_slot] = m
             if w_slot is not None:
                 base[w_slot] = w
-            larger = [s for y, s in alone if y > m]
-            listed = [s for s in larger if s is not None]
-            packed = (counts << width) * spread ** (len(larger) - len(listed))
+            gone, listed = 0, ()
+            for y, s in alone:
+                if y > m:
+                    if s is None:
+                        gone += 1
+                    else:
+                        listed += (s,)
+            packed = (counts << width) * spreads[gone]
             if not listed:
                 key = tuple(base)
                 nxt[key] = nxt.get(key, 0) + packed
@@ -631,7 +637,10 @@ def _tf_orderings(G: Graph):
     the edges among those labels and which of them keep a later neighbour,
     so each table is kept under its prefix for k <= n - 2 and a later
     ordering resumes from its longest kept prefix.  A labeled graph is
-    keyed by its edges as a bitmask over label pairs.
+    keyed by its edges as a bitmask over label pairs.  Many orderings share
+    a polynomial, so `_integer_root_ordering` tests each distinct one once;
+    the classification sweeps each component of a disconnected graph on
+    its own before it sweeps the whole graph.
     """
     n = G.n
     width = len(graphcore._edges_within_budget(G, _EDGE_BUDGET)) + 1
@@ -663,6 +672,40 @@ def _tf_orderings(G: Graph):
         yield perm, counts_to_polynomial(unpack_counts(table[()], width), n)
 
 
+def _integer_root_ordering(G: Graph) -> tuple[tuple[int, ...], list[int]] | None:
+    """The first ordering of `_tf_orderings` whose polynomial has only
+    integer roots, with those roots; each distinct polynomial is tested
+    once, since the sweep stops at the first that passes."""
+    failed: set[IntPolynomial] = set()
+    for perm, poly in _tf_orderings(G):
+        if poly in failed:
+            continue
+        roots = poly_integer_roots(poly)
+        if roots is not None:
+            return perm, roots
+        failed.add(poly)
+    return None
+
+
+def _components(G: Graph) -> list[set[int]]:
+    """The vertex sets of the connected components, by least vertex."""
+    adj = G.adjacency()
+    seen: set[int] = set()
+    out = []
+    for root in range(1, G.n + 1):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for u in comp:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        out.append(set(comp))
+    return out
+
+
 def tf_integer_roots_classification(G: Graph) -> Report:
     """Search all vertex orderings for one whose tight-forest generating
     function has only integer roots; this succeeds exactly for forests.
@@ -673,25 +716,36 @@ def tf_integer_roots_classification(G: Graph) -> Report:
     the first graph with integer roots, so every graph seen before had none.
     The first witness ordering and its roots are those of the full sweep.
     `_tf_orderings` runs the `tf_polynomial` transfer step by step and
-    shares the tables of common label prefixes between orderings.
+    shares the tables of common label prefixes between orderings, and each
+    distinct polynomial gets one root test.
+
+    Tightness depends only on the relative order of labels inside a tree,
+    so TF(G) is the product of TF(C) over the components C, each numbered
+    by the rank of its labels; a product of monic polynomials has only
+    nonpositive integer roots exactly when every factor does.  So a graph
+    with several components first sweeps each component's own orderings,
+    by least vertex, and has no witness if one of them has none; otherwise
+    the sweep of G finds the first witness.
     """
     if G.n > _SWEEP_VERTEX_BUDGET:
         raise BudgetExceededError(f"n={G.n} exceeds the ordering-sweep cap")
     forest = edges_are_acyclic(G.edges)
     report = Report()
     report.fact("is_forest", forest)
+    parts = _components(G)
     found = None
-    for perm, poly in _tf_orderings(G):
-        roots = poly_integer_roots(poly)
-        if roots is not None:
-            found = {"ordering": list(perm), "roots": roots}
-            break
+    if len(parts) < 2 or all(
+        _integer_root_ordering(
+            graphcore._by_rank(C, [e for e in G.edges if e[0] in C]))
+        for C in parts
+    ):
+        found = _integer_root_ordering(G)
     report.fact("integer_root_ordering_exists", found is not None)
     report.fact("integer_roots_iff_forest", (found is not None) == forest,
                 required=True)
     if found is not None:
-        report.witnesses["ordering"] = found["ordering"]
-        report.witnesses["roots"] = found["roots"]
+        report.witnesses["ordering"] = list(found[0])
+        report.witnesses["roots"] = found[1]
     return report
 
 

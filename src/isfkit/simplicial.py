@@ -336,12 +336,14 @@ def verify_product_formula(delta: PureComplex, budget: int = _FACET_BUDGET) -> R
     """Check the factorization and upper-link product identities on one complex.
 
     The orientation counts of the upper links, which hold the coloring
-    budget, are taken before the sweep and the link walks start."""
+    budget, are taken before the sweep and the link walks start, each on
+    the vertices the link's edges touch: an isolated vertex does not
+    change the count."""
     report = Report()
     links, effective = upper_links(delta)
     ao_product = 1
     for sigma in effective:
-        ao_product *= graphcore.acyclic_orientation_count(links[sigma])
+        ao_product *= graphcore.acyclic_orientation_count(_touched(links[sigma]))
     partition = phi_partition(delta)
     factored = cf_polynomial(delta)
     counts = enumerate_cage_free(delta, budget=budget)
@@ -413,11 +415,15 @@ def is_simplicial_peo(
     return direct
 
 
+def _touched(g: Graph) -> Graph:
+    """The graph on the vertices its edges touch, numbered 1..k in
+    increasing order."""
+    return graphcore._by_rank({v for e in g.edges for v in e}, g.edges)
+
+
 def _natural_order_is_peo(g: Graph) -> bool:
-    touched = sorted({v for e in g.edges for v in e})
-    number = {v: k for k, v in enumerate(touched, start=1)}
-    small = Graph(len(touched), [(number[i], number[j]) for i, j in g.edges])
-    return graphcore.is_peo(small, range(1, len(touched) + 1))
+    small = _touched(g)
+    return graphcore.is_peo(small, range(1, small.n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -24,12 +24,13 @@ from isfkit.errors import InputError
 from isfkit.graphcore import Graph, is_peo, isf_polynomial
 from isfkit.patterns import Pattern, RootedLabeledForest
 from isfkit.polycore import IntPolynomial, WeightedGF
-from isfkit.simplicial import PureComplex, SpanningSubcomplex, upper_link
+from isfkit.simplicial import PureComplex, SpanningSubcomplex, upper_link, upper_links
 
 from helpers import (
     anchored_multigraph,
     bipyramid,
     house_graph,
+    oracle_acyclic_orientation_count,
     paw_peo,
     tetrahedron_boundary,
 )
@@ -461,6 +462,23 @@ def test_complex_verify_output_within_budget(tmp_path, capsys):
         assert code == 0 and out == _TETRAHEDRON_VERIFY
 
 
+def test_complex_verify_on_nine_vertices_counts_links_on_their_own_vertices(
+    tmp_path, capsys
+):
+    # past the coloring budget of 8 vertices, but no upper link touches more
+    delta = gen_complex(9, 9, 0.1)
+    links, effective = upper_links(delta)
+    assert effective and max(
+        len({v for e in links[s].edges for v in e}) for s in effective) <= 8
+    path = write(tmp_path, "c9.json", delta.to_json())
+    code, out, _ = invoke(capsys, ["complex", "verify", path])
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["witnesses"]["ao_product"] == prod(
+        oracle_acyclic_orientation_count(links[s]) for s in effective)
+
+
 @pytest.mark.parametrize(
     "content",
     [b'{"labels": [' + b"7" * 5000 + b'], "parents": {}}', b"\xff\xfe{}", None],
@@ -673,9 +691,11 @@ _PATH_26 = Graph(26, [(k, k + 1) for k in range(1, 26)]).to_json()
 _FAN_22 = PureComplex(24, 2, [(1, k, k + 1) for k in range(2, 24)]).to_json()
 
 
+# n is the vertex count that is colored: for the fan, the 23 vertices that
+# the upper link of the peak (1,) touches
 @pytest.mark.parametrize(
     "kind, payload, n",
-    [("graph", _PATH_26, 26), ("forest", _PATH_26, 26), ("complex", _FAN_22, 24)],
+    [("graph", _PATH_26, 26), ("forest", _PATH_26, 26), ("complex", _FAN_22, 23)],
     ids=["graph-26-vertex-path", "forest-26-vertex-path", "complex-22-facet-fan"],
 )
 def test_verify_refuses_before_it_walks(tmp_path, kind, payload, n):

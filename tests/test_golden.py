@@ -16,7 +16,7 @@ import json
 from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.graphcore import Graph
 
-GOLDEN = "6b0636286df654feb86219705e1d1bc42f0350fb64409db617dc4f685636df79"
+GOLDEN = "3967c340d3ccebaee5fc60a2c37e4debdaa5942a1d12ac747429e61018872c7a"
 FOREST_GOLDEN = "04972fccc87f8b40c01632de0125f1c543562d9b60ca3846229a7ec3c33afe8a"
 
 
@@ -42,7 +42,8 @@ def _corpus():
         for p in (0.3, 0.6):
             delta = gen_complex(n * 10 + int(p * 10), n, p)
             yield f"c{n}-{p}", "complex", ("verify",), delta.to_json()
-    # past the facet budget, then past the coloring budget
+    # past the facet budget, then nine vertices whose upper links touch at
+    # most eight
     for n, p in ((8, 0.5), (9, 0.1)):
         yield f"c{n}", "complex", ("verify",), gen_complex(n, n, p).to_json()
     for n in range(1, 5):

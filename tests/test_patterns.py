@@ -272,6 +272,25 @@ def test_tf_polynomial_increasing_forest():
         assert tf_polynomial(G) == poly_from_linear_factors([1] * q, n - q)
 
 
+def test_tf_polynomial_of_a_disconnected_graph_is_the_product_over_components():
+    # tightness reads only the relative order of labels inside a tree, so
+    # each component counts as itself numbered by the rank of its labels
+    rng = random.Random(1907)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        labels = rng.sample(range(1, n + 1), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(2, n - 1))))
+        blocks = [sorted(labels[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+        edges = [e for block in blocks for e in itertools.combinations(block, 2)
+                 if rng.random() < 0.6]
+        product = IntPolynomial.one()
+        for block in blocks:
+            rank = {v: r for r, v in enumerate(block, start=1)}
+            product = product * tf_polynomial(Graph(
+                len(block), [(rank[i], rank[j]) for i, j in edges if i in rank]))
+        assert tf_polynomial(Graph(n, edges)) == product, (n, edges)
+
+
 def _counts(sets, n):
     coeffs = [0] * (n + 1)
     for s in sets:
@@ -532,6 +551,43 @@ def test_roots_sweep_matches_the_unskipped_sweep_on_six_vertices():
         assert report == oracle_tf_roots_report(G, roots_of), G
         found.add(report["boolean_facts"]["is_forest"])
     assert found == {True, False}
+
+
+# in all but the two triangles the first component is a tree, and in K3+3K1
+# and C4+K2 the last one holds the cycle: a sweep that stopped at the first
+# component with a witness, or skipped the last one, would sweep all of G
+_DISCONNECTED_NON_FORESTS = {
+    "K3+3K1": Graph(6, [(4, 5), (4, 6), (5, 6)]),
+    "two-triangles": Graph(6, [(1, 3), (1, 5), (3, 5), (2, 4), (2, 6), (4, 6)]),
+    "C4+K2": Graph(6, [(1, 4), (2, 3), (3, 6), (5, 6), (2, 5)]),
+    "K4+2K1": Graph(6, [(2, 3), (2, 5), (2, 6), (3, 5), (3, 6), (5, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DISCONNECTED_NON_FORESTS))
+def test_roots_sweep_of_a_disconnected_non_forest_sweeps_components_only(
+    name, monkeypatch
+):
+    G = _DISCONNECTED_NON_FORESTS[name]
+    steps = 0
+    step = patterns._tf_step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(patterns, "_tf_step", counted)
+    report = tf_integer_roots_classification(G).to_json()
+    split, steps = steps, 0
+    for _ in patterns._tf_orderings(G):
+        pass
+    assert split < steps
+    if name == "K3+3K1":
+        # one labeled graph per component, one step per vertex
+        assert split == 6
+    assert report == oracle_tf_roots_report(G, _roots_table())
+    assert not report["boolean_facts"]["integer_root_ordering_exists"]
 
 
 def _check_sweep_against_the_walk(G):
