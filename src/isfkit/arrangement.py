@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -30,7 +29,7 @@ from .errors import BudgetExceededError, InputError, InternalCheckError, require
 from .exactla import echelon
 from .graphcore import _increasing_masks, counts_to_polynomial
 from .polycore import IntPolynomial, poly_from_linear_factors
-from .report import Report
+from .report import Report, _Frozen, _set
 from .walks import block_transversals, count_by_size, downward_closed, members
 
 __all__ = [
@@ -306,11 +305,14 @@ def multigraph_isf_polynomial(
     return factored
 
 
-@dataclass(frozen=True)
-class PerfectLabelingResult:
-    ok: bool
-    failed_condition: int | None = None
-    witness: tuple | None = None
+class PerfectLabelingResult(_Frozen):
+    __slots__ = ("ok", "failed_condition", "witness")
+
+    def __init__(self, ok: bool, failed_condition: int | None = None,
+                 witness: tuple | None = None):
+        _set(self, "ok", ok)
+        _set(self, "failed_condition", failed_condition)
+        _set(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -356,13 +358,16 @@ def is_perfectly_labeled(G: LabeledMultigraph) -> PerfectLabelingResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(_Frozen):
     """Central hyperplane arrangement given by one normal vector per hyperplane."""
 
-    dim: int
-    normals: tuple[tuple[GaussRational, ...], ...]
-    real_flag: bool
+    __slots__ = ("dim", "normals", "real_flag")
+
+    def __init__(self, dim: int, normals: tuple[tuple[GaussRational, ...], ...],
+                 real_flag: bool):
+        _set(self, "dim", dim)
+        _set(self, "normals", normals)
+        _set(self, "real_flag", real_flag)
 
 
 def build_arrangement(G: LabeledMultigraph) -> Arrangement:

@@ -830,5 +830,10 @@ def is_bipartite(G: Graph) -> bool:
 
 
 def has_triangle(G: Graph) -> bool:
-    adj = {v: set(ns) for v, ns in G.adjacency().items()}
+    """Whether some edge's endpoints share a neighbour; only the endpoints of
+    edges get a neighbour set."""
+    adj: dict[int, set[int]] = defaultdict(set)
+    for i, j in G.edges:
+        adj[i].add(j)
+        adj[j].add(i)
     return any(adj[i] & adj[j] for i, j in G.edges)

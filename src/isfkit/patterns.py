@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from . import graphcore
 from .graphcore import _EDGE_BUDGET, Graph, counts_to_polynomial, edges_are_acyclic
 from .polycore import IntPolynomial, poly_integer_roots
-from .report import Report
+from .report import Report, _Frozen, _set
 from .walks import count_by_size, downward_closed, members, unpack_counts
 
 __all__ = [
@@ -46,17 +45,16 @@ _SWEEP_VERTEX_BUDGET = 6  # vertices of the integer-roots ordering sweep
 _PERMUTATION_BUDGET = 15  # k of the pattern-avoiding permutation count
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Pattern:
+class Pattern(_Frozen):
     """A permutation pattern, stored as a permutation of {1..k}."""
 
-    perm: tuple[int, ...]
+    __slots__ = ("perm",)
 
-    def __post_init__(self):
-        perm = tuple(require_int(v, "pattern entry") for v in self.perm)
+    def __init__(self, perm: Sequence[int]):
+        perm = tuple(require_int(v, "pattern entry") for v in perm)
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise InputError(f"{perm} is not a permutation of 1..{len(perm)}")
-        object.__setattr__(self, "perm", perm)
+        _set(self, "perm", perm)
 
     def __len__(self):
         return len(self.perm)
@@ -512,10 +510,12 @@ def qpo_condition_holds(G: Graph, path: Sequence[int]) -> bool:
     return G.has_edge(a, d) or (d < b and G.has_edge(c, d))
 
 
-@dataclass(frozen=True)
-class QPOResult:
-    ok: bool
-    witness: tuple[int, ...] | None = None
+class QPOResult(_Frozen):
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: tuple[int, ...] | None = None):
+        _set(self, "ok", ok)
+        _set(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -570,16 +570,15 @@ def verify_tf_theorems(G: Graph, budget: int = _EDGE_BUDGET) -> Report:
     The forest masks of the tight-forest walk and the counts of
     `tf_polynomial` are two routes to the generating function; they must
     agree, and so must the NBC counts of the walk and of the `nbc_sets`
-    transfer.  The coloring and candidate-path budgets refuse before any
-    walk starts, and the tight forests and NBC sets are kept as bitmasks
-    over the NBC walk's edge order.
+    transfer.  The coloring and candidate-path budgets refuse before the
+    triangle test and any walk start, and the tight forests and NBC sets
+    are kept as bitmasks over the NBC walk's edge order.
     """
     report = Report()
-    triangle = graphcore.has_triangle(G)
-    report.fact("has_triangle", triangle)
-
     chrom = graphcore.chromatic_polynomial(G)
     qpo = is_qpo(G)
+    triangle = graphcore.has_triangle(G)
+    report.fact("has_triangle", triangle)
     seq, nbc, _ = graphcore._checked_nbc_walk(G, budget)
     tf = set(_tf_walk(G.n, seq))
     tf_poly = tf_polynomial(G, budget=budget)

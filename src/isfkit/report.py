@@ -1,39 +1,95 @@
-"""Verification reports shared by the verify operations and the CLI."""
+"""Verification reports shared by the verify operations and the CLI, and
+the small value-class bases that the subject modules share."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .polycore import IntPolynomial, WeightedGF
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class _Value:
+    """Field-wise equality and repr over `__slots__`, the fields in order.
+    Each subclass writes its own `__init__` and is unhashable unless frozen.
+    Plain classes keep the standard library's class generator, and the
+    `inspect` it imports, out of every CLI command: every command loads
+    this module."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Value):
+    """A `_Value` whose `__init__` sets each field once with `_set`; assigning
+    or deleting a field raises AttributeError.  It hashes by its fields and
+    pickles through its constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+_set = object.__setattr__
+
+
+class IdentityCheck(_Frozen):
     """Two sides of one polynomial/count identity, with the observed outcome."""
 
-    name: str
-    left: object
-    right: object
+    __slots__ = ("name", "left", "right")
+
+    def __init__(self, name: str, left: object, right: object):
+        _set(self, "name", name)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     @property
     def equal(self) -> bool:
         return self.left == self.right
 
 
-@dataclass
-class Report:
+class Report(_Value):
     """Outcome of a verify operation.
 
     `passed` records whether every theorem-level assertion held; individual
     identity checks may legitimately be unequal (for instance on inputs
     where an equality is expected to fail), so `passed` is set explicitly
-    by the producer rather than derived from the checks.
+    by the producer rather than derived from the checks.  Each report gets
+    its own lists and dicts.
     """
 
-    passed: bool = True
-    identity_checks: list[IdentityCheck] = field(default_factory=list)
-    boolean_facts: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, object] = field(default_factory=dict)
+    __slots__ = ("passed", "identity_checks", "boolean_facts", "witnesses")
+
+    def __init__(
+        self,
+        passed: bool = True,
+        identity_checks: list[IdentityCheck] | None = None,
+        boolean_facts: dict[str, bool] | None = None,
+        witnesses: dict[str, object] | None = None,
+    ):
+        self.passed = passed
+        self.identity_checks = [] if identity_checks is None else identity_checks
+        self.boolean_facts = {} if boolean_facts is None else boolean_facts
+        self.witnesses = {} if witnesses is None else witnesses
 
     def check(self, name: str, left, right, *, expect_equal: bool | None = None):
         """Record an identity check; optionally require a specific outcome."""

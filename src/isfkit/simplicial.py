@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
@@ -29,7 +28,7 @@ from .polycore import (
     poly_from_linear_factors,
     product_of_weighted_factors,
 )
-from .report import Report
+from .report import Report, _Frozen, _set
 from .walks import avoiding, block_transversals, count_by_size, downward_closed
 
 __all__ = [
@@ -200,11 +199,13 @@ def full_subcomplex(delta: PureComplex) -> SpanningSubcomplex:
     return SpanningSubcomplex(delta, delta.facets)
 
 
-@dataclass(frozen=True)
-class PhiPartition:
+class PhiPartition(_Frozen):
     """Facets grouped by (peak, largest vertex); N is the block count."""
 
-    blocks: dict[tuple[Face, int], frozenset[Face]]
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: dict[tuple[Face, int], frozenset[Face]]):
+        _set(self, "blocks", blocks)
 
     @property
     def N(self) -> int:
@@ -338,12 +339,15 @@ def verify_product_formula(delta: PureComplex, budget: int = _FACET_BUDGET) -> R
     The orientation counts of the upper links, which hold the coloring
     budget, are taken before the sweep and the link walks start, each on
     the vertices the link's edges touch: an isolated vertex does not
-    change the count."""
+    change the count.  A budget refusal names the peak of its link."""
     report = Report()
     links, effective = upper_links(delta)
     ao_product = 1
     for sigma in effective:
-        ao_product *= graphcore.acyclic_orientation_count(_touched(links[sigma]))
+        try:
+            ao_product *= graphcore.acyclic_orientation_count(_touched(links[sigma]))
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"upper link of peak {sigma}: {exc}") from exc
     partition = phi_partition(delta)
     factored = cf_polynomial(delta)
     counts = enumerate_cage_free(delta, budget=budget)

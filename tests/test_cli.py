@@ -691,14 +691,15 @@ _PATH_26 = Graph(26, [(k, k + 1) for k in range(1, 26)]).to_json()
 _FAN_22 = PureComplex(24, 2, [(1, k, k + 1) for k in range(2, 24)]).to_json()
 
 
-# n is the vertex count that is colored: for the fan, the 23 vertices that
-# the upper link of the peak (1,) touches
+# the refusal names the vertex count that is colored: for the fan, the 23
+# vertices that the upper link of the peak (1,) touches
 @pytest.mark.parametrize(
-    "kind, payload, n",
-    [("graph", _PATH_26, 26), ("forest", _PATH_26, 26), ("complex", _FAN_22, 23)],
+    "kind, payload, refusal",
+    [("graph", _PATH_26, "n=26"), ("forest", _PATH_26, "n=26"),
+     ("complex", _FAN_22, "upper link of peak (1,): n=23")],
     ids=["graph-26-vertex-path", "forest-26-vertex-path", "complex-22-facet-fan"],
 )
-def test_verify_refuses_before_it_walks(tmp_path, kind, payload, n):
+def test_verify_refuses_before_it_walks(tmp_path, kind, payload, refusal):
     # within the edge or facet budget, every subset is a member: a walk
     # before the coloring budget's refusal would list 2**25 or 2**22 sets
     path = write(tmp_path, "in.json", payload)
@@ -707,7 +708,21 @@ def test_verify_refuses_before_it_walks(tmp_path, kind, payload, n):
                      preexec_fn=_limit_address_space_to_1_gib, timeout=20)
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [f"input error: n={n} exceeds the coloring budget 8"]
+    assert proc.stderr.splitlines() == [
+        f"input error: {refusal} exceeds the coloring budget 8"]
+
+
+@pytest.mark.parametrize("kind", ["graph", "forest"])
+def test_verify_refuses_ten_million_isolated_vertices_at_once(tmp_path, kind):
+    # the budgets refuse before any per-vertex work, such as a triangle test
+    path = write(tmp_path, "in.json", {"n": 10**7, "edges": []})
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", kind, "verify", path,
+                     preexec_fn=_limit_address_space_to_1_gib, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "input error: n=10000000 exceeds the coloring budget 8"]
 
 
 def test_complex_peo_does_not_grow_with_the_vertex_count(tmp_path):
@@ -742,6 +757,20 @@ def test_console_entry_point(tmp_path):
 def test_cli_import_loads_no_numpy():
     proc = run_child("-c", "import isfkit.cli, sys; assert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_imports_load_neither_dataclasses_nor_inspect():
+    # compared with the modules loaded before, so a site hook that preloads
+    # one of them cannot fail the test
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import isfkit.cli, isfkit.graphcore, isfkit.simplicial\n"
+        "import isfkit.arrangement, isfkit.patterns\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    proc = run_child("-c", script)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_package_import_loads_no_submodule():

@@ -514,3 +514,13 @@ def test_structure_helpers():
     assert is_bipartite(cycle_graph(4))
     assert not is_bipartite(cycle_graph(5))
     assert has_triangle(house_graph())
+
+
+def test_has_triangle_looks_only_at_edge_endpoints():
+    # on 10**7 vertices a neighbour set per vertex would take seconds
+    n = 10**7
+    start = time.perf_counter()
+    assert has_triangle(Graph(n, [(1, n), (5, n), (1, 5), (2, 3)]))
+    assert not has_triangle(Graph(n, [(1, 2), (2, 3), (3, n), (1, n)]))
+    assert not has_triangle(Graph(n, []))
+    assert time.perf_counter() - start < 1

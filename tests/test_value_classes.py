@@ -1,0 +1,200 @@
+"""The small value classes: constructors, equality, hashing, immutability,
+repr, truth value and pickling, as the verify operations and the CLI use
+them."""
+
+import copy
+import pickle
+
+import pytest
+
+from isfkit.arrangement import (
+    Arrangement,
+    LabeledMultigraph,
+    PerfectLabelingResult,
+    build_arrangement,
+)
+from isfkit.errors import InputError
+from isfkit.patterns import Pattern, QPOResult
+from isfkit.polycore import IntPolynomial
+from isfkit.report import IdentityCheck, Report
+from isfkit.simplicial import PhiPartition, phi_partition
+
+from helpers import anchored_multigraph, fan_complex
+
+
+def _arrangement():
+    return build_arrangement(anchored_multigraph())
+
+
+# (class, positional fields, the same fields by keyword)
+_FROZEN = [
+    (IdentityCheck, ("chi", IntPolynomial((0, 1)), 3),
+     {"name": "chi", "left": IntPolynomial((0, 1)), "right": 3}),
+    (Pattern, ((2, 3, 1),), {"perm": (2, 3, 1)}),
+    (QPOResult, (False, (1, 2, 3, 4)), {"ok": False, "witness": (1, 2, 3, 4)}),
+    (PerfectLabelingResult, (False, 2, (3, 4)),
+     {"ok": False, "failed_condition": 2, "witness": (3, 4)}),
+    (Arrangement, (_arrangement().dim, _arrangement().normals, True),
+     {"dim": _arrangement().dim, "normals": _arrangement().normals, "real_flag": True}),
+    (PhiPartition, ({((1,), 3): frozenset({(1, 2, 3)})},),
+     {"blocks": {((1,), 3): frozenset({(1, 2, 3)})}}),
+]
+_IDS = [cls.__name__ for cls, _, _ in _FROZEN]
+
+
+@pytest.mark.parametrize("cls, args, kwargs", _FROZEN, ids=_IDS)
+def test_positional_and_keyword_construction_agree(cls, args, kwargs):
+    a, b = cls(*args), cls(**kwargs)
+    assert a == b and not a != b
+    for name, value in kwargs.items():
+        assert getattr(a, name) == value
+
+
+@pytest.mark.parametrize("cls, args, kwargs", _FROZEN, ids=_IDS)
+def test_assignment_and_deletion_raise_attribute_error(cls, args, kwargs):
+    value = cls(*args)
+    for name in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(*args)
+
+
+@pytest.mark.parametrize("cls, args, kwargs", _FROZEN, ids=_IDS)
+def test_pickle_and_copy_keep_the_fields(cls, args, kwargs):
+    value = cls(*args)
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls and clone == value
+
+
+def test_frozen_equality_is_field_wise_and_hash_follows_it():
+    assert IdentityCheck("a", 1, 2) == IdentityCheck("a", 1, 2)
+    assert IdentityCheck("a", 1, 2) != IdentityCheck("a", 2, 1)
+    assert hash(IdentityCheck("a", 1, 2)) == hash(IdentityCheck("a", 1, 2))
+    assert Pattern((2, 3, 1)) == Pattern([2, 3, 1]) != Pattern((3, 1, 2))
+    assert len({Pattern((2, 3, 1)), Pattern([2, 3, 1]), Pattern((3, 2, 1))}) == 2
+    assert QPOResult(True) == QPOResult(True, None) != QPOResult(False)
+    assert hash(QPOResult(False, (1, 2))) == hash(QPOResult(False, (1, 2)))
+    assert PerfectLabelingResult(True) == PerfectLabelingResult(True, None, None)
+    assert PerfectLabelingResult(False, 1) != PerfectLabelingResult(False, 2)
+    assert hash(PerfectLabelingResult(False, 3, (1, 2))) == hash(
+        PerfectLabelingResult(False, 3, (1, 2)))
+    A = _arrangement()
+    assert A == build_arrangement(anchored_multigraph())
+    assert hash(A) == hash(build_arrangement(anchored_multigraph()))
+    assert A != Arrangement(A.dim, A.normals, not A.real_flag)
+    empty = build_arrangement(LabeledMultigraph(2))
+    assert empty == Arrangement(2, (), True) and empty != A
+    assert phi_partition(fan_complex()) == phi_partition(fan_complex())
+
+
+def test_equality_needs_the_same_class():
+    # the same fields under another class compare unequal, not by value
+    assert QPOResult(True) != PerfectLabelingResult(True)
+    assert IdentityCheck("a", 1, 2) != ("a", 1, 2)
+    assert Pattern((1,)) != (1,)
+
+
+def test_pattern_validates_and_stores_a_tuple():
+    assert Pattern([2, 3, 1]).perm == (2, 3, 1)
+    assert len(Pattern((2, 3, 1))) == 3
+    for bad in ((1, 1), (0, 1), (2, 3), ("1",), (1.0,)):
+        with pytest.raises(InputError):
+            Pattern(bad)
+
+
+def test_reprs():
+    assert repr(Pattern((2, 3, 1))) == "Pattern(231)"
+    assert repr(IdentityCheck("x", 1, [2])) == "IdentityCheck(name='x', left=1, right=[2])"
+    assert repr(QPOResult(True)) == "QPOResult(ok=True, witness=None)"
+    assert repr(PerfectLabelingResult(False, 1, (1, 2))) == (
+        "PerfectLabelingResult(ok=False, failed_condition=1, witness=(1, 2))")
+    A = _arrangement()
+    assert repr(A) == f"Arrangement(dim={A.dim}, normals={A.normals!r}, real_flag=True)"
+    blocks = {((1,), 3): frozenset({(1, 2, 3)})}
+    assert repr(PhiPartition(blocks)) == f"PhiPartition(blocks={blocks!r})"
+    assert repr(Report()) == (
+        "Report(passed=True, identity_checks=[], boolean_facts={}, witnesses={})")
+    report = Report(False)
+    report.check("c", 1, 1)
+    assert repr(report) == (
+        "Report(passed=False, identity_checks=[IdentityCheck(name='c', left=1, "
+        "right=1)], boolean_facts={}, witnesses={})")
+
+
+def test_truth_value_of_the_results_is_ok():
+    assert QPOResult(True) and not QPOResult(False, (1, 2, 3, 4))
+    assert PerfectLabelingResult(True) and not PerfectLabelingResult(False, 1, ())
+
+
+def test_phi_partition_counts_its_blocks():
+    blocks = {((1,), 3): frozenset({(1, 2, 3)}), ((1,), 4): frozenset({(1, 2, 4)})}
+    assert PhiPartition(blocks).N == 2
+    assert PhiPartition({}).N == 0
+
+
+def test_identity_check_equal_compares_the_sides():
+    assert IdentityCheck("a", IntPolynomial((1, 1)), IntPolynomial((1, 1))).equal
+    assert not IdentityCheck("a", 1, 2).equal
+
+
+def test_report_defaults_are_not_shared():
+    a, b = Report(), Report()
+    a.check("c", 1, 2, expect_equal=True)
+    a.fact("f", True)
+    a.witnesses["w"] = 1
+    assert (a.passed, len(a.identity_checks), a.boolean_facts, a.witnesses) == (
+        False, 1, {"f": True}, {"w": 1})
+    assert b == Report() and b.passed
+    assert b.identity_checks == [] and b.boolean_facts == {} and b.witnesses == {}
+    assert a.identity_checks is not b.identity_checks
+    assert a.boolean_facts is not b.boolean_facts
+    assert a.witnesses is not b.witnesses
+
+
+def test_report_is_mutable_unhashable_and_compared_field_wise():
+    a, b = Report(), Report()
+    assert a == b
+    a.passed = False
+    assert a != b
+    b.passed = False
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    assert Report(True, [], {}, {}) == Report(passed=True, identity_checks=[],
+                                              boolean_facts={}, witnesses={})
+
+
+def test_report_fields_by_keyword_to_json():
+    report = Report(witnesses={"b": [3, 1], "a": {2: IntPolynomial((0, 1))},
+                               "c": frozenset({(2, 1), (1, 2)}), "d": None})
+    assert report.to_json() == {
+        "passed": True,
+        "identity_checks": [],
+        "boolean_facts": {},
+        "witnesses": {"a": {"2": ["0", "1"]}, "b": [3, 1],
+                      "c": [[1, 2], [2, 1]], "d": None},
+    }
+    assert list(report.to_json()["witnesses"]) == ["a", "b", "c", "d"]
+
+
+def test_report_to_json_of_checks_and_facts():
+    report = Report()
+    report.check("p", IntPolynomial((1, 2)), IntPolynomial((1, 2)), expect_equal=True)
+    report.check("q", 1, 2, expect_equal=False)
+    report.fact("z", 1)
+    report.fact("y", 0)
+    assert report.passed
+    assert report.to_json() == {
+        "passed": True,
+        "identity_checks": [
+            {"name": "p", "left": ["1", "2"], "right": ["1", "2"], "equal": True},
+            {"name": "q", "left": 1, "right": 2, "equal": False},
+        ],
+        "boolean_facts": {"y": False, "z": True},
+        "witnesses": {},
+    }
+    report.fact("x", False, required=True)
+    assert not report.passed and not report.to_json()["passed"]
