@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import graphcore
@@ -114,10 +113,7 @@ def _refuse_unprintable_isf(G: graphcore.Graph) -> None:
     limit = sys.get_int_max_str_digits()
     if not limit:
         return
-    sizes = [0] * (G.n + 1)
-    for _, j in G.edges:
-        sizes[j] += 1
-    if math.prod(1 + s for s in sizes) >= (G.n + 1) * 10**limit:
+    if graphcore._isf_count(G) >= (G.n + 1) * 10**limit:
         raise BudgetExceededError(
             f"result too large to write: a coefficient exceeds the limit "
             f"({limit} digits) for integer string conversion"

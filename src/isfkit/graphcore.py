@@ -12,16 +12,18 @@ edges from the order-largest down and accepts an edge when the edges that
 joining its endpoints' components closes hold none below it.  `nbc_sets`
 counts them without the walk: a transfer over the same edges keeps only the
 partition of the vertices that still have an edge to come, and the walk is
-its second route in the verify operations.  The chromatic polynomial is
-computed by deletion-contraction and checked against the independent-set
-partition counts expanded in the falling-factorial basis.
+its second route in the verify operations.  The chromatic polynomial
+compares the two routes of `chromatic`: a memoized deletion- and
+addition-contraction recursion on neighbour bitmasks, and the counts of a
+colour-class transfer over the vertices, expanded in the falling-factorial
+basis.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from math import perm
+from collections import Counter, defaultdict
+from math import perm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
@@ -62,9 +64,11 @@ Edge = tuple[int, int]
 # The budgets: past one, BudgetExceededError is raised, or a cross-check skipped
 _EDGE_BUDGET = 25  # edges of the ISF, NBC and tight-forest walks and tf_polynomial
 _CYCLE_BUDGET = 10**6  # cycles that simple_cycles lists
-_TABLE_BUDGET = 1 << 17  # states of nbc_sets' transfer table
-_COUNT_BITS = 1 << 31  # bits of counts it handles, summed over the edges
-_VERTEX_BUDGET = 8  # vertices of chromatic_polynomial and the orientation table
+_TABLE_BUDGET = 1 << 17  # states of the transfers, entries of the chromatic memo
+_COUNT_BITS = 1 << 31  # bits of counts each of those holds, summed over its steps
+_MEMBER_BUDGET = 1 << 20  # members of each family that a verify operation walks
+_OUTPUT_BUDGET = 10**5  # vertices of an output with an entry per vertex
+_VERTEX_BUDGET = 8  # vertices of the orientation cross-check's table
 _ORIENTATION_BUDGET = 16  # edges that acyclic_orientation_count cross-checks
 
 
@@ -182,6 +186,21 @@ class EdgeOrder:
         if set(order.sequence) != graph.edges:
             raise InputError("edge order must be a permutation of the edge set")
         return order
+
+
+def _within_output_budget(n: int) -> None:
+    """Refuse an output with an entry per vertex, such as a polynomial of
+    degree n or an ordering, past the output budget."""
+    if n > _OUTPUT_BUDGET:
+        raise BudgetExceededError(f"n={n} exceeds the output budget {_OUTPUT_BUDGET}")
+
+
+def _within_member_budget(size: int, family: str) -> None:
+    """Refuse a walk over a family of `size` members past the member budget."""
+    if size > _MEMBER_BUDGET:
+        raise BudgetExceededError(
+            f"{size} {family} exceed the member budget {_MEMBER_BUDGET}"
+        )
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> list[int]:
@@ -310,7 +329,9 @@ def isf_polynomial(
 
     With a weights mapping, each edge contributes its own variable and the
     result is the weighted product prod_k (t + sum of weights over E_k).
+    The output budget caps n.
     """
+    _within_output_budget(G.n)
     blocks = edge_partition(G)
     if weights is None:
         return poly_from_linear_factors(
@@ -320,6 +341,12 @@ def isf_polynomial(
         WeightedGF.t_plus_vars(weights[e] for e in sorted(blocks[k]))
         for k in range(1, G.n + 1)
     )
+
+
+def _isf_count(G: Graph) -> int:
+    """The number of increasing spanning forests, prod_k (1 + |E_k|), from
+    the edges alone."""
+    return prod(1 + c for c in Counter(j for _, j in G.edges).values())
 
 
 def counts_to_polynomial(counts: Mapping[int, int], n: int) -> IntPolynomial:
@@ -397,18 +424,31 @@ def _nbc_walk(G: Graph, order: EdgeOrder | None, budget: int):
     return seq, downward_closed(len(seq), extend, tuple(incident))
 
 
-def _checked_nbc_walk(G: Graph, budget: int) -> tuple[tuple, set[int], dict]:
-    """The NBC walk's edge order, its sets as bitmasks over that order, and
-    their counts by size, which must equal the counts of `nbc_sets`."""
+def _walk_budgets(G: Graph, budget: int) -> dict[int, int]:
+    """The budgets a graph's verify operation checks before any walk or
+    per-vertex output: the edge budget, the output budget, and the member
+    budget of the NBC walk, whose size `nbc_sets` counts.  Returns those
+    counts by size."""
+    _edges_within_budget(G, budget)
+    _within_output_budget(G.n)
+    counted = nbc_sets(G)
+    _within_member_budget(sum(counted.values()), "NBC sets")
+    return counted
+
+
+def _checked_nbc_walk(G: Graph, budget: int, counted: dict[int, int]
+                      ) -> tuple[tuple, set[int]]:
+    """The NBC walk's edge order and its sets as bitmasks over that order;
+    their counts by size must equal `counted`, those of `nbc_sets`."""
     seq, masks = _nbc_walk(G, None, budget)
     nbc = set(masks)
-    walked, counted = count_by_size(nbc), nbc_sets(G)
+    walked = count_by_size(nbc)
     if walked != counted:
         raise InternalCheckError(
             f"NBC counts {counted} of the transfer differ from the {walked} "
             f"of the walk on {G!r}"
         )
-    return seq, nbc, walked
+    return seq, nbc
 
 
 def nbc_set_list(G: Graph, order: EdgeOrder | None = None) -> list[frozenset[Edge]]:
@@ -506,10 +546,11 @@ def nbc_sets(
     return unpack_counts(table[()], width)
 
 
-def _count_bits_exceeded() -> BudgetExceededError:
+def _count_bits_exceeded(what: str = "NBC transfer", steps: str = "edges"
+                         ) -> BudgetExceededError:
     return BudgetExceededError(
-        f"NBC transfer exceeds its budget of {_COUNT_BITS} bits of counts "
-        "summed over the edges"
+        f"{what} exceeds its budget of {_COUNT_BITS} bits of counts "
+        f"summed over the {steps}"
     )
 
 
@@ -539,34 +580,18 @@ def _independent_sets(G: Graph) -> list[bool]:
     return independent
 
 
-def _independent_partition_counts(G: Graph) -> list[int]:
-    """a[k], the number of partitions of the vertices into k nonempty
-    independent sets; each set's partitions choose first the block T that
-    holds its lowest vertex."""
-    independent = _independent_sets(G)
-    partitions = [[1]]
-    for S in range(1, len(independent)):
-        low, counts = S & -S, [0] * (S.bit_count() + 1)
-        T = S
-        while T:
-            if T & low and independent[T]:
-                for k, c in enumerate(partitions[S ^ T]):
-                    counts[k + 1] += c
-            T = (T - 1) & S
-        partitions.append(counts)
-    return partitions[-1]
-
-
 def count_proper_colorings(G: Graph, colors: int) -> int:
     """Number of proper colorings of G with the given number of colors.
 
-    Sums a[k] * colors! / (colors - k)! over the partitions of the vertices
-    into k independent color classes, so it never uses deletion-contraction.
+    Sums a[k] * colors! / (colors - k)! over the transfer's counts of
+    partitions into k colour classes, times colors for each vertex without
+    an edge, so it never uses the contraction recursion.
     """
+    from . import chromatic  # only the commands that colour compile it
     if colors < 0:
         raise InputError("color count must be nonnegative")
-    partitions = _independent_partition_counts(G)
-    return sum(a * perm(colors, k) for k, a in enumerate(partitions))
+    counts, isolated = chromatic._class_counts(G)
+    return colors**isolated * sum(a * perm(colors, k) for k, a in enumerate(counts))
 
 
 def _find_cycle_edge(edges: Iterable[Edge]) -> Edge | None:
@@ -590,62 +615,28 @@ def _find_cycle_edge(edges: Iterable[Edge]) -> Edge | None:
     return None
 
 
-def _chromatic_deletion_contraction(G: Graph) -> IntPolynomial:
-    t = IntPolynomial.t()
-    t_minus_1 = IntPolynomial((-1, 1))
-    memo: dict[tuple[int, frozenset[Edge]], IntPolynomial] = {}
-
-    def rec(nv: int, edges: frozenset[Edge]) -> IntPolynomial:
-        key = (nv, edges)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        e = _find_cycle_edge(edges)
-        if e is None:
-            # forest: each edge halves-forbids one color pair independently
-            q = len(edges)
-            result = t ** (nv - q) * t_minus_1**q
-        else:
-            u, v = e
-            deleted = rec(nv, edges - {e})
-            contracted_edges = set()
-            for a, b in edges - {e}:
-                a2 = u if a == v else a
-                b2 = u if b == v else b
-                if a2 != b2:
-                    contracted_edges.add((min(a2, b2), max(a2, b2)))
-            contracted = rec(nv - 1, frozenset(contracted_edges))
-            result = deleted - contracted
-        memo[key] = result
-        return result
-
-    return rec(G.n, G.edges)
-
-
 def chromatic_polynomial(G: Graph) -> IntPolynomial:
     """Chromatic polynomial computed by two independent routes.
 
-    Route one is deletion-contraction; route two expands the independent-set
-    partition counts a[k] in the falling-factorial basis, sum a[k] *
-    t(t-1)...(t-k+1), since each partition into k color classes is colored in
-    t(t-1)...(t-k+1) ways.  The routes must agree, otherwise an
-    InternalCheckError is raised.
+    Route one is the contraction recursion on neighbour bitmasks; route two
+    expands the colour-class transfer's partition counts a[k] in the
+    falling-factorial basis, sum a[k] * t(t-1)...(t-k+1), since each
+    partition into k color classes is colored in t(t-1)...(t-k+1) ways, and
+    a vertex without an edge multiplies by t.  Both live in `chromatic`,
+    build integer lists and share no table; they must agree, otherwise an
+    InternalCheckError is raised.  The output budget caps n.
     """
-    if G.n > _VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"n={G.n} exceeds the coloring budget {_VERTEX_BUDGET}"
-        )
-    by_recursion = _chromatic_deletion_contraction(G)
-    by_partitions, falling = IntPolynomial(), IntPolynomial.one()
-    for k, a in enumerate(_independent_partition_counts(G)):
-        by_partitions = by_partitions + a * falling
-        falling = falling * IntPolynomial((-k, 1))
-    if by_recursion != by_partitions:
+    from . import chromatic  # only the commands that colour compile it
+    _within_output_budget(G.n)
+    counts, isolated = chromatic._class_counts(G)
+    by_transfer = [0] * isolated + chromatic._falling_to_power(counts)
+    by_recursion = chromatic._by_contraction(G)
+    if by_recursion != by_transfer:
         raise InternalCheckError(
-            "deletion-contraction and partition-count chromatic polynomials "
-            f"differ: {by_recursion!r} vs {by_partitions!r}"
+            "contraction and colour-class chromatic polynomials differ: "
+            f"{by_recursion} vs {by_transfer}"
         )
-    return by_recursion
+    return IntPolynomial(by_recursion)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +665,9 @@ def find_peo(G: Graph) -> list[int] | None:
     the unnumbered vertex of largest weight, the smallest on a tie, from a
     bucket queue (Tarjan-Yannakakis): one min-heap of vertices per weight,
     where an entry whose vertex was numbered or has moved up is skipped.
+    The output budget caps n.
     """
+    _within_output_budget(G.n)
     import heapq  # only this search needs it; every CLI command loads graphcore
     adj = G.adjacency()
     weight = [0] * (G.n + 1)
@@ -715,8 +708,8 @@ def acyclic_orientation_count(
 ) -> int:
     """Number of acyclic orientations, evaluated as (-1)**n P(G, -1).
 
-    Within the orientation budget on edges and the coloring budget on
-    vertices, it is also counted without P by inclusion-exclusion over the
+    Within the orientation budget on edges and the vertex budget of its
+    table, it is also counted without P by inclusion-exclusion over the
     nonempty independent source sets T: a(S) = sum (-1)**(|T|+1) a(S - T)
     over T within S, a(empty) = 1.  The totals must agree.
     """
@@ -749,14 +742,17 @@ def verify_isf_nbc(G: Graph, budget: int = _EDGE_BUDGET) -> Report:
 
     Every identity is computed along both of its routes.  `passed` is False
     only if an assertion that must hold for every graph fails, which would
-    falsify this implementation rather than the mathematics.  The coloring
-    budget refuses before either walk starts, and both families are kept as
-    bitmasks over the NBC walk's edge order.  The NBC counts of the walk
-    must equal those of the `nbc_sets` transfer.
+    falsify this implementation rather than the mathematics.  The edge,
+    output and member budgets refuse before either walk starts: the members
+    are counted by `nbc_sets` and by the ISF product.  Both families are
+    kept as bitmasks over the NBC walk's edge order.  The NBC counts of the
+    walk must equal those of the `nbc_sets` transfer.
     """
     report = Report()
+    nbc_counts = _walk_budgets(G, budget)
+    _within_member_budget(_isf_count(G), "increasing spanning forests")
     chrom = chromatic_polynomial(G)
-    seq, nbc, nbc_counts = _checked_nbc_walk(G, budget)
+    seq, nbc = _checked_nbc_walk(G, budget, nbc_counts)
     isf = set(_increasing_masks(seq))
     enum_poly = counts_to_polynomial(count_by_size(isf), G.n)
     factored = isf_polynomial(G)

@@ -391,9 +391,10 @@ def tf_polynomial(G: Graph, budget: int = _EDGE_BUDGET) -> IntPolynomial:
     each state maps to its counts by edge number.  One vertex is one call
     of `_tf_step`, which the integer-roots ordering sweep shares.
     `verify_tf_theorems` checks these counts against the forest masks of
-    the tight-forest walk.
+    the tight-forest walk.  The output budget caps n.
     """
     edges = graphcore._edges_within_budget(G, budget)
+    graphcore._within_output_budget(G.n)
     adj = G.adjacency()
     # the counts by edge number k, packed as the sum of count << width * k;
     # no count exceeds 2**len(edges), so one field never carries into the
@@ -570,18 +571,22 @@ def verify_tf_theorems(G: Graph, budget: int = _EDGE_BUDGET) -> Report:
     The forest masks of the tight-forest walk and the counts of
     `tf_polynomial` are two routes to the generating function; they must
     agree, and so must the NBC counts of the walk and of the `nbc_sets`
-    transfer.  The coloring and candidate-path budgets refuse before the
-    triangle test and any walk start, and the tight forests and NBC sets
-    are kept as bitmasks over the NBC walk's edge order.
+    transfer.  The edge, output and member budgets refuse before the
+    triangle test and any walk start: the members are counted by
+    `nbc_sets` and by `tf_polynomial` at 1.  The candidate-path budget
+    refuses next, and the tight forests and NBC sets are kept as bitmasks
+    over the NBC walk's edge order.
     """
     report = Report()
+    nbc_counts = graphcore._walk_budgets(G, budget)
+    tf_poly = tf_polynomial(G, budget=budget)
+    graphcore._within_member_budget(tf_poly(1), "tight spanning forests")
     chrom = graphcore.chromatic_polynomial(G)
     qpo = is_qpo(G)
     triangle = graphcore.has_triangle(G)
     report.fact("has_triangle", triangle)
-    seq, nbc, _ = graphcore._checked_nbc_walk(G, budget)
+    seq, nbc = graphcore._checked_nbc_walk(G, budget, nbc_counts)
     tf = set(_tf_walk(G.n, seq))
-    tf_poly = tf_polynomial(G, budget=budget)
     listed = counts_to_polynomial(count_by_size(tf), G.n)
     if tf_poly != listed:
         raise InternalCheckError(

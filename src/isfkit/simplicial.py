@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
@@ -283,15 +284,21 @@ def enumerate_cage_free(
     Walks the facet sets in which no pair of facets cages a ridge, by the
     pair scan of the defining condition, so it does not use the blocks.
     """
-    facets = sorted(delta.facets)
+    facets = _facets_within_budget(delta, budget)
     q = len(facets)
-    if q > budget:
-        raise BudgetExceededError(f"{q} facets exceeds the sweep budget {budget}")
     blockers: list[list[int]] = [[] for _ in facets]
     for a, b in itertools.combinations(range(q), 2):
         if _caged_by_pair_scan(frozenset((facets[a], facets[b]))):
             blockers[b].append(1 << a)
     return count_by_size(downward_closed(q, avoiding(blockers), 0))
+
+
+def _facets_within_budget(delta: PureComplex, budget: int) -> list[Face]:
+    if len(delta.facets) > budget:
+        raise BudgetExceededError(
+            f"{len(delta.facets)} facets exceeds the sweep budget {budget}"
+        )
+    return sorted(delta.facets)
 
 
 def cf_polynomial(
@@ -336,19 +343,30 @@ def upper_links(delta: PureComplex) -> tuple[dict[Face, Graph], list[Face]]:
 def verify_product_formula(delta: PureComplex, budget: int = _FACET_BUDGET) -> Report:
     """Check the factorization and upper-link product identities on one complex.
 
-    The orientation counts of the upper links, which hold the coloring
-    budget, are taken before the sweep and the link walks start, each on
-    the vertices the link's edges touch: an isolated vertex does not
-    change the count.  A budget refusal names the peak of its link."""
+    The facet, output and member budgets refuse before the sweep and the
+    link walks start: the members are counted by the cage-free product
+    prod (1 + |block|) and by each link's ISF product.  The orientation
+    counts of the upper links are taken next, each on the vertices the
+    link's edges touch, where an isolated vertex does not change the count
+    and the cross-check's vertex budget reads the touched vertices.  A
+    budget refusal in a link names its peak."""
     report = Report()
+    _facets_within_budget(delta, budget)
+    graphcore._within_output_budget(delta.n)
+    partition = phi_partition(delta)
+    graphcore._within_member_budget(
+        prod(1 + len(b) for b in partition.blocks.values()), "cage-free subcomplexes"
+    )
     links, effective = upper_links(delta)
     ao_product = 1
     for sigma in effective:
         try:
+            graphcore._within_member_budget(
+                graphcore._isf_count(links[sigma]), "increasing spanning forests"
+            )
             ao_product *= graphcore.acyclic_orientation_count(_touched(links[sigma]))
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"upper link of peak {sigma}: {exc}") from exc
-    partition = phi_partition(delta)
     factored = cf_polynomial(delta)
     counts = enumerate_cage_free(delta, budget=budget)
     enum_poly = counts_to_polynomial(counts, partition.N)

@@ -267,6 +267,41 @@ def oracle_coloring_count(G: Graph, t: int) -> int:
     return total
 
 
+def oracle_partition_counts(G: Graph) -> list[int]:
+    """a[k], the number of partitions of all n vertices into k nonempty
+    independent sets, by a table over all 2**n vertex sets: each set's
+    partitions choose first the block T that holds its lowest vertex."""
+    neighbors = [0] * G.n
+    for i, j in G.edges:
+        neighbors[i - 1] |= 1 << (j - 1)
+        neighbors[j - 1] |= 1 << (i - 1)
+    independent = [True] * (1 << G.n)
+    for S in range(1, 1 << G.n):
+        rest = S & (S - 1)
+        low = (S ^ rest).bit_length() - 1
+        independent[S] = independent[rest] and not neighbors[low] & rest
+    partitions = [[1]]
+    for S in range(1, 1 << G.n):
+        low, counts = S & -S, [0] * (S.bit_count() + 1)
+        T = S
+        while T:
+            if T & low and independent[T]:
+                for k, c in enumerate(partitions[S ^ T]):
+                    counts[k + 1] += c
+            T = (T - 1) & S
+        partitions.append(counts)
+    return partitions[-1]
+
+
+def oracle_chromatic_by_partitions(G: Graph) -> IntPolynomial:
+    """sum a[k] t(t-1)...(t-k+1) over the partition table's counts."""
+    total, falling = IntPolynomial(), IntPolynomial.one()
+    for k, a in enumerate(oracle_partition_counts(G)):
+        total = total + a * falling
+        falling = falling * IntPolynomial((-k, 1))
+    return total
+
+
 def _lagrange_integer(points: list[tuple[int, int]]) -> IntPolynomial:
     m = len(points)
     coeffs = [Fraction(0)] * m

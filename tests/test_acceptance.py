@@ -76,10 +76,10 @@ def test_criterion_2_chromatic_identity_and_peo():
         assert chrom_g == expected
         # make the two routes explicit as well
         from helpers import _lagrange_integer
-        from isfkit.graphcore import _chromatic_deletion_contraction
+        from isfkit.chromatic import _by_contraction
 
         pts = [(v, graphcore.count_proper_colorings(G, v)) for v in range(5)]
-        assert _chromatic_deletion_contraction(G) == _lagrange_integer(pts)
+        assert IntPolynomial(_by_contraction(G)) == _lagrange_integer(pts)
         assert graphcore.is_peo(G, [1, 2, 3, 4])
         assert graphcore.isf_polynomial(G) == chrom_g.compose_neg()
         chrom_h = graphcore.chromatic_polynomial(H)

@@ -31,6 +31,7 @@ from helpers import (
     bipyramid,
     house_graph,
     oracle_acyclic_orientation_count,
+    oracle_coloring_count,
     paw_peo,
     tetrahedron_boundary,
 )
@@ -465,7 +466,8 @@ def test_complex_verify_output_within_budget(tmp_path, capsys):
 def test_complex_verify_on_nine_vertices_counts_links_on_their_own_vertices(
     tmp_path, capsys
 ):
-    # past the coloring budget of 8 vertices, but no upper link touches more
+    # nine vertices, but no upper link touches more than the eight that the
+    # orientation cross-check takes
     delta = gen_complex(9, 9, 0.1)
     links, effective = upper_links(delta)
     assert effective and max(
@@ -629,6 +631,76 @@ def test_small_complexes_exit_zero(action, payload):
     assert code == 0, err
 
 
+def test_graph_chromatic_on_nine_to_fourteen_vertices(tmp_path, capsys):
+    for n in range(9, 15):
+        for p in (0.3, 0.5, 0.7):
+            G = gen_graph(n * 10 + int(p * 10), n, p)
+            path = write(tmp_path, f"g{n}-{p}.json", G.to_json())
+            code, out, err = invoke(capsys, ["graph", "chromatic", path])
+            assert code == 0 and err == "ok\n"
+            coeffs = [int(c) for c in json.loads(out)]
+            # Whitney: monic of degree n, the next coefficient is -|E|, and
+            # the signs alternate
+            assert len(coeffs) == n + 1 and coeffs[n] == 1
+            assert coeffs[n - 1] == -len(G.edges)
+            assert all((-1) ** (n - i) * c >= 0 for i, c in enumerate(coeffs))
+            if n <= 10:
+                assert IntPolynomial(coeffs)(3) == oracle_coloring_count(G, 3)
+
+
+@pytest.mark.parametrize("n, closed", [(1000, False), (2000, True)],
+                         ids=["1000-vertex-path", "2000-vertex-cycle"])
+def test_graph_chromatic_on_a_long_path_or_cycle_never_exits_three(
+    tmp_path, capsys, n, closed
+):
+    edges = [[k, k + 1] for k in range(1, n)] + ([[1, n]] if closed else [])
+    path = write(tmp_path, "in.json", {"n": n, "edges": edges})
+    code, out, err = invoke(capsys, ["graph", "chromatic", path])
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("input error: ")
+
+
+# past the output budget, past a machine word, and the negative ends
+_huge = st.sampled_from([-(10**30), -1, 10**5 + 1, 2**63, 10**30])
+_endpoint = _label | _huge
+
+
+@st.composite
+def _graph_payloads(draw):
+    """Valid graphs on n <= 14 vertices, some edges repeated."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    vertex = st.integers(min_value=1, max_value=max(n, 1))
+    pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]).map(sorted)
+    edges = draw(st.lists(pairs, max_size=20)) if n >= 2 else []
+    return {"n": n, "edges": edges}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    action=st.sampled_from(["isf", "chromatic", "nbc", "peo", "verify"]),
+    payload=_graph_payloads()
+    | st.fixed_dictionaries({
+        "n": _huge,
+        "edges": st.lists(st.tuples(_label, _label).map(sorted), max_size=4),
+    })
+    | st.fixed_dictionaries({
+        "n": _endpoint | _json,
+        "edges": st.lists(st.lists(_endpoint | _json, max_size=3) | _json, max_size=6)
+        | _json,
+    })
+    | _json,
+)
+def test_graph_fuzz_exits_zero_or_two(action, payload):
+    code, err = _run_on_json("graph", action, payload)
+    assert code in (0, 2), err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("input error: "), err
+    else:
+        assert err == "ok\n"
+
+
 def test_unexpected_exception_exits_three_with_one_line(tmp_path, capsys, monkeypatch):
     def broken(action, args):
         raise RuntimeError("boom")
@@ -691,17 +763,18 @@ _PATH_26 = Graph(26, [(k, k + 1) for k in range(1, 26)]).to_json()
 _FAN_22 = PureComplex(24, 2, [(1, k, k + 1) for k in range(2, 24)]).to_json()
 
 
-# the refusal names the vertex count that is colored: for the fan, the 23
-# vertices that the upper link of the peak (1,) touches
+# the refusal names the first family past the member budget and its exact
+# size: the NBC sets of the path, the cage-free subcomplexes of the fan
 @pytest.mark.parametrize(
     "kind, payload, refusal",
-    [("graph", _PATH_26, "n=26"), ("forest", _PATH_26, "n=26"),
-     ("complex", _FAN_22, "upper link of peak (1,): n=23")],
+    [("graph", _PATH_26, "33554432 NBC sets"),
+     ("forest", _PATH_26, "33554432 NBC sets"),
+     ("complex", _FAN_22, "4194304 cage-free subcomplexes")],
     ids=["graph-26-vertex-path", "forest-26-vertex-path", "complex-22-facet-fan"],
 )
 def test_verify_refuses_before_it_walks(tmp_path, kind, payload, refusal):
     # within the edge or facet budget, every subset is a member: a walk
-    # before the coloring budget's refusal would list 2**25 or 2**22 sets
+    # before the member budget's refusal would list 2**25 or 2**22 sets
     path = write(tmp_path, "in.json", payload)
     start = time.perf_counter()
     proc = run_child("-m", "isfkit.cli", kind, "verify", path,
@@ -709,7 +782,7 @@ def test_verify_refuses_before_it_walks(tmp_path, kind, payload, refusal):
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        f"input error: {refusal} exceeds the coloring budget 8"]
+        f"input error: {refusal} exceed the member budget 1048576"]
 
 
 @pytest.mark.parametrize("kind", ["graph", "forest"])
@@ -722,7 +795,34 @@ def test_verify_refuses_ten_million_isolated_vertices_at_once(tmp_path, kind):
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        "input error: n=10000000 exceeds the coloring budget 8"]
+        "input error: n=10000000 exceeds the output budget 100000"]
+
+
+@pytest.mark.parametrize(
+    "kind, action", [("graph", "isf"), ("graph", "peo"), ("graph", "chromatic"),
+                     ("forest", "tf")])
+def test_per_vertex_outputs_refuse_ten_million_vertices_at_once(tmp_path, kind, action):
+    path = write(tmp_path, "in.json", {"n": 10**7, "edges": []})
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", kind, action, path,
+                     preexec_fn=_limit_address_space_to_1_gib, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "input error: n=10000000 exceeds the output budget 100000"]
+
+
+def test_complex_verify_refuses_a_million_vertices_at_once(tmp_path):
+    # no peak is effective, but the structure report's PEO has an entry per
+    # vertex
+    path = write(tmp_path, "in.json", {"n": 10**6, "d": 1, "facets": []})
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", "complex", "verify", path,
+                     preexec_fn=_limit_address_space_to_1_gib, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "input error: n=1000000 exceeds the output budget 100000"]
 
 
 def test_complex_peo_does_not_grow_with_the_vertex_count(tmp_path):
@@ -780,7 +880,8 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout.strip() == "['isfkit']"
 
 
-# each command loads its own subject module and none of the other three
+# each command loads its own subject module and none of the other three;
+# none of these four colours a graph, so none loads `chromatic`
 _SUBJECT = {"graph": "graphcore", "complex": "simplicial",
             "multigraph": "arrangement", "forest": "patterns"}
 _COMMANDS = [
@@ -805,7 +906,7 @@ def test_cli_command_loads_only_its_subject_module(tmp_path, kind, action, insta
     proc = run_child("-c", script, kind, action, path)
     assert proc.returncode == 0, proc.stderr
     loaded = {m.removeprefix("isfkit.") for m in json.loads(proc.stdout)}
-    others = {"simplicial", "arrangement", "patterns"} - {_SUBJECT[kind]}
+    others = {"simplicial", "arrangement", "patterns", "chromatic"} - {_SUBJECT[kind]}
     assert _SUBJECT[kind] in loaded and not loaded & others
 
 

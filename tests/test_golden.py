@@ -16,7 +16,7 @@ import json
 from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.graphcore import Graph
 
-GOLDEN = "3967c340d3ccebaee5fc60a2c37e4debdaa5942a1d12ac747429e61018872c7a"
+GOLDEN = "88f90eeafedb08cb692350b3f1ef523c8938a5fa635b1f137c80dd530d0c3e6f"
 FOREST_GOLDEN = "04972fccc87f8b40c01632de0125f1c543562d9b60ca3846229a7ec3c33afe8a"
 
 
@@ -34,7 +34,8 @@ def _corpus():
         # K8 has 28 edges: both verify actions refuse it
         for kind in ("graph", "forest"):
             yield f"K{n}-{kind}", kind, ("verify",), Graph(n, edges).to_json()
-    # within the edge budget, but past the coloring budget
+    # nine vertices within the edge budget, past the orientation
+    # cross-check's vertex budget
     sparse = gen_graph(9, 9, 0.3).to_json()
     yield "g9", "graph", ("verify",), sparse
     yield "f9", "forest", ("verify",), sparse

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isfkit import graphcore
+from isfkit import chromatic, graphcore
 from isfkit.errors import BudgetExceededError, InputError, InternalCheckError
 from isfkit.graphcore import (
     _nbc_walk,
@@ -38,15 +38,18 @@ from isfkit.walks import count_by_size
 from helpers import (
     all_edge_subsets,
     broken_circuits,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     house_graph,
     increasing_tree,
     non_increasing_tree,
     oracle_acyclic_orientation_count,
+    oracle_chromatic_by_partitions,
     oracle_coloring_count,
     oracle_isf_counts,
     oracle_nbc_sets,
+    oracle_partition_counts,
     paw_non_peo,
     paw_peo,
     relabel_to_natural_peo,
@@ -276,12 +279,12 @@ def test_chromatic_four_cycle_against_coloring_oracle():
 
 def test_chromatic_internal_routes_agree():
     from helpers import _lagrange_integer
-    from isfkit.graphcore import _chromatic_deletion_contraction
+    from isfkit.chromatic import _by_contraction
 
     rng = random.Random(3)
     for _ in range(20):
         G = random_graph(rng, rng.randint(1, 6))
-        dc = _chromatic_deletion_contraction(G)
+        dc = IntPolynomial(_by_contraction(G))
         pts = [(t, oracle_coloring_count(G, t)) for t in range(G.n + 1)]
         assert dc == _lagrange_integer(pts)
 
@@ -292,6 +295,96 @@ def test_count_proper_colorings_matches_pure_python():
         G = random_graph(rng, rng.randint(1, 5))
         for t in range(G.n + 2):
             assert count_proper_colorings(G, t) == oracle_coloring_count(G, t)
+
+
+def _graphs_at_densities(rng, sizes):
+    # sparse graphs take deletion-contraction, dense ones addition-contraction
+    for n in sizes:
+        for p in (0.2, 0.5, 0.8):
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            yield Graph(n, [e for e in pairs if rng.random() < p])
+
+
+def test_both_chromatic_routes_match_the_partition_table():
+    rng = random.Random(21)
+    for G in _graphs_at_densities(rng, range(9, 13)):
+        expected = oracle_chromatic_by_partitions(G)
+        counts, isolated = chromatic._class_counts(G)
+        by_transfer = [0] * isolated + chromatic._falling_to_power(counts)
+        assert IntPolynomial(by_transfer) == expected
+        assert IntPolynomial(chromatic._by_contraction(G)) == expected
+        if not isolated:
+            assert counts == oracle_partition_counts(G)
+
+
+def test_both_chromatic_routes_match_the_coloring_oracle():
+    rng = random.Random(22)
+    for G in _graphs_at_densities(rng, range(1, 11)):
+        by_recursion = IntPolynomial(chromatic._by_contraction(G))
+        for t in range(4):
+            expected = oracle_coloring_count(G, t)
+            assert count_proper_colorings(G, t) == expected
+            assert by_recursion(t) == expected
+
+
+def _random_chordal(rng, n):
+    """A chordal graph and a PEO of it: each new vertex joins part of a
+    clique built so far, so its earlier neighbours form a clique; the
+    labels are shuffled."""
+    cliques, joined, edges = [()], [], []
+    for v in range(n):
+        chosen = tuple(x for x in rng.choice(cliques) if rng.random() < 0.7)
+        joined.append(len(chosen))
+        edges += [(x, v) for x in chosen]
+        cliques.append(chosen + (v,))
+    labels = rng.sample(range(1, n + 1), n)
+    G = Graph(n, [(min(labels[a], labels[b]), max(labels[a], labels[b]))
+                  for a, b in edges])
+    return G, labels, joined
+
+
+def test_chromatic_polynomial_of_chordal_graphs_is_the_product_over_a_peo():
+    # P(G) = prod over a PEO of (t - the vertex's earlier neighbours)
+    rng = random.Random(23)
+    for n in range(9, 17):
+        for _ in range(2):
+            G, peo, joined = _random_chordal(rng, n)
+            assert is_peo(G, peo)
+            expected = IntPolynomial.one()
+            for d in joined:
+                expected = expected * IntPolynomial((-d, 1))
+            assert chromatic_polynomial(G) == expected
+
+
+def test_chromatic_polynomial_of_long_paths_and_cycles_does_not_recurse():
+    t_minus_1 = IntPolynomial((-1, 1))
+    n = 500
+    path = Graph(n, [(k, k + 1) for k in range(1, n)])
+    assert chromatic_polynomial(path) == IntPolynomial.t() * t_minus_1 ** (n - 1)
+    cycle = Graph(n, [*path.edges, (1, n)])
+    assert chromatic_polynomial(cycle) == t_minus_1**n + (-1) ** n * t_minus_1
+
+
+def test_chromatic_polynomial_has_no_vertex_cap_below_the_output_budget():
+    n = graphcore._OUTPUT_BUDGET
+    assert chromatic_polynomial(Graph(n, [(1, n)])) == (
+        IntPolynomial.monomial(n - 1) * IntPolynomial((-1, 1)))
+    with pytest.raises(BudgetExceededError, match="n=100001 exceeds the output budget"):
+        chromatic_polynomial(Graph(n + 1))
+
+
+def test_chromatic_routes_refuse_past_their_budgets(monkeypatch):
+    # 1, 2, 3 share the frontier in B(3) = 5 partitions
+    K33 = complete_bipartite([1, 2, 3], [4, 5, 6])
+    assert chromatic._class_counts(K33, budget=5)[0] == oracle_partition_counts(K33)
+    with pytest.raises(BudgetExceededError, match="budget of 4 states"):
+        chromatic._class_counts(K33, budget=4)
+    C6 = cycle_graph(6)
+    with pytest.raises(BudgetExceededError, match="budget of 2 memo entries"):
+        chromatic._by_contraction(C6, budget=2)
+    monkeypatch.setattr(graphcore, "_COUNT_BITS", 100)
+    with pytest.raises(BudgetExceededError, match="100 bits of counts"):
+        chromatic_polynomial(C6)
 
 
 def test_nbc_transfer_matches_the_walk_on_every_small_graph():
