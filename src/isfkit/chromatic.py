@@ -32,9 +32,7 @@ def _neighbour_masks(G: Graph) -> tuple[list[int], int]:
     return masks, G.n - len(touched)
 
 
-def _class_counts(
-    G: Graph, budget: int = graphcore._TABLE_BUDGET
-) -> tuple[list[int], int]:
+def _class_counts(G: Graph) -> tuple[list[int], int]:
     """a[k], the number of partitions of the vertices with an edge into k
     independent colour classes, and the number of vertices without an edge,
     by a transfer that lists no partition.
@@ -48,11 +46,13 @@ def _class_counts(
     an open class that holds no neighbour of w.  A vertex leaves its class
     after its last neighbour, and a class left empty is closed.
 
-    `budget` caps the states, and `_COUNT_BITS` the bits of counts the table
-    holds, summed over the steps; a count is at most the Bell number of the
-    placed vertices, so a long path is refused before any step.
+    `_TABLE_BUDGET` caps the states, and `_COUNT_BITS` the bits of counts
+    the table holds, summed over the steps; a count is at most the Bell
+    number of the placed vertices, so a long path is refused before any
+    step.
     """
     adj, isolated = _neighbour_masks(G)
+    budget = graphcore._TABLE_BUDGET
     # step j holds counts for k = 0..j, each below j**j
     state_bits = [(j + 1) * j * j.bit_length() for j in range(1, len(adj) + 1)]
     if sum(state_bits) > graphcore._COUNT_BITS:
@@ -187,7 +187,7 @@ def _times_t_minus_one(coeffs: list[int], b: int) -> list[int]:
     return coeffs
 
 
-def _by_contraction(G: Graph, budget: int = graphcore._TABLE_BUDGET) -> list[int]:
+def _by_contraction(G: Graph) -> list[int]:
     """The coefficients of P(G), in t**i, by deletion-contraction on sparse
     graphs and addition-contraction on dense ones (`_split`), down to
     complete graphs, P(K_v) = t(t-1)...(t-v+1).
@@ -195,12 +195,13 @@ def _by_contraction(G: Graph, budget: int = graphcore._TABLE_BUDGET) -> list[int
     A graph is a tuple of neighbour bitmasks, stripped of the vertices with
     at most one neighbour (`_strip`), and the memo holds P of each such core
     as a list of ints.  The recursion keeps its own stack, so long paths and
-    cycles do not recurse.  `budget` caps the memo's entries, and
+    cycles do not recurse.  `_TABLE_BUDGET` caps the memo's entries, and
     `_COUNT_BITS` the bits they hold: a core on v vertices has coefficients
     below v**v.
     """
     adj, isolated = _neighbour_masks(G)
     root, a, b = _strip(adj)
+    budget = graphcore._TABLE_BUDGET
     memo: dict[tuple[int, ...], list[int]] = {(): [1]}
     splits: dict[tuple[int, ...], tuple] = {}
     stack, spent = [root], 0

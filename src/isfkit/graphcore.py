@@ -744,13 +744,13 @@ def verify_isf_nbc(G: Graph, budget: int = _EDGE_BUDGET) -> Report:
     only if an assertion that must hold for every graph fails, which would
     falsify this implementation rather than the mathematics.  The edge,
     output and member budgets refuse before either walk starts: the members
-    are counted by `nbc_sets` and by the ISF product.  Both families are
+    are counted by `nbc_sets`, which bounds the ISF walk too, as ISF is a
+    subset of NBC.  Both families are
     kept as bitmasks over the NBC walk's edge order.  The NBC counts of the
     walk must equal those of the `nbc_sets` transfer.
     """
     report = Report()
     nbc_counts = _walk_budgets(G, budget)
-    _within_member_budget(_isf_count(G), "increasing spanning forests")
     chrom = chromatic_polynomial(G)
     seq, nbc = _checked_nbc_walk(G, budget, nbc_counts)
     isf = set(_increasing_masks(seq))

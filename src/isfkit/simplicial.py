@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
@@ -344,19 +343,15 @@ def verify_product_formula(delta: PureComplex, budget: int = _FACET_BUDGET) -> R
     """Check the factorization and upper-link product identities on one complex.
 
     The facet, output and member budgets refuse before the sweep and the
-    link walks start: the members are counted by the cage-free product
-    prod (1 + |block|) and by each link's ISF product.  The orientation
-    counts of the upper links are taken next, each on the vertices the
-    link's edges touch, where an isolated vertex does not change the count
-    and the cross-check's vertex budget reads the touched vertices.  A
-    budget refusal in a link names its peak."""
+    link walks start: the sweep lists at most 2**budget facet sets, and the
+    member budget reads each link's ISF product.  The orientation counts of
+    the upper links are taken next, each on the vertices the link's edges
+    touch, where an isolated vertex does not change the count and the
+    cross-check's vertex budget reads the touched vertices.  A budget
+    refusal in a link names its peak."""
     report = Report()
     _facets_within_budget(delta, budget)
     graphcore._within_output_budget(delta.n)
-    partition = phi_partition(delta)
-    graphcore._within_member_budget(
-        prod(1 + len(b) for b in partition.blocks.values()), "cage-free subcomplexes"
-    )
     links, effective = upper_links(delta)
     ao_product = 1
     for sigma in effective:
@@ -367,6 +362,7 @@ def verify_product_formula(delta: PureComplex, budget: int = _FACET_BUDGET) -> R
             ao_product *= graphcore.acyclic_orientation_count(_touched(links[sigma]))
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"upper link of peak {sigma}: {exc}") from exc
+    partition = phi_partition(delta)
     factored = cf_polynomial(delta)
     counts = enumerate_cage_free(delta, budget=budget)
     enum_poly = counts_to_polynomial(counts, partition.N)

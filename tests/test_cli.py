@@ -764,12 +764,13 @@ _FAN_22 = PureComplex(24, 2, [(1, k, k + 1) for k in range(2, 24)]).to_json()
 
 
 # the refusal names the first family past the member budget and its exact
-# size: the NBC sets of the path, the cage-free subcomplexes of the fan
+# size: the NBC sets of the path, the ISF of the fan's 22-edge upper link
 @pytest.mark.parametrize(
     "kind, payload, refusal",
     [("graph", _PATH_26, "33554432 NBC sets"),
      ("forest", _PATH_26, "33554432 NBC sets"),
-     ("complex", _FAN_22, "4194304 cage-free subcomplexes")],
+     ("complex", _FAN_22,
+      "upper link of peak (1,): 4194304 increasing spanning forests")],
     ids=["graph-26-vertex-path", "forest-26-vertex-path", "complex-22-facet-fan"],
 )
 def test_verify_refuses_before_it_walks(tmp_path, kind, payload, refusal):
@@ -783,6 +784,18 @@ def test_verify_refuses_before_it_walks(tmp_path, kind, payload, refusal):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
         f"input error: {refusal} exceed the member budget 1048576"]
+
+
+def test_complex_verify_sweeps_22_one_facet_blocks(tmp_path):
+    # 2**22 cage-free subcomplexes, past the member budget, but the facet
+    # budget bounds the sweep and every upper link is small
+    facets = [(a, a + 1, c) for c in range(3, 10) for a in range(1, c - 1)][:22]
+    path = write(tmp_path, "in.json", PureComplex(9, 2, facets).to_json())
+    proc = run_child("-m", "isfkit.cli", "complex", "verify", path, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "ok\n"
+    report = json.loads(proc.stdout)
+    assert report["passed"] is True
+    assert report["witnesses"]["cage_free_count"] == 2**22
 
 
 @pytest.mark.parametrize("kind", ["graph", "forest"])

@@ -376,12 +376,15 @@ def test_chromatic_polynomial_has_no_vertex_cap_below_the_output_budget():
 def test_chromatic_routes_refuse_past_their_budgets(monkeypatch):
     # 1, 2, 3 share the frontier in B(3) = 5 partitions
     K33 = complete_bipartite([1, 2, 3], [4, 5, 6])
-    assert chromatic._class_counts(K33, budget=5)[0] == oracle_partition_counts(K33)
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 5)
+    assert chromatic._class_counts(K33)[0] == oracle_partition_counts(K33)
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 4)
     with pytest.raises(BudgetExceededError, match="budget of 4 states"):
-        chromatic._class_counts(K33, budget=4)
+        chromatic._class_counts(K33)
     C6 = cycle_graph(6)
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 2)
     with pytest.raises(BudgetExceededError, match="budget of 2 memo entries"):
-        chromatic._by_contraction(C6, budget=2)
+        chromatic._by_contraction(C6)
     monkeypatch.setattr(graphcore, "_COUNT_BITS", 100)
     with pytest.raises(BudgetExceededError, match="100 bits of counts"):
         chromatic_polynomial(C6)
