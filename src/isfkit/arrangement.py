@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from .exactla import echelon
-from .graphcore import _increasing_masks, counts_to_polynomial
+from .graphcore import _increasing_masks, _within_output_budget, counts_to_polynomial
 from .polycore import IntPolynomial, poly_from_linear_factors
 from .report import Report, _Frozen, _set
 from .walks import block_transversals, count_by_size, downward_closed, members
@@ -276,6 +276,7 @@ class LabeledMultigraph:
 
 def multigraph_edge_partition(G: LabeledMultigraph) -> dict[int, list[EdgeToken]]:
     """Edges grouped by larger nonzero endpoint; the 0--k edge joins group k."""
+    _within_output_budget(G.n)
     blocks: dict[int, list[EdgeToken]] = {k: [] for k in range(1, G.n + 1)}
     for e in G.edge_list():
         blocks[e[1]].append(e)
@@ -372,6 +373,7 @@ class Arrangement(_Frozen):
 
 def build_arrangement(G: LabeledMultigraph) -> Arrangement:
     """One hyperplane per edge: x_i = label * x_j for i-j, x_k = 0 for 0-k."""
+    _within_output_budget(G.n)
     normals = []
     for i, j, z in G.edge_list():
         vec = [GR_ZERO] * G.n
@@ -459,6 +461,13 @@ class IntersectionLattice:
         return best
 
 
+def _support(normals: Sequence[Sequence]) -> list[int]:
+    """The coordinates where some normal is nonzero.  Dropping the others
+    changes neither the flats nor the regions, and a normal then has an
+    entry per vertex an edge touches, not per vertex."""
+    return sorted({k for row in normals for k, z in enumerate(row) if z})
+
+
 def _integers(values: Sequence[Fraction]) -> list[int]:
     """The values scaled by the lcm of their denominators."""
     scale = lcm(*(q.denominator for q in values))
@@ -489,9 +498,10 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
         )
     if any(not any(row) for row in A.normals):
         raise InputError("hyperplane normals must be nonzero")
+    cols = _support(A.normals)
     atom_forms: list[tuple] = []
     for normal in A.normals:
-        f = echelon(_realification(normal))
+        f = echelon(_realification([normal[k] for k in cols]))
         if f not in atom_forms:
             atom_forms.append(f)
     top_form = echelon(row for atom in atom_forms for row in atom)
@@ -656,9 +666,9 @@ def verify_isf_chi(G: LabeledMultigraph) -> Report:
 
     chain = prefix_multichain(G, L)
     blocks = atom_blocks(L, chain)
-    chain_product = IntPolynomial.one()
-    for block in blocks:
-        chain_product = chain_product * IntPolynomial((-len(block), 1))
+    # prod (t - |B|) over the blocks B is (-1)^(#blocks) times prod (-t + |B|)
+    sizes = [len(block) for block in blocks]
+    chain_product = (-1) ** len(sizes) * poly_from_linear_factors(sizes).compose_neg()
     chain_matches = report.check(
         "chain_factorization_vs_chi", chi.shifted(G.n - L.rho), chain_product
     )
@@ -707,12 +717,6 @@ def verify_isf_chi(G: LabeledMultigraph) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _real_normals(A: Arrangement) -> list[list[int]]:
-    if not A.real_flag:
-        raise InputError("region counting requires all-real edge labels")
-    return [_integers([x.re for x in row]) for row in A.normals]
-
-
 def _normalize_real(vec: Sequence[int]) -> tuple[int, ...] | None:
     """The primitive integer multiple of vec with a positive lead."""
     lead = next((x for x in vec if x != 0), None)
@@ -745,7 +749,10 @@ def region_count_deletion_restriction(A: Arrangement) -> int:
         ]
         return rec(rest, dim) + rec(restricted, dim - 1)
 
-    return rec(_real_normals(A), A.dim)
+    if not A.real_flag:
+        raise InputError("region counting requires all-real edge labels")
+    cols = _support(A.normals)
+    return rec([_integers([row[k].re for k in cols]) for row in A.normals], len(cols))
 
 
 def topology_report(G: LabeledMultigraph) -> Report:
@@ -810,6 +817,7 @@ def signed_chromatic_count(G: LabeledMultigraph, s: int) -> int:
     _ASSIGNMENT_BUDGET it raises BudgetExceededError instead."""
     if s < 0:
         raise InputError("s must be nonnegative")
+    _within_output_budget(G.n)
     # a zero edge 0--k is a +1 edge to vertex 0, whose only value is 0
     lower = [[(0, 1)] if k in G.zero_edges else [] for k in range(G.n + 1)]
     for i, j, z in G.labeled_edges:

@@ -7,9 +7,10 @@ spanning subcomplex keeps a subset of the facets and implicitly all faces
 of lower dimension.  Facets are grouped into blocks indexed by (peak,
 largest vertex); a subcomplex is cage-free exactly when it keeps at most
 one facet per block, which is what makes the generating function factor.
-The cross-check enumerates the cage-free subcomplexes without the blocks:
-two facets conflict when the pair scan finds a ridge they cage, and
-`walks.downward_closed` walks the facet sets free of conflicting pairs.
+The cross-check counts the cage-free subcomplexes without the blocks: two
+facets conflict when the pair scan finds a ridge they cage, and
+`walks.independent_set_counts` counts the facet sets free of conflicting
+pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .polycore import (
     product_of_weighted_factors,
 )
 from .report import Report, _Frozen, _set
-from .walks import avoiding, block_transversals, count_by_size, downward_closed
+from .walks import independent_set_counts
 
 __all__ = [
     "PureComplex",
@@ -104,8 +105,8 @@ class PureComplex:
              for sub in itertools.combinations(f, self.d)}
         )
 
-    def _ridge_masks(self, facets: Iterable[Face]) -> list[int]:
-        """The facets' ridge bitmasks, bit i for the i-th sorted ridge, so a
+    def _ridge_masks(self) -> dict[Face, int]:
+        """Each facet's ridge bitmask, bit i for the i-th sorted ridge, so a
         facet's lowest bit omits its last vertex; built once, not compared."""
         if self._masks is None:
             index = {r: i for i, r in enumerate(self.ridges())}
@@ -113,7 +114,7 @@ class PureComplex:
                 f: sum(1 << index[f[:i] + f[i + 1:]] for i in range(len(f)))
                 for f in self.facets
             }
-        return [self._masks[f] for f in facets]
+        return self._masks
 
     def relabeled(self, perm: Sequence[int]) -> "PureComplex":
         """Apply the vertex relabeling v -> perm[v-1]."""
@@ -160,18 +161,18 @@ class PureComplex:
 
 
 class SpanningSubcomplex:
-    """A spanning subcomplex: a facet subset plus every lower face of the parent."""
+    """A spanning subcomplex: a facet subset plus every lower face of the parent.
 
-    __slots__ = ("parent", "kept_facets")
+    `_masks` holds the kept facets' ridge bitmasks (`PureComplex._ridge_masks`);
+    `cage_free_subcomplexes` builds them with the subcomplex, and otherwise
+    they are built on first use."""
+
+    __slots__ = ("parent", "kept_facets", "_masks")
 
     def __init__(self, parent: PureComplex, kept_facets: Iterable[Sequence[int]]):
-        facets = [tuple(f) for f in kept_facets]
-        # require_int's test inline: this runs for every vertex of every
-        # cage-free subcomplex, and fails only on bad input
-        for f in facets:
-            for v in f:
-                if type(v) is not int:
-                    require_int(v, "facet vertex")
+        facets = [
+            tuple(require_int(v, "facet vertex") for v in f) for f in kept_facets
+        ]
         kept = frozenset(facets)
         if not kept <= parent.facets:
             kept = frozenset(tuple(sorted(f)) for f in facets)
@@ -179,6 +180,17 @@ class SpanningSubcomplex:
                 raise InputError("kept facets must be facets of the parent complex")
         self.parent = parent
         self.kept_facets = kept
+        self._masks = None
+
+    @classmethod
+    def _of(cls, parent: PureComplex, kept: Iterable[Face], masks: Sequence[int]):
+        """A subcomplex keeping some of the parent's own facets, with their
+        ridge masks: the facets are the checked ones, so nothing is checked."""
+        self = cls.__new__(cls)
+        self.parent = parent
+        self.kept_facets = frozenset(kept)
+        self._masks = masks
+        return self
 
     def faces(self) -> set[Face]:
         """All faces: lower-dimensional parent faces plus kept facets' closures."""
@@ -234,20 +246,24 @@ def _caged_by_blocks(kept: frozenset[Face]) -> set[Face]:
     return {sigma + (k,) for (sigma, k), c in counts.items() if c >= 2}
 
 
+def _caged_ridge(f1: Face, f2: Face) -> Face | None:
+    """The ridge sigma + (k,) the two facets share, when they add to it
+    vertices i and j that both lie between the largest vertex of sigma
+    and k; otherwise None."""
+    shared = tuple(sorted(set(f1) & set(f2)))
+    if len(shared) != len(f1) - 1:
+        return None
+    k = shared[-1]
+    sigma = shared[:-1]
+    (i,) = set(f1) - set(shared)
+    (j,) = set(f2) - set(shared)
+    bound = sigma[-1] if sigma else 0
+    return shared if bound < i < k and bound < j < k else None
+
+
 def _caged_by_pair_scan(kept: frozenset[Face]) -> set[Face]:
-    out: set[Face] = set()
-    for f1, f2 in itertools.combinations(sorted(kept), 2):
-        shared = tuple(sorted(set(f1) & set(f2)))
-        if len(shared) != len(f1) - 1:
-            continue
-        k = shared[-1]
-        sigma = shared[:-1]
-        (i,) = set(f1) - set(shared)
-        (j,) = set(f2) - set(shared)
-        bound = sigma[-1] if sigma else 0
-        if bound < i < k and bound < j < k:
-            out.add(shared)
-    return out
+    pairs = itertools.combinations(sorted(kept), 2)
+    return {r for f1, f2 in pairs if (r := _caged_ridge(f1, f2)) is not None}
 
 
 def caged_ridges(upsilon: SpanningSubcomplex) -> frozenset[Face]:
@@ -270,9 +286,17 @@ def is_cage_free(upsilon: SpanningSubcomplex) -> bool:
 
 
 def cage_free_subcomplexes(delta: PureComplex) -> list[SpanningSubcomplex]:
-    """Every cage-free spanning subcomplex: at most one facet per block."""
-    blocks = [sorted(b) for _, b in sorted(phi_partition(delta).blocks.items())]
-    return [SpanningSubcomplex(delta, kept) for kept in block_transversals(blocks)]
+    """Every cage-free spanning subcomplex: at most one facet per block.
+
+    Each keeps facets of delta, which `PureComplex` has checked, so each is
+    built directly, with its kept facets' ridge masks."""
+    mask = delta._ridge_masks()
+    # (kept facets, their masks), in `walks.block_transversals` order
+    chosen = [((), ())]
+    for _, block in sorted(phi_partition(delta).blocks.items()):
+        options = [((), ())] + [((f,), (mask[f],)) for f in sorted(block)]
+        chosen = [(fs + f, ms + m) for fs, ms in chosen for f, m in options]
+    return [SpanningSubcomplex._of(delta, fs, ms) for fs, ms in chosen]
 
 
 def enumerate_cage_free(
@@ -280,16 +304,18 @@ def enumerate_cage_free(
 ) -> dict[int, int]:
     """Counts of cage-free subcomplexes by facet count.
 
-    Walks the facet sets in which no pair of facets cages a ridge, by the
-    pair scan of the defining condition, so it does not use the blocks.
+    Two facets conflict when the pair scan of the defining condition finds a
+    ridge they cage; the counts are those of the facet sets free of
+    conflicting pairs, the independent sets of the conflict graph.  The
+    blocks are not used.
     """
     facets = _facets_within_budget(delta, budget)
-    q = len(facets)
-    blockers: list[list[int]] = [[] for _ in facets]
-    for a, b in itertools.combinations(range(q), 2):
-        if _caged_by_pair_scan(frozenset((facets[a], facets[b]))):
-            blockers[b].append(1 << a)
-    return count_by_size(downward_closed(q, avoiding(blockers), 0))
+    conflicts = [0] * len(facets)
+    for (a, f1), (b, f2) in itertools.combinations(enumerate(facets), 2):
+        if _caged_ridge(f1, f2) is not None:
+            conflicts[a] |= 1 << b
+            conflicts[b] |= 1 << a
+    return independent_set_counts(conflicts)
 
 
 def _facets_within_budget(delta: PureComplex, budget: int) -> list[Face]:
@@ -343,12 +369,13 @@ def verify_product_formula(delta: PureComplex, budget: int = _FACET_BUDGET) -> R
     """Check the factorization and upper-link product identities on one complex.
 
     The facet, output and member budgets refuse before the sweep and the
-    link walks start: the sweep lists at most 2**budget facet sets, and the
-    member budget reads each link's ISF product.  The orientation counts of
-    the upper links are taken next, each on the vertices the link's edges
-    touch, where an isolated vertex does not change the count and the
-    cross-check's vertex budget reads the touched vertices.  A budget
-    refusal in a link names its peak."""
+    link walks start: the sweep counts, and does not list, the cage-free
+    sets of at most `budget` facets, and the member budget reads each
+    link's ISF product.  The orientation counts of the upper links are
+    taken next, each on the vertices the link's edges touch, where an
+    isolated vertex does not change the count and the cross-check's vertex
+    budget reads the touched vertices.  A budget refusal in a link names
+    its peak."""
     report = Report()
     _facets_within_budget(delta, budget)
     graphcore._within_output_budget(delta.n)
@@ -449,6 +476,13 @@ def _natural_order_is_peo(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _kept_masks(upsilon: SpanningSubcomplex) -> Sequence[int]:
+    if upsilon._masks is None:
+        mask = upsilon.parent._ridge_masks()
+        upsilon._masks = [mask[f] for f in upsilon.kept_facets]
+    return upsilon._masks
+
+
 def _free_ridges(masks: Iterable[int]) -> int:
     """The ridges, as a bitmask, that lie in exactly one of the facets."""
     once = twice = 0
@@ -471,11 +505,9 @@ def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
     group embeds in a free abelian group, so it is torsion-free and its
     integral rank equals this rational one.
     """
-    core = upsilon.parent._ridge_masks(upsilon.kept_facets)
-    free = _free_ridges(core)
-    while free:
+    core = _kept_masks(upsilon)
+    while core and (free := _free_ridges(core)):
         core = [m for m in core if not m & free]
-        free = _free_ridges(core)
     if not core:
         return 0
     matrix = [[0] * len(core) for _ in range(max(core).bit_length())]
@@ -490,7 +522,7 @@ def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
 
 def has_leaf(upsilon: SpanningSubcomplex) -> bool:
     """Whether some ridge lies in exactly one kept facet."""
-    return bool(_free_ridges(upsilon.parent._ridge_masks(upsilon.kept_facets)))
+    return bool(_free_ridges(_kept_masks(upsilon)))
 
 
 def is_shifted(obj: PureComplex | SpanningSubcomplex) -> bool:

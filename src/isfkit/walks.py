@@ -2,10 +2,11 @@
 
 Increasing spanning forests, NBC sets of a graph or of a lattice, tight
 forests and cage-free subcomplexes are all closed under taking subsets; each
-cross-check of a factored product enumerates one of them.  `downward_closed`
+cross-check of a factored product enumerates or counts one of them.  `downward_closed`
 walks such a family, a member being a bitmask over the items range(q) with
 bit i set when item i is chosen; `block_transversals` lists the "at most one
-item per block" products.
+item per block" products, and `independent_set_counts` counts the
+independent sets of a graph by size without listing them.
 """
 
 from __future__ import annotations
@@ -39,18 +40,40 @@ def downward_closed(q: int, extend: Callable, state) -> Iterator[int]:
             i += 1
 
 
-def avoiding(blockers: Sequence[Sequence[int]]) -> Callable:
-    """The `extend` of the sets containing no forbidden set: blockers[i] holds,
-    for each forbidden set whose largest item is i, the mask of its other
-    items.  The state passes through unchanged."""
+def independent_set_counts(neighbours: Sequence[int]) -> dict[int, int]:
+    """Independent sets of the graph on range(q) whose vertex i has the
+    neighbour bitmask neighbours[i], counted by size in increasing size.
 
-    def extend(mask: int, state, i: int):
-        for rest in blockers[i]:
-            if mask & rest == rest:
-                return None
-        return state
+    A memoized recursion on vertex bitmasks: a disconnected set multiplies
+    the counts of the component of its lowest vertex and of the rest, and a
+    connected one takes I(G - v) + t I(G - N[v]) at its lowest vertex v.  The
+    counts are packed into one int, width q + 1 bits per size, so a product
+    is one multiplication and t a shift.  Each call removes at least one
+    vertex before it recurses twice, so the depth is at most 2q."""
+    q = len(neighbours)
+    width = q + 1
+    memo = {0: 1}
 
-    return extend
+    def count(s: int) -> int:
+        got = memo.get(s)
+        if got is None:
+            low = s & -s
+            part = frontier = low
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                new = neighbours[bit.bit_length() - 1] & s & ~part
+                part |= new
+                frontier |= new
+            if part != s:
+                got = count(part) * count(s ^ part)
+            else:
+                closed = neighbours[low.bit_length() - 1] | low
+                got = count(s ^ low) + (count(s & ~closed) << width)
+            memo[s] = got
+        return got
+
+    return unpack_counts(count((1 << q) - 1), width)
 
 
 def block_transversals(blocks: Iterable[Sequence]) -> Iterator[tuple]:

@@ -494,3 +494,17 @@ def relabel_to_natural_peo(G: Graph, peo) -> Graph:
     for position, vertex in enumerate(peo, start=1):
         perm[vertex - 1] = position
     return G.relabeled(perm)
+
+
+def avoiding(blockers):
+    """The `walks.downward_closed` extend of the sets containing no forbidden
+    set: blockers[i] holds, for each forbidden set whose largest item is i,
+    the mask of its other items.  The state passes through unchanged."""
+
+    def extend(mask, state, i):
+        for rest in blockers[i]:
+            if mask & rest == rest:
+                return None
+        return state
+
+    return extend

@@ -575,9 +575,9 @@ _rational = (
 
 @st.composite
 def _multigraph_payloads(draw):
-    """Well-formed JSON: n from -1..9, endpoints from 1..n (so an edge i-i is
-    the only bad one when n >= 1), labels mostly nonzero."""
-    n = draw(_label)
+    """Well-formed JSON: n from all integers, endpoints from 1..n (so an edge
+    i-i is the only bad one when n >= 1), labels mostly nonzero."""
+    n = draw(st.integers())
     vertex = st.integers(min_value=1, max_value=max(n, 1))
     label = st.fixed_dictionaries({"re": _rational}, optional={"im": _rational})
     edge = st.tuples(vertex, vertex, label).map(lambda e: [*sorted(e[:2]), e[2]])
@@ -588,15 +588,13 @@ def _multigraph_payloads(draw):
     }
 
 
-# n stays small: every action but `perfect` builds per-vertex lists, so a
-# huge n ends in MemoryError (ROADMAP item 7)
 @settings(deadline=None, max_examples=200)
 @given(
     action=st.sampled_from(["chi", "isf", "perfect", "verify", "regions", "signed"]),
     s=st.integers(min_value=-1, max_value=3),
     payload=_multigraph_payloads()
     | st.fixed_dictionaries({
-        "n": _label | _json,
+        "n": st.integers() | _json,
         "zero_edges": st.lists(_label | _json, max_size=4) | _json,
         "edges": st.lists(
             st.tuples(_label, _label, st.fixed_dictionaries({"re": _rational | _json})
@@ -836,6 +834,28 @@ def test_complex_verify_refuses_a_million_vertices_at_once(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "input error: n=1000000 exceeds the output budget 100000"]
+
+
+@pytest.mark.parametrize("action", ["chi", "isf", "verify", "regions", "signed"])
+def test_multigraph_actions_refuse_a_hundred_million_vertices_at_once(
+    tmp_path, action
+):
+    # refused before any normal or per-vertex list is built
+    path = write(tmp_path, "in.json", {"n": 10**8, "zero_edges": [1], "edges": []})
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", "multigraph", action, path, "--s", "1",
+                     preexec_fn=_limit_address_space_to_1_gib, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "input error: n=100000000 exceeds the output budget 100000"]
+
+
+def test_multigraph_perfect_on_a_hundred_million_vertices(tmp_path):
+    path = write(tmp_path, "in.json", {"n": 10**8, "zero_edges": [1], "edges": []})
+    proc = run_child("-m", "isfkit.cli", "multigraph", "perfect", path,
+                     preexec_fn=_limit_address_space_to_1_gib, timeout=20)
+    assert proc.returncode == 0 and proc.stdout == '{"perfectly_labeled":true}\n'
 
 
 def test_complex_peo_does_not_grow_with_the_vertex_count(tmp_path):

@@ -2,7 +2,9 @@ import copy
 import itertools
 import pickle
 import random
+import time
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -284,6 +286,32 @@ def test_cage_free_subcomplexes_never_reach_the_elimination(monkeypatch):
             delta = random_complex(rng, rng.randint(d + 1, 6), d=d)
             for upsilon in cage_free_subcomplexes(delta):
                 assert top_homology_rank(upsilon) == 0
+
+
+def test_built_subcomplexes_equal_the_publicly_constructed_ones():
+    rng = random.Random(67)
+    for d in (1, 2, 3):
+        for _ in range(5):
+            delta = random_complex(rng, rng.randint(d + 1, 6), d=d)
+            for built in cage_free_subcomplexes(delta):
+                public = SpanningSubcomplex(delta, sorted(built.kept_facets))
+                assert public._masks is None  # built on first use
+                for clone in (built, copy.copy(built),
+                              pickle.loads(pickle.dumps(built))):
+                    assert clone.kept_facets == public.kept_facets
+                    assert top_homology_rank(clone) == top_homology_rank(public)
+                    assert has_leaf(clone) == has_leaf(public)
+                    assert sorted(clone._masks) == sorted(public._masks)
+
+
+def test_cage_free_count_of_22_one_facet_blocks_is_quick():
+    facets = [(a, a + 1, c) for c in range(3, 10) for a in range(1, c - 1)][:22]
+    delta = PureComplex(9, 2, facets)
+    assert phi_partition(delta).N == 22
+    start = time.perf_counter()
+    counts = enumerate_cage_free(delta)
+    assert time.perf_counter() - start < 1
+    assert counts == {k: comb(22, k) for k in range(23)}
 
 
 def test_collapse_peels_a_fan_off_the_octahedron_in_rounds(monkeypatch):
