@@ -464,8 +464,11 @@ class IntersectionLattice:
 def _support(normals: Sequence[Sequence]) -> list[int]:
     """The coordinates where some normal is nonzero.  Dropping the others
     changes neither the flats nor the regions, and a normal then has an
-    entry per vertex an edge touches, not per vertex."""
-    return sorted({k for row in normals for k, z in enumerate(row) if z})
+    entry per vertex an edge touches, not per vertex.  The shared GR_ZERO
+    that `build_arrangement` fills in is skipped without a test."""
+    return sorted(
+        {k for row in normals for k, z in enumerate(row) if z is not GR_ZERO and z}
+    )
 
 
 def _integers(values: Sequence[Fraction]) -> list[int]:
