@@ -573,13 +573,10 @@ def prefix_multichain(G: LabeledMultigraph, L: IntersectionLattice) -> list[int]
 
 
 def atom_blocks(L: IntersectionLattice, multichain: Sequence[int]) -> list[list[int]]:
-    """Partition the atoms: block i holds atoms below z_i but not below z_{i-1}."""
-    out = []
-    for prev, cur in zip(multichain, multichain[1:]):
-        out.append(
-            [a for a in L.atoms if L.leq(a, cur) and not L.leq(a, prev)]
-        )
-    return out
+    """Partition the atoms: block i holds atoms below z_i but not below z_{i-1}.
+    The atom L.atoms[a] has the mask 1 << a, so a block is a mask difference."""
+    return [members(L.atoms, L.masks[cur] & ~L.masks[prev])
+            for prev, cur in zip(multichain, multichain[1:])]
 
 
 def block_compatible_atom_order(

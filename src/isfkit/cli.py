@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import graphcore
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
@@ -23,9 +24,18 @@ __all__ = ["main", "run", "gen_graph", "gen_complex", "gen_multigraph"]
 # ---------------------------------------------------------------------------
 
 
-def gen_graph(seed: int, n: int, p: float = 0.5) -> graphcore.Graph:
+def _seeded(seed: int, pool: int, p: float = 0.5):
+    """The random source of a generator that draws once per candidate in a
+    pool of `pool`, which the output budget caps; checked before any draw."""
     import random
-    rng = random.Random(seed)
+    if not 0 <= p <= 1:  # also false for NaN
+        raise InputError(f"p={p} is not a probability in [0, 1]")
+    graphcore._within_output_budget(pool)
+    return random.Random(seed)
+
+
+def gen_graph(seed: int, n: int, p: float = 0.5) -> graphcore.Graph:
+    rng = _seeded(seed, comb(max(n, 0), 2), p)
     edges = [
         (i, j)
         for i in range(1, n + 1)
@@ -36,9 +46,8 @@ def gen_graph(seed: int, n: int, p: float = 0.5) -> graphcore.Graph:
 
 
 def gen_complex(seed: int, n: int, p: float = 0.5) -> PureComplex:
-    import random
     from .simplicial import PureComplex
-    rng = random.Random(seed)
+    rng = _seeded(seed, comb(max(n, 0), 3), p)
     facets = [
         (i, j, k)
         for i in range(1, n + 1)
@@ -50,11 +59,12 @@ def gen_complex(seed: int, n: int, p: float = 0.5) -> PureComplex:
 
 
 def gen_multigraph(seed: int, n: int, max_edges: int = 7) -> LabeledMultigraph:
-    import random
     from .arrangement import LabeledMultigraph
-    rng = random.Random(seed)
+    if max_edges < 0:
+        raise InputError(f"max_edges={max_edges} is negative")
     # labels drawn from small distinct primes, which keeps them generic
     primes = [1, 2, 3, 5, 7]
+    rng = _seeded(seed, max(n, 0) + len(primes) * comb(max(n, 0), 2))
     pool: list[tuple] = [("z", k) for k in range(1, n + 1)]
     pool += [
         ("l", i, j, q)
@@ -99,10 +109,6 @@ def _parse_ordering(raw: str | None):
     return [require_int(v, "--ordering entry") for v in value]
 
 
-def _budget(args) -> dict:  # passed only when given: the library owns the defaults
-    return {} if args.budget is None else {"budget": args.budget}
-
-
 def _refuse_unprintable_isf(G: graphcore.Graph) -> None:
     """Refuse an ISF polynomial that the int-to-string limit cannot write,
     before expanding it.  Its value at 1, prod_k (1 + |E_k|), is the sum of
@@ -136,12 +142,10 @@ def _graph_action(action: str, args) -> tuple[object, bool]:
         if ordering is not None:
             edges = G.sorted_edges()
             if sorted(ordering) != list(range(len(edges))):
-                raise InputError(
-                    "--ordering for nbc must permute 0..#edges-1 "
-                    "(positions into the sorted edge list)"
-                )
+                raise InputError("--ordering for nbc must permute 0..#edges-1 "
+                                 "(positions into the sorted edge list)")
             order = graphcore.EdgeOrder([edges[i] for i in ordering])
-        counts = graphcore.nbc_sets(G, order=order, **_budget(args))
+        counts = graphcore.nbc_sets(G, order=order)
         return {str(m): c for m, c in counts.items()}, True
     if action == "peo":
         ordering = _parse_ordering(args.ordering)
@@ -149,10 +153,8 @@ def _graph_action(action: str, args) -> tuple[object, bool]:
             return {"is_peo": graphcore.is_peo(G, ordering)}, True
         peo = graphcore.find_peo(G)
         return {"chordal": peo is not None, "peo": peo}, True
-    if action == "verify":
-        report = graphcore.verify_isf_nbc(G, **_budget(args))
-        return report.to_json(), report.passed
-    raise InputError(f"unknown graph action {action!r}")
+    report = graphcore.verify_isf_nbc(G)
+    return report.to_json(), report.passed
 
 
 def _complex_action(action: str, args) -> tuple[object, bool]:
@@ -177,13 +179,11 @@ def _complex_action(action: str, args) -> tuple[object, bool]:
     if action == "peo":
         ordering = _parse_ordering(args.ordering)
         return {"is_peo": simplicial.is_simplicial_peo(delta, ordering)}, True
-    if action == "verify":
-        report = simplicial.verify_product_formula(delta, **_budget(args))
-        extra = simplicial.structure_report(simplicial.full_subcomplex(delta))
-        payload = report.to_json()
-        payload["structure"] = Report(witnesses=extra).to_json()["witnesses"]
-        return payload, report.passed
-    raise InputError(f"unknown complex action {action!r}")
+    report = simplicial.verify_product_formula(delta)
+    extra = simplicial.structure_report(simplicial.full_subcomplex(delta))
+    payload = report.to_json()
+    payload["structure"] = Report(witnesses=extra).to_json()["witnesses"]
+    return payload, report.passed
 
 
 def _multigraph_action(action: str, args) -> tuple[object, bool]:
@@ -192,11 +192,7 @@ def _multigraph_action(action: str, args) -> tuple[object, bool]:
     if action == "chi":
         L = arrangement.intersection_lattice(arrangement.build_arrangement(G))
         chi = arrangement.characteristic_polynomial(L)
-        return {
-            "chi": chi.to_json(),
-            "lattice_size": L.size,
-            "rank": L.rho,
-        }, True
+        return {"chi": chi.to_json(), "lattice_size": L.size, "rank": L.rho}, True
     if action == "isf":
         return arrangement.multigraph_isf_polynomial(G).to_json(), True
     if action == "perfect":
@@ -214,14 +210,9 @@ def _multigraph_action(action: str, args) -> tuple[object, bool]:
             raise InputError("region counting requires all-real edge labels")
         report = arrangement.topology_report(G)
         return report.to_json(), report.passed
-    if action == "signed":
-        if args.s is None:
-            raise InputError("signed counting requires --s")
-        return {
-            "s": args.s,
-            "count": arrangement.signed_chromatic_count(G, args.s),
-        }, True
-    raise InputError(f"unknown multigraph action {action!r}")
+    if args.s is None:
+        raise InputError("signed counting requires --s")
+    return {"s": args.s, "count": arrangement.signed_chromatic_count(G, args.s)}, True
 
 
 def _forest_action(action: str, args) -> tuple[object, bool]:
@@ -231,7 +222,7 @@ def _forest_action(action: str, args) -> tuple[object, bool]:
         return {"is_tight": patterns.is_tight_forest(forest)}, True
     G = graphcore.Graph.from_json(_load_json(args.input))
     if action == "tf":
-        return patterns.tf_polynomial(G, **_budget(args)).to_json(), True
+        return patterns.tf_polynomial(G).to_json(), True
     if action == "qpo":
         result = patterns.is_qpo(G)
         payload = {"is_qpo": result.ok}
@@ -239,72 +230,85 @@ def _forest_action(action: str, args) -> tuple[object, bool]:
             payload["witness"] = list(result.witness)
         return payload, True
     if action == "verify":
-        report = patterns.verify_tf_theorems(G, **_budget(args))
+        report = patterns.verify_tf_theorems(G)
         return report.to_json(), report.passed
-    if action == "roots":
-        report = patterns.tf_integer_roots_classification(G)
-        return report.to_json(), report.passed
-    raise InputError(f"unknown forest action {action!r}")
+    report = patterns.tf_integer_roots_classification(G)
+    return report.to_json(), report.passed
 
 
-def _gen_action(args) -> tuple[object, bool]:
-    if args.target == "graph":
-        return gen_graph(args.seed, args.n, args.p).to_json(), True
-    if args.target == "complex":
-        return gen_complex(args.seed, args.n, args.p).to_json(), True
-    if args.target == "multigraph":
-        max_edges = args.max_edges if args.max_edges is not None else 7
-        return gen_multigraph(args.seed, args.n, max_edges).to_json(), True
-    raise InputError(f"unknown gen target {args.target!r}")
+def _gen_action(target: str, args) -> tuple[object, bool]:
+    gen = {"graph": gen_graph, "complex": gen_complex, "multigraph": gen_multigraph}
+    # the flags given, by name: a flag not given is None and keeps the default
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("kind", "action")}
+    return gen[target](**given).to_json(), True
+
+
+# The actions of each kind (the targets of gen) and the flags each one reads;
+# a kind offers the flags its actions read, and an action refuses the rest.
+_FLAGS: dict[str, dict[str, tuple[str, ...]]] = {
+    "graph": {"isf": ("--weighted",), "chromatic": (), "nbc": ("--ordering",),
+              "peo": ("--ordering",), "verify": ()},
+    "complex": {"cf": ("--weighted",), "links": (), "peo": ("--ordering",),
+                "verify": ()},
+    "multigraph": {"chi": (), "isf": (), "perfect": (), "verify": (),
+                   "regions": (), "signed": ("--s",)},
+    "forest": {"tf": (), "qpo": (), "verify": (), "roots": (), "tight": ()},
+    "gen": {"graph": ("--seed", "--n", "--p"), "complex": ("--seed", "--n", "--p"),
+            "multigraph": ("--seed", "--n", "--max-edges")},
+}
+
+# every default is None, so a flag given is one that is not None
+_FLAG_OPTIONS = {
+    "--weighted": {"action": "store_true", "default": None,
+                   "help": "emit the weighted generating function"},
+    "--ordering": {"help": "JSON permutation array"},
+    "--s": {"type": int, "help": "signed palette radius"},
+    "--seed": {"type": int, "required": True, "help": "random seed"},
+    "--n": {"type": int, "required": True, "help": "vertex count"},
+    "--p": {"type": float, "help": "probability of each candidate"},
+    "--max-edges": {"type": int, "help": "most edges drawn"},
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are input errors: exit 2 with one line."""
+
+    def error(self, message: str):
+        raise InputError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isfkit",
-        description="Exact generating functions and decision procedures for "
-        "increasing forests, cage-free complexes, multigraph arrangements, "
-        "and tight forests.",
-    )
+    # a flag is spelled in full: `--s` would otherwise abbreviate `--seed`
+    parser = _Parser(prog="isfkit", allow_abbrev=False, description=(
+        "Exact generating functions and decision procedures for increasing "
+        "forests, cage-free complexes, multigraph arrangements, and tight forests."))
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind, actions in (
-        ("graph", "isf|chromatic|nbc|peo|verify"),
-        ("complex", "cf|links|peo|verify"),
-        ("multigraph", "chi|isf|perfect|verify|regions|signed"),
-        ("forest", "tf|qpo|verify|roots|tight"),
-    ):
-        p = sub.add_parser(kind, help=f"actions: {actions}")
-        p.add_argument("action", help=actions)
-        p.add_argument("input", help="path to the JSON instance")
-        p.add_argument("--weighted", action="store_true",
-                       help="emit the weighted generating function")
-        p.add_argument("--ordering", help="JSON permutation array")
-        p.add_argument("--budget", type=int,
-                       help="enumeration budget (graph nbc: transfer-table states)")
-        p.add_argument("--s", type=int, help="signed palette radius")
-    g = sub.add_parser("gen", help="generate a random instance")
-    g.add_argument("target", choices=["graph", "complex", "multigraph"])
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--p", type=float, default=0.5)
-    g.add_argument("--max-edges", dest="max_edges", type=int)
+    for kind, actions in _FLAGS.items():
+        p = sub.add_parser(kind, allow_abbrev=False, help="|".join(actions))
+        p.add_argument("action", choices=actions)
+        if kind != "gen":
+            p.add_argument("input", help="path to the JSON instance")
+        for flag in dict.fromkeys(f for flags in actions.values() for f in flags):
+            p.add_argument(flag, **_FLAG_OPTIONS[flag])
     return parser
 
 
+def _refuse_unread_flags(args) -> None:
+    read = _FLAGS[args.kind][args.action]
+    for dest, value in vars(args).items():
+        flag = "--" + dest.replace("_", "-")
+        if value is not None and flag in _FLAG_OPTIONS and flag not in read:
+            raise InputError(f"{args.kind} {args.action} takes no {flag}")
+
+
 def run(argv: list[str]) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "budget", None) is not None and args.budget <= 0:
-            raise InputError("--budget must be positive")
-        if args.kind == "graph":
-            payload, passed = _graph_action(args.action, args)
-        elif args.kind == "complex":
-            payload, passed = _complex_action(args.action, args)
-        elif args.kind == "multigraph":
-            payload, passed = _multigraph_action(args.action, args)
-        elif args.kind == "forest":
-            payload, passed = _forest_action(args.action, args)
-        else:
-            payload, passed = _gen_action(args)
+        args = _build_parser().parse_args(argv)
+        _refuse_unread_flags(args)
+        act = {"graph": _graph_action, "complex": _complex_action, "gen": _gen_action,
+               "multigraph": _multigraph_action, "forest": _forest_action}[args.kind]
+        payload, passed = act(args.action, args)
         try:
             text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         except ValueError as exc:  # an int past the int-to-string digit limit

@@ -298,10 +298,10 @@ def _increasing_masks(edges: Sequence[tuple]) -> Iterator[int]:
     return downward_closed(len(tops), extend, 0)
 
 
-def _edges_within_budget(G: Graph, budget: int) -> list[Edge]:
-    if len(G.edges) > budget:
+def _edges_within_budget(G: Graph) -> list[Edge]:
+    if len(G.edges) > _EDGE_BUDGET:
         raise BudgetExceededError(
-            f"{len(G.edges)} edges exceeds the enumeration budget {budget}"
+            f"{len(G.edges)} edges exceeds the enumeration budget {_EDGE_BUDGET}"
         )
     return G.sorted_edges()
 
@@ -313,13 +313,13 @@ def isf_set_list(G: Graph) -> list[frozenset[Edge]]:
     would receive a second edge from below, which is sound because subsets
     of increasing forests are increasing.
     """
-    edges = _edges_within_budget(G, _EDGE_BUDGET)
+    edges = _edges_within_budget(G)
     return [frozenset(members(edges, mask)) for mask in _increasing_masks(edges)]
 
 
-def enumerate_isf(G: Graph, budget: int = _EDGE_BUDGET) -> dict[int, int]:
+def enumerate_isf(G: Graph) -> dict[int, int]:
     """Counts of increasing spanning forests by edge count."""
-    return count_by_size(_increasing_masks(_edges_within_budget(G, budget)))
+    return count_by_size(_increasing_masks(_edges_within_budget(G)))
 
 
 def isf_polynomial(
@@ -396,13 +396,13 @@ def simple_cycles(G: Graph) -> list[tuple[int, ...]]:
     return cycles
 
 
-def _nbc_walk(G: Graph, order: EdgeOrder | None, budget: int):
+def _nbc_walk(G: Graph, order: EdgeOrder | None):
     """NBC sets by Bjorner's closure test: s_1 < ... < s_k is NBC exactly
     when each s_i is the order-smallest edge of cl{s_i, ..., s_k}.  Each new
     edge s is the smallest of its set, and the state holds, per vertex, the
     bitmask of the edges incident to its component; merging the components
     of s's endpoints closes the edges incident to both."""
-    _edges_within_budget(G, budget)
+    _edges_within_budget(G)
     order = order or EdgeOrder.lexicographic(G)
     # walk position i holds the i-th largest edge; the edges below it are
     # the bits above i
@@ -424,23 +424,22 @@ def _nbc_walk(G: Graph, order: EdgeOrder | None, budget: int):
     return seq, downward_closed(len(seq), extend, tuple(incident))
 
 
-def _walk_budgets(G: Graph, budget: int) -> dict[int, int]:
+def _walk_budgets(G: Graph) -> dict[int, int]:
     """The budgets a graph's verify operation checks before any walk or
     per-vertex output: the edge budget, the output budget, and the member
     budget of the NBC walk, whose size `nbc_sets` counts.  Returns those
     counts by size."""
-    _edges_within_budget(G, budget)
+    _edges_within_budget(G)
     _within_output_budget(G.n)
     counted = nbc_sets(G)
     _within_member_budget(sum(counted.values()), "NBC sets")
     return counted
 
 
-def _checked_nbc_walk(G: Graph, budget: int, counted: dict[int, int]
-                      ) -> tuple[tuple, set[int]]:
+def _checked_nbc_walk(G: Graph, counted: dict[int, int]) -> tuple[tuple, set[int]]:
     """The NBC walk's edge order and its sets as bitmasks over that order;
     their counts by size must equal `counted`, those of `nbc_sets`."""
-    seq, masks = _nbc_walk(G, None, budget)
+    seq, masks = _nbc_walk(G, None)
     nbc = set(masks)
     walked = count_by_size(nbc)
     if walked != counted:
@@ -453,13 +452,11 @@ def _checked_nbc_walk(G: Graph, budget: int, counted: dict[int, int]
 
 def nbc_set_list(G: Graph, order: EdgeOrder | None = None) -> list[frozenset[Edge]]:
     """All edge sets containing no broken circuit, under the given order."""
-    seq, masks = _nbc_walk(G, order, _EDGE_BUDGET)
+    seq, masks = _nbc_walk(G, order)
     return [frozenset(members(seq, mask)) for mask in masks]
 
 
-def nbc_sets(
-    G: Graph, order: EdgeOrder | None = None, budget: int = _TABLE_BUDGET
-) -> dict[int, int]:
+def nbc_sets(G: Graph, order: EdgeOrder | None = None) -> dict[int, int]:
     """Counts of NBC edge sets by size, by a connectivity transfer that
     lists no set.
 
@@ -468,19 +465,20 @@ def nbc_sets(
     edges, of the frontier: the vertices that still have an edge to come.
     Only blocks of two or more vertices are kept, as a sorted tuple of
     bitmasks over the vertices numbered as the steps reach them, and each
-    state maps to its counts by size, packed into one int.  Skipping the edge s = uv keeps the state; taking it is
-    the closure test of the walk: u and v lie in different blocks, and no
-    edge still to come joins those blocks.  Taking s merges them.  A vertex
-    leaves its block after its last edge.
+    state maps to its counts by size, packed into one int.  Skipping the
+    edge s = uv keeps the state; taking it is the closure test of the walk:
+    u and v lie in different blocks, and no edge still to come joins those
+    blocks.  Taking s merges them.  A vertex leaves its block after its last
+    edge.
 
     The cost grows with the table, not with the sets: the 200-vertex path
-    keeps one state, K_n peaks at the Bell number B(n-1).  `budget` caps
-    the states the table holds, and `_COUNT_BITS` the bits of packed counts
-    it handles, summed over the edges, which bounds long counts, as on a
-    long path, and with them the blocks, whose bitmasks are no wider than
-    the vertices with an edge; both are checked as the table grows.  `_nbc_walk`, which
-    lists the sets, is the second route: `verify_isf_nbc` and
-    `verify_tf_theorems` check these counts against it.
+    keeps one state, K_n peaks at the Bell number B(n-1).  `_TABLE_BUDGET`
+    caps the states the table holds, and `_COUNT_BITS` the bits of packed
+    counts it handles, summed over the edges, which bounds long counts, as
+    on a long path, and with them the blocks, whose bitmasks are no wider
+    than the vertices with an edge; both are checked as the table grows.
+    `_nbc_walk`, which lists the sets, is the second route: `verify_isf_nbc`
+    and `verify_tf_theorems` check these counts against it.
     """
     seq = order.sequence if order else G.sorted_edges()
     # the counts by size k, packed as the sum of count << width * k; no
@@ -512,7 +510,7 @@ def nbc_sets(
         rest[v] ^= ub
         gone = (0 if rest[u] else ub) | (0 if rest[v] else vb)
         # the table may grow to the states either budget leaves
-        limit = min(budget, (_COUNT_BITS - spent) // per_state)
+        limit = min(_TABLE_BUDGET, (_COUNT_BITS - spent) // per_state)
         nxt: dict[tuple[int, ...], int] = {}
         for blocks, counts in table.items():
             bu, bv = ub, vb
@@ -536,10 +534,10 @@ def nbc_sets(
                     key = tuple(sorted(kept))
                     nxt[key] = nxt.get(key, 0) + (counts << width)
             if len(nxt) > limit:
-                if limit < budget:
+                if limit < _TABLE_BUDGET:
                     raise _count_bits_exceeded()
                 raise BudgetExceededError(
-                    f"NBC transfer table exceeds its budget of {budget} states"
+                    f"NBC transfer table exceeds its budget of {_TABLE_BUDGET} states"
                 )
         spent += len(nxt) * per_state
         table = nxt
@@ -737,7 +735,7 @@ def acyclic_orientation_count(
 # ---------------------------------------------------------------------------
 
 
-def verify_isf_nbc(G: Graph, budget: int = _EDGE_BUDGET) -> Report:
+def verify_isf_nbc(G: Graph) -> Report:
     """Cross-check the ISF/NBC/chromatic theorems on one graph.
 
     Every identity is computed along both of its routes.  `passed` is False
@@ -745,14 +743,14 @@ def verify_isf_nbc(G: Graph, budget: int = _EDGE_BUDGET) -> Report:
     falsify this implementation rather than the mathematics.  The edge,
     output and member budgets refuse before either walk starts: the members
     are counted by `nbc_sets`, which bounds the ISF walk too, as ISF is a
-    subset of NBC.  Both families are
-    kept as bitmasks over the NBC walk's edge order.  The NBC counts of the
-    walk must equal those of the `nbc_sets` transfer.
+    subset of NBC.  Both families are kept as bitmasks over the NBC walk's
+    edge order.  The NBC counts of the walk must equal those of the
+    `nbc_sets` transfer.
     """
     report = Report()
-    nbc_counts = _walk_budgets(G, budget)
+    nbc_counts = _walk_budgets(G)
     chrom = chromatic_polynomial(G)
-    seq, nbc = _checked_nbc_walk(G, budget, nbc_counts)
+    seq, nbc = _checked_nbc_walk(G, nbc_counts)
     isf = set(_increasing_masks(seq))
     enum_poly = counts_to_polynomial(count_by_size(isf), G.n)
     factored = isf_polynomial(G)

@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from . import graphcore
-from .graphcore import _EDGE_BUDGET, Graph, counts_to_polynomial, edges_are_acyclic
+from .graphcore import Graph, counts_to_polynomial, edges_are_acyclic
 from .polycore import IntPolynomial, poly_integer_roots
 from .report import Report, _Frozen, _set
 from .walks import count_by_size, downward_closed, members, unpack_counts
@@ -39,7 +39,7 @@ __all__ = [
     "tight_permutation_count",
 ]
 
-# The budgets, past which BudgetExceededError is raised; walks use _EDGE_BUDGET
+# The budgets, past which BudgetExceededError is raised; walks use the edge budget
 _PATH_VERTEX_BUDGET = 12  # vertices of candidate_paths
 _SWEEP_VERTEX_BUDGET = 6  # vertices of the integer-roots ordering sweep
 _PERMUTATION_BUDGET = 15  # k of the pattern-avoiding permutation count
@@ -363,11 +363,11 @@ def tf_set_list(G: Graph) -> list[frozenset[tuple[int, int]]]:
     subforests of tight forests are tight and subsets of forests are
     forests.  Only the re-rooted component of a new edge is rechecked.
     """
-    edges = graphcore._edges_within_budget(G, _EDGE_BUDGET)
+    edges = graphcore._edges_within_budget(G)
     return [frozenset(members(edges, mask)) for mask in _tf_walk(G.n, edges)]
 
 
-def tf_polynomial(G: Graph, budget: int = _EDGE_BUDGET) -> IntPolynomial:
+def tf_polynomial(G: Graph) -> IntPolynomial:
     """The tight-forest generating function, sum over tight spanning forests
     F of t**(n - |F|), counted without listing the forests.
 
@@ -393,7 +393,7 @@ def tf_polynomial(G: Graph, budget: int = _EDGE_BUDGET) -> IntPolynomial:
     `verify_tf_theorems` checks these counts against the forest masks of
     the tight-forest walk.  The output budget caps n.
     """
-    edges = graphcore._edges_within_budget(G, budget)
+    edges = graphcore._edges_within_budget(G)
     graphcore._within_output_budget(G.n)
     adj = G.adjacency()
     # the counts by edge number k, packed as the sum of count << width * k;
@@ -565,7 +565,7 @@ def long_cycle_chord_check(G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def verify_tf_theorems(G: Graph, budget: int = _EDGE_BUDGET) -> Report:
+def verify_tf_theorems(G: Graph) -> Report:
     """Containment, strictness, and equivalence checks for tight forests.
 
     The forest masks of the tight-forest walk and the counts of
@@ -578,14 +578,14 @@ def verify_tf_theorems(G: Graph, budget: int = _EDGE_BUDGET) -> Report:
     over the NBC walk's edge order.
     """
     report = Report()
-    nbc_counts = graphcore._walk_budgets(G, budget)
-    tf_poly = tf_polynomial(G, budget=budget)
+    nbc_counts = graphcore._walk_budgets(G)
+    tf_poly = tf_polynomial(G)
     graphcore._within_member_budget(tf_poly(1), "tight spanning forests")
     chrom = graphcore.chromatic_polynomial(G)
     qpo = is_qpo(G)
     triangle = graphcore.has_triangle(G)
     report.fact("has_triangle", triangle)
-    seq, nbc = graphcore._checked_nbc_walk(G, budget, nbc_counts)
+    seq, nbc = graphcore._checked_nbc_walk(G, nbc_counts)
     tf = set(_tf_walk(G.n, seq))
     listed = counts_to_polynomial(count_by_size(tf), G.n)
     if tf_poly != listed:
@@ -647,7 +647,7 @@ def _tf_orderings(G: Graph):
     its own before it sweeps the whole graph.
     """
     n = G.n
-    width = len(graphcore._edges_within_budget(G, _EDGE_BUDGET)) + 1
+    width = len(graphcore._edges_within_budget(G)) + 1
     adj = G.adjacency()
     seen: set[int] = set()
     tables = {(): ([], {(): 1})}

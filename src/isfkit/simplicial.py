@@ -299,9 +299,7 @@ def cage_free_subcomplexes(delta: PureComplex) -> list[SpanningSubcomplex]:
     return [SpanningSubcomplex._of(delta, fs, ms) for fs, ms in chosen]
 
 
-def enumerate_cage_free(
-    delta: PureComplex, budget: int = _FACET_BUDGET
-) -> dict[int, int]:
+def enumerate_cage_free(delta: PureComplex) -> dict[int, int]:
     """Counts of cage-free subcomplexes by facet count.
 
     Two facets conflict when the pair scan of the defining condition finds a
@@ -309,7 +307,7 @@ def enumerate_cage_free(
     conflicting pairs, the independent sets of the conflict graph.  The
     blocks are not used.
     """
-    facets = _facets_within_budget(delta, budget)
+    facets = _facets_within_budget(delta)
     conflicts = [0] * len(facets)
     for (a, f1), (b, f2) in itertools.combinations(enumerate(facets), 2):
         if _caged_ridge(f1, f2) is not None:
@@ -318,10 +316,10 @@ def enumerate_cage_free(
     return independent_set_counts(conflicts)
 
 
-def _facets_within_budget(delta: PureComplex, budget: int) -> list[Face]:
-    if len(delta.facets) > budget:
+def _facets_within_budget(delta: PureComplex) -> list[Face]:
+    if len(delta.facets) > _FACET_BUDGET:
         raise BudgetExceededError(
-            f"{len(delta.facets)} facets exceeds the sweep budget {budget}"
+            f"{len(delta.facets)} facets exceeds the sweep budget {_FACET_BUDGET}"
         )
     return sorted(delta.facets)
 
@@ -365,19 +363,19 @@ def upper_links(delta: PureComplex) -> tuple[dict[Face, Graph], list[Face]]:
     return links, effective
 
 
-def verify_product_formula(delta: PureComplex, budget: int = _FACET_BUDGET) -> Report:
+def verify_product_formula(delta: PureComplex) -> Report:
     """Check the factorization and upper-link product identities on one complex.
 
     The facet, output and member budgets refuse before the sweep and the
     link walks start: the sweep counts, and does not list, the cage-free
-    sets of at most `budget` facets, and the member budget reads each
+    sets of at most `_FACET_BUDGET` facets, and the member budget reads each
     link's ISF product.  The orientation counts of the upper links are
     taken next, each on the vertices the link's edges touch, where an
     isolated vertex does not change the count and the cross-check's vertex
     budget reads the touched vertices.  A budget refusal in a link names
     its peak."""
     report = Report()
-    _facets_within_budget(delta, budget)
+    _facets_within_budget(delta)
     graphcore._within_output_budget(delta.n)
     links, effective = upper_links(delta)
     ao_product = 1
@@ -391,7 +389,7 @@ def verify_product_formula(delta: PureComplex, budget: int = _FACET_BUDGET) -> R
             raise BudgetExceededError(f"upper link of peak {sigma}: {exc}") from exc
     partition = phi_partition(delta)
     factored = cf_polynomial(delta)
-    counts = enumerate_cage_free(delta, budget=budget)
+    counts = enumerate_cage_free(delta)
     enum_poly = counts_to_polynomial(counts, partition.N)
     report.check("cf_factorization_vs_enumeration", factored, enum_poly,
                  expect_equal=True)
@@ -399,7 +397,7 @@ def verify_product_formula(delta: PureComplex, budget: int = _FACET_BUDGET) -> R
     isf_product, isf_total = IntPolynomial.one(), 1
     for sigma in effective:
         isf_product = isf_product * graphcore.isf_polynomial(links[sigma])
-        isf_total *= sum(graphcore.enumerate_isf(links[sigma], budget).values())
+        isf_total *= sum(graphcore.enumerate_isf(links[sigma]).values())
     # CF has degree N and the product degree n per effective peak; shift CF
     # up by the gap
     shift = delta.n * len(effective) - partition.N

@@ -411,6 +411,15 @@ def test_prefix_multichain_blocks_match_edge_partition():
     assert [len(b) for b in blocks] == [1, 2, 2]
 
 
+def test_atom_blocks_are_the_atoms_below_each_step_and_not_the_last():
+    # the definition by the order, on every pair of elements of each lattice
+    for seed in range(12):
+        L = intersection_lattice(build_arrangement(gen_multigraph(seed, 4)))
+        for prev, cur in itertools.product(range(L.size), repeat=2):
+            expected = [a for a in L.atoms if L.leq(a, cur) and not L.leq(a, prev)]
+            assert atom_blocks(L, [prev, cur]) == [expected], (seed, prev, cur)
+
+
 def test_lattice_nbc_and_transversals_worked_example():
     G = anchored_multigraph()
     L = intersection_lattice(build_arrangement(G))

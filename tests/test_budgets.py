@@ -5,22 +5,19 @@ added here, so it is argued for in review.  README's Budgets table must
 list every budget constant with its current value."""
 
 import inspect
+import itertools
 import re
 from pathlib import Path
 
-from isfkit import arrangement, graphcore, patterns, simplicial
+import pytest
 
-# the CLI's --budget reaches the first five, verify_product_formula passes
-# its budget into the next two, and the benchmark's count hooks bind the
-# last two by name
+from isfkit import arrangement, graphcore, patterns, simplicial
+from isfkit.errors import BudgetExceededError
+
+# the benchmark's count hooks (perfbench/tracer.py COUNT_HOOKS) bind these
+# two by name, and a hook that fails to bind makes a traced run incorrect;
+# every other budget is read from its constant when the library runs
 KEPT = {
-    "graphcore.verify_isf_nbc.budget": graphcore._EDGE_BUDGET,
-    "graphcore.nbc_sets.budget": graphcore._TABLE_BUDGET,
-    "patterns.tf_polynomial.budget": graphcore._EDGE_BUDGET,
-    "patterns.verify_tf_theorems.budget": graphcore._EDGE_BUDGET,
-    "simplicial.verify_product_formula.budget": simplicial._FACET_BUDGET,
-    "simplicial.enumerate_cage_free.budget": simplicial._FACET_BUDGET,
-    "graphcore.enumerate_isf.budget": graphcore._EDGE_BUDGET,
     "graphcore.acyclic_orientation_count.orientation_budget":
         graphcore._ORIENTATION_BUDGET,
     "arrangement.multigraph_isf_polynomial.cross_check_budget":
@@ -28,7 +25,7 @@ KEPT = {
 }
 
 
-def test_budget_keywords_are_exactly_the_kept_nine():
+def test_budget_keywords_are_exactly_the_kept_two():
     found = {}
     for module in (graphcore, arrangement, patterns, simplicial):
         prefix = module.__name__.rpartition(".")[2]
@@ -40,6 +37,27 @@ def test_budget_keywords_are_exactly_the_kept_nine():
                 if "budget" in param.name or "cap" in param.name:
                     found[f"{prefix}.{name}.{param.name}"] = param.default
     assert found == KEPT
+
+
+def test_one_setattr_on_a_budget_constant_reaches_every_reader(monkeypatch):
+    # the library reads each constant when it runs, not as a default bound
+    # when a function is defined
+    K7 = graphcore.Graph(7, itertools.combinations(range(1, 8), 2))
+    monkeypatch.setattr(graphcore, "_EDGE_BUDGET", 20)
+    for walk in (graphcore.enumerate_isf, graphcore.isf_set_list, graphcore.nbc_set_list,
+                 graphcore.verify_isf_nbc, patterns.tf_set_list, patterns.tf_polynomial,
+                 patterns.verify_tf_theorems):
+        with pytest.raises(BudgetExceededError,
+                           match="^21 edges exceeds the enumeration budget 20$"):
+            walk(K7)
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 4)
+    with pytest.raises(BudgetExceededError, match="^NBC transfer table exceeds its budget of 4"):
+        graphcore.nbc_sets(graphcore.Graph(4, itertools.combinations(range(1, 5), 2)))
+    tetrahedron = simplicial.PureComplex(4, 2, itertools.combinations(range(1, 5), 3))
+    monkeypatch.setattr(simplicial, "_FACET_BUDGET", 3)
+    for sweep in (simplicial.enumerate_cage_free, simplicial.verify_product_formula):
+        with pytest.raises(BudgetExceededError, match="^4 facets exceeds the sweep budget 3$"):
+            sweep(tetrahedron)
 
 
 _CONSTANT = re.compile(r"^(_[A-Z_]+_BUDGET|_COUNT_BITS) = ", re.M)

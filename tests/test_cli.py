@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pkgutil
+import re
 import resource
 import subprocess
 import sys
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import isfkit
-from isfkit import cli
+from isfkit import cli, graphcore, simplicial
 from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.arrangement import LabeledMultigraph
-from isfkit.errors import InputError
+from isfkit.errors import BudgetExceededError, InputError
 from isfkit.graphcore import Graph, is_peo, isf_polynomial
 from isfkit.patterns import Pattern, RootedLabeledForest
 from isfkit.polycore import IntPolynomial, WeightedGF
@@ -106,12 +107,14 @@ def test_graph_nbc_counts_k8_on_any_labels(tmp_path, capsys):
         assert list(json.loads(out).items()) == list(expected.items())
 
 
-def test_graph_nbc_over_a_tiny_budget_exits_two(tmp_path, capsys):
+def test_graph_nbc_over_a_tiny_budget_exits_two(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "g.json", Graph(4, itertools.combinations(range(1, 5), 2)).to_json())
-    code, out, err = invoke(capsys, ["graph", "nbc", path, "--budget", "4"])
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 4)
+    code, out, err = invoke(capsys, ["graph", "nbc", path])
     assert code == 2 and out == ""
     assert err.splitlines() == ["input error: NBC transfer table exceeds its budget of 4 states"]
-    code, out, _ = invoke(capsys, ["graph", "nbc", path, "--budget", "5"])
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 5)
+    code, out, _ = invoke(capsys, ["graph", "nbc", path])
     assert code == 0 and json.loads(out) == {"0": 1, "1": 6, "2": 11, "3": 6}
 
 
@@ -189,9 +192,121 @@ def test_missing_file_exits_two(capsys):
 
 
 def test_nonpositive_budget_rejected(tmp_path, capsys):
+    # the budgets are the library's: no command takes --budget, whatever
+    # its value
     path = write(tmp_path, "g.json", paw_peo().to_json())
-    code, _, _ = invoke(capsys, ["graph", "verify", path, "--budget", "0"])
-    assert code == 2
+    for value in ("0", "25"):
+        code, out, err = invoke(capsys, ["graph", "verify", path, "--budget", value])
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"input error: unrecognized arguments: --budget {value}"]
+
+
+# every flag any command took at some point, with a value for each that
+# takes one
+_FLAG_VALUES = {"--weighted": [], "--ordering": ["[0]"], "--budget": ["200"],
+                "--s": ["1"], "--p": ["0.5"], "--max-edges": ["3"]}
+_UNREAD = [(kind, action, flag) for kind, actions in cli._FLAGS.items()
+           for action, read in actions.items()
+           for flag in _FLAG_VALUES if flag not in read]
+_INSTANCES = {"graph": paw_peo().to_json(), "complex": tetrahedron_boundary().to_json(),
+              "multigraph": anchored_multigraph().to_json(), "forest": house_graph().to_json(),
+              "tight": {"labels": [1, 2], "parents": {"1": None, "2": 1}}}
+
+
+@pytest.mark.parametrize("kind, action, flag", _UNREAD,
+                         ids=[f"{kind}-{action}{flag}" for kind, action, flag in _UNREAD])
+def test_a_flag_the_action_does_not_read_exits_two(tmp_path, capsys, kind, action, flag):
+    if kind == "gen":
+        argv = ["gen", action, "--seed", "1", "--n", "3"]
+    else:
+        instance = _INSTANCES["tight" if action == "tight" else kind]
+        argv = [kind, action, write(tmp_path, "in.json", instance)]
+    code, out, err = invoke(capsys, [*argv, flag, *_FLAG_VALUES[flag]])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:") and flag in lines[0]
+
+
+def test_each_kind_offers_only_the_flags_its_actions_read(capsys):
+    offered = {}
+    for kind in cli._FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            run([kind, "-h"])
+        assert exc.value.code == 0
+        offered[kind] = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    assert offered == {"graph": {"--weighted", "--ordering"},
+                       "complex": {"--weighted", "--ordering"},
+                       "multigraph": {"--s"}, "forest": set(),
+                       "gen": {"--seed", "--n", "--p", "--max-edges"}}
+    with pytest.raises(SystemExit) as exc:
+        run(["-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: isfkit")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["graph", "isf", "{path}", "--wat"], "unrecognized arguments: --wat"),
+        (["multigraph", "signed", "{path}", "--s", "x"],
+         "argument --s: invalid int value: 'x'"),
+        (["graph", "isf"], "the following arguments are required: input"),
+        ([], "the following arguments are required: kind"),
+        (["tree", "isf", "{path}"], "argument kind: invalid choice: 'tree' "
+         "(choose from 'graph', 'complex', 'multigraph', 'forest', 'gen')"),
+        (["forest", "chi", "{path}"], "argument action: invalid choice: 'chi' "
+         "(choose from 'tf', 'qpo', 'verify', 'roots', 'tight')"),
+        (["gen", "tree", "--seed", "1", "--n", "3"], "argument action: invalid "
+         "choice: 'tree' (choose from 'graph', 'complex', 'multigraph')"),
+        (["gen", "graph", "--n", "3"], "the following arguments are required: --seed"),
+        (["gen", "graph", "--seed", "1", "--n", "3", "--p", "x"],
+         "argument --p: invalid float value: 'x'"),
+        (["gen", "graph", "--seed", "1", "--n", "3", "--p", "2"],
+         "p=2.0 is not a probability in [0, 1]"),
+        (["gen", "graph", "--seed", "1", "--n", "3", "--p", "inf"],
+         "p=inf is not a probability in [0, 1]"),
+        (["gen", "graph", "--seed", "1", "--n", "3", "--p", "nan"],
+         "p=nan is not a probability in [0, 1]"),
+        (["gen", "complex", "--seed", "1", "--n", "3", "--p", "-0.5"],
+         "p=-0.5 is not a probability in [0, 1]"),
+        (["gen", "multigraph", "--seed", "1", "--n", "3", "--max-edges", "-3"],
+         "max_edges=-3 is negative"),
+    ],
+    ids=["unknown-flag", "bad-int", "missing-input", "missing-kind", "unknown-kind",
+         "unknown-action", "unknown-target", "missing-seed", "bad-float",
+         "p-above-one", "p-infinite", "p-nan", "p-negative", "negative-max-edges"],
+)
+def test_usage_errors_exit_two_with_one_line(tmp_path, capsys, argv, message):
+    path = write(tmp_path, "g.json", paw_peo().to_json())
+    code, out, err = invoke(capsys, [a.format(path=path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"input error: {message}"]
+
+
+def test_forest_tf_refuses_budget_on_a_120_vertex_tree_at_once(tmp_path):
+    # the heap-ordered binary tree: the flag once opened the tight-forest
+    # transfer to its 119 edges, which ran out of memory
+    tree = Graph(120, [(k // 2, k) for k in range(2, 121)])
+    path = write(tmp_path, "tree.json", tree.to_json())
+    for extra, message in (
+        (["--budget", "200"], "unrecognized arguments: --budget 200"),
+        ([], "119 edges exceeds the enumeration budget 25"),
+    ):
+        start = time.perf_counter()
+        proc = run_child("-m", "isfkit.cli", "forest", "tf", path, *extra,
+                         preexec_fn=_limit_address_space_to_1_gib, timeout=20)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"input error: {message}"]
+
+
+def test_readme_cli_block_lists_each_command_with_exactly_its_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = [(line.split()[1], line.split()[2], set(re.findall(r"--[a-z-]+", line)))
+              for line in block.splitlines() if line.startswith("isfkit ")]
+    table = [(kind, action, set(flags)) for kind, actions in cli._FLAGS.items()
+             for action, flags in actions.items()]
+    assert listed == table
 
 
 def test_complex_actions(tmp_path, capsys):
@@ -357,8 +472,8 @@ def test_forest_tight_on_a_1500_vertex_path(tmp_path, capsys, tail, tight):
          ["--s", "1"]),
         ("multigraph", "chi", {"n": 2, "zero_edges": [], "edges": [[1, 2, {"re": 1.5}]]},
          []),
-        ("complex", "verify", tetrahedron_boundary().to_json(),
-         ["--budget", "3"]),
+        # four facets, past a facet budget of 3
+        ("complex", "verify", tetrahedron_boundary().to_json(), []),
     ],
     ids=[
         "parent-key-not-a-label",
@@ -370,8 +485,9 @@ def test_forest_tight_on_a_1500_vertex_path(tmp_path, capsys, tail, tight):
     ],
 )
 def test_coerced_or_over_budget_input_exits_two(
-    tmp_path, capsys, kind, action, payload, extra
+    tmp_path, capsys, monkeypatch, kind, action, payload, extra
 ):
+    monkeypatch.setattr(simplicial, "_FACET_BUDGET", 3)
     path = write(tmp_path, "in.json", payload)
     code, out, err = invoke(capsys, [kind, action, path, *extra])
     assert code == 2 and out == ""
@@ -458,9 +574,8 @@ _TETRAHEDRON_VERIFY = (
 
 def test_complex_verify_output_within_budget(tmp_path, capsys):
     path = write(tmp_path, "tet.json", tetrahedron_boundary().to_json())
-    for extra in ([], ["--budget", "4"]):
-        code, out, _ = invoke(capsys, ["complex", "verify", path, *extra])
-        assert code == 0 and out == _TETRAHEDRON_VERIFY
+    code, out, _ = invoke(capsys, ["complex", "verify", path])
+    assert code == 0 and out == _TETRAHEDRON_VERIFY
 
 
 def test_complex_verify_on_nine_vertices_counts_links_on_their_own_vertices(
@@ -547,13 +662,11 @@ def _run_on_json(kind, action, payload, *extra):
 _complex_actions = st.sampled_from(["cf", "links", "peo", "verify"])
 
 
-# n stays small: `complex verify` builds the structure report's link on all
-# n vertices, so its time and memory grow with n (ROADMAP item 7)
 @settings(deadline=None, max_examples=150)
 @given(
     action=_complex_actions,
     payload=st.fixed_dictionaries({
-        "n": _label | _json.filter(lambda v: type(v) is not int),
+        "n": st.integers() | _json,
         "d": _label | _json,
         "facets": st.lists(st.lists(_label | _json, max_size=5), max_size=6) | _json,
     })
@@ -607,7 +720,8 @@ def _multigraph_payloads(draw):
     | _json,
 )
 def test_multigraph_fuzz_exits_zero_or_two(action, s, payload):
-    code, err = _run_on_json("multigraph", action, payload, "--s", str(s))
+    extra = ["--s", str(s)] if action == "signed" else []
+    code, err = _run_on_json("multigraph", action, payload, *extra)
     assert code in (0, 2), err
     assert "Traceback" not in err
 
@@ -739,6 +853,19 @@ def test_generators_are_seed_driven():
     assert a.zero_edges == b.zero_edges and a.labeled_edges == b.labeled_edges
 
 
+def test_generators_refuse_a_pool_past_the_output_budget():
+    # one draw per candidate: C(n, 2) pairs, C(n, 3) triples, or n zero
+    # edges and five labels per pair; 447, 85 and 200 are the largest n
+    # within 10**5
+    assert not gen_graph(1, 447, 0).edges
+    assert not gen_complex(1, 85, 0).facets
+    assert gen_multigraph(1, 200).n == 200
+    for gen, n, pool in ((gen_graph, 448, comb(448, 2)), (gen_complex, 86, comb(86, 3)),
+                         (gen_multigraph, 201, 201 + 5 * comb(201, 2))):
+        with pytest.raises(BudgetExceededError, match=f"n={pool} exceeds the output budget"):
+            gen(1, n)
+
+
 def run_child(*args, **options):
     """Run python with the given arguments, importing the isfkit under test
     whether installed or not; options go to subprocess.run."""
@@ -796,6 +923,21 @@ def test_complex_verify_sweeps_22_one_facet_blocks(tmp_path):
     assert report["witnesses"]["cage_free_count"] == 2**22
 
 
+@pytest.mark.parametrize(
+    "target, pool", [("graph", comb(10**8, 2)), ("complex", comb(10**8, 3)),
+                     ("multigraph", 10**8 + 5 * comb(10**8, 2))],
+    ids=["graph", "complex", "multigraph"])
+def test_gen_refuses_a_hundred_million_vertices_at_once(target, pool):
+    # the refusal names the pool it would draw from, before the first draw
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", "gen", target, "--seed", "1", "--n", str(10**8),
+                     preexec_fn=_limit_address_space_to_1_gib, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"input error: n={pool} exceeds the output budget 100000"]
+
+
 @pytest.mark.parametrize("kind", ["graph", "forest"])
 def test_verify_refuses_ten_million_isolated_vertices_at_once(tmp_path, kind):
     # the budgets refuse before any per-vertex work, such as a triangle test
@@ -842,8 +984,9 @@ def test_multigraph_actions_refuse_a_hundred_million_vertices_at_once(
 ):
     # refused before any normal or per-vertex list is built
     path = write(tmp_path, "in.json", {"n": 10**8, "zero_edges": [1], "edges": []})
+    extra = ["--s", "1"] if action == "signed" else []
     start = time.perf_counter()
-    proc = run_child("-m", "isfkit.cli", "multigraph", action, path, "--s", "1",
+    proc = run_child("-m", "isfkit.cli", "multigraph", action, path, *extra,
                      preexec_fn=_limit_address_space_to_1_gib, timeout=20)
     assert time.perf_counter() - start < 1
     assert proc.returncode == 2 and proc.stdout == ""

@@ -128,9 +128,7 @@ def test_enumerate_isf_five_cycle_matches_factorization():
     assert counts_to_polynomial(enumerate_isf(C5), 5) == expected
 
 
-def test_enumerate_budget():
-    with pytest.raises(BudgetExceededError):
-        enumerate_isf(complete_graph(7), budget=10)
+def test_enumerate_budget(monkeypatch):
     # the walks refuse past the 25 edges of the shared edge budget before
     # they start
     path = Graph(27, [(k, k + 1) for k in range(1, 27)])
@@ -138,6 +136,10 @@ def test_enumerate_budget():
         with pytest.raises(BudgetExceededError,
                            match="^26 edges exceeds the enumeration budget 25$"):
             walk(path)
+    # and read the budget when called
+    monkeypatch.setattr(graphcore, "_EDGE_BUDGET", 10)
+    with pytest.raises(BudgetExceededError):
+        enumerate_isf(complete_graph(7))
 
 
 def test_isf_listing_matches_subset_sweep():
@@ -402,24 +404,27 @@ def test_nbc_transfer_matches_the_walk_on_every_small_graph():
                 sequence = G.sorted_edges()
                 rng.shuffle(sequence)
                 order = EdgeOrder.from_sequence(G, sequence)
-                walked = count_by_size(_nbc_walk(G, order, graphcore._EDGE_BUDGET)[1])
+                walked = count_by_size(_nbc_walk(G, order)[1])
                 assert nbc_sets(G, order) == walked, (G, sequence)
 
 
-def test_nbc_transfer_table_budget_counts_states():
+def test_nbc_transfer_table_budget_counts_states(monkeypatch):
     # under the lexicographic order the table of K_n peaks at the
     # partitions of n - 1 frontier vertices, the Bell number B(n-1)
     for n, bell in ((4, 5), (5, 15), (6, 52)):
         K = complete_graph(n)
-        assert sum(nbc_sets(K, budget=bell).values()) == math.factorial(n)
+        monkeypatch.setattr(graphcore, "_TABLE_BUDGET", bell)
+        assert sum(nbc_sets(K).values()) == math.factorial(n)
+        monkeypatch.setattr(graphcore, "_TABLE_BUDGET", bell - 1)
         with pytest.raises(BudgetExceededError, match=f"budget of {bell - 1} states"):
-            nbc_sets(K, budget=bell - 1)
+            nbc_sets(K)
     # a path keeps one state, whatever its length
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 1)
     path = Graph(200, [(i, i + 1) for i in range(1, 200)])
-    assert nbc_sets(path, budget=1) == {m: math.comb(199, m) for m in range(200)}
+    assert nbc_sets(path) == {m: math.comb(199, m) for m in range(200)}
 
 
-def test_nbc_transfer_memory_does_not_grow_with_the_vertex_labels():
+def test_nbc_transfer_memory_does_not_grow_with_the_vertex_labels(monkeypatch):
     # the bitmasks run over the vertices with an edge, not over 1..n: a
     # 999-edge star on the labels just below n = 10**6 keeps one small
     # state, where masks over the labels would take about 125 MB
@@ -435,7 +440,9 @@ def test_nbc_transfer_memory_does_not_grow_with_the_vertex_labels():
     assert peak < 8 * 2**20
     shift = n - 6
     K6 = Graph(n, [(i + shift, j + shift) for i, j in complete_graph(6).edges])
-    assert nbc_sets(K6, budget=52) == nbc_sets(complete_graph(6))
+    expected = nbc_sets(complete_graph(6))
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 52)
+    assert nbc_sets(K6) == expected
 
 
 def test_nbc_transfer_refuses_past_its_count_bits(monkeypatch):
@@ -450,8 +457,8 @@ def test_nbc_transfer_refuses_past_its_count_bits(monkeypatch):
 def test_verify_isf_nbc_catches_transfer_counts_that_differ_from_the_walk(monkeypatch):
     transfer = graphcore.nbc_sets
 
-    def one_set_too_many(G, order=None, **budget):
-        counts = transfer(G, order, **budget)
+    def one_set_too_many(G, order=None):
+        counts = transfer(G, order)
         counts[0] += 1
         return counts
 

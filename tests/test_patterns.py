@@ -472,8 +472,8 @@ def test_verify_triangle_free_four_cycle():
 def test_verify_catches_transfer_counts_that_differ_from_the_walk(monkeypatch):
     transfer = graphcore.nbc_sets
 
-    def one_set_too_many(G, order=None, **budget):
-        counts = transfer(G, order, **budget)
+    def one_set_too_many(G, order=None):
+        counts = transfer(G, order)
         counts[0] += 1
         return counts
 
