@@ -27,7 +27,8 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from .exactla import echelon
-from .graphcore import _increasing_masks, _within_output_budget, counts_to_polynomial
+from .graphcore import (_edge_problem, _increasing_masks, _within_output_budget,
+                        counts_to_polynomial)
 from .polycore import IntPolynomial, poly_from_linear_factors
 from .report import Report, _Frozen, _set
 from .walks import block_transversals, count_by_size, downward_closed, members
@@ -214,7 +215,7 @@ class LabeledMultigraph:
             i, j = require_int(i, "edge endpoint"), require_int(j, "edge endpoint")
             label = _coerce(label) if not isinstance(label, GaussRational) else label
             if not 1 <= i < j <= n:
-                raise InputError(f"labeled edge ({i},{j}) out of range")
+                raise InputError(f"labeled edge ({i},{j}) {_edge_problem(i, j, n)}")
             if not label:
                 raise InputError(f"edge ({i},{j}) has zero label")
             if (i, j, label) in lset:

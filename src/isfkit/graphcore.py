@@ -88,7 +88,7 @@ class Graph:
             i = require_int(e[0], "edge endpoint")
             j = require_int(e[1], "edge endpoint")
             if not (1 <= i < j <= n):
-                raise InputError(f"edge ({i},{j}) out of range for n={n}")
+                raise InputError(f"edge ({i},{j}) {_edge_problem(i, j, n)}")
             clean.add((i, j))
         self.n = n
         self.edges = frozenset(clean)
@@ -208,6 +208,15 @@ def _check_permutation(perm: Sequence[int], n: int) -> list[int]:
     if sorted(perm) != list(range(1, n + 1)):
         raise InputError(f"expected a permutation of 1..{n}")
     return perm
+
+
+def _edge_problem(i: int, j: int, n: int) -> str:
+    """Why (i, j) is not an edge of a graph on 1..n, stored with i < j."""
+    if i == j:
+        return "is a loop"
+    if i > j:
+        return "must list its smaller endpoint first"
+    return f"out of range for n={n}"
 
 
 def _by_rank(vertices: Iterable[int], edges: Iterable[Edge]) -> Graph:

@@ -6,6 +6,7 @@ generating-function identities for triangle-free graphs.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
@@ -388,48 +389,43 @@ def tf_polynomial(G: Graph) -> IntPolynomial:
 
     The state is the tuple of m over the frontier, the earlier vertices
     that still have a later neighbour, with 0 for a vertex still alone;
-    each state maps to its counts by edge number.  One vertex is one call
-    of `_tf_step`, which the integer-roots ordering sweep shares.
-    `verify_tf_theorems` checks these counts against the forest masks of
-    the tight-forest walk.  The output budget caps n.
+    each state maps to its counts by edge number.  `_tf_step` adds a vertex,
+    `_tf_close` the last; `verify_tf_theorems` checks the counts against the
+    tight-forest walk.  The output budget caps n, `_TABLE_BUDGET` the states.
     """
     edges = graphcore._edges_within_budget(G)
     graphcore._within_output_budget(G.n)
     adj = G.adjacency()
     # the counts by edge number k, packed as the sum of count << width * k;
-    # no count exceeds 2**len(edges), so one field never carries into the
-    # next, and multiplying by (1 + 2**width)**a spreads them over a subset
-    # of a further edges
+    # no count exceeds 2**len(edges), so no field carries into the next, and
+    # multiplying by (1 + 2**width)**a spreads them over a subset of a edges
     width = len(edges) + 1
     top = [0] + [max(adj[v], default=0) for v in range(1, G.n + 1)]
-    frontier: list[int] = []
-    table: dict[tuple[int, ...], int] = {(): 1}
-    for w in range(1, G.n + 1):
+    frontier, table = [], {(): 1}
+    for w in range(1, G.n):
         below = [x for x in adj[w] if x < w]
         frontier, table = _tf_step(table, frontier, w, below, top, width)
-    return counts_to_polynomial(unpack_counts(table[()], width), G.n)
+    return counts_to_polynomial(unpack_counts(_tf_close(table, frontier, width), width), G.n)
 
 
 def _tf_step(table: dict, frontier: list[int], w: int, below: list[int],
              top: Sequence[int], width: int) -> tuple[list[int], dict]:
     """One vertex of the `tf_polynomial` transfer: the label w, joined to
-    the earlier labels `below`, is added to `table`, a table over
-    `frontier`; top[v] is the largest neighbour of the label v.  Returns
-    the new frontier, the labels up to w that keep a later neighbour, and
-    its table.
+    the earlier labels `below`, is added to `table` over `frontier`; top[v]
+    > w exactly when the label v has a neighbour after w.  Returns the new
+    frontier, the labels up to w that keep a later neighbour, and its table.
 
-    States are read by frontier position, w at the end with 0.  A lone y
-    that leaves the frontier when it joins w changes only the edge number,
-    so the subsets of those are counted by a binomial, not listed; only the
-    lone y that stay on the frontier are listed.
+    States are read by frontier position, found by bisection as a frontier
+    is increasing, w at the end with 0.  A lone y that leaves the frontier
+    by joining w changes only the edge number, so those are counted by a
+    binomial; only the lone y that stay on the frontier are listed.
     """
+    budget = graphcore._TABLE_BUDGET
     kept = [v for v in (*frontier, w) if top[v] > w]
-    at = {v: i for i, v in enumerate(frontier)}
-    at[w] = len(frontier)
-    pick = [at[v] for v in kept]
+    pick = [bisect_left(frontier, v) for v in kept]
     slot = {v: s for s, v in enumerate(kept)}
     w_slot = slot.get(w)
-    below = [(at[x], x, slot.get(x)) for x in below]
+    below = [(bisect_left(frontier, x), x, slot.get(x)) for x in below]
     # x itself is never a lone y above m, so fewer than len(below) leave
     spreads = [(1 + (1 << width)) ** a for a in range(len(below))]
     nxt: dict[tuple[int, ...], int] = {}
@@ -454,18 +450,37 @@ def _tf_step(table: dict, frontier: list[int], w: int, below: list[int],
                     else:
                         listed += (s,)
             packed = (counts << width) * spreads[gone]
-            if not listed:
-                key = tuple(base)
-                nxt[key] = nxt.get(key, 0) + packed
-                continue
-            for r in range(len(listed) + 1):
+            key = tuple(base)
+            nxt[key] = nxt.get(key, 0) + packed
+            for r in range(1, len(listed) + 1):
                 for ys in itertools.combinations(listed, r):
                     grown = base.copy()
                     for s in ys:
                         grown[s] = w
                     key = tuple(grown)
                     nxt[key] = nxt.get(key, 0) + (packed << width * r)
+        if len(nxt) > budget:
+            raise BudgetExceededError(
+                f"tight-forest transfer table exceeds its budget of {budget} states")
     return kept, nxt
+
+
+def _tf_close(table: dict, frontier: list[int], width: int) -> int:
+    """`_tf_step(table, frontier, n, ...)[1][()]` for the last label n, whose
+    neighbours are the frontier, with no table: n alone keeps the counts,
+    and n below a neighbour x of root path maximum m takes along any subset
+    of the g lone y > m, so counts are summed by g and spread once per g."""
+    total = 0
+    by_g = [0] * len(frontier)
+    for state, counts in table.items():
+        total += counts
+        # the frontier is increasing, so the lone y above m are a suffix
+        alone = [y for y, m in zip(frontier, state) if not m]
+        g = len(alone)
+        for x, m in zip(frontier, state):
+            by_g[g - bisect_right(alone, m or x)] += counts
+    spread = 1 + (1 << width)
+    return total + sum((c << width) * spread ** g for g, c in enumerate(by_g) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -633,110 +648,95 @@ def verify_tf_theorems(G: Graph) -> Report:
 
 
 def _tf_orderings(G: Graph):
-    """(perm, tf_polynomial of G.relabeled(perm)) for every ordering, in
-    `itertools.permutations` order, whose labeled graph was not seen before.
+    """(perm, the counts of G.relabeled(perm), packed as in `tf_polynomial`)
+    for every ordering, in `itertools.permutations` order, whose labeled
+    graph, keyed by a bitmask over label pairs, was not seen before.
 
     Let sigma be the inverse of perm: sigma[k-1] gets label k.  The
     transfer table after labels 1..k depends only on sigma[:k], which fixes
     the edges among those labels and which of them keep a later neighbour,
     so each table is kept under its prefix for k <= n - 2 and a later
-    ordering resumes from its longest kept prefix.  A labeled graph is
-    keyed by its edges as a bitmask over label pairs.  Many orderings share
-    a polynomial, so `_integer_root_ordering` tests each distinct one once;
-    the classification sweeps each component of a disconnected graph on
-    its own before it sweeps the whole graph.
+    ordering resumes from its longest kept prefix; `_tf_close` adds label n.
     """
     n = G.n
     width = len(graphcore._edges_within_budget(G)) + 1
-    adj = G.adjacency()
+    # the neighbours of each vertex, all 0-based, so perm[u] is u's label
+    nbrs = [[u - 1 for u in us] for us in G.adjacency().values()]
+    edges = [(u - 1, v - 1) for u, v in G.edges]
     seen: set[int] = set()
     tables = {(): ([], {(): 1})}
     for perm in itertools.permutations(range(1, n + 1)):
         key = 0
-        for u, v in G.edges:
-            a, b = perm[u - 1], perm[v - 1]
-            key |= 1 << (a * n + b if a < b else b * n + a)
+        top = [0] * (n + 1)  # each label's largest later neighbour label
+        for u, v in edges:
+            a, b = perm[u], perm[v]
+            if a > b:
+                a, b = b, a
+            key |= 1 << a * n + b
+            if b > top[a]:
+                top[a] = b
         if key in seen:
             continue
         seen.add(key)
-        sigma = [0] * n
-        top = [0] * (n + 1)  # each label's largest neighbour label
-        for v, label in enumerate(perm, start=1):
-            sigma[label - 1] = v
-            top[label] = max((perm[u - 1] for u in adj[v]), default=0)
+        sigma = sorted(range(n), key=perm.__getitem__)
         k = max(n - 2, 0)
         while tuple(sigma[:k]) not in tables:
             k -= 1
         frontier, table = tables[tuple(sigma[:k])]
-        for w in range(k + 1, n + 1):
-            below = [x for u in adj[sigma[w - 1]] if (x := perm[u - 1]) < w]
+        for w in range(k + 1, n):
+            below = [x for u in nbrs[sigma[w - 1]] if (x := perm[u]) < w]
             frontier, table = _tf_step(table, frontier, w, below, top, width)
             if w <= n - 2:
                 tables[tuple(sigma[:w])] = (frontier, table)
-        yield perm, counts_to_polynomial(unpack_counts(table[()], width), n)
+        yield perm, _tf_close(table, frontier, width)
 
 
 def _integer_root_ordering(G: Graph) -> tuple[tuple[int, ...], list[int]] | None:
     """The first ordering of `_tf_orderings` whose polynomial has only
-    integer roots, with those roots; each distinct polynomial is tested
-    once, since the sweep stops at the first that passes."""
-    failed: set[IntPolynomial] = set()
-    for perm, poly in _tf_orderings(G):
-        if poly in failed:
+    integer roots, with those roots.  Many orderings share their counts, so
+    only a packed int not seen before is expanded and root-tested."""
+    width = len(G.edges) + 1
+    failed: set[int] = set()
+    for perm, packed in _tf_orderings(G):
+        if packed in failed:
             continue
-        roots = poly_integer_roots(poly)
+        roots = poly_integer_roots(
+            counts_to_polynomial(unpack_counts(packed, width), G.n))
         if roots is not None:
             return perm, roots
-        failed.add(poly)
+        failed.add(packed)
     return None
-
-
-def _components(G: Graph) -> list[set[int]]:
-    """The vertex sets of the connected components, by least vertex."""
-    adj = G.adjacency()
-    seen: set[int] = set()
-    out = []
-    for root in range(1, G.n + 1):
-        if root in seen:
-            continue
-        seen.add(root)
-        comp = [root]
-        for u in comp:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        out.append(set(comp))
-    return out
 
 
 def tf_integer_roots_classification(G: Graph) -> Report:
     """Search all vertex orderings for one whose tight-forest generating
     function has only integer roots; this succeeds exactly for forests.
 
-    Orderings are tried in `itertools.permutations` order.  Orderings that
-    differ by a symmetry of G give the same labeled graph, so an ordering
-    whose relabeled edge set was seen before is skipped: the sweep stops at
-    the first graph with integer roots, so every graph seen before had none.
-    The first witness ordering and its roots are those of the full sweep.
-    `_tf_orderings` runs the `tf_polynomial` transfer step by step and
-    shares the tables of common label prefixes between orderings, and each
-    distinct polynomial gets one root test.
+    Orderings are tried in `itertools.permutations` order.  An ordering
+    whose labeled graph, or whose packed counts, were seen before is not
+    tested again: the sweep stops at the first graph with integer roots,
+    so the first witness and its roots are those of the full sweep.
 
     Tightness depends only on the relative order of labels inside a tree,
     so TF(G) is the product of TF(C) over the components C, each numbered
-    by the rank of its labels; a product of monic polynomials has only
-    nonpositive integer roots exactly when every factor does.  So a graph
-    with several components first sweeps each component's own orderings,
-    by least vertex, and has no witness if one of them has none; otherwise
-    the sweep of G finds the first witness.
+    by the rank of its labels, and has only integer roots exactly when
+    every factor does.  So a graph with several components first sweeps
+    each component, by least vertex, and has no witness if one has none;
+    otherwise the sweep of G finds the first witness.
     """
     if G.n > _SWEEP_VERTEX_BUDGET:
-        raise BudgetExceededError(f"n={G.n} exceeds the ordering-sweep cap")
+        raise BudgetExceededError(
+            f"n={G.n} exceeds the ordering-sweep cap {_SWEEP_VERTEX_BUDGET}")
     forest = edges_are_acyclic(G.edges)
     report = Report()
     report.fact("is_forest", forest)
-    parts = _components(G)
+    comp = {v: {v} for v in range(1, G.n + 1)}  # each vertex's component
+    for u, v in G.edges:
+        if comp[u] is not comp[v]:
+            comp[u] |= comp[v]
+            for w in comp[v]:
+                comp[w] = comp[u]
+    parts = [C for v, C in comp.items() if v == min(C)]  # by least vertex
     found = None
     if len(parts) < 2 or all(
         _integer_root_ordering(

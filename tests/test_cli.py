@@ -118,6 +118,45 @@ def test_graph_nbc_over_a_tiny_budget_exits_two(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out) == {"0": 1, "1": 6, "2": 11, "3": 6}
 
 
+@pytest.mark.parametrize("action", ["tf", "roots"])
+def test_forest_transfer_over_a_tiny_budget_exits_two(tmp_path, capsys, monkeypatch, action):
+    # K4's tight-forest transfer peaks at 6 states, in every labeling
+    path = write(tmp_path, "k4.json", Graph(4, itertools.combinations(range(1, 5), 2)).to_json())
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 4)
+    code, out, err = invoke(capsys, ["forest", action, path])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "input error: tight-forest transfer table exceeds its budget of 4 states"]
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 6)
+    code, out, _ = invoke(capsys, ["forest", action, path])
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "kind, action, edge, message",
+    [
+        ("graph", "isf", [1, 1], "edge (1,1) is a loop"),
+        ("graph", "isf", [2, 1], "edge (2,1) must list its smaller endpoint first"),
+        ("graph", "isf", [1, 3], "edge (1,3) out of range for n=2"),
+        ("multigraph", "chi", [1, 1], "labeled edge (1,1) is a loop"),
+        ("multigraph", "chi", [2, 1],
+         "labeled edge (2,1) must list its smaller endpoint first"),
+        ("multigraph", "chi", [0, 1], "labeled edge (0,1) out of range for n=2"),
+    ],
+    ids=["graph-loop", "graph-reversed", "graph-range", "multigraph-loop",
+         "multigraph-reversed", "multigraph-range"],
+)
+def test_a_loop_and_a_reversed_edge_get_their_own_refusal(tmp_path, capsys, kind, action,
+                                                          edge, message):
+    if kind == "graph":
+        payload = {"n": 2, "edges": [edge]}
+    else:
+        payload = {"n": 2, "zero_edges": [], "edges": [[*edge, {"re": "1"}]]}
+    code, out, err = invoke(capsys, [kind, action, write(tmp_path, "e.json", payload)])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"input error: {message}"]
+
+
 def test_graph_peo_with_and_without_ordering(tmp_path, capsys):
     path = write(tmp_path, "g.json", paw_peo().to_json())
     code, out, _ = invoke(capsys, ["graph", "peo", path, "--ordering", "[1,2,3,4]"])

@@ -17,7 +17,7 @@ from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.graphcore import Graph
 
 GOLDEN = "88f90eeafedb08cb692350b3f1ef523c8938a5fa635b1f137c80dd530d0c3e6f"
-FOREST_GOLDEN = "04972fccc87f8b40c01632de0125f1c543562d9b60ca3846229a7ec3c33afe8a"
+FOREST_GOLDEN = "bbf4d328290fea4b3ad8f82f23da76440da976434c07e65576b29af1dd17629e"
 
 
 def _corpus():

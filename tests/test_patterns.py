@@ -31,7 +31,7 @@ from isfkit.patterns import (
     verify_tf_theorems,
 )
 from isfkit import graphcore, patterns
-from isfkit.walks import count_by_size
+from isfkit.walks import count_by_size, unpack_counts
 
 from helpers import (
     all_edge_subsets,
@@ -521,7 +521,7 @@ def test_roots_classification_edgeless():
 
 
 def test_roots_classification_cap():
-    with pytest.raises(BudgetExceededError, match="^n=7 exceeds the ordering-sweep cap$"):
+    with pytest.raises(BudgetExceededError, match="^n=7 exceeds the ordering-sweep cap 6$"):
         tf_integer_roots_classification(Graph(7))
 
 
@@ -570,14 +570,17 @@ def test_roots_sweep_of_a_disconnected_non_forest_sweeps_components_only(
 ):
     G = _DISCONNECTED_NON_FORESTS[name]
     steps = 0
-    step = patterns._tf_step
 
-    def counted(*args):
-        nonlocal steps
-        steps += 1
-        return step(*args)
+    def counted(step):
+        def call(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+        return call
 
-    monkeypatch.setattr(patterns, "_tf_step", counted)
+    # a close adds the last vertex, so it counts as a step
+    monkeypatch.setattr(patterns, "_tf_step", counted(patterns._tf_step))
+    monkeypatch.setattr(patterns, "_tf_close", counted(patterns._tf_close))
     report = tf_integer_roots_classification(G).to_json()
     split, steps = steps, 0
     for _ in patterns._tf_orderings(G):
@@ -600,10 +603,11 @@ def _check_sweep_against_the_walk(G):
     for perm in itertools.permutations(range(1, G.n + 1)):
         first.setdefault(G.relabeled_edges(perm), perm)
     yielded = []
-    for perm, poly in _tf_orderings(G):
+    for perm, packed in _tf_orderings(G):
         H = G.relabeled(perm)
         walked = count_by_size(_tf_walk(H.n, H.sorted_edges()))
-        assert poly == counts_to_polynomial(walked, H.n), (G, perm)
+        counts = unpack_counts(packed, len(G.edges) + 1)
+        assert counts_to_polynomial(counts, H.n) == counts_to_polynomial(walked, H.n), (G, perm)
         yielded.append(perm)
     assert yielded == list(first.values()), G
 
@@ -620,6 +624,46 @@ def test_roots_sweep_polynomials_match_the_walk_on_six_vertices():
     pairs = list(itertools.combinations(range(1, 7), 2))
     for _ in range(5):
         _check_sweep_against_the_walk(Graph(6, rng.sample(pairs, 8)))
+
+
+def _check_closes_against_the_step(G, orderings=None):
+    """Every table that `tf_polynomial` and the first `orderings` labelings
+    of the sweep close gives the packed counts of one more `_tf_step`, for
+    the last label and its real neighbours, which leaves the one state ()."""
+    closes = []
+    close = patterns._tf_close
+
+    def recording(table, frontier, width):
+        closes.append((table, frontier, width))
+        return close(table, frontier, width)
+
+    labelings = [tuple(range(1, G.n + 1))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "_tf_close", recording)
+        patterns.tf_polynomial(G)
+        for perm, packed in itertools.islice(patterns._tf_orderings(G), orderings):
+            labelings.append(perm)
+            assert packed == close(*closes[-1])
+    assert len(closes) == len(labelings)
+    for perm, (table, frontier, width) in zip(labelings, closes):
+        adj = G.relabeled(perm).adjacency()
+        top = [0] + [max(adj[v], default=0) for v in adj]
+        stepped = patterns._tf_step(table, frontier, G.n, adj.get(G.n, []), top, width)
+        assert stepped == ([], {(): close(table, frontier, width)}), (G, perm)
+
+
+def test_close_matches_the_step_on_every_graph_up_to_five_vertices():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            _check_closes_against_the_step(Graph(n, itertools.compress(pairs, chosen)))
+
+
+def test_close_matches_the_step_on_random_six_and_eight_vertex_graphs():
+    rng = random.Random(2406)
+    for n, orderings in ((6, None), (6, None), (8, 200), (8, 200)):
+        for p in (0.3, 0.5, 0.7):
+            _check_closes_against_the_step(random_graph(rng, n, p), orderings)
 
 
 # -- pattern-avoiding permutation counts ----------------------------------------------
