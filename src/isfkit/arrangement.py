@@ -4,16 +4,17 @@ labelings, lattice NBC theory, signed-graph coloring, and supersolvability.
 
 The intersection lattice is built as a lattice of flats: each element is
 the bitmask of the hyperplanes (atoms) containing it.  Construction joins
-flats with atoms in integer arithmetic.  A normal v = x + iy over the
-Gaussian rationals enters, with its denominators cleared, as the rows
-(x, y) and (-y, x) of its realification in Z^(2n); the Q(i)-span of a set of
-normals is determined by the Q-span of these rows, so their canonical
-integer echelon form (`exactla.echelon`) tells subspaces apart and half its
-length is the rank.  Once built, order, meet and join are bit operations on
-the masks.  The lattice NBC sets come from the closure test on these masks,
-with no circuit listed: the walk takes the atoms from the order-largest
-down, keeps the set's flat, and accepts an atom when its join with that
-flat lies above no earlier atom.
+flats with atoms in integer arithmetic, with denominators cleared.  A real
+arrangement has the lattice of its complexification, so each real normal
+enters as its one row in Z^n, and the canonical integer echelon form
+(`exactla.echelon`) of a set of rows tells their spans apart; its length is
+the rank.  Only a non-real arrangement is realified: a normal v = x + iy
+enters as the rows (x, y) and (-y, x) in Z^(2n), whose Q-span determines the
+Q(i)-span of the normals, and half the form's length is the rank.  Once
+built, order, meet and join are bit operations on the masks.  The lattice
+NBC sets come from the closure test on these masks, with no circuit listed:
+the walk takes the atoms from the order-largest down, keeps the set's flat,
+and accepts an atom when its join with that flat lies above no earlier atom.
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ class LabeledMultigraph:
             k = require_int(k, "zero-edge endpoint")
             if not 1 <= k <= n:
                 raise InputError(f"zero-edge endpoint {k} out of range")
+            if k in zset:
+                raise InputError(f"duplicate zero edge (0,{k})")
             zset.add(k)
         lset = set()
         for i, j, label in labeled_edges:
@@ -361,12 +364,17 @@ def is_perfectly_labeled(G: LabeledMultigraph) -> PerfectLabelingResult:
 
 
 class Arrangement(_Frozen):
-    """Central hyperplane arrangement given by one normal vector per hyperplane."""
+    """Central hyperplane arrangement given by one normal vector per hyperplane.
+
+    `real_flag` promises that every normal is real; it may be False for real
+    normals, but a True flag over a non-real normal is refused."""
 
     __slots__ = ("dim", "normals", "real_flag")
 
     def __init__(self, dim: int, normals: tuple[tuple[GaussRational, ...], ...],
                  real_flag: bool):
+        if real_flag and not all(z.is_real() for row in normals for z in row):
+            raise InputError("real_flag is set but a normal is not real")
         _set(self, "dim", dim)
         _set(self, "normals", normals)
         _set(self, "real_flag", real_flag)
@@ -478,9 +486,15 @@ def _integers(values: Sequence[Fraction]) -> list[int]:
     return [q.numerator * (scale // q.denominator) for q in values]
 
 
+def _real_rows(normals: Sequence[Sequence[GaussRational]],
+               cols: Sequence[int]) -> list[list[int]]:
+    """Each real normal as one integer row on the columns `cols`."""
+    return [_integers([row[k].re for k in cols]) for row in normals]
+
+
 def _realification(normal: Sequence[GaussRational]) -> tuple[tuple[int, ...], ...]:
     """The rows (x, y) and (-y, x) of v = x + iy, a multiple of v and of i*v,
-    as integer vectors in Z^(2n)."""
+    as integer vectors in Z^(2n).  Only a non-real arrangement needs them."""
     n = len(normal)
     xy = _integers([z.re for z in normal] + [z.im for z in normal])
     return tuple(xy), tuple([-c for c in xy[n:]] + xy[:n])
@@ -488,6 +502,11 @@ def _realification(normal: Sequence[GaussRational]) -> tuple[tuple[int, ...], ..
 
 def intersection_lattice(A: Arrangement) -> IntersectionLattice:
     """Build the flats rank by rank, deduplicating each rank by echelon form.
+
+    A real arrangement eliminates its own rows in Z^n, one row per normal
+    and per rank; a non-real one eliminates its realification in Z^(2n),
+    two rows per normal and per rank.  Both give the same lattice on real
+    normals, since the realified form of real rows is their form doubled.
 
     Each flat X is joined only with the atoms not below it.  Every atom a
     below a flat Z of rank r is reached as X v a from some flat X of rank
@@ -503,9 +522,14 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
     if any(not any(row) for row in A.normals):
         raise InputError("hyperplane normals must be nonzero")
     cols = _support(A.normals)
+    if A.real_flag:
+        per_rank, row_sets = 1, [(row,) for row in _real_rows(A.normals, cols)]
+    else:
+        per_rank = 2
+        row_sets = [_realification([normal[k] for k in cols]) for normal in A.normals]
     atom_forms: list[tuple] = []
-    for normal in A.normals:
-        f = echelon(_realification([normal[k] for k in cols]))
+    for rows in row_sets:
+        f = echelon(rows)
         if f not in atom_forms:
             atom_forms.append(f)
     top_form = echelon(row for atom in atom_forms for row in atom)
@@ -516,7 +540,7 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
         joined_masks: dict[tuple, int] = {}
         joined_forms: list[tuple[int, int, tuple]] = []
         # a level's flats share one rank; from rank rho - 1 each join is the top
-        coatoms = len(next(iter(level))) + 2 == len(top_form)
+        coatoms = len(next(iter(level))) + per_rank == len(top_form)
         for form, mask in level.items():
             for a, atom in enumerate(atom_forms):
                 if mask >> a & 1:
@@ -533,7 +557,7 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
         for mask, a, joined in joined_forms:
             atom_joins[mask, a] = joined_masks[joined]
         for form, mask in joined_masks.items():
-            ranks[mask] = len(form) // 2
+            ranks[mask] = len(form) // per_rank
         level = joined_masks
     return IntersectionLattice(A.dim, ranks, atom_joins)
 
@@ -547,10 +571,10 @@ def _lattice_of(G: LabeledMultigraph) -> IntersectionLattice:
 
 def characteristic_polynomial(L: IntersectionLattice) -> IntPolynomial:
     """chi(L, t) = sum over elements of mobius * t**(rank(L) - rank(x))."""
-    out = IntPolynomial()
-    for i in range(L.size):
-        out = out + IntPolynomial.monomial(L.rho - L.rank[i], L.mobius[i])
-    return out
+    coeffs = [0] * (L.rho + 1)
+    for rank, mu in zip(L.rank, L.mobius):
+        coeffs[L.rho - rank] += mu
+    return IntPolynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +777,7 @@ def region_count_deletion_restriction(A: Arrangement) -> int:
     if not A.real_flag:
         raise InputError("region counting requires all-real edge labels")
     cols = _support(A.normals)
-    return rec([_integers([row[k].re for k in cols]) for row in A.normals], len(cols))
+    return rec(_real_rows(A.normals, cols), len(cols))
 
 
 def topology_report(G: LabeledMultigraph) -> Report:

@@ -112,6 +112,8 @@ def test_multigraph_validation():
         LabeledMultigraph(2, [3], [])
     with pytest.raises(InputError):
         LabeledMultigraph(2, [], [(2, 1, 1)])
+    with pytest.raises(InputError, match=r"duplicate zero edge \(0,1\)"):
+        LabeledMultigraph(2, [1, 1], [])
 
 
 def test_multigraph_json_roundtrip():
@@ -224,9 +226,30 @@ def gaussian_multigraphs(count=40):
         yield LabeledMultigraph(n, zero, list(dict.fromkeys(edges)))
 
 
+REAL_FRACTION_LABELS = [
+    GaussRational(Fraction(1, 2)),
+    GaussRational(Fraction(-7, 4)),
+    GaussRational(-1),
+    GaussRational(2),
+]
+
+
+def real_fraction_multigraphs(count=40):
+    """Seeded real multigraphs, 2 <= n <= 5 and at most 8 edges, whose labels
+    have denominators and signs that the integer rows must clear."""
+    rng = random.Random(89)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        zero = sorted(rng.sample(range(1, n + 1), rng.randint(0, min(n, 3))))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        edges = {(*rng.choice(pairs), rng.choice(REAL_FRACTION_LABELS)): None
+                 for _ in range(rng.randint(1, 8 - len(zero)))}
+        yield LabeledMultigraph(n, zero, list(edges))
+
+
 def test_lattice_with_gaussian_labels_matches_oracle():
     non_real = 0
-    for G in gaussian_multigraphs():
+    for G in itertools.chain(gaussian_multigraphs(), real_fraction_multigraphs()):
         non_real += not G.is_real()
         L = intersection_lattice(build_arrangement(G))
         rho, chi = oracle_rho_and_chi(G)
@@ -234,6 +257,17 @@ def test_lattice_with_gaussian_labels_matches_oracle():
         assert L.rho == rho, G
         assert characteristic_polynomial(L) == chi, G
     assert non_real >= 30
+
+
+def test_real_rows_build_the_lattice_of_the_realification():
+    for G in itertools.chain(seeded_multigraphs(), real_fraction_multigraphs()):
+        A = build_arrangement(G)
+        assert A.real_flag, G
+        L = intersection_lattice(A)
+        ref = intersection_lattice(Arrangement(A.dim, A.normals, False))
+        assert L.masks == ref.masks and L.rank == ref.rank, G
+        assert L._atom_joins == ref._atom_joins, G
+        assert L.mobius == ref.mobius and L.rho == ref.rho, G
 
 
 def test_verify_and_topology_share_one_lattice(monkeypatch):
@@ -499,6 +533,13 @@ def test_region_count_requires_real():
     G = LabeledMultigraph(2, [], [(1, 2, GaussRational(0, 1))])
     with pytest.raises(InputError):
         region_count_deletion_restriction(build_arrangement(G))
+
+
+def test_a_real_flag_over_a_non_real_normal_is_refused():
+    o, i = GaussRational(1), GaussRational(0, 1)
+    with pytest.raises(InputError, match="real_flag"):
+        Arrangement(2, ((o, -i), (o, i)), True)
+    assert Arrangement(2, ((o, -i), (o, i)), False).real_flag is False
 
 
 def test_regions_against_deletion_restriction():

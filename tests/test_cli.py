@@ -197,6 +197,8 @@ def test_malformed_json_exits_two(tmp_path, capsys):
         ("multigraph", "chi", {"n": "2", "zero_edges": [True], "edges": []}),
         ("multigraph", "isf", {"n": 2, "zero_edges": 5, "edges": []}),
         ("multigraph", "isf", {"n": 2, "zero_edges": [], "edges": 7}),
+        ("multigraph", "chi", {"n": 2, "zero_edges": [1, 1], "edges": []}),
+        ("multigraph", "isf", {"n": 2, "zero_edges": [1, 1], "edges": []}),
         ("forest", "tight", {"labels": [1], "parents": [1]}),
         ("forest", "tight",
          {"labels": ["1", 2.0], "parents": {"1": None, "2": 1}}),
@@ -213,6 +215,8 @@ def test_malformed_json_exits_two(tmp_path, capsys):
         "string-n-bool-zero-edge",
         "zero-edges-not-a-list",
         "multigraph-edges-not-a-list",
+        "repeated-zero-edge-chi",
+        "repeated-zero-edge-isf",
         "parents-not-an-object",
         "non-int-forest-labels",
     ],
