@@ -27,12 +27,7 @@ from math import perm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
-from .polycore import (
-    IntPolynomial,
-    WeightedGF,
-    poly_from_linear_factors,
-    product_of_weighted_factors,
-)
+from .polycore import IntPolynomial, WeightedGF, poly_from_linear_factors
 from .report import Report
 from .walks import count_by_size, downward_closed, members, unpack_counts
 
@@ -66,7 +61,7 @@ _EDGE_BUDGET = 25  # edges of the ISF, NBC and tight-forest walks and tf_polynom
 _CYCLE_BUDGET = 10**6  # cycles that simple_cycles lists
 _TABLE_BUDGET = 1 << 17  # states of the transfers, entries of the chromatic memo
 _COUNT_BITS = 1 << 31  # bits of counts each of those holds, summed over its steps
-_MEMBER_BUDGET = 1 << 20  # members of each family that a verify operation walks
+_MEMBER_BUDGET = 1 << 20  # members a verify walks, terms a weighted output lists
 _OUTPUT_BUDGET = 10**5  # vertices of an output with an entry per vertex
 _VERTEX_BUDGET = 8  # vertices of the orientation cross-check's table
 _ORIENTATION_BUDGET = 16  # edges that acyclic_orientation_count cross-checks
@@ -89,6 +84,8 @@ class Graph:
             j = require_int(e[1], "edge endpoint")
             if not (1 <= i < j <= n):
                 raise InputError(f"edge ({i},{j}) {_edge_problem(i, j, n)}")
+            if (i, j) in clean:
+                raise InputError(f"edge ({i},{j}) is repeated")
             clean.add((i, j))
         self.n = n
         self.edges = frozenset(clean)
@@ -337,8 +334,9 @@ def isf_polynomial(
     """The factored generating function prod_k (t + |E_k|).
 
     With a weights mapping, each edge contributes its own variable and the
-    result is the weighted product prod_k (t + sum of weights over E_k).
-    The output budget caps n.
+    result is the weighted product prod_k (t + sum of weights over E_k),
+    expanded to one term per increasing spanning forest.  The output budget
+    caps n, and the member budget the forests of a weighted result.
     """
     _within_output_budget(G.n)
     blocks = edge_partition(G)
@@ -346,9 +344,9 @@ def isf_polynomial(
         return poly_from_linear_factors(
             [len(blocks[k]) for k in range(1, G.n + 1)]
         )
-    return product_of_weighted_factors(
-        WeightedGF.t_plus_vars(weights[e] for e in sorted(blocks[k]))
-        for k in range(1, G.n + 1)
+    _within_member_budget(_isf_count(G), "increasing spanning forests")
+    return WeightedGF(
+        [weights[e] for e in sorted(blocks[k])] for k in range(1, G.n + 1)
     )
 
 

@@ -1,18 +1,21 @@
-"""Exact univariate integer polynomials and sparse weighted generating functions.
+"""Exact univariate integer polynomials, and the weighted generating
+functions that expand a product of linear factors.
 
 Every other module in this package produces its output through these two
-types.  `IntPolynomial` carries arbitrary-precision integer coefficients;
-`WeightedGF` adds commuting weight variables attached to edges or facets.
-Both are immutable and hashable, so values can be shared freely.
+types.  `IntPolynomial` carries arbitrary-precision integer coefficients and
+is immutable and hashable, so values can be shared freely.  `WeightedGF` is
+the expansion of prod_B (t + sum of the variables in B), with one weight
+variable per edge or facet: one term per block transversal.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InputError, require_int
+from .walks import block_transversals
 
 __all__ = [
     "IntPolynomial",
@@ -44,9 +47,8 @@ class IntPolynomial:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
-        for c in cs:  # require_int's test inline: deletion-contraction is hot
-            if type(c) is not int:
-                require_int(c, "polynomial coefficient")
+        for c in cs:
+            require_int(c, "polynomial coefficient")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -301,97 +303,31 @@ def _divide_linear(p: IntPolynomial, a: int) -> IntPolynomial | None:
 
 
 class WeightedGF:
-    """Sparse generating function in t and a family of weight variables.
+    """The expansion of prod_B (t + sum of the variables in B) over blocks B
+    of weight variables.
 
-    Terms map ``(monomial, tpow)`` to an integer coefficient, where a
-    monomial is a sorted tuple of variable identifiers (the multiset of
-    weights appearing in the term) and tpow is a nonnegative power of t.
-    Identifiers can be any mutually comparable hashable values; this
-    package uses the edge or facet tuples of the originating object.
+    Each block transversal (`walks.block_transversals`) gives one term: the
+    chosen variables, times t once for every block that gave t.  Terms map
+    ``(monomial, tpow)`` to a positive coefficient, where a monomial is the
+    sorted tuple of the chosen variables; a variable repeated within or
+    across blocks adds up the coefficients of the terms it reaches.
+    Variables can be any mutually comparable hashable values; this package
+    uses the edge or facet tuples of the originating object.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[tuple, int], int] | None = None):
-        clean: dict[tuple[tuple, int], int] = {}
-        for (mono, tpow), coeff in (terms or {}).items():
-            require_int(coeff, "WeightedGF coefficient")
-            if coeff == 0:
-                continue
-            if require_int(tpow, "WeightedGF power of t") < 0:
-                raise InputError("WeightedGF powers of t must be nonnegative")
-            key = (tuple(sorted(mono)), tpow)
-            clean[key] = clean.get(key, 0) + coeff
-        self.terms = {k: v for k, v in clean.items() if v != 0}
-
-    @classmethod
-    def zero(cls) -> "WeightedGF":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "WeightedGF":
-        return cls({((), 0): 1})
-
-    @classmethod
-    def t_power(cls, power: int) -> "WeightedGF":
-        return cls({((), power): 1})
-
-    @classmethod
-    def variable(cls, identifier) -> "WeightedGF":
-        return cls({((identifier,), 0): 1})
-
-    @classmethod
-    def t_plus_vars(cls, identifiers: Iterable) -> "WeightedGF":
-        """The linear factor t + sum of the given weight variables."""
-        terms: dict[tuple[tuple, int], int] = {((), 1): 1}
-        for v in identifiers:
-            key = ((v,), 0)
-            terms[key] = terms.get(key, 0) + 1
-        return cls(terms)
-
-    def __add__(self, other: "WeightedGF") -> "WeightedGF":
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, 0) + coeff
-        return WeightedGF(merged)
-
-    def __mul__(self, other: "WeightedGF") -> "WeightedGF":
-        merged: dict[tuple[tuple, int], int] = {}
-        for (m1, p1), c1 in self.terms.items():
-            for (m2, p2), c2 in other.terms.items():
-                key = (tuple(sorted(m1 + m2)), p1 + p2)
-                merged[key] = merged.get(key, 0) + c1 * c2
-        return WeightedGF(merged)
-
-    def substitute_ones(self) -> IntPolynomial:
-        """Set every weight variable to 1, collapsing to a polynomial in t."""
-        coeffs: dict[int, int] = {}
-        for (_, tpow), coeff in self.terms.items():
-            coeffs[tpow] = coeffs.get(tpow, 0) + coeff
-        if not coeffs:
-            return IntPolynomial.zero()
-        top = max(coeffs)
-        return IntPolynomial(coeffs.get(i, 0) for i in range(top + 1))
+    def __init__(self, blocks: Iterable[Sequence]):
+        blocks = list(blocks)
+        self.terms = Counter(
+            (tuple(sorted(chosen)), len(blocks) - len(chosen))
+            for chosen in block_transversals(blocks)
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGF):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(("WeightedGF", tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        if not self.terms:
-            return "WeightedGF(0)"
-        bits = []
-        for (mono, tpow), coeff in sorted(self.terms.items()):
-            piece = [str(coeff)]
-            piece.extend(f"x[{v}]" for v in mono)
-            if tpow:
-                piece.append(f"t^{tpow}")
-            bits.append("*".join(piece))
-        return "WeightedGF(" + " + ".join(bits) + ")"
 
     def to_json(self) -> list[dict]:
         """Deterministic list of terms, sorted by (tpow, monomial)."""
@@ -402,14 +338,7 @@ class WeightedGF:
             {
                 "monomial": [list(v) if isinstance(v, tuple) else v for v in mono],
                 "tpow": tpow,
-                "coeff": _decimal(coeff),
+                "coeff": str(coeff),
             }
             for (mono, tpow), coeff in items
         ]
-
-
-def product_of_weighted_factors(factors: Iterable[WeightedGF]) -> WeightedGF:
-    result = WeightedGF.one()
-    for f in factors:
-        result = result * f
-    return result

@@ -3,7 +3,7 @@ the small value-class bases that the subject modules share."""
 
 from __future__ import annotations
 
-from .polycore import IntPolynomial, WeightedGF
+from .polycore import IntPolynomial
 
 
 class _Value:
@@ -125,8 +125,6 @@ class Report(_Value):
 def _plain(value):
     """Convert report payloads to JSON-serializable structures."""
     if isinstance(value, IntPolynomial):
-        return value.to_json()
-    if isinstance(value, WeightedGF):
         return value.to_json()
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}

@@ -17,18 +17,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from . import graphcore
 from .exactla import echelon
 from .graphcore import Graph, counts_to_polynomial
-from .polycore import (
-    IntPolynomial,
-    WeightedGF,
-    poly_from_linear_factors,
-    product_of_weighted_factors,
-)
+from .polycore import IntPolynomial, WeightedGF, poly_from_linear_factors
 from .report import Report, _Frozen, _set
 from .walks import independent_set_counts
 
@@ -76,6 +72,8 @@ class PureComplex:
                 raise InputError(f"facet {f} must have {d + 1} distinct vertices")
             if face[0] < 1 or face[-1] > n:
                 raise InputError(f"facet {f} out of range for n={n}")
+            if face in clean:
+                raise InputError(f"facet {list(face)} is repeated")
             clean.add(face)
         self.n = n
         self.d = d
@@ -327,15 +325,20 @@ def _facets_within_budget(delta: PureComplex) -> list[Face]:
 def cf_polynomial(
     delta: PureComplex, weights: Mapping[Face, object] | None = None
 ) -> IntPolynomial | WeightedGF:
-    """The factored cage-free generating function, one linear factor per block."""
+    """The factored cage-free generating function, one linear factor per block.
+
+    With a weights mapping, each facet contributes its own variable, and the
+    product is expanded to one term per cage-free subcomplex; the member
+    budget caps their number, prod_B (1 + |B|).
+    """
     partition = phi_partition(delta)
     blocks = [block for _, block in sorted(partition.blocks.items())]
     if weights is None:
         return poly_from_linear_factors([len(b) for b in blocks])
-    return product_of_weighted_factors(
-        WeightedGF.t_plus_vars(weights[f] for f in sorted(block))
-        for block in blocks
+    graphcore._within_member_budget(
+        prod(1 + len(b) for b in blocks), "cage-free subcomplexes"
     )
+    return WeightedGF([weights[f] for f in sorted(block)] for block in blocks)
 
 
 # ---------------------------------------------------------------------------

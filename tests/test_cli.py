@@ -24,7 +24,7 @@ from isfkit.arrangement import LabeledMultigraph
 from isfkit.errors import BudgetExceededError, InputError
 from isfkit.graphcore import Graph, is_peo, isf_polynomial
 from isfkit.patterns import Pattern, RootedLabeledForest
-from isfkit.polycore import IntPolynomial, WeightedGF
+from isfkit.polycore import IntPolynomial
 from isfkit.simplicial import PureComplex, SpanningSubcomplex, upper_link, upper_links
 
 from helpers import (
@@ -199,6 +199,10 @@ def test_malformed_json_exits_two(tmp_path, capsys):
         ("multigraph", "isf", {"n": 2, "zero_edges": [], "edges": 7}),
         ("multigraph", "chi", {"n": 2, "zero_edges": [1, 1], "edges": []}),
         ("multigraph", "isf", {"n": 2, "zero_edges": [1, 1], "edges": []}),
+        ("graph", "isf", {"n": 2, "edges": [[1, 2], [1, 2]]}),
+        ("graph", "verify", {"n": 3, "edges": [[1, 2], [2, 3], [1, 2]]}),
+        ("complex", "cf", {"n": 3, "d": 1, "facets": [[1, 2], [1, 2], [2, 3]]}),
+        ("complex", "cf", {"n": 4, "d": 2, "facets": [[1, 2, 3], [2, 3, 4], [3, 1, 2]]}),
         ("forest", "tight", {"labels": [1], "parents": [1]}),
         ("forest", "tight",
          {"labels": ["1", 2.0], "parents": {"1": None, "2": 1}}),
@@ -217,6 +221,10 @@ def test_malformed_json_exits_two(tmp_path, capsys):
         "multigraph-edges-not-a-list",
         "repeated-zero-edge-chi",
         "repeated-zero-edge-isf",
+        "repeated-edge-isf",
+        "repeated-edge-verify",
+        "repeated-facet-cf",
+        "reordered-facet-cf",
         "parents-not-an-object",
         "non-int-forest-labels",
     ],
@@ -574,7 +582,6 @@ def test_boolean_ordering_entries_exit_two(tmp_path, capsys, kind, action, paylo
         lambda: upper_link(_K, [1.7]),
         lambda: IntPolynomial([1.7, 2.2]),
         lambda: IntPolynomial([True, "3"]),
-        lambda: WeightedGF({((), 1.9): 2.5}),
     ],
     ids=[
         "forest",
@@ -590,7 +597,6 @@ def test_boolean_ordering_entries_exit_two(tmp_path, capsys, kind, action, paylo
         "upper-link-peak",
         "polynomial-floats",
         "polynomial-bool-and-string",
-        "weighted-gf-floats",
     ],
 )
 def test_constructors_reject_non_integers(build):
@@ -952,6 +958,47 @@ def test_verify_refuses_before_it_walks(tmp_path, kind, payload, refusal):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
         f"input error: {refusal} exceed the member budget 1048576"]
+
+
+_K10 = Graph(10, itertools.combinations(range(1, 11), 2)).to_json()
+_FULL_7 = PureComplex(7, 2, itertools.combinations(range(1, 8), 3)).to_json()
+
+
+# the number of terms, prod_B (1 + |B|), is known before the expansion:
+# 10! for K10, and 24,883,200 for the full 2-complex on seven vertices
+@pytest.mark.parametrize(
+    "kind, action, payload, refusal",
+    [("graph", "isf", _K10, "3628800 increasing spanning forests"),
+     ("complex", "cf", _FULL_7, "24883200 cage-free subcomplexes")],
+    ids=["graph-K10", "complex-full-7"],
+)
+def test_weighted_outputs_refuse_past_the_member_budget_at_once(tmp_path, kind, action,
+                                                                payload, refusal):
+    path = write(tmp_path, "in.json", payload)
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", kind, action, path, "--weighted",
+                     preexec_fn=_limit_address_space_to_1_gib, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"input error: {refusal} exceed the member budget 1048576"]
+
+
+@pytest.mark.parametrize(
+    "kind, action, payload, terms",
+    [("graph", "isf", Graph(8, itertools.combinations(range(1, 9), 2)).to_json(), 40320),
+     ("complex", "cf", PureComplex(6, 2, itertools.combinations(range(1, 7), 3)).to_json(),
+      34560)],
+    ids=["graph-K8", "complex-full-6"],
+)
+def test_weighted_outputs_within_the_member_budget(tmp_path, capsys, kind, action,
+                                                   payload, terms):
+    # one term per forest or cage-free subcomplex, each with coefficient 1
+    path = write(tmp_path, "in.json", payload)
+    code, out, _ = invoke(capsys, [kind, action, path, "--weighted"])
+    assert code == 0
+    listed = json.loads(out)
+    assert len(listed) == terms and {t["coeff"] for t in listed} == {"1"}
 
 
 def test_complex_verify_sweeps_22_one_facet_blocks(tmp_path):

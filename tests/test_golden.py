@@ -1,5 +1,7 @@
 """Golden digests of CLI output on a small seeded corpus: one over the verify
-actions, one over `forest roots` and `forest tf` on the corpus's graphs.
+actions, one over `forest roots` and `forest tf` on the corpus's graphs, and
+one over `graph isf --weighted` and `complex cf --weighted` on its graphs and
+complexes.
 
 Each record is (argv, exit code, stdout, stderr) of one `cli.run` call, with
 the input path in argv replaced by the instance's name.  The records are
@@ -18,6 +20,7 @@ from isfkit.graphcore import Graph
 
 GOLDEN = "88f90eeafedb08cb692350b3f1ef523c8938a5fa635b1f137c80dd530d0c3e6f"
 FOREST_GOLDEN = "bbf4d328290fea4b3ad8f82f23da76440da976434c07e65576b29af1dd17629e"
+WEIGHTED_GOLDEN = "a5a4f4c08364022afb6873694f448a64ed1f5d7050cecfff86166be87ffb024b"
 
 
 def _corpus():
@@ -53,7 +56,7 @@ def _corpus():
             yield f"m{n}-{seed}", "multigraph", ("verify", "regions"), G.to_json()
 
 
-def _digest(tmp_path, corpus) -> str:
+def _digest(tmp_path, corpus, flags=()) -> str:
     digest = hashlib.sha256()
     for name, kind, actions, instance in corpus:
         path = tmp_path / f"{name}.json"
@@ -61,7 +64,7 @@ def _digest(tmp_path, corpus) -> str:
         for action in actions:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run([kind, action, str(path)])
+                code = run([kind, action, str(path), *flags])
             record = [[kind, action, name], code, out.getvalue(), err.getvalue()]
             digest.update(json.dumps(record).encode())
     return digest.hexdigest()
@@ -79,3 +82,14 @@ def test_forest_roots_and_tf_outputs_match_their_golden_digest(tmp_path):
         if kind == "forest"
     ]
     assert _digest(tmp_path, graphs) == FOREST_GOLDEN
+
+
+def test_weighted_outputs_match_their_golden_digest(tmp_path):
+    # every graph of the corpus, K8's 40,320 terms included, and every
+    # complex but c8, whose 14,929,920 terms the member budget refuses
+    weighted = [
+        (name, kind, ("isf",) if kind == "graph" else ("cf",), instance)
+        for name, kind, _, instance in _corpus()
+        if kind == "graph" or kind == "complex" and name != "c8"
+    ]
+    assert _digest(tmp_path, weighted, ("--weighted",)) == WEIGHTED_GOLDEN

@@ -3,6 +3,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,7 @@ from isfkit.graphcore import (
     simple_cycles,
     verify_isf_nbc,
 )
-from isfkit.polycore import IntPolynomial, WeightedGF, poly_from_linear_factors
+from isfkit.polycore import IntPolynomial, poly_from_linear_factors
 from isfkit.walks import count_by_size
 
 from helpers import (
@@ -75,6 +76,8 @@ def test_graph_validation():
         Graph(3, [(2, 2)])
     with pytest.raises(InputError):
         Graph(3, [(1, 4)])
+    with pytest.raises(InputError, match=r"^edge \(1,2\) is repeated$"):
+        Graph(3, [(1, 2), (2, 3), (1, 2)])
 
 
 def test_graph_json_roundtrip():
@@ -166,14 +169,21 @@ def test_isf_polynomial_weighted_matches_enumeration():
     for _ in range(10):
         G = random_graph(rng, rng.randint(1, 5))
         weights = {e: e for e in G.edges}
-        factored = isf_polynomial(G, weights)
-        total = WeightedGF.zero()
-        for forest in isf_set_list(G):
-            term = WeightedGF.t_power(G.n - len(forest))
-            for e in sorted(forest):
-                term = term * WeightedGF.variable(e)
-            total = total + term
-        assert factored == total
+        assert isf_polynomial(G, weights).terms == {
+            (tuple(sorted(F)), G.n - len(F)): 1 for F in isf_set_list(G)
+        }
+
+
+def test_isf_polynomial_weighted_sums_a_shared_variable():
+    # with every edge weighted x, the term x^k t^(n-k) counts the forests
+    # of k edges
+    rng = random.Random(12)
+    for _ in range(10):
+        G = random_graph(rng, rng.randint(1, 6))
+        sizes = Counter(len(F) for F in isf_set_list(G))
+        assert isf_polynomial(G, {e: "x" for e in G.edges}).terms == {
+            (("x",) * k, G.n - k): count for k, count in sizes.items()
+        }
 
 
 def test_broken_circuits_triangle():

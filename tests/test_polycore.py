@@ -9,7 +9,6 @@ from isfkit.polycore import (
     WeightedGF,
     poly_from_linear_factors,
     poly_integer_roots,
-    product_of_weighted_factors,
 )
 
 
@@ -113,8 +112,6 @@ def test_json_refuses_coefficients_past_the_digit_limit():
     # result is refused like any other over-budget one
     with pytest.raises(BudgetExceededError):
         IntPolynomial((10**4400, 1)).to_json()
-    with pytest.raises(BudgetExceededError):
-        WeightedGF({(("a",), 1): 10**4400}).to_json()
 
 
 @pytest.mark.parametrize(
@@ -135,8 +132,7 @@ def test_linear_factors_reject_non_integers(roots_negated, tshift):
 
 
 def test_weighted_gf_expansion():
-    a, b, c = "a", "b", "c"
-    gf = WeightedGF.t_plus_vars([a]) * WeightedGF.t_plus_vars([b, c])
+    gf = WeightedGF([["a"], ["b", "c"]])
     assert gf.terms == {
         ((), 2): 1,
         (("a",), 1): 1,
@@ -145,16 +141,13 @@ def test_weighted_gf_expansion():
         (("a", "b"), 0): 1,
         (("a", "c"), 0): 1,
     }
-    assert gf.substitute_ones() == poly_from_linear_factors([1, 2])
-
-
-def test_weighted_gf_addition_cancels():
-    x = WeightedGF.variable("x")
-    minus = WeightedGF({(("x",), 0): -1})
-    assert (x + minus) == WeightedGF.zero()
-
-
-def test_weighted_gf_product_helper():
-    factors = [WeightedGF.t_plus_vars([i]) for i in (1, 2)]
-    prod = product_of_weighted_factors(factors)
-    assert prod.substitute_ones() == poly_from_linear_factors([1, 1])
+    # a variable repeated within or across blocks sums its coefficients:
+    # (t + 2x)(t + x) = t^2 + 3x t + 2x^2
+    gf = WeightedGF([["x", "x"], ["x"]])
+    assert gf.terms == {((), 2): 1, (("x",), 1): 3, (("x", "x"), 0): 2}
+    assert gf.to_json() == [
+        {"monomial": ["x", "x"], "tpow": 0, "coeff": "2"},
+        {"monomial": ["x"], "tpow": 1, "coeff": "3"},
+        {"monomial": [], "tpow": 2, "coeff": "1"},
+    ]
+    assert WeightedGF([]).terms == {((), 0): 1}
