@@ -168,25 +168,25 @@ class SpanningSubcomplex:
     __slots__ = ("parent", "kept_facets", "_masks")
 
     def __init__(self, parent: PureComplex, kept_facets: Iterable[Sequence[int]]):
-        facets = [
-            tuple(require_int(v, "facet vertex") for v in f) for f in kept_facets
-        ]
-        kept = frozenset(facets)
-        if not kept <= parent.facets:
-            kept = frozenset(tuple(sorted(f)) for f in facets)
-            if not kept <= parent.facets:
+        kept = set()
+        for f in kept_facets:
+            face = tuple(sorted(require_int(v, "facet vertex") for v in f))
+            if face not in parent.facets:
                 raise InputError("kept facets must be facets of the parent complex")
+            if face in kept:
+                raise InputError(f"facet {list(face)} is repeated")
+            kept.add(face)
         self.parent = parent
-        self.kept_facets = kept
+        self.kept_facets = frozenset(kept)
         self._masks = None
 
     @classmethod
-    def _of(cls, parent: PureComplex, kept: Iterable[Face], masks: Sequence[int]):
+    def _of(cls, parent: PureComplex, kept: frozenset[Face], masks: Sequence[int]):
         """A subcomplex keeping some of the parent's own facets, with their
         ridge masks: the facets are the checked ones, so nothing is checked."""
         self = cls.__new__(cls)
         self.parent = parent
-        self.kept_facets = frozenset(kept)
+        self.kept_facets = kept
         self._masks = masks
         return self
 
@@ -287,14 +287,22 @@ def cage_free_subcomplexes(delta: PureComplex) -> list[SpanningSubcomplex]:
     """Every cage-free spanning subcomplex: at most one facet per block.
 
     Each keeps facets of delta, which `PureComplex` has checked, so each is
-    built directly, with its kept facets' ridge masks."""
+    built directly, with its kept facets' ridge masks.  A subcomplex's kept
+    facets are its prefix's frozenset joined with a one-facet frozenset made
+    once per facet: a set entry keeps its hash, so no facet is hashed twice."""
     mask = delta._ridge_masks()
-    # (kept facets, their masks), in `walks.block_transversals` order
-    chosen = [((), ())]
+    # (kept facets, their masks), in `walks.block_transversals` order; a
+    # subcomplex that keeps no facet of the block keeps its prefix's pair
+    chosen = [(frozenset(), ())]
     for _, block in sorted(phi_partition(delta).blocks.items()):
-        options = [((), ())] + [((f,), (mask[f],)) for f in sorted(block)]
-        chosen = [(fs + f, ms + m) for fs, ms in chosen for f, m in options]
-    return [SpanningSubcomplex._of(delta, fs, ms) for fs, ms in chosen]
+        options = [None] + [(frozenset((f,)), (mask[f],)) for f in sorted(block)]
+        chosen = [
+            pair if add is None else (pair[0] | add[0], pair[1] + add[1])
+            for pair in chosen
+            for add in options
+        ]
+    of = SpanningSubcomplex._of
+    return [of(delta, fs, ms) for fs, ms in chosen]
 
 
 def enumerate_cage_free(delta: PureComplex) -> dict[int, int]:
@@ -347,23 +355,31 @@ def cf_polynomial(
 
 
 def upper_link(delta: PureComplex, sigma: Sequence[int]) -> Graph:
-    """The graph whose edge ij records the facet obtained by appending i < j."""
-    sigma = tuple(sorted(require_int(v, "peak vertex") for v in sigma))
-    bound = sigma[-1] if sigma else 0
-    edges = set()
-    for f in delta.facets:
-        if set(sigma) <= set(f):
-            i, j = sorted(set(f) - set(sigma))
-            if bound < i:
-                edges.add((i, j))
-    return Graph(delta.n, edges)
+    """The upper link of a peak sigma, d - 1 distinct vertices of 1..n: the
+    graph whose edge ij records the facet sigma + (i, j) with
+    max sigma < i < j.  Any other peak is refused with InputError; a peak
+    that lies in no facet has an empty link."""
+    peak = tuple(sorted(require_int(v, "peak vertex") for v in sigma))
+    if len(peak) != delta.d - 1 or len(set(peak)) != len(peak):
+        raise InputError(
+            f"peak {list(peak)} must have {delta.d - 1} distinct vertices"
+        )
+    if peak and (peak[0] < 1 or peak[-1] > delta.n):
+        raise InputError(f"peak {list(peak)} out of range for n={delta.n}")
+    return Graph(delta.n, {f[-2:] for f in delta.facets if f[:-2] == peak})
 
 
 def upper_links(delta: PureComplex) -> tuple[dict[Face, Graph], list[Face]]:
-    """Upper links of every peak, plus the list of effective peaks."""
-    links = {sigma: upper_link(delta, sigma) for sigma in delta.peaks()}
-    effective = [sigma for sigma, g in sorted(links.items()) if g.edges]
-    return links, effective
+    """Upper links of every peak, plus the list of effective peaks.
+
+    One pass over the facets: of the peaks in a sorted facet f, only
+    f[:-2] has both other vertices above its largest, so f is the edge
+    f[-2:] of that one link."""
+    edges: dict[Face, list[tuple[int, int]]] = {p: [] for p in delta.peaks()}
+    for f in delta.facets:
+        edges[f[:-2]].append(f[-2:])
+    links = {sigma: Graph(delta.n, e) for sigma, e in edges.items()}
+    return links, [sigma for sigma, e in edges.items() if e]
 
 
 def verify_product_formula(delta: PureComplex) -> Report:
@@ -376,18 +392,20 @@ def verify_product_formula(delta: PureComplex) -> Report:
     taken next, each on the vertices the link's edges touch, where an
     isolated vertex does not change the count and the cross-check's vertex
     budget reads the touched vertices.  A budget refusal in a link names
-    its peak."""
+    its peak.  The links and their touched graphs are built once; the
+    touched graphs also serve the PEO test of `is_simplicial_peo`."""
     report = Report()
     _facets_within_budget(delta)
     graphcore._within_output_budget(delta.n)
     links, effective = upper_links(delta)
+    touched = {sigma: _touched(links[sigma]) for sigma in effective}
     ao_product = 1
     for sigma in effective:
         try:
             graphcore._within_member_budget(
                 graphcore._isf_count(links[sigma]), "increasing spanning forests"
             )
-            ao_product *= graphcore.acyclic_orientation_count(_touched(links[sigma]))
+            ao_product *= graphcore.acyclic_orientation_count(touched[sigma])
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"upper link of peak {sigma}: {exc}") from exc
     partition = phi_partition(delta)
@@ -417,7 +435,8 @@ def verify_product_formula(delta: PureComplex) -> Report:
     report.check("cage_free_count_vs_isf_count_product", cf_total, isf_total,
                  expect_equal=True)
 
-    speo = is_simplicial_peo(delta)
+    # an empty link is PEO-ordered, so the effective peaks' links suffice
+    speo = _peo_by_both_routes(delta, partition, touched.values())
     report.fact("natural_labeling_is_peo", speo)
     report.fact("cf_at_most_ao_product", cf_total <= ao_product, required=True)
     report.fact("cf_equals_ao_product_iff_peo", (cf_total == ao_product) == speo,
@@ -446,13 +465,23 @@ def is_simplicial_peo(
     with no edge has no earlier neighbours, so it changes nothing.
     """
     complex_ = delta if labeling is None else delta.relabeled(labeling)
+    links, _ = upper_links(complex_)
+    return _peo_by_both_routes(
+        complex_, phi_partition(complex_), map(_touched, links.values())
+    )
+
+
+def _peo_by_both_routes(
+    delta: PureComplex, partition: PhiPartition, touched: Iterable[Graph]
+) -> bool:
+    """`is_simplicial_peo` on the complex's own labels, given its partition
+    and its upper links on their touched vertices."""
     direct = all(
-        tuple(sorted(sigma + (i, j))) in complex_.facets
-        for (sigma, _), block in phi_partition(complex_).blocks.items()
+        tuple(sorted(sigma + (i, j))) in delta.facets
+        for (sigma, _), block in partition.blocks.items()
         for i, j in itertools.combinations(sorted(f[-2] for f in block), 2)
     )
-    links, _ = upper_links(complex_)
-    via_links = all(_natural_order_is_peo(g) for g in links.values())
+    via_links = all(graphcore.is_peo(g, range(1, g.n + 1)) for g in touched)
     if direct != via_links:
         raise InternalCheckError(
             "simplicial PEO criteria disagree "
@@ -467,20 +496,16 @@ def _touched(g: Graph) -> Graph:
     return graphcore._by_rank({v for e in g.edges for v in e}, g.edges)
 
 
-def _natural_order_is_peo(g: Graph) -> bool:
-    small = _touched(g)
-    return graphcore.is_peo(small, range(1, small.n + 1))
-
-
 # ---------------------------------------------------------------------------
 # Structure of spanning subcomplexes
 # ---------------------------------------------------------------------------
 
 
 def _kept_masks(upsilon: SpanningSubcomplex) -> Sequence[int]:
-    if upsilon._masks is None:
-        mask = upsilon.parent._ridge_masks()
-        upsilon._masks = [mask[f] for f in upsilon.kept_facets]
+    """The kept facets' ridge masks of a publicly built subcomplex, built
+    on first use."""
+    mask = upsilon.parent._ridge_masks()
+    upsilon._masks = [mask[f] for f in upsilon.kept_facets]
     return upsilon._masks
 
 
@@ -501,12 +526,15 @@ def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
     removing it leaves the rank unchanged (an elementary collapse, which
     preserves homology).  A free ridge stays free as other facets go, so
     each round removes every facet with a free ridge, until none is left.
+    The rounds read the ridge masks the subcomplex carries, with one
+    `_free_ridges` call each.
     Only the remaining core is eliminated with `exactla.echelon` (rows by
     the parent's ridge index; an empty core has rank 0).  The top homology
     group embeds in a free abelian group, so it is torsion-free and its
     integral rank equals this rational one.
     """
-    core = _kept_masks(upsilon)
+    # an empty mask sequence is rebuilt, empty, by `_kept_masks`
+    core = upsilon._masks or _kept_masks(upsilon)
     while core and (free := _free_ridges(core)):
         core = [m for m in core if not m & free]
     if not core:
@@ -523,7 +551,7 @@ def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
 
 def has_leaf(upsilon: SpanningSubcomplex) -> bool:
     """Whether some ridge lies in exactly one kept facet."""
-    return bool(_free_ridges(_kept_masks(upsilon)))
+    return bool(_free_ridges(upsilon._masks or _kept_masks(upsilon)))
 
 
 def is_shifted(obj: PureComplex | SpanningSubcomplex) -> bool:

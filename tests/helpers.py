@@ -74,6 +74,22 @@ def bipyramid() -> PureComplex:
     )
 
 
+def oracle_upper_links(delta: PureComplex) -> dict:
+    """Every peak's upper link by scanning every facet for it: a facet that
+    contains the peak and adds two vertices above its largest is an edge."""
+    links = {}
+    for sigma in delta.peaks():
+        bound = sigma[-1] if sigma else 0
+        edges = set()
+        for f in delta.facets:
+            if set(sigma) <= set(f):
+                i, j = sorted(set(f) - set(sigma))
+                if bound < i:
+                    edges.add((i, j))
+        links[sigma] = Graph(delta.n, edges)
+    return links
+
+
 # swapping 2 and 3 keeps a PEO; the five-cycle relabeling below breaks it
 BIPYRAMID_PEO_RELABELING = [1, 3, 2, 4, 5]
 BIPYRAMID_NON_PEO_RELABELING = [5, 3, 2, 4, 1]

@@ -1,7 +1,8 @@
 """Golden digests of CLI output on a small seeded corpus: one over the verify
-actions, one over `forest roots` and `forest tf` on the corpus's graphs, and
-one over `graph isf --weighted` and `complex cf --weighted` on its graphs and
-complexes.
+actions, one over `forest roots` and `forest tf` on the corpus's graphs, one
+over `graph isf --weighted` and `complex cf --weighted` on its graphs and
+complexes, and one over `complex cf`, `complex links` and `complex peo` on
+its complexes and on hand-built complexes of dimension 1 and 3.
 
 Each record is (argv, exit code, stdout, stderr) of one `cli.run` call, with
 the input path in argv replaced by the instance's name.  The records are
@@ -13,7 +14,9 @@ an output must say so and record the new digest.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import random
 
 from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.graphcore import Graph
@@ -21,6 +24,7 @@ from isfkit.graphcore import Graph
 GOLDEN = "88f90eeafedb08cb692350b3f1ef523c8938a5fa635b1f137c80dd530d0c3e6f"
 FOREST_GOLDEN = "bbf4d328290fea4b3ad8f82f23da76440da976434c07e65576b29af1dd17629e"
 WEIGHTED_GOLDEN = "a5a4f4c08364022afb6873694f448a64ed1f5d7050cecfff86166be87ffb024b"
+COMPLEX_GOLDEN = "dc8ae5cac5742cbd8d7c4645cfa6a2b116200c5970879b6c1be4557a9536e9f4"
 
 
 def _corpus():
@@ -62,9 +66,11 @@ def _digest(tmp_path, corpus, flags=()) -> str:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(instance))
         for action in actions:
+            # an action may carry its own flags after a space
+            verb, *extra = action.split(" ")
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run([kind, action, str(path), *flags])
+                code = run([kind, verb, str(path), *extra, *flags])
             record = [[kind, action, name], code, out.getvalue(), err.getvalue()]
             digest.update(json.dumps(record).encode())
     return digest.hexdigest()
@@ -93,3 +99,37 @@ def test_weighted_outputs_match_their_golden_digest(tmp_path):
         if kind == "graph" or kind == "complex" and name != "c8"
     ]
     assert _digest(tmp_path, weighted, ("--weighted",)) == WEIGHTED_GOLDEN
+
+
+def _hand_built_complexes():
+    """(name, n, d, facets): dimension 1 and 3, empty and unused vertices
+    included."""
+    yield "d1-empty", 4, 1, []
+    yield "d1-house", 5, 1, [(1, 2), (1, 3), (1, 5), (2, 3), (3, 4), (4, 5)]
+    yield "d1-star", 6, 1, [(1, 6), (2, 6), (3, 6), (4, 6)]
+    yield "d1-K5", 5, 1, list(itertools.combinations(range(1, 6), 2))
+    yield "d3-simplex", 5, 3, [(1, 2, 3, 4)]
+    yield "d3-boundary", 5, 3, list(itertools.combinations(range(1, 6), 4))
+    yield "d3-full6", 6, 3, list(itertools.combinations(range(1, 7), 4))
+    yield "d3-unused", 8, 3, [(1, 2, 3, 4), (1, 2, 3, 7), (2, 3, 5, 7)]
+    for seed, n in ((1, 6), (2, 7), (3, 7)):
+        rng = random.Random(seed)
+        facets = [f for f in itertools.combinations(range(1, n + 1), 4)
+                  if rng.random() < 0.4]
+        yield f"d3-random{seed}", n, 3, facets
+
+
+def test_complex_cf_links_and_peo_outputs_match_their_golden_digest(tmp_path):
+    complexes = [(name, instance["n"], instance)
+                 for name, kind, _, instance in _corpus() if kind == "complex"]
+    complexes += [(name, n, {"n": n, "d": d, "facets": [list(f) for f in facets]})
+                  for name, n, d, facets in _hand_built_complexes()]
+    # peo also under the labeling that reverses the vertices
+    corpus = [
+        (name, "complex",
+         ("cf", "links", "peo",
+          "peo --ordering " + json.dumps(list(range(n, 0, -1)), separators=(",", ":"))),
+         instance)
+        for name, n, instance in complexes
+    ]
+    assert _digest(tmp_path, corpus) == COMPLEX_GOLDEN

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import time
 from collections import Counter
 from math import comb
@@ -40,6 +41,7 @@ from helpers import (
     bowtie_complex,
     fan_complex,
     oracle_top_homology_rank,
+    oracle_upper_links,
     tetrahedron_boundary,
 )
 
@@ -121,6 +123,16 @@ def test_cage_free_sub():
     assert is_cage_free(SpanningSubcomplex(fan, []))
     with pytest.raises(InputError):
         SpanningSubcomplex(fan, [(2, 3, 4)])
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [[(1, 2, 3), (1, 2, 3)], [(1, 2, 3), (3, 2, 1)], [(1, 3, 4), [2, 1, 3], (3, 1, 2)]],
+    ids=["same-order", "reversed", "reordered-list"],
+)
+def test_subcomplex_refuses_a_repeated_facet(facets):
+    with pytest.raises(InputError, match=r"^facet \[1, 2, 3\] is repeated$"):
+        SpanningSubcomplex(fan_complex(), facets)
 
 
 def test_subcomplex_accepts_facets_in_any_vertex_order():
@@ -218,6 +230,51 @@ def test_upper_link_of_unused_vertex_is_empty():
     assert (5,) not in effective
 
 
+def test_upper_links_match_the_facet_scan():
+    rng = random.Random(71)
+    empty_links = 0
+    for d in (1, 2, 3):
+        for _ in range(12):
+            n = rng.randint(d + 1, 7)
+            delta = random_complex(rng, n, rng.choice((0.2, 0.5, 0.8)), d=d)
+            expected = oracle_upper_links(delta)
+            links, effective = upper_links(delta)
+            assert list(links) == delta.peaks()
+            assert {s: g.edges for s, g in links.items()} == {
+                s: g.edges for s, g in expected.items()}, delta
+            assert all(g.n == n for g in links.values())
+            assert effective == [s for s in sorted(expected) if expected[s].edges]
+            for sigma, g in expected.items():
+                assert upper_link(delta, sigma).edges == g.edges
+                assert upper_link(delta, sigma[::-1]).edges == g.edges
+            empty_links += sum(not g.edges for g in expected.values())
+    assert empty_links > 0
+
+
+_TRIANGLES = PureComplex(4, 2, [(1, 2, 3), (1, 2, 4), (2, 3, 4)])
+_TETRAHEDRA = PureComplex(5, 3, [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 5)])
+_PATH = PureComplex(3, 1, [(1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "delta, peak, message",
+    [(_TRIANGLES, (1, 2), "peak [1, 2] must have 1 distinct vertices"),
+     (_TRIANGLES, (), "peak [] must have 1 distinct vertices"),
+     (_TRIANGLES, (1, 1), "peak [1, 1] must have 1 distinct vertices"),
+     (_TRIANGLES, (9,), "peak [9] out of range for n=4"),
+     (_TRIANGLES, (0,), "peak [0] out of range for n=4"),
+     (_TETRAHEDRA, (1,), "peak [1] must have 2 distinct vertices"),
+     (_TETRAHEDRA, (2, 2), "peak [2, 2] must have 2 distinct vertices"),
+     (_TETRAHEDRA, (6, 1), "peak [1, 6] out of range for n=5"),
+     (_PATH, (1,), "peak [1] must have 0 distinct vertices")],
+    ids=["two-vertices", "empty", "repeated-vertex", "past-n", "zero",
+         "d3-one-vertex", "d3-repeated-vertex", "d3-past-n", "d1-one-vertex"],
+)
+def test_upper_link_refuses_a_malformed_peak(delta, peak, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        upper_link(delta, peak)
+
+
 def test_product_formula_bipyramid():
     report = verify_product_formula(bipyramid())
     assert report.passed
@@ -256,9 +313,9 @@ def test_simplicial_peo_equals_link_peo():
     rng = random.Random(31)
     for _ in range(20):
         delta = random_complex(rng, rng.randint(3, 6))
-        links, _ = upper_links(delta)
         expected = all(
-            is_peo(g, range(1, delta.n + 1)) for g in links.values()
+            is_peo(g, range(1, delta.n + 1))
+            for g in oracle_upper_links(delta).values()
         )
         assert is_simplicial_peo(delta) == expected
 
