@@ -51,7 +51,6 @@ __all__ = [
     "block_compatible_atom_order",
     "lattice_nbc_sets",
     "lattice_nbc",
-    "atomic_transversals",
     "verify_isf_chi",
     "topology_report",
     "region_count_deletion_restriction",
@@ -646,18 +645,10 @@ def lattice_nbc_sets(
     return [frozenset(members(order, mask)) for mask in masks]
 
 
-def lattice_nbc(
-    L: IntersectionLattice, atom_order: Sequence[int] | None = None
-) -> dict[int, int]:
-    return count_by_size(_lattice_nbc_walk(L, atom_order)[1])
-
-
-def atomic_transversals(
-    L: IntersectionLattice, multichain: Sequence[int]
-) -> dict[int, int]:
-    # each atom a as the bit 1 << a, so a transversal sums to its mask
-    bits = [[1 << a for a in block] for block in atom_blocks(L, multichain)]
-    return count_by_size(map(sum, block_transversals(bits)))
+def lattice_nbc(L: IntersectionLattice) -> dict[int, int]:
+    """Counts of the lattice NBC sets by size, which do not depend on the
+    atom order."""
+    return count_by_size(_lattice_nbc_walk(L, None)[1])
 
 
 # ---------------------------------------------------------------------------

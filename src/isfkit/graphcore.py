@@ -33,10 +33,8 @@ from .walks import count_by_size, downward_closed, members, unpack_counts
 
 __all__ = [
     "Graph",
-    "SpanningSubgraph",
     "EdgeOrder",
     "edge_partition",
-    "is_increasing_forest",
     "isf_set_list",
     "enumerate_isf",
     "isf_polynomial",
@@ -51,7 +49,6 @@ __all__ = [
     "verify_isf_nbc",
     "is_bipartite",
     "has_triangle",
-    "edges_are_acyclic",
 ]
 
 Edge = tuple[int, int]
@@ -146,22 +143,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.sorted_edges()})"
 
 
-class SpanningSubgraph:
-    """A spanning subgraph of a parent graph, identified by its edge subset."""
-
-    __slots__ = ("parent", "subset")
-
-    def __init__(self, parent: Graph, subset: Iterable[Edge]):
-        subset = frozenset((min(e), max(e)) for e in subset)
-        if not subset <= parent.edges:
-            raise InputError("subset contains edges not in the parent graph")
-        self.parent = parent
-        self.subset = subset
-
-    def __repr__(self):
-        return f"SpanningSubgraph({sorted(self.subset)} of n={self.parent.n})"
-
-
 class EdgeOrder:
     """A total order on the edges of a graph; default is lexicographic."""
 
@@ -234,63 +215,6 @@ def edge_partition(G: Graph) -> dict[int, frozenset[Edge]]:
     for i, j in G.edges:
         blocks[j].add((i, j))
     return {k: frozenset(v) for k, v in blocks.items()}
-
-
-def _increasing_by_blocks(edges: Iterable[Edge]) -> bool:
-    tops = set()
-    for _, j in edges:
-        if j in tops:
-            return False
-        tops.add(j)
-    return True
-
-
-def edges_are_acyclic(edges: Iterable[Edge]) -> bool:
-    return _find_cycle_edge(edges) is None
-
-
-def _increasing_by_root_paths(edges: Iterable[Edge]) -> bool:
-    """Root every component at its minimum and demand children exceed parents."""
-    edges = list(edges)
-    if not edges_are_acyclic(edges):
-        return False
-    adj: dict[int, list[int]] = defaultdict(list)
-    verts = set()
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-        verts.update((u, v))
-    seen = set()
-    for root in sorted(verts):
-        if root in seen:
-            continue
-        stack = [(root, 0)]
-        seen.add(root)
-        while stack:
-            u, parent = stack.pop()
-            for w in adj[u]:
-                if w == parent:
-                    continue
-                if w < u:
-                    return False
-                seen.add(w)
-                stack.append((w, u))
-    return True
-
-
-def is_increasing_forest(F: SpanningSubgraph) -> bool:
-    """Whether the chosen edges form an increasing spanning forest.
-
-    Evaluates both the no-two-edges-into-a-vertex-from-below criterion and
-    the rooted-path definition; a disagreement would be a library bug.
-    """
-    fast = _increasing_by_blocks(F.subset)
-    slow = _increasing_by_root_paths(F.subset)
-    if fast != slow:
-        raise InternalCheckError(
-            f"increasing-forest criteria disagree on {sorted(F.subset)}"
-        )
-    return fast
 
 
 def _increasing_masks(edges: Sequence[tuple]) -> Iterator[int]:
@@ -597,27 +521,6 @@ def count_proper_colorings(G: Graph, colors: int) -> int:
         raise InputError("color count must be nonnegative")
     counts, isolated = chromatic._class_counts(G)
     return colors**isolated * sum(a * perm(colors, k) for k, a in enumerate(counts))
-
-
-def _find_cycle_edge(edges: Iterable[Edge]) -> Edge | None:
-    """The first edge, in sorted order, that closes a cycle (union-find)."""
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in sorted(edges):
-        u, v = e
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return e
-        parent[ru] = rv
-    return None
 
 
 def chromatic_polynomial(G: Graph) -> IntPolynomial:

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from . import graphcore
-from .graphcore import Graph, counts_to_polynomial, edges_are_acyclic
+from .graphcore import Graph, counts_to_polynomial
 from .polycore import IntPolynomial, poly_integer_roots
 from .report import Report, _Frozen, _set
 from .walks import count_by_size, downward_closed, members, unpack_counts
@@ -23,10 +22,8 @@ __all__ = [
     "RootedLabeledForest",
     "standardize",
     "contains_pattern",
-    "avoids_set",
     "is_tight_sequence",
     "is_tight_forest",
-    "forest_from_edge_set",
     "tf_set_list",
     "tf_polynomial",
     "candidate_paths",
@@ -88,10 +85,6 @@ def contains_pattern(seq: Sequence[int], pat: Pattern | Sequence[int]) -> bool:
         standardize([seq[i] for i in combo]) == pat.perm
         for combo in itertools.combinations(range(len(seq)), len(pat))
     )
-
-
-def avoids_set(seq: Sequence[int], patterns: Iterable[Pattern]) -> bool:
-    return not any(contains_pattern(seq, p) for p in patterns)
 
 
 def _is_adjacent_involution(perm: tuple[int, ...]) -> bool:
@@ -267,34 +260,6 @@ class RootedLabeledForest:
 
     def __repr__(self):
         return f"RootedLabeledForest({self.parents})"
-
-
-def forest_from_edge_set(
-    edges: Iterable[tuple[int, int]], vertices: Iterable[int] = ()
-) -> RootedLabeledForest:
-    """Orient an acyclic edge set away from each component's minimum."""
-    edges = list(edges)
-    if not edges_are_acyclic(edges):
-        raise InputError("edge set contains a cycle")
-    verts = set(vertices)
-    adj: dict[int, list[int]] = defaultdict(list)
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-        verts.update((u, v))
-    parents: dict[int, int | None] = {}
-    for root in sorted(verts):
-        if root in parents:
-            continue
-        parents[root] = None
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in parents:
-                    parents[w] = u
-                    stack.append(w)
-    return RootedLabeledForest(parents)
 
 
 def is_tight_forest(F: RootedLabeledForest) -> bool:
@@ -727,9 +692,6 @@ def tf_integer_roots_classification(G: Graph) -> Report:
     if G.n > _SWEEP_VERTEX_BUDGET:
         raise BudgetExceededError(
             f"n={G.n} exceeds the ordering-sweep cap {_SWEEP_VERTEX_BUDGET}")
-    forest = edges_are_acyclic(G.edges)
-    report = Report()
-    report.fact("is_forest", forest)
     comp = {v: {v} for v in range(1, G.n + 1)}  # each vertex's component
     for u, v in G.edges:
         if comp[u] is not comp[v]:
@@ -737,6 +699,10 @@ def tf_integer_roots_classification(G: Graph) -> Report:
             for w in comp[v]:
                 comp[w] = comp[u]
     parts = [C for v, C in comp.items() if v == min(C)]  # by least vertex
+    # a simple graph is a forest exactly when |E| = n - #components
+    forest = len(G.edges) == G.n - len(parts)
+    report = Report()
+    report.fact("is_forest", forest)
     found = None
     if len(parts) < 2 or all(
         _integer_root_ordering(

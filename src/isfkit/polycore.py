@@ -149,7 +149,7 @@ class IntPolynomial:
 
     def shifted(self, power: int) -> "IntPolynomial":
         """Multiply by ``t**power``."""
-        if power < 0:
+        if require_int(power, "shift") < 0:
             raise InputError("negative shift")
         if self.is_zero():
             return self
@@ -219,24 +219,20 @@ def _coerce(value) -> IntPolynomial:
     raise TypeError(f"cannot treat {value!r} as an integer polynomial")
 
 
-def poly_from_linear_factors(
-    roots_negated: Iterable[int], tshift: int = 0
-) -> IntPolynomial:
-    """Expand ``t**tshift * prod_k (t + a_k)`` for nonnegative integers a_k.
+def poly_from_linear_factors(roots_negated: Iterable[int]) -> IntPolynomial:
+    """Expand ``prod_k (t + a_k)`` for nonnegative integers a_k.
 
-    Equal constants are grouped and the factors t fold into the shift.  The
+    Equal constants are grouped and the factors t fold into one shift.  The
     largest group (t + a)**k is written out by the binomial theorem, and
     the other factors multiply it one at a time, which keeps every step a
     product of a long coefficient by a small constant.
     """
-    if require_int(tshift, "tshift") < 0:
-        raise InputError("tshift must be nonnegative")
     powers: Counter[int] = Counter()
     for a in roots_negated:
         if require_int(a, "linear-factor constant") < 0:
             raise InputError("linear-factor constants must be nonnegative")
         powers[a] += 1
-    tshift += powers.pop(0, 0)
+    zeros = powers.pop(0, 0)
     coeffs = [1]
     if powers:
         a, k = max(powers.items(), key=lambda item: item[1])
@@ -251,7 +247,7 @@ def poly_from_linear_factors(
             for i in range(len(coeffs) - 1, 0, -1):
                 coeffs[i] = coeffs[i - 1] + a * coeffs[i]
             coeffs[0] *= a
-    return IntPolynomial(coeffs).shifted(tshift)
+    return IntPolynomial(coeffs).shifted(zeros)
 
 
 def poly_integer_roots(p: IntPolynomial) -> list[int] | None:

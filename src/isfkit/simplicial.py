@@ -16,7 +16,7 @@ pairs.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -33,8 +33,6 @@ __all__ = [
     "SpanningSubcomplex",
     "PhiPartition",
     "phi_partition",
-    "caged_ridges",
-    "is_cage_free",
     "cage_free_subcomplexes",
     "enumerate_cage_free",
     "cf_polynomial",
@@ -239,11 +237,6 @@ def phi_partition(delta: PureComplex) -> PhiPartition:
 # ---------------------------------------------------------------------------
 
 
-def _caged_by_blocks(kept: frozenset[Face]) -> set[Face]:
-    counts: Counter = Counter(_facet_block(f) for f in kept)
-    return {sigma + (k,) for (sigma, k), c in counts.items() if c >= 2}
-
-
 def _caged_ridge(f1: Face, f2: Face) -> Face | None:
     """The ridge sigma + (k,) the two facets share, when they add to it
     vertices i and j that both lie between the largest vertex of sigma
@@ -257,30 +250,6 @@ def _caged_ridge(f1: Face, f2: Face) -> Face | None:
     (j,) = set(f2) - set(shared)
     bound = sigma[-1] if sigma else 0
     return shared if bound < i < k and bound < j < k else None
-
-
-def _caged_by_pair_scan(kept: frozenset[Face]) -> set[Face]:
-    pairs = itertools.combinations(sorted(kept), 2)
-    return {r for f1, f2 in pairs if (r := _caged_ridge(f1, f2)) is not None}
-
-
-def caged_ridges(upsilon: SpanningSubcomplex) -> frozenset[Face]:
-    """Ridges trapped between two kept facets of the same block.
-
-    Computed both from block multiplicities and by scanning facet pairs
-    against the defining condition; the two answers must coincide.
-    """
-    by_blocks = _caged_by_blocks(upsilon.kept_facets)
-    by_pairs = _caged_by_pair_scan(upsilon.kept_facets)
-    if by_blocks != by_pairs:
-        raise InternalCheckError(
-            f"caged-ridge criteria disagree: {by_blocks} vs {by_pairs}"
-        )
-    return frozenset(by_blocks)
-
-
-def is_cage_free(upsilon: SpanningSubcomplex) -> bool:
-    return not caged_ridges(upsilon)
 
 
 def cage_free_subcomplexes(delta: PureComplex) -> list[SpanningSubcomplex]:
@@ -392,8 +361,10 @@ def verify_product_formula(delta: PureComplex) -> Report:
     taken next, each on the vertices the link's edges touch, where an
     isolated vertex does not change the count and the cross-check's vertex
     budget reads the touched vertices.  A budget refusal in a link names
-    its peak.  The links and their touched graphs are built once; the
-    touched graphs also serve the PEO test of `is_simplicial_peo`."""
+    its peak.  The links, their touched graphs and the facet blocks are
+    built once: the touched graphs also serve the PEO test of
+    `is_simplicial_peo`, and the factored polynomial is read from the
+    blocks."""
     report = Report()
     _facets_within_budget(delta)
     graphcore._within_output_budget(delta.n)
@@ -409,7 +380,7 @@ def verify_product_formula(delta: PureComplex) -> Report:
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"upper link of peak {sigma}: {exc}") from exc
     partition = phi_partition(delta)
-    factored = cf_polynomial(delta)
+    factored = poly_from_linear_factors([len(b) for b in partition.blocks.values()])
     counts = enumerate_cage_free(delta)
     enum_poly = counts_to_polynomial(counts, partition.N)
     report.check("cf_factorization_vs_enumeration", factored, enum_poly,

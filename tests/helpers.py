@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from isfkit.errors import InternalCheckError
 from isfkit.graphcore import EdgeOrder, Graph, simple_cycles
+from isfkit.patterns import RootedLabeledForest
 from isfkit.polycore import IntPolynomial
 from isfkit.simplicial import PureComplex, SpanningSubcomplex
 from isfkit.arrangement import GaussRational, LabeledMultigraph, atom_blocks
@@ -142,6 +143,40 @@ def oracle_increasing(subset) -> bool:
     return len(tops) == len(set(tops))
 
 
+def edges_are_acyclic(edges) -> bool:
+    """Whether no edge joins two vertices already joined (union-find)."""
+    root: dict[int, int] = {}
+
+    def find(v):
+        while root.setdefault(v, v) != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        if (ru := find(u)) == (rv := find(v)):
+            return False
+        root[ru] = rv
+    return True
+
+
+def forest_from_edge_set(edges, vertices=()) -> RootedLabeledForest:
+    """Orient an acyclic edge set away from each component's minimum; the
+    given vertices without an edge become roots."""
+    edges = list(edges)
+    assert edges_are_acyclic(edges), edges
+    parents: dict[int, int | None] = {}
+    for root in sorted({*vertices, *itertools.chain(*edges)}):
+        if root in parents:
+            continue
+        parents[root], stack = None, [root]
+        while stack:
+            u = stack.pop()
+            for w in {a + b - u for a, b in edges if u in (a, b)} - parents.keys():
+                parents[w] = u
+                stack.append(w)
+    return RootedLabeledForest(parents)
+
+
 def oracle_isf_counts(G: Graph) -> dict[int, int]:
     counts = Counter(
         len(s) for s in all_edge_subsets(G) if oracle_increasing(s)
@@ -243,18 +278,7 @@ def oracle_tf_roots_report(G: Graph, roots_of) -> dict:
     """The report JSON of the integer-roots ordering sweep, with no ordering
     skipped: `roots_of` is asked about every relabeling, in
     itertools.permutations order, until one has integer roots."""
-    parent = list(range(G.n + 1))
-
-    def find(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    forest = True
-    for i, j in G.edges:
-        if find(i) == find(j):
-            forest = False
-        parent[find(i)] = find(j)
+    forest = edges_are_acyclic(G.edges)
     witnesses = {}
     for perm in itertools.permutations(range(1, G.n + 1)):
         roots = roots_of(G.relabeled(perm))

@@ -25,6 +25,7 @@ from helpers import (
     bipyramid,
     complete_bipartite,
     complete_graph,
+    edges_are_acyclic,
     fan_complex,
     house_graph,
     paw_non_peo,
@@ -300,7 +301,7 @@ def test_criterion_8_pattern_suite():
                 )
                 key = _canonical_class(n, edges)
                 exists, forest = per_class.get(
-                    key, (False, graphcore.edges_are_acyclic(edges))
+                    key, (False, edges_are_acyclic(edges))
                 )
                 per_class[key] = (exists or has_roots, forest)
             for key, (exists, forest) in per_class.items():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from isfkit.arrangement import (
     GaussRational,
     LabeledMultigraph,
     atom_blocks,
-    atomic_transversals,
     block_compatible_atom_order,
     build_arrangement,
     characteristic_polynomial,
@@ -460,10 +460,12 @@ def test_lattice_nbc_and_transversals_worked_example():
     chain = prefix_multichain(G, L)
     blocks = atom_blocks(L, chain)
     order = block_compatible_atom_order(L, blocks)
-    assert atomic_transversals(L, chain) == {0: 1, 1: 5, 2: 8, 3: 4}
-    assert lattice_nbc(L, order) == {0: 1, 1: 5, 2: 8, 3: 4}
-    transversals = set(atomic_transversal_sets(L, chain))
-    assert transversals <= set(lattice_nbc_sets(L, order))
+    expected = {0: 1, 1: 5, 2: 8, 3: 4}
+    transversals = atomic_transversal_sets(L, chain)
+    assert Counter(map(len, transversals)) == expected
+    nbc = lattice_nbc_sets(L, order)
+    assert Counter(map(len, nbc)) == lattice_nbc(L) == expected
+    assert set(transversals) <= set(nbc)
 
 
 def test_lattice_nbc_sets_match_oracle_under_shuffled_atom_order():
@@ -511,7 +513,7 @@ def test_rota_formula_any_atom_order():
         order = list(L.atoms)
         rng.shuffle(order)
         rota = IntPolynomial()
-        for m, c in lattice_nbc(L, order).items():
+        for m, c in Counter(map(len, lattice_nbc_sets(L, order))).items():
             rota = rota + IntPolynomial.monomial(L.rho - m, (-1) ** m * c)
         assert rota == chi
 

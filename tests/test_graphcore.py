@@ -14,7 +14,6 @@ from isfkit.graphcore import (
     _nbc_walk,
     EdgeOrder,
     Graph,
-    SpanningSubgraph,
     acyclic_orientation_count,
     chromatic_polynomial,
     count_proper_colorings,
@@ -24,7 +23,6 @@ from isfkit.graphcore import (
     find_peo,
     has_triangle,
     is_bipartite,
-    is_increasing_forest,
     is_peo,
     isf_polynomial,
     isf_set_list,
@@ -38,16 +36,19 @@ from isfkit.walks import count_by_size
 
 from helpers import (
     all_edge_subsets,
+    all_root_paths,
     broken_circuits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    forest_from_edge_set,
     house_graph,
     increasing_tree,
     non_increasing_tree,
     oracle_acyclic_orientation_count,
     oracle_chromatic_by_partitions,
     oracle_coloring_count,
+    oracle_increasing,
     oracle_isf_counts,
     oracle_nbc_sets,
     oracle_partition_counts,
@@ -109,11 +110,13 @@ def test_edge_partition_non_peo_labeling():
 
 
 def test_is_increasing_forest_trees():
-    T = increasing_tree()
-    assert is_increasing_forest(SpanningSubgraph(T, T.edges))
-    T2 = non_increasing_tree()
-    assert not is_increasing_forest(SpanningSubgraph(T2, T2.edges))
-    assert is_increasing_forest(SpanningSubgraph(T, ()))
+    # the ISF walk against the rooted-path definition: each tree rooted at
+    # its minimum, every path down from a root increases
+    for T, increasing in ((increasing_tree(), True), (non_increasing_tree(), False)):
+        paths = all_root_paths(forest_from_edge_set(T.edges))
+        assert all(list(p) == sorted(p) for p in paths) == increasing
+        assert (frozenset(T.edges) in isf_set_list(T)) == increasing
+    assert frozenset() in isf_set_list(increasing_tree())
 
 
 def test_enumerate_isf_worked_example():
@@ -149,11 +152,7 @@ def test_isf_listing_matches_subset_sweep():
     rng = random.Random(7)
     for _ in range(25):
         G = random_graph(rng, rng.randint(1, 6))
-        swept = {
-            s
-            for s in all_edge_subsets(G)
-            if is_increasing_forest(SpanningSubgraph(G, s))
-        }
+        swept = {s for s in all_edge_subsets(G) if oracle_increasing(s)}
         assert set(isf_set_list(G)) == swept
 
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +14,9 @@ from isfkit.patterns import (
     Pattern,
     RootedLabeledForest,
     TIGHT_PATTERNS,
-    avoids_set,
     candidate_paths,
     contains_pattern,
     count_pattern_avoiding_permutations,
-    forest_from_edge_set,
     is_qpo,
     is_tight_forest,
     is_tight_sequence,
@@ -39,8 +38,11 @@ from helpers import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    edges_are_acyclic,
+    forest_from_edge_set,
     house_graph,
     non_increasing_tree,
+    oracle_increasing,
     oracle_long_cycles_have_chords,
     oracle_tf_roots_report,
     oracle_tf_sets,
@@ -77,8 +79,8 @@ def test_contains_pattern_examples():
 
 
 def test_avoids_set():
-    assert avoids_set((1, 3, 2), TIGHT_PATTERNS)
-    assert not avoids_set((2, 3, 1), TIGHT_PATTERNS)
+    assert not any(contains_pattern((1, 3, 2), p) for p in TIGHT_PATTERNS)
+    assert any(contains_pattern((2, 3, 1), p) for p in TIGHT_PATTERNS)
 
 
 def test_standardize():
@@ -155,7 +157,7 @@ def test_root_paths_are_prefixes_of_leaf_paths():
     for _ in range(20):
         G = random_graph(rng, rng.randint(2, 7))
         for subset in list(all_edge_subsets(G))[:50]:
-            if not graphcore.edges_are_acyclic(subset):
+            if not edges_are_acyclic(subset):
                 continue
             forest = forest_from_edge_set(subset, range(1, G.n + 1))
             by_leaf = is_tight_forest(forest)
@@ -182,17 +184,14 @@ def test_increasing_iff_avoids_21():
     for _ in range(15):
         G = random_graph(rng, rng.randint(2, 6))
         for subset in all_edge_subsets(G):
-            if not graphcore.edges_are_acyclic(subset):
+            if not edges_are_acyclic(subset):
                 continue
             forest = forest_from_edge_set(subset, range(1, G.n + 1))
             avoids_21 = all(
                 not contains_pattern(p, (2, 1))
                 for p in forest.root_to_leaf_paths()
             )
-            increasing = graphcore.is_increasing_forest(
-                graphcore.SpanningSubgraph(G, subset)
-            )
-            assert avoids_21 == increasing
+            assert avoids_21 == oracle_increasing(subset)
 
 
 # -- tight spanning forests -------------------------------------------------------
@@ -205,7 +204,7 @@ def test_tf_listing_matches_subset_sweep():
         swept = {
             s
             for s in all_edge_subsets(G)
-            if graphcore.edges_are_acyclic(s)
+            if edges_are_acyclic(s)
             and is_tight_forest(forest_from_edge_set(s, range(1, G.n + 1)))
         }
         assert set(tf_set_list(G)) == swept
@@ -269,7 +268,7 @@ def test_tf_polynomial_increasing_forest():
                 edges.append((rng.randint(1, k - 1), k))
         G = Graph(n, edges)
         q = len(G.edges)
-        assert tf_polynomial(G) == poly_from_linear_factors([1] * q, n - q)
+        assert tf_polynomial(G) == poly_from_linear_factors([1] * q).shifted(n - q)
 
 
 def test_tf_polynomial_of_a_disconnected_graph_is_the_product_over_components():
@@ -330,7 +329,7 @@ def test_tf_transfer_matches_listed_and_oracle_forests():
 
 def test_tf_polynomial_of_a_26_vertex_increasing_path():
     path = Graph(26, [(k, k + 1) for k in range(1, 26)])
-    assert tf_polynomial(path) == poly_from_linear_factors([1] * 25, 1)
+    assert tf_polynomial(path) == poly_from_linear_factors([1] * 25).shifted(1)
 
 
 def test_tf_polynomial_of_a_star_with_its_centre_last():
@@ -338,7 +337,7 @@ def test_tf_polynomial_of_a_star_with_its_centre_last():
     frontier with it: its 2**24 leaf subsets are counted, not listed."""
     star = Graph(25, [(k, 25) for k in range(1, 25)])
     start = time.perf_counter()
-    assert tf_polynomial(star) == poly_from_linear_factors([1] * 24, 1)
+    assert tf_polynomial(star) == poly_from_linear_factors([1] * 24).shifted(1)
     assert time.perf_counter() - start < 2
 
 
@@ -532,13 +531,21 @@ def _roots_table():
 
 
 def test_roots_sweep_matches_the_unskipped_sweep_on_every_small_graph():
+    # is_forest, read from the sweep's components as |E| = n - #components,
+    # against the union-find of `edges_are_acyclic`
     roots_of = _roots_table()
+    forests = Counter()
     for n in range(6):
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         for chosen in itertools.product((False, True), repeat=len(pairs)):
             G = Graph(n, itertools.compress(pairs, chosen))
-            assert (tf_integer_roots_classification(G).to_json()
-                    == oracle_tf_roots_report(G, roots_of)), G
+            report = tf_integer_roots_classification(G).to_json()
+            forest = report["boolean_facts"]["is_forest"]
+            assert forest == edges_are_acyclic(G.edges), G
+            assert report == oracle_tf_roots_report(G, roots_of), G
+            forests[forest] += 1
+    # the labeled forests on 0..5 vertices: 1 + 1 + 2 + 7 + 38 + 291
+    assert forests == {True: 340, False: 760}
 
 
 def test_roots_sweep_matches_the_unskipped_sweep_on_six_vertices():
@@ -680,7 +687,7 @@ def test_tight_counts_match_filter_oracle():
         oracle = sum(
             1
             for p in itertools.permutations(range(1, k + 1))
-            if avoids_set(p, TIGHT_PATTERNS)
+            if not any(contains_pattern(p, q) for q in TIGHT_PATTERNS)
         )
         assert tight_permutation_count(k) == oracle
 

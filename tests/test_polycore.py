@@ -13,16 +13,16 @@ from isfkit.polycore import (
 
 
 def test_linear_factors_expand():
-    p = poly_from_linear_factors([0, 1, 1, 2], 0)
+    p = poly_from_linear_factors([0, 1, 1, 2])
     assert p.coeffs == (0, 2, 5, 4, 1)
 
 
 def test_linear_factors_empty_product_is_pure_shift():
-    assert poly_from_linear_factors([], 3) == IntPolynomial.monomial(3)
+    assert poly_from_linear_factors([]).shifted(3) == IntPolynomial.monomial(3)
 
 
 def test_linear_factors_with_shift():
-    p = poly_from_linear_factors([1, 3], 2)
+    p = poly_from_linear_factors([1, 3]).shifted(2)
     assert p.coeffs == (0, 0, 3, 4, 1)
 
 
@@ -35,7 +35,7 @@ def test_linear_factors_match_the_factor_by_factor_product():
         expected = IntPolynomial.monomial(shift)
         for a in roots_negated:
             expected = expected * IntPolynomial((a, 1))
-        assert poly_from_linear_factors(roots_negated, shift) == expected
+        assert poly_from_linear_factors(roots_negated).shifted(shift) == expected
 
 
 def test_linear_factors_reject_negative():
@@ -67,7 +67,7 @@ def test_integer_roots_positive_root_rejected():
     st.integers(min_value=0, max_value=3),
 )
 def test_roots_roundtrip(roots_negated, shift):
-    p = poly_from_linear_factors(roots_negated, shift)
+    p = poly_from_linear_factors(roots_negated).shifted(shift)
     expected = sorted([0] * shift + [-a for a in roots_negated], reverse=True)
     assert poly_integer_roots(p) == expected
 
@@ -124,11 +124,12 @@ def test_json_rejects_non_integer_coefficients(coeffs):
 
 
 @pytest.mark.parametrize(
-    "roots_negated, tshift", [([2.9], 0), ([True], 0), (["2"], 0), ([1], 1.0), ([1], True)]
+    "roots_negated, shift", [([2.9], 0), ([True], 0), (["2"], 0), ([1], 1.0), ([1], True)]
 )
-def test_linear_factors_reject_non_integers(roots_negated, tshift):
+def test_linear_factors_reject_non_integers(roots_negated, shift):
+    # a constant is refused by the expansion, a shift by `shifted`
     with pytest.raises(InputError):
-        poly_from_linear_factors(roots_negated, tshift)
+        poly_from_linear_factors(roots_negated).shifted(shift)
 
 
 def test_weighted_gf_expansion():

@@ -15,13 +15,11 @@ from isfkit.polycore import poly_from_linear_factors
 from isfkit.simplicial import (
     PureComplex,
     SpanningSubcomplex,
-    caged_ridges,
     cage_free_subcomplexes,
     cf_polynomial,
     enumerate_cage_free,
     full_subcomplex,
     has_leaf,
-    is_cage_free,
     is_shifted,
     is_simplicial_peo,
     phi_partition,
@@ -114,13 +112,21 @@ def test_phi_partition_single_facet():
 
 
 def test_caged_ridges_fan():
-    assert caged_ridges(full_subcomplex(fan_complex())) == {(1, 4)}
+    # the pair scan of `enumerate_cage_free` and the blocks holding two
+    # facets: (1,2,4) and (1,3,4) cage the ridge (1,4)
+    fan = fan_complex()
+    pairs = itertools.combinations(sorted(fan.facets), 2)
+    scanned = {r for f1, f2 in pairs if (r := simplicial._caged_ridge(f1, f2))}
+    doubled = {sigma + (k,) for (sigma, k), block in phi_partition(fan).blocks.items()
+               if len(block) > 1}
+    assert scanned == doubled == {(1, 4)}
 
 
 def test_cage_free_sub():
     fan = fan_complex()
-    assert is_cage_free(SpanningSubcomplex(fan, [(1, 2, 3), (1, 2, 4)]))
-    assert is_cage_free(SpanningSubcomplex(fan, []))
+    kept = {u.kept_facets for u in cage_free_subcomplexes(fan)}
+    assert {frozenset({(1, 2, 3), (1, 2, 4)}), frozenset()} <= kept
+    assert fan.facets not in kept
     with pytest.raises(InputError):
         SpanningSubcomplex(fan, [(2, 3, 4)])
 
@@ -205,12 +211,13 @@ def test_enumeration_matches_listing_and_pairwise_filter():
         counts = enumerate_cage_free(delta)
         listing = cage_free_subcomplexes(delta)
         assert Counter(len(u.kept_facets) for u in listing) == counts
-        # oracle: filter every facet subset through the caged-ridge scan
+        # oracle: every facet subset keeping at most one facet per block
+        # (its d - 1 smallest vertices and its largest)
         facets = sorted(delta.facets)
         swept = Counter()
         for r in range(len(facets) + 1):
             for combo in itertools.combinations(facets, r):
-                if is_cage_free(SpanningSubcomplex(delta, combo)):
+                if len({(f[:-2], f[-1]) for f in combo}) == r:
                     swept[r] += 1
         assert dict(swept) == counts
 
@@ -294,6 +301,20 @@ def test_product_formula_random_complexes():
     for _ in range(12):
         delta = random_complex(rng, rng.randint(3, 6))
         assert verify_product_formula(delta).passed
+
+
+def test_product_formula_partitions_the_facets_once(monkeypatch):
+    calls = []
+
+    def counted(delta):
+        calls.append(delta)
+        return phi_partition(delta)
+
+    monkeypatch.setattr(simplicial, "phi_partition", counted)
+    for delta in (bipyramid(), fan_complex(), PureComplex(3, 2, [(1, 2, 3)])):
+        calls.clear()
+        assert verify_product_formula(delta).passed
+        assert calls == [delta]
 
 
 def test_simplicial_peo_bipyramid_labelings():
