@@ -64,7 +64,6 @@ _HYPERPLANE_BUDGET = 20  # hyperplanes of an intersection lattice
 _LATTICE_BUDGET = 5000  # elements of an intersection lattice
 _ATOM_BUDGET = 14  # atoms of the lattice NBC walk
 _ASSIGNMENT_BUDGET = 10**6  # partial colorings signed_chromatic_count visits
-_MODULARITY_BUDGET = 600  # lattice elements is_supersolvable takes
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # what to_json writes
 
@@ -426,16 +425,19 @@ class IntersectionLattice:
         self._join_memo: dict[tuple[int, int], int] = {}
 
     def _mobius(self) -> list[int]:
-        # a proper subflat has lower rank, so it comes earlier in the order
-        mob = [0] * self.size
-        for i, m in enumerate(self.masks):
-            if i == self.bottom:
-                mob[i] = 1
-            else:
-                mob[i] = -sum(
-                    mob[j] for j in range(i) if self.masks[j] & ~m == 0
-                )
-        return mob
+        """mu(0, x) by Weisner's theorem (Trans. Amer. Math. Soc. 38, 1935):
+        for an atom a below x != 0, the sum of mu(y) over the y with
+        y v a = x is 0.  In a geometric lattice those y, besides x, are the
+        lower covers of x not above a, and `_atom_joins[y, a] = x` holds
+        exactly for them, so one pass over the stored covers, with a the
+        lowest atom of x, gives mu(x) = -(sum over them of mu(y))."""
+        mu = dict.fromkeys(self.masks, 0)
+        mu[0] = 1
+        # filled rank by rank, so mu(y) is complete before y's covers are read
+        for (y, b), x in self._atom_joins.items():
+            if not x & ((1 << b) - 1):
+                mu[x] -= mu[y]
+        return [mu[m] for m in self.masks]
 
     def leq(self, x: int, y: int) -> bool:
         return self.masks[x] & ~self.masks[y] == 0
@@ -743,7 +745,11 @@ def _normalize_real(vec: Sequence[int]) -> tuple[int, ...] | None:
 
 
 def region_count_deletion_restriction(A: Arrangement) -> int:
-    """Regions of a real arrangement via r(A) = r(A - H) + r(A restricted to H)."""
+    """Regions of a real arrangement by Zaslavsky's deletion-restriction
+    recurrence r(A) = r(A - H) + r(A restricted to H) ("Facing up to
+    arrangements", Mem. Amer. Math. Soc. 154, 1975), in linear algebra on the
+    normals, with no lattice.  The recursion stops at two hyperplanes: k
+    independent hyperplanes cut space into 2^k regions."""
 
     def rec(normals: list[Sequence[int]], dim: int) -> int:
         seen: dict[tuple, None] = {}
@@ -752,8 +758,8 @@ def region_count_deletion_restriction(A: Arrangement) -> int:
             if norm is not None:
                 seen.setdefault(norm, None)
         hs = list(seen)
-        if not hs:
-            return 1
+        if len(hs) <= 2:  # distinct hyperplanes through 0: 2 are independent
+            return 1 << len(hs)
         h = hs[-1]
         rest = hs[:-1]
         pivot = next(i for i, x in enumerate(h) if x != 0)
@@ -873,30 +879,28 @@ def signed_chromatic_count(G: LabeledMultigraph, s: int) -> int:
 
 
 def is_supersolvable(L: IntersectionLattice) -> bool:
-    """Search for a maximal bottom-to-top chain of modular elements."""
-    if L.size > _MODULARITY_BUDGET:
-        raise BudgetExceededError(
-            f"lattice size {L.size} exceeds the modularity budget {_MODULARITY_BUDGET}"
-        )
-    modular = set()
-    for x in range(L.size):
-        if all(
-            L.rank[x] + L.rank[y]
-            == L.rank[L.join(x, y)] + L.rank[L.meet(x, y)]
-            for y in range(L.size)
-        ):
-            modular.add(x)
-    dead: set[int] = set()
+    """Whether L has a maximal chain of modular flats, by a descent from the
+    top through modular coatoms.
 
-    def climb(x: int) -> bool:
-        if x == L.top:
-            return True
-        if x in dead:
+    A coatom H of a geometric lattice [0, X] is modular exactly when every
+    line (rank-2 flat) below X meets H (Brylawski, "Modular constructions
+    for combinatorial geometries", Trans. Amer. Math. Soc. 203, 1975), one
+    mask AND per line.  A modular flat of a modular flat is modular, so L is
+    supersolvable exactly when some modular coatom H has [0, H]
+    supersolvable (Stanley, "Supersolvable lattices", Algebra Universalis 2,
+    1972).  Then every modular coatom does: the meets of H with a maximal
+    chain of modular flats are modular flats, since the meet of two modular
+    flats is modular (Brylawski), and they form a maximal chain of [0, H].
+    So the descent takes the first modular coatom it finds, and never
+    backtracks."""
+    by_rank: list[list[int]] = [[] for _ in range(L.rho + 1)]
+    for mask, rank in zip(L.masks, L.rank):
+        by_rank[rank].append(mask)
+    X = L.masks[L.top]
+    for rank in range(L.rho, 2, -1):  # a geometric lattice of rank 2 is modular
+        lines = [line for line in by_rank[2] if not line & ~X]
+        X = next((H for H in by_rank[rank - 1]
+                  if not H & ~X and all(line & H for line in lines)), None)
+        if X is None:
             return False
-        for y in modular:
-            if L.rank[y] == L.rank[x] + 1 and L.leq(x, y) and climb(y):
-                return True
-        dead.add(x)
-        return False
-
-    return L.bottom in modular and climb(L.bottom)
+    return True

@@ -484,6 +484,72 @@ def oracle_rho_and_chi(G: LabeledMultigraph) -> tuple[int, IntPolynomial]:
     return rho, chi
 
 
+def oracle_mobius(L) -> list[int]:
+    """mu(0, x) for each element of L by its recursive definition, scanning
+    the sub-masks: a proper subflat has lower rank, so it comes earlier in
+    L's order."""
+    mob = []
+    for i, m in enumerate(L.masks):
+        mob.append(1 if i == L.bottom else
+                   -sum(mob[j] for j in range(i) if L.masks[j] & ~m == 0))
+    return mob
+
+
+def oracle_modular_elements(L) -> set[int]:
+    """The elements x of L that are modular by definition: rank(x) + rank(y)
+    = rank(x v y) + rank(x ^ y) for every element y, with joins and meets
+    from L."""
+    return {
+        x for x in range(L.size)
+        if all(L.rank[x] + L.rank[y] == L.rank[L.join(x, y)] + L.rank[L.meet(x, y)]
+               for y in range(L.size))
+    }
+
+
+def oracle_is_supersolvable(L) -> bool:
+    """Search, with backtracking, for a maximal bottom-to-top chain of
+    modular elements of L."""
+    modular = oracle_modular_elements(L)
+    dead: set[int] = set()
+
+    def climb(x: int) -> bool:
+        if x == L.top:
+            return True
+        if x in dead:
+            return False
+        for y in modular:
+            if L.rank[y] == L.rank[x] + 1 and L.leq(x, y) and climb(y):
+                return True
+        dead.add(x)
+        return False
+
+    return L.bottom in modular and climb(L.bottom)
+
+
+def oracle_region_count(A) -> int:
+    """Regions of a real arrangement by the deletion-restriction recurrence
+    r(A) = r(A - H) + r(A restricted to H), run down to the empty
+    arrangement, over Fraction normals scaled to a leading 1."""
+
+    def rec(normals, dim: int) -> int:
+        hs = []
+        for v in normals:
+            lead = next((x for x in v if x), None)
+            if lead is not None and [x / lead for x in v] not in hs:
+                hs.append([x / lead for x in v])
+        if not hs:
+            return 1
+        h, rest = hs[-1], hs[:-1]
+        pivot = next(i for i, x in enumerate(h) if x)
+        # g restricted to H, in the coordinates other than the pivot
+        restricted = [[g[k] - g[pivot] * h[k] for k in range(dim) if k != pivot]
+                      for g in rest]
+        return rec(rest, dim) + rec(restricted, dim - 1)
+
+    assert A.real_flag
+    return rec([[z.re for z in row] for row in A.normals], A.dim)
+
+
 def oracle_lattice_nbc_sets(G: LabeledMultigraph, order) -> set[frozenset[int]]:
     """Edge-index sets containing no broken circuit of the arrangement's
     matroid, where `order` lists the edge indices from smallest to largest.

@@ -39,7 +39,11 @@ from helpers import (
     cycle_graph,
     graph_as_multigraph,
     oracle_flat_count,
+    oracle_is_supersolvable,
     oracle_lattice_nbc_sets,
+    oracle_modular_elements,
+    oracle_mobius,
+    oracle_region_count,
     oracle_rho_and_chi,
     oracle_signed_count,
     relabel_to_natural_peo,
@@ -257,6 +261,63 @@ def test_lattice_with_gaussian_labels_matches_oracle():
         assert L.rho == rho, G
         assert characteristic_polynomial(L) == chi, G
     assert non_real >= 30
+
+
+def lattice_corpus():
+    """The seeded, Gaussian and real-fraction multigraphs, each with its
+    lattice."""
+    for G in itertools.chain(seeded_multigraphs(), gaussian_multigraphs(),
+                             real_fraction_multigraphs()):
+        yield G, intersection_lattice(build_arrangement(G))
+
+
+def test_mobius_by_weisner_matches_the_sub_mask_scan():
+    for G, L in lattice_corpus():
+        assert L.mobius == oracle_mobius(L), G
+
+
+def test_supersolvable_descent_matches_the_pair_scan():
+    outcomes = Counter()
+    for G, L in lattice_corpus():
+        outcomes[is_supersolvable(L)] += 1
+        assert is_supersolvable(L) == oracle_is_supersolvable(L), G
+    assert outcomes[True] >= 80 and outcomes[False] >= 30
+
+
+def test_every_modular_coatom_of_a_supersolvable_lattice_descends():
+    # why the descent never backtracks: the lattice of the edges below a
+    # modular coatom H is [0, H], and it is supersolvable whenever L is
+    checked = 0
+    for G, L in lattice_corpus():
+        if L.rho < 3 or not oracle_is_supersolvable(L):
+            continue
+        edges = G.edge_list()
+        assert len(L.atoms) == len(edges), G
+        for H in oracle_modular_elements(L):
+            if L.rank[H] != L.rho - 1:
+                continue
+            below = [e for a, e in enumerate(edges) if L.masks[H] >> a & 1]
+            sub = LabeledMultigraph(G.n, [k for i, k, _ in below if i == 0],
+                                    [e for e in below if e[0]])
+            assert oracle_is_supersolvable(intersection_lattice(build_arrangement(sub))), G
+            checked += 1
+    assert checked >= 100
+
+
+def test_supersolvable_is_chordality_on_every_small_graph():
+    # a graphic arrangement is supersolvable exactly when its graph is
+    # chordal (Stanley 1972); 1 + 2 + 8 + 61 + 822 labeled graphs on 1-5
+    # vertices are chordal
+    outcomes = Counter()
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for kept in itertools.product((False, True), repeat=len(pairs)):
+            G = graphcore.Graph(n, itertools.compress(pairs, kept))
+            L = intersection_lattice(build_arrangement(graph_as_multigraph(G)))
+            chordal = graphcore.find_peo(G) is not None
+            assert is_supersolvable(L) == chordal, G.edges
+            outcomes[chordal] += 1
+    assert outcomes == {True: 894, False: 205}
 
 
 def test_real_rows_build_the_lattice_of_the_realification():
@@ -544,6 +605,17 @@ def test_a_real_flag_over_a_non_real_normal_is_refused():
     assert Arrangement(2, ((o, -i), (o, i)), False).real_flag is False
 
 
+def test_region_count_matches_the_unpruned_recursion_and_nbc():
+    real = 0
+    for G, L in lattice_corpus():
+        if G.is_real():
+            A = build_arrangement(G)
+            regions = region_count_deletion_restriction(A)
+            assert regions == oracle_region_count(A) == sum(lattice_nbc(L).values()), G
+            real += 1
+    assert real >= 80
+
+
 def test_regions_against_deletion_restriction():
     rng = random.Random(73)
     for _ in range(12):
@@ -604,14 +676,20 @@ def test_signed_count_budget(monkeypatch):
     assert signed_chromatic_count(LabeledMultigraph(3), 1) == 27
 
 
-def test_supersolvable_budget(monkeypatch):
-    L = intersection_lattice(build_arrangement(anchored_multigraph()))
-    monkeypatch.setattr(arrangement, "_MODULARITY_BUDGET", 12)
-    with pytest.raises(BudgetExceededError,
-                       match="^lattice size 13 exceeds the modularity budget 12$"):
-        is_supersolvable(L)
-    monkeypatch.setattr(arrangement, "_MODULARITY_BUDGET", 13)
-    assert is_supersolvable(L)
+def test_supersolvable_budget():
+    # no budget caps the descent: lattices of 825 and 778 elements are
+    # decided, and a graphic arrangement is supersolvable exactly when its
+    # graph is chordal; vertex 7 of the graph stands for the vertex 0
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    for missing, zero, expected in (((), range(1, 6), True),
+                                    (((1, 2), (3, 4)), range(1, 7), False)):
+        edges = [e for e in pairs if e not in missing]
+        L = intersection_lattice(build_arrangement(
+            LabeledMultigraph(6, zero, [(i, j, 1) for i, j in edges])))
+        assert L.size > 600
+        assert is_supersolvable(L) is expected
+        graph = graphcore.Graph(7, edges + [(k, 7) for k in zero])
+        assert (graphcore.find_peo(graph) is not None) is expected
 
 
 def test_supersolvable_examples():

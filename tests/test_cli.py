@@ -399,6 +399,19 @@ def test_multigraph_actions(tmp_path, capsys):
     assert code == 0 and json.loads(out)["witnesses"]["regions"] == 18
 
 
+def test_multigraph_verify_decides_a_lattice_of_1611_elements(tmp_path, capsys):
+    # a 6-vertex path with the labels 2 and 3 on each edge, and four chords
+    # labeled 5: 14 hyperplanes, and a lattice past the 600 elements that a
+    # budget on supersolvability used to refuse
+    edges = [[i, i + 1, {"re": str(p)}] for i in range(1, 6) for p in (2, 3)]
+    edges += [[i, j, {"re": "5"}] for i, j in ((1, 3), (1, 5), (2, 4), (4, 6))]
+    path = write(tmp_path, "m.json", {"n": 6, "zero_edges": [], "edges": edges})
+    code, out, _ = invoke(capsys, ["multigraph", "verify", path])
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert report["witnesses"]["lattice_size"] == 1611
+
+
 def test_multigraph_signed(tmp_path, capsys):
     G = {"n": 2, "zero_edges": [], "edges": [[1, 2, {"re": "1", "im": "0"}]]}
     path = write(tmp_path, "s.json", G)
