@@ -11,10 +11,11 @@ enters as its one row in Z^n, and the canonical integer echelon form
 the rank.  Only a non-real arrangement is realified: a normal v = x + iy
 enters as the rows (x, y) and (-y, x) in Z^(2n), whose Q-span determines the
 Q(i)-span of the normals, and half the form's length is the rank.  Once
-built, order, meet and join are bit operations on the masks.  The lattice
-NBC sets come from the closure test on these masks, with no circuit listed:
-the walk takes the atoms from the order-largest down, keeps the set's flat,
-and accepts an atom when its join with that flat lies above no earlier atom.
+built, the masks are the elements, and order, meet and join are bit
+operations on them.  The lattice NBC sets come from the closure test on
+these masks, with no circuit listed: the walk takes the atoms from the
+order-largest down, keeps the set's flat, and accepts an atom when its join
+with that flat lies above no earlier atom.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
+from . import graphcore
 from .exactla import echelon
 from .graphcore import (_edge_problem, _increasing_masks, _within_output_budget,
                         counts_to_polynomial)
@@ -62,8 +64,6 @@ __all__ = [
 _CROSS_CHECK_BUDGET = 16  # edges that multigraph_isf_polynomial enumerates
 _HYPERPLANE_BUDGET = 20  # hyperplanes of an intersection lattice
 _LATTICE_BUDGET = 5000  # elements of an intersection lattice
-_ATOM_BUDGET = 14  # atoms of the lattice NBC walk
-_ASSIGNMENT_BUDGET = 10**6  # partial colorings signed_chromatic_count visits
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # what to_json writes
 
@@ -397,78 +397,50 @@ class IntersectionLattice:
     """The intersection lattice of a central arrangement, as its lattice of
     flats.
 
-    Each element is stored as the bitmask of the atoms below it: bit a is set
-    when the a-th distinct hyperplane contains the subspace.  A flat is the
+    Each element is the bitmask of the atoms below it: bit a is set when the
+    a-th distinct hyperplane contains the subspace.  A flat is the
     intersection of the hyperplanes containing it, so this mask determines
-    the element, order is mask inclusion, the meet is the mask intersection
-    and a join adds one atom at a time.  Elements are sorted by (rank, mask):
-    the bottom (the ambient space, mask 0) comes first, then the atoms in
-    hyperplane order.
+    the element.  The bottom (the ambient space) is 0, the atoms are 1 << a
+    in hyperplane order and the top is the full mask; order is mask
+    inclusion, the meet is the mask intersection and a join adds one atom
+    at a time.
 
-    `ranks` maps the mask of every flat to its codimension; `atom_joins` maps
-    (mask, a) to the mask of that flat joined with each atom a not below it.
+    `rank` maps every element to its codimension, in order of rank, and
+    `mobius` maps it to mu(0, x); `_atom_joins` maps (x, a) to the join of x
+    with each atom a not below it.
     """
 
-    def __init__(self, dim: int, ranks: dict[int, int],
-                 atom_joins: dict[tuple[int, int], int]):
-        self.dim = dim
-        self.masks = sorted(ranks, key=lambda m: (ranks[m], m))
-        self.index = {m: i for i, m in enumerate(self.masks)}
-        self.rank = [ranks[m] for m in self.masks]
-        self.size = len(self.masks)
-        self.bottom = self.index[0]
-        self.atoms = [i for i in range(self.size) if self.rank[i] == 1]
-        self.top = self.index[(1 << len(self.atoms)) - 1]
-        self.rho = self.rank[self.top]
+    def __init__(self, ranks: dict[int, int], atom_joins: dict[tuple[int, int], int]):
+        self.rank = ranks
+        self.size = len(ranks)
+        self.atoms = [1 << a for a in range(sum(r == 1 for r in ranks.values()))]
+        self.top = (1 << len(self.atoms)) - 1
+        self.rho = ranks[self.top]
         self._atom_joins = atom_joins
         self.mobius = self._mobius()
-        self._join_memo: dict[tuple[int, int], int] = {}
 
-    def _mobius(self) -> list[int]:
+    def _mobius(self) -> dict[int, int]:
         """mu(0, x) by Weisner's theorem (Trans. Amer. Math. Soc. 38, 1935):
         for an atom a below x != 0, the sum of mu(y) over the y with
         y v a = x is 0.  In a geometric lattice those y, besides x, are the
         lower covers of x not above a, and `_atom_joins[y, a] = x` holds
         exactly for them, so one pass over the stored covers, with a the
         lowest atom of x, gives mu(x) = -(sum over them of mu(y))."""
-        mu = dict.fromkeys(self.masks, 0)
+        mu = dict.fromkeys(self.rank, 0)
         mu[0] = 1
         # filled rank by rank, so mu(y) is complete before y's covers are read
         for (y, b), x in self._atom_joins.items():
             if not x & ((1 << b) - 1):
                 mu[x] -= mu[y]
-        return [mu[m] for m in self.masks]
-
-    def leq(self, x: int, y: int) -> bool:
-        return self.masks[x] & ~self.masks[y] == 0
+        return mu
 
     def join(self, x: int, y: int) -> int:
-        if x > y:
-            x, y = y, x
-        key = (x, y)
-        cached = self._join_memo.get(key)
-        if cached is None:
-            acc = self.masks[x]
-            rest = self.masks[y] & ~acc
-            while rest:
-                atom = (rest & -rest).bit_length() - 1
-                acc = self._atom_joins[acc, atom]
-                rest &= ~acc
-            cached = self.index[acc]
-            self._join_memo[key] = cached
-        return cached
-
-    def join_all(self, xs: Iterable[int]) -> int:
-        acc = self.bottom
-        for x in xs:
-            acc = self.join(acc, x)
-        return acc
-
-    def meet(self, x: int, y: int) -> int:
-        best = self.index.get(self.masks[x] & self.masks[y])
-        if best is None:
-            raise InternalCheckError("common atoms of two flats form no flat")
-        return best
+        """The least flat above x and y; y may be any mask of atoms."""
+        rest = y & ~x
+        while rest:
+            x = self._atom_joins[x, (rest & -rest).bit_length() - 1]
+            rest &= ~x
+        return x
 
 
 def _support(normals: Sequence[Sequence]) -> list[int]:
@@ -560,7 +532,7 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
         for form, mask in joined_masks.items():
             ranks[mask] = len(form) // per_rank
         level = joined_masks
-    return IntersectionLattice(A.dim, ranks, atom_joins)
+    return IntersectionLattice(ranks, atom_joins)
 
 
 def _lattice_of(G: LabeledMultigraph) -> IntersectionLattice:
@@ -573,8 +545,8 @@ def _lattice_of(G: LabeledMultigraph) -> IntersectionLattice:
 def characteristic_polynomial(L: IntersectionLattice) -> IntPolynomial:
     """chi(L, t) = sum over elements of mobius * t**(rank(L) - rank(x))."""
     coeffs = [0] * (L.rho + 1)
-    for rank, mu in zip(L.rank, L.mobius):
-        coeffs[L.rho - rank] += mu
+    for x, mu in L.mobius.items():
+        coeffs[L.rho - L.rank[x]] += mu
     return IntPolynomial(coeffs)
 
 
@@ -590,18 +562,18 @@ def prefix_multichain(G: LabeledMultigraph, L: IntersectionLattice) -> list[int]
         raise InternalCheckError("atoms do not correspond to edges one-to-one")
     atom_of_edge = dict(zip(edges, L.atoms))
     blocks = multigraph_edge_partition(G)
-    chain = [L.bottom]
+    chain = [0]
     for k in range(1, G.n + 1):
-        chain.append(L.join_all([chain[-1]] + [atom_of_edge[e] for e in blocks[k]]))
+        chain.append(L.join(chain[-1], sum(atom_of_edge[e] for e in blocks[k])))
     if chain[-1] != L.top:
         raise InternalCheckError("prefix multichain does not reach the top")
     return chain
 
 
 def atom_blocks(L: IntersectionLattice, multichain: Sequence[int]) -> list[list[int]]:
-    """Partition the atoms: block i holds atoms below z_i but not below z_{i-1}.
-    The atom L.atoms[a] has the mask 1 << a, so a block is a mask difference."""
-    return [members(L.atoms, L.masks[cur] & ~L.masks[prev])
+    """Partition the atoms: block i holds atoms below z_i but not below z_{i-1},
+    the bits of the mask difference."""
+    return [members(L.atoms, cur & ~prev)
             for prev, cur in zip(multichain, multichain[1:])]
 
 
@@ -617,26 +589,27 @@ def block_compatible_atom_order(
 def _lattice_nbc_walk(L: IntersectionLattice, atom_order):
     """NBC atom sets by the closure test, as for graphs: each new atom s is
     the smallest of its set, the state is the set's flat, and s is accepted
-    when its join with the flat lies above no atom that comes before s."""
+    when its join with the flat lies above no atom that comes before s.
+
+    By Rota's NBC theorem (Z. Wahrscheinlichkeitstheorie 2, 1964) the walk
+    lists sum |mu(0, x)| sets, which the member budget caps before it
+    starts."""
     order = list(atom_order) if atom_order is not None else list(L.atoms)
-    if sorted(order) != sorted(L.atoms):
+    if sorted(order) != L.atoms:
         raise InputError("atom order must be a permutation of the atoms")
-    if len(order) > _ATOM_BUDGET:
-        raise BudgetExceededError(
-            f"{len(order)} atoms exceeds the NBC budget {_ATOM_BUDGET}"
-        )
+    graphcore._within_member_budget(sum(map(abs, L.mobius.values())), "lattice NBC sets")
     order.reverse()
-    # lower[i]: the atoms that come before order[i], in the bits of L.masks
+    # lower[i]: the atoms that come before order[i]
     lower, below = [0] * len(order), 0
     for i in reversed(range(len(order))):
         lower[i] = below
-        below |= L.masks[order[i]]
+        below |= order[i]
 
     def extend(mask: int, flat: int, i: int) -> int | None:
         joined = L.join(flat, order[i])
-        return None if L.masks[joined] & lower[i] else joined
+        return None if joined & lower[i] else joined
 
-    return order, downward_closed(len(order), extend, L.bottom)
+    return order, downward_closed(len(order), extend, 0)
 
 
 def lattice_nbc_sets(
@@ -835,8 +808,8 @@ def signed_chromatic_count(G: LabeledMultigraph, s: int) -> int:
     joined by a sign-eps edge, nor 0 if k has a zero edge.
 
     The values of vertex n are counted, not visited, so the backtrack visits
-    at most (2s+1)^(n-1) colorings of vertices 1..n-1; above
-    _ASSIGNMENT_BUDGET it raises BudgetExceededError instead."""
+    at most (2s+1)^(n-1) colorings of vertices 1..n-1; past the member
+    budget it raises BudgetExceededError instead."""
     if s < 0:
         raise InputError("s must be nonnegative")
     _within_output_budget(G.n)
@@ -849,10 +822,10 @@ def signed_chromatic_count(G: LabeledMultigraph, s: int) -> int:
     partial = 1  # grown factor by factor, so a huge n or s stops early
     for _ in range(G.n - 1):
         partial *= 2 * s + 1
-        if partial > _ASSIGNMENT_BUDGET:
+        if partial > graphcore._MEMBER_BUDGET:
             raise BudgetExceededError(
-                f"(2s+1)^(n-1) = {2 * s + 1}^{G.n - 1} colorings exceed the "
-                f"signed-count cap {_ASSIGNMENT_BUDGET}"
+                f"(2s+1)^(n-1) = {2 * s + 1}^{G.n - 1} partial colorings exceed "
+                f"the member budget {graphcore._MEMBER_BUDGET}"
             )
     x = [0] * (G.n + 1)
 
@@ -894,9 +867,9 @@ def is_supersolvable(L: IntersectionLattice) -> bool:
     So the descent takes the first modular coatom it finds, and never
     backtracks."""
     by_rank: list[list[int]] = [[] for _ in range(L.rho + 1)]
-    for mask, rank in zip(L.masks, L.rank):
-        by_rank[rank].append(mask)
-    X = L.masks[L.top]
+    for x, rank in L.rank.items():
+        by_rank[rank].append(x)
+    X = L.top
     for rank in range(L.rho, 2, -1):  # a geometric lattice of rank 2 is modular
         lines = [line for line in by_rank[2] if not line & ~X]
         X = next((H for H in by_rank[rank - 1]

@@ -137,16 +137,7 @@ def _graph_action(action: str, args) -> tuple[object, bool]:
     if action == "chromatic":
         return graphcore.chromatic_polynomial(G).to_json(), True
     if action == "nbc":
-        ordering = _parse_ordering(args.ordering)
-        order = None
-        if ordering is not None:
-            edges = G.sorted_edges()
-            if sorted(ordering) != list(range(len(edges))):
-                raise InputError("--ordering for nbc must permute 0..#edges-1 "
-                                 "(positions into the sorted edge list)")
-            order = graphcore.EdgeOrder([edges[i] for i in ordering])
-        counts = graphcore.nbc_sets(G, order=order)
-        return {str(m): c for m, c in counts.items()}, True
+        return {str(m): c for m, c in graphcore.nbc_sets(G).items()}, True
     if action == "peo":
         ordering = _parse_ordering(args.ordering)
         if ordering is not None:
@@ -247,7 +238,7 @@ def _gen_action(target: str, args) -> tuple[object, bool]:
 # The actions of each kind (the targets of gen) and the flags each one reads;
 # a kind offers the flags its actions read, and an action refuses the rest.
 _FLAGS: dict[str, dict[str, tuple[str, ...]]] = {
-    "graph": {"isf": ("--weighted",), "chromatic": (), "nbc": ("--ordering",),
+    "graph": {"isf": ("--weighted",), "chromatic": (), "nbc": (),
               "peo": ("--ordering",), "verify": ()},
     "complex": {"cf": ("--weighted",), "links": (), "peo": ("--ordering",),
                 "verify": ()},

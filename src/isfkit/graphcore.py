@@ -55,10 +55,9 @@ Edge = tuple[int, int]
 
 # The budgets: past one, BudgetExceededError is raised, or a cross-check skipped
 _EDGE_BUDGET = 25  # edges of the ISF, NBC and tight-forest walks and tf_polynomial
-_CYCLE_BUDGET = 10**6  # cycles that simple_cycles lists
 _TABLE_BUDGET = 1 << 17  # states of the transfers, entries of the chromatic memo
 _COUNT_BITS = 1 << 31  # bits of counts each of those holds, summed over its steps
-_MEMBER_BUDGET = 1 << 20  # members a verify walks, terms a weighted output lists
+_MEMBER_BUDGET = 1 << 20  # members a walk or listing visits, terms a weighted GF lists
 _OUTPUT_BUDGET = 10**5  # vertices of an output with an entry per vertex
 _VERTEX_BUDGET = 8  # vertices of the orientation cross-check's table
 _ORIENTATION_BUDGET = 16  # edges that acyclic_orientation_count cross-checks
@@ -316,10 +315,7 @@ def simple_cycles(G: Graph) -> list[tuple[int, ...]]:
             elif w == s:
                 if len(path) >= 3 and path[1] < path[-1]:
                     cycles.append(tuple(path))
-                    if len(cycles) > _CYCLE_BUDGET:
-                        raise BudgetExceededError(
-                            f"more than {_CYCLE_BUDGET} simple cycles"
-                        )
+                    _within_member_budget(len(cycles), "simple cycles")
             elif w > s and w not in on_path:
                 path.append(w)
                 on_path.add(w)

@@ -25,13 +25,12 @@ from . import graphcore
 from .exactla import echelon
 from .graphcore import Graph, counts_to_polynomial
 from .polycore import IntPolynomial, WeightedGF, poly_from_linear_factors
-from .report import Report, _Frozen, _set
+from .report import Report
 from .walks import independent_set_counts
 
 __all__ = [
     "PureComplex",
     "SpanningSubcomplex",
-    "PhiPartition",
     "phi_partition",
     "cage_free_subcomplexes",
     "enumerate_cage_free",
@@ -207,29 +206,18 @@ def full_subcomplex(delta: PureComplex) -> SpanningSubcomplex:
     return SpanningSubcomplex(delta, delta.facets)
 
 
-class PhiPartition(_Frozen):
-    """Facets grouped by (peak, largest vertex); N is the block count."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: dict[tuple[Face, int], frozenset[Face]]):
-        _set(self, "blocks", blocks)
-
-    @property
-    def N(self) -> int:
-        return len(self.blocks)
-
-
 def _facet_block(facet: Face) -> tuple[Face, int]:
     return facet[:-2], facet[-1]
 
 
-def phi_partition(delta: PureComplex) -> PhiPartition:
-    """Group each facet by its d-1 smallest vertices and its largest vertex."""
+def phi_partition(delta: PureComplex) -> dict[tuple[Face, int], frozenset[Face]]:
+    """Group each facet by its d-1 smallest vertices and its largest vertex,
+    the blocks keyed by (peak, largest vertex); their number is N, the
+    degree of CF."""
     blocks: dict[tuple[Face, int], set[Face]] = defaultdict(set)
     for f in delta.facets:
         blocks[_facet_block(f)].add(f)
-    return PhiPartition({k: frozenset(v) for k, v in blocks.items()})
+    return {k: frozenset(v) for k, v in blocks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +251,7 @@ def cage_free_subcomplexes(delta: PureComplex) -> list[SpanningSubcomplex]:
     # (kept facets, their masks), in `walks.block_transversals` order; a
     # subcomplex that keeps no facet of the block keeps its prefix's pair
     chosen = [(frozenset(), ())]
-    for _, block in sorted(phi_partition(delta).blocks.items()):
+    for _, block in sorted(phi_partition(delta).items()):
         options = [None] + [(frozenset((f,)), (mask[f],)) for f in sorted(block)]
         chosen = [
             pair if add is None else (pair[0] | add[0], pair[1] + add[1])
@@ -309,7 +297,7 @@ def cf_polynomial(
     budget caps their number, prod_B (1 + |B|).
     """
     partition = phi_partition(delta)
-    blocks = [block for _, block in sorted(partition.blocks.items())]
+    blocks = [block for _, block in sorted(partition.items())]
     if weights is None:
         return poly_from_linear_factors([len(b) for b in blocks])
     graphcore._within_member_budget(
@@ -380,9 +368,9 @@ def verify_product_formula(delta: PureComplex) -> Report:
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"upper link of peak {sigma}: {exc}") from exc
     partition = phi_partition(delta)
-    factored = poly_from_linear_factors([len(b) for b in partition.blocks.values()])
+    factored = poly_from_linear_factors([len(b) for b in partition.values()])
     counts = enumerate_cage_free(delta)
-    enum_poly = counts_to_polynomial(counts, partition.N)
+    enum_poly = counts_to_polynomial(counts, len(partition))
     report.check("cf_factorization_vs_enumeration", factored, enum_poly,
                  expect_equal=True)
 
@@ -392,7 +380,7 @@ def verify_product_formula(delta: PureComplex) -> Report:
         isf_total *= sum(graphcore.enumerate_isf(links[sigma]).values())
     # CF has degree N and the product degree n per effective peak; shift CF
     # up by the gap
-    shift = delta.n * len(effective) - partition.N
+    shift = delta.n * len(effective) - len(partition)
     if shift < 0:
         raise InternalCheckError("block count exceeded total upper-link degree")
     report.check(
@@ -443,13 +431,14 @@ def is_simplicial_peo(
 
 
 def _peo_by_both_routes(
-    delta: PureComplex, partition: PhiPartition, touched: Iterable[Graph]
+    delta: PureComplex, partition: Mapping[tuple[Face, int], frozenset[Face]],
+    touched: Iterable[Graph]
 ) -> bool:
     """`is_simplicial_peo` on the complex's own labels, given its partition
     and its upper links on their touched vertices."""
     direct = all(
         tuple(sorted(sigma + (i, j))) in delta.facets
-        for (sigma, _), block in partition.blocks.items()
+        for (sigma, _), block in partition.items()
         for i, j in itertools.combinations(sorted(f[-2] for f in block), 2)
     )
     via_links = all(graphcore.is_peo(g, range(1, g.n + 1)) for g in touched)

@@ -484,25 +484,24 @@ def oracle_rho_and_chi(G: LabeledMultigraph) -> tuple[int, IntPolynomial]:
     return rho, chi
 
 
-def oracle_mobius(L) -> list[int]:
+def oracle_mobius(L) -> dict[int, int]:
     """mu(0, x) for each element of L by its recursive definition, scanning
     the sub-masks: a proper subflat has lower rank, so it comes earlier in
-    L's order."""
-    mob = []
-    for i, m in enumerate(L.masks):
-        mob.append(1 if i == L.bottom else
-                   -sum(mob[j] for j in range(i) if L.masks[j] & ~m == 0))
+    rank order."""
+    mob: dict[int, int] = {}
+    for x in sorted(L.rank, key=lambda m: (L.rank[m], m)):
+        mob[x] = 1 if x == 0 else -sum(mu for y, mu in mob.items() if y & ~x == 0)
     return mob
 
 
 def oracle_modular_elements(L) -> set[int]:
     """The elements x of L that are modular by definition: rank(x) + rank(y)
-    = rank(x v y) + rank(x ^ y) for every element y, with joins and meets
-    from L."""
+    = rank(x v y) + rank(x ^ y) for every element y, with joins from L and
+    the meet x & y."""
     return {
-        x for x in range(L.size)
-        if all(L.rank[x] + L.rank[y] == L.rank[L.join(x, y)] + L.rank[L.meet(x, y)]
-               for y in range(L.size))
+        x for x in L.rank
+        if all(L.rank[x] + L.rank[y] == L.rank[L.join(x, y)] + L.rank[x & y]
+               for y in L.rank)
     }
 
 
@@ -518,12 +517,12 @@ def oracle_is_supersolvable(L) -> bool:
         if x in dead:
             return False
         for y in modular:
-            if L.rank[y] == L.rank[x] + 1 and L.leq(x, y) and climb(y):
+            if L.rank[y] == L.rank[x] + 1 and x & ~y == 0 and climb(y):
                 return True
         dead.add(x)
         return False
 
-    return L.bottom in modular and climb(L.bottom)
+    return 0 in modular and climb(0)
 
 
 def oracle_region_count(A) -> int:

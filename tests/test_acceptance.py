@@ -111,7 +111,7 @@ def test_criterion_3_cage_free_generating_functions():
         )
         partition = simplicial.phi_partition(delta)
         _, effective = simplicial.upper_links(delta)
-        assert partition.N - delta.n * len(effective) == -10
+        assert len(partition) - delta.n * len(effective) == -10
         report = simplicial.verify_product_formula(delta)
         assert report.passed
     report_pass("criterion 3b (bipyramid with correction factor t^-10)", t2)

@@ -162,9 +162,7 @@ def test_lattice_worked_example_has_13_elements():
     assert L.size == 13
     assert L.rho == 3
     assert len(L.atoms) == 5
-    from collections import Counter
-
-    assert Counter(L.rank) == {0: 1, 1: 5, 2: 6, 3: 1}
+    assert Counter(L.rank.values()) == {0: 1, 1: 5, 2: 6, 3: 1}
 
 
 def test_lattice_single_hyperplane():
@@ -183,7 +181,7 @@ def test_lattice_two_parallel_hyperplanes_dim2():
     )
     L = intersection_lattice(A)
     assert L.size == 4 and L.rho == 2
-    assert sorted(L.mobius) == [-1, -1, 1, 1]
+    assert sorted(L.mobius.values()) == [-1, -1, 1, 1]
     assert characteristic_polynomial(L) == IntPolynomial([1, -2, 1])
 
 
@@ -296,7 +294,7 @@ def test_every_modular_coatom_of_a_supersolvable_lattice_descends():
         for H in oracle_modular_elements(L):
             if L.rank[H] != L.rho - 1:
                 continue
-            below = [e for a, e in enumerate(edges) if L.masks[H] >> a & 1]
+            below = [e for a, e in enumerate(edges) if H >> a & 1]
             sub = LabeledMultigraph(G.n, [k for i, k, _ in below if i == 0],
                                     [e for e in below if e[0]])
             assert oracle_is_supersolvable(intersection_lattice(build_arrangement(sub))), G
@@ -326,8 +324,7 @@ def test_real_rows_build_the_lattice_of_the_realification():
         assert A.real_flag, G
         L = intersection_lattice(A)
         ref = intersection_lattice(Arrangement(A.dim, A.normals, False))
-        assert L.masks == ref.masks and L.rank == ref.rank, G
-        assert L._atom_joins == ref._atom_joins, G
+        assert L.rank == ref.rank and L._atom_joins == ref._atom_joins, G
         assert L.mobius == ref.mobius and L.rho == ref.rho, G
 
 
@@ -349,19 +346,18 @@ def test_kept_lattice_equals_a_fresh_build():
         L = arrangement._lattice_of(G)
         fresh = intersection_lattice(build_arrangement(G))
         assert arrangement._lattice_of(G) is L
-        assert L.masks == fresh.masks and L.rank == fresh.rank, G
-        assert L._atom_joins == fresh._atom_joins, G
+        assert L.rank == fresh.rank and L._atom_joins == fresh._atom_joins, G
 
 
 def test_lattice_meet_and_join_are_glb_and_lub():
     for G in seeded_multigraphs():
         L = intersection_lattice(build_arrangement(G))
-        elems = range(L.size)
-        below = [{z for z in elems if L.leq(z, x)} for x in elems]
-        above = [{z for z in elems if L.leq(x, z)} for x in elems]
-        for x in elems:
-            for y in elems:
-                meet, join = L.meet(x, y), L.join(x, y)
+        # order is mask inclusion, and the meet is the mask intersection
+        below = {x: {z for z in L.rank if z & ~x == 0} for x in L.rank}
+        above = {x: {z for z in L.rank if x & ~z == 0} for x in L.rank}
+        for x in L.rank:
+            for y in L.rank:
+                meet, join = x & y, L.join(x, y)
                 lower = below[x] & below[y]
                 upper = above[x] & above[y]
                 assert meet in lower and lower <= below[meet], G
@@ -409,7 +405,7 @@ def test_mobius_sums_to_zero():
         G = random_multigraph(rng, rng.randint(1, 4))
         L = intersection_lattice(build_arrangement(G))
         if L.size > 1:
-            assert sum(L.mobius) == 0
+            assert sum(L.mobius.values()) == 0
 
 
 def test_characteristic_polynomial_worked_example():
@@ -510,8 +506,8 @@ def test_atom_blocks_are_the_atoms_below_each_step_and_not_the_last():
     # the definition by the order, on every pair of elements of each lattice
     for seed in range(12):
         L = intersection_lattice(build_arrangement(gen_multigraph(seed, 4)))
-        for prev, cur in itertools.product(range(L.size), repeat=2):
-            expected = [a for a in L.atoms if L.leq(a, cur) and not L.leq(a, prev)]
+        for prev, cur in itertools.product(L.rank, repeat=2):
+            expected = [a for a in L.atoms if a & ~cur == 0 and a & ~prev]
             assert atom_blocks(L, [prev, cur]) == [expected], (seed, prev, cur)
 
 
@@ -545,12 +541,14 @@ def test_lattice_nbc_sets_match_oracle_under_shuffled_atom_order():
 
 
 def test_lattice_nbc_refuses_more_atoms_than_budget(monkeypatch):
+    # the walks refuse before they start, past the member budget on the
+    # number of NBC sets, sum |mu(0, x)| by Rota's theorem: 1 + 5 + 8 + 4
     L = intersection_lattice(build_arrangement(anchored_multigraph()))
-    q = len(L.atoms)
-    monkeypatch.setattr(arrangement, "_ATOM_BUDGET", q)
-    assert sum(lattice_nbc(L).values()) == len(lattice_nbc_sets(L))
-    monkeypatch.setattr(arrangement, "_ATOM_BUDGET", q - 1)
-    message = f"^{q} atoms exceeds the NBC budget {q - 1}$"
+    monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", 18)
+    assert sum(lattice_nbc(L).values()) == len(lattice_nbc_sets(L)) == 18
+    assert verify_isf_chi(anchored_multigraph()).passed
+    monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", 17)
+    message = "^18 lattice NBC sets exceed the member budget 17$"
     with pytest.raises(BudgetExceededError, match=message):
         lattice_nbc(L)
     with pytest.raises(BudgetExceededError, match=message):
@@ -665,14 +663,16 @@ def test_signed_chromatic_matches_lattice():
 
 
 def test_signed_count_budget(monkeypatch):
-    with pytest.raises(BudgetExceededError, match="signed-count cap 1000000$"):
+    with pytest.raises(BudgetExceededError,
+                       match=r"= 3\^29 partial colorings exceed the member budget 1048576$"):
         signed_chromatic_count(LabeledMultigraph(30), 1)
     # the largest criterion-7 instances stay far below the default cap
     assert signed_chromatic_count(LabeledMultigraph(4), 3) == 7**4
-    monkeypatch.setattr(arrangement, "_ASSIGNMENT_BUDGET", 8)
-    with pytest.raises(BudgetExceededError, match=r"= 3\^2 colorings exceed the signed-count cap 8$"):
+    monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", 8)
+    with pytest.raises(BudgetExceededError,
+                       match=r"= 3\^2 partial colorings exceed the member budget 8$"):
         signed_chromatic_count(LabeledMultigraph(3), 1)
-    monkeypatch.setattr(arrangement, "_ASSIGNMENT_BUDGET", 9)
+    monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", 9)
     assert signed_chromatic_count(LabeledMultigraph(3), 1) == 27
 
 

@@ -2,8 +2,10 @@
 set a budget, and the named constant each one defaults to.  Every other
 budget is a module constant that no caller sets; a new keyword has to be
 added here, so it is argued for in review.  README's Budgets table must
-list every budget constant with its current value."""
+list every budget constant with its current value, and the library must
+read each one."""
 
+import ast
 import inspect
 import itertools
 import re
@@ -82,3 +84,24 @@ def test_readme_budgets_table_lists_every_budget_constant_with_its_value():
         for name in _CONSTANT.findall(source):
             constants[f"{prefix}.{name}"] = getattr(module, name)
     assert rows == constants
+
+
+def test_every_budget_constant_is_read_by_the_library():
+    # a constant merged into another one must not linger: each is read, as a
+    # name or a module attribute, somewhere in src/isfkit other than the
+    # assignment that defines it (the constants' names are distinct)
+    src = Path(__file__).parents[1] / "src" / "isfkit"
+    read = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for module in (graphcore, simplicial, arrangement, patterns):
+        prefix = module.__name__.rpartition(".")[2]
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        unread += [f"{prefix}.{name}" for name in _CONSTANT.findall(source)
+                   if name not in read]
+    assert unread == []

@@ -412,6 +412,28 @@ def test_multigraph_verify_decides_a_lattice_of_1611_elements(tmp_path, capsys):
     assert report["witnesses"]["lattice_size"] == 1611
 
 
+@pytest.mark.parametrize(
+    "n, extra, size, regions",
+    [(5, [[1, 2, {"re": "2"}]], 280, 960), (6, [], 825, 4320)],
+    ids=["K5-and-a-parallel-edge", "K6"],
+)
+def test_multigraph_verify_and_regions_walk_past_14_atoms(tmp_path, capsys, n, extra,
+                                                          size, regions):
+    # all-ones labels and zero edges at 1-5: 16 and 20 atoms, which the NBC
+    # walks take, as they are capped by their sum |mu| NBC sets, not by atoms
+    edges = [[i, j, {"re": "1"}] for i, j in itertools.combinations(range(1, n + 1), 2)]
+    path = write(tmp_path, "m.json", {"n": n, "zero_edges": [1, 2, 3, 4, 5],
+                                      "edges": edges + extra})
+    code, out, _ = invoke(capsys, ["multigraph", "verify", path])
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert report["witnesses"]["lattice_size"] == size
+    code, out, _ = invoke(capsys, ["multigraph", "regions", path])
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert report["witnesses"]["regions"] == regions
+
+
 def test_multigraph_signed(tmp_path, capsys):
     G = {"n": 2, "zero_edges": [], "edges": [[1, 2, {"re": "1", "im": "0"}]]}
     path = write(tmp_path, "s.json", G)

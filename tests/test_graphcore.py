@@ -202,10 +202,11 @@ def test_broken_circuits_four_cycle():
 
 def test_simple_cycles_budget(monkeypatch):
     # K4 has four triangles and three 4-cycles
-    monkeypatch.setattr(graphcore, "_CYCLE_BUDGET", 7)
+    monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", 7)
     assert len(simple_cycles(complete_graph(4))) == 7
-    monkeypatch.setattr(graphcore, "_CYCLE_BUDGET", 6)
-    with pytest.raises(BudgetExceededError, match="^more than 6 simple cycles$"):
+    monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", 6)
+    with pytest.raises(BudgetExceededError,
+                       match="^7 simple cycles exceed the member budget 6$"):
         simple_cycles(complete_graph(4))
 
 

@@ -91,24 +91,24 @@ def test_json_roundtrip():
 
 def test_phi_partition_fan():
     pp = phi_partition(fan_complex())
-    assert pp.blocks[((1,), 3)] == {(1, 2, 3)}
-    assert pp.blocks[((1,), 4)] == {(1, 2, 4), (1, 3, 4)}
-    assert pp.N == 2
+    assert pp[((1,), 3)] == {(1, 2, 3)}
+    assert pp[((1,), 4)] == {(1, 2, 4), (1, 3, 4)}
+    assert len(pp) == 2
 
 
 def test_phi_partition_bipyramid():
     pp = phi_partition(bipyramid())
-    assert set(pp.blocks) == {
+    assert set(pp) == {
         ((1,), 4), ((1,), 5), ((2,), 4), ((2,), 5), ((3,), 5)
     }
-    assert pp.N == 5
+    assert len(pp) == 5
     # consistent with the degree-gap exponent N - n*s = 5 - 15 = -10
-    assert pp.N - 5 * 3 == -10
+    assert len(pp) - 5 * 3 == -10
 
 
 def test_phi_partition_single_facet():
     pp = phi_partition(PureComplex(3, 2, [(1, 2, 3)]))
-    assert pp.N == 1
+    assert len(pp) == 1
 
 
 def test_caged_ridges_fan():
@@ -117,7 +117,7 @@ def test_caged_ridges_fan():
     fan = fan_complex()
     pairs = itertools.combinations(sorted(fan.facets), 2)
     scanned = {r for f1, f2 in pairs if (r := simplicial._caged_ridge(f1, f2))}
-    doubled = {sigma + (k,) for (sigma, k), block in phi_partition(fan).blocks.items()
+    doubled = {sigma + (k,) for (sigma, k), block in phi_partition(fan).items()
                if len(block) > 1}
     assert scanned == doubled == {(1, 4)}
 
@@ -394,7 +394,7 @@ def test_built_subcomplexes_equal_the_publicly_constructed_ones():
 def test_cage_free_count_of_22_one_facet_blocks_is_quick():
     facets = [(a, a + 1, c) for c in range(3, 10) for a in range(1, c - 1)][:22]
     delta = PureComplex(9, 2, facets)
-    assert phi_partition(delta).N == 22
+    assert len(phi_partition(delta)) == 22
     start = time.perf_counter()
     counts = enumerate_cage_free(delta)
     assert time.perf_counter() - start < 1
@@ -556,7 +556,7 @@ def test_dimension_one_complex_reduces_to_graphs():
         pp = phi_partition(delta)
         # the cage-free generating function differs from the forest one by a
         # power of t (one factor per isolated-block vertex)
-        assert cf_polynomial(delta).shifted(n - pp.N) == graphcore.isf_polynomial(G)
+        assert cf_polynomial(delta).shifted(n - len(pp)) == graphcore.isf_polynomial(G)
         assert is_simplicial_peo(delta) == is_peo(G, range(1, n + 1))
         counts = enumerate_cage_free(delta)
         assert counts == graphcore.enumerate_isf(G)

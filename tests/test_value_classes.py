@@ -17,7 +17,7 @@ from isfkit.errors import InputError
 from isfkit.patterns import Pattern, QPOResult
 from isfkit.polycore import IntPolynomial
 from isfkit.report import IdentityCheck, Report
-from isfkit.simplicial import PhiPartition, phi_partition
+from isfkit.simplicial import PureComplex, phi_partition
 
 from helpers import anchored_multigraph, fan_complex
 
@@ -36,8 +36,6 @@ _FROZEN = [
      {"ok": False, "failed_condition": 2, "witness": (3, 4)}),
     (Arrangement, (_arrangement().dim, _arrangement().normals, True),
      {"dim": _arrangement().dim, "normals": _arrangement().normals, "real_flag": True}),
-    (PhiPartition, ({((1,), 3): frozenset({(1, 2, 3)})},),
-     {"blocks": {((1,), 3): frozenset({(1, 2, 3)})}}),
 ]
 _IDS = [cls.__name__ for cls, _, _ in _FROZEN]
 
@@ -113,8 +111,6 @@ def test_reprs():
         "PerfectLabelingResult(ok=False, failed_condition=1, witness=(1, 2))")
     A = _arrangement()
     assert repr(A) == f"Arrangement(dim={A.dim}, normals={A.normals!r}, real_flag=True)"
-    blocks = {((1,), 3): frozenset({(1, 2, 3)})}
-    assert repr(PhiPartition(blocks)) == f"PhiPartition(blocks={blocks!r})"
     assert repr(Report()) == (
         "Report(passed=True, identity_checks=[], boolean_facts={}, witnesses={})")
     report = Report(False)
@@ -130,9 +126,12 @@ def test_truth_value_of_the_results_is_ok():
 
 
 def test_phi_partition_counts_its_blocks():
-    blocks = {((1,), 3): frozenset({(1, 2, 3)}), ((1,), 4): frozenset({(1, 2, 4)})}
-    assert PhiPartition(blocks).N == 2
-    assert PhiPartition({}).N == 0
+    # the partition is its block dict, and N, the block count, its length
+    blocks = phi_partition(PureComplex(4, 2, [(1, 2, 3), (1, 2, 4)]))
+    assert blocks == {((1,), 3): frozenset({(1, 2, 3)}),
+                      ((1,), 4): frozenset({(1, 2, 4)})}
+    assert len(blocks) == 2
+    assert phi_partition(PureComplex(3, 2)) == {}
 
 
 def test_identity_check_equal_compares_the_sides():
