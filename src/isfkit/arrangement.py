@@ -841,8 +841,10 @@ def signed_chromatic_count(G: LabeledMultigraph, s: int) -> int:
         elif k == G.n - 1:  # every banned value lies in -s..s
             count += 2 * s + 1 - len(banned(G.n))
         else:
+            # filterfalse binds this level's set now; a generator expression
+            # would read `ban` when iterated, after deeper levels rebind it
             ban = banned(k + 1)
-            stack.append(iter([v for v in range(-s, s + 1) if v not in ban]))
+            stack.append(itertools.filterfalse(ban.__contains__, range(-s, s + 1)))
     return count
 
 

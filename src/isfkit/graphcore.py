@@ -11,8 +11,11 @@ found by the closure test instead, with no cycle listed: the walk takes the
 edges from the order-largest down and accepts an edge when the edges that
 joining its endpoints' components closes hold none below it.  `nbc_sets`
 counts them without the walk: a transfer over the same edges keeps only the
-partition of the vertices that still have an edge to come, and the walk is
-its second route in the verify operations.  The chromatic polynomial
+partition of the vertices that still have an edge to come.  With one more
+field, the vertices that have taken their edge from below, the same transfer
+counts the increasing forests that are NBC sets, so `verify_isf_nbc` checks
+ISF ⊆ NBC by counts and lists no set; the walks remain the second route of
+`verify_tf_theorems` and of the set listings.  The chromatic polynomial
 compares the two routes of `chromatic`: a memoized deletion- and
 addition-contraction recursion on neighbour bitmasks, and the counts of a
 colour-class transfer over the vertices, expanded in the falling-factorial
@@ -352,10 +355,10 @@ def _nbc_walk(G: Graph, order: EdgeOrder | None):
 
 
 def _walk_budgets(G: Graph) -> dict[int, int]:
-    """The budgets a graph's verify operation checks before any walk or
-    per-vertex output: the edge budget, the output budget, and the member
-    budget of the NBC walk, whose size `nbc_sets` counts.  Returns those
-    counts by size."""
+    """The budgets `verify_tf_theorems` checks before any walk or per-vertex
+    output: the edge budget, the output budget, and the member budget of
+    the NBC walk, whose size `nbc_sets` counts.  Returns those counts by
+    size."""
     _edges_within_budget(G)
     _within_output_budget(G.n)
     counted = nbc_sets(G)
@@ -404,31 +407,13 @@ def nbc_sets(G: Graph, order: EdgeOrder | None = None) -> dict[int, int]:
     counts it handles, summed over the edges, which bounds long counts, as
     on a long path, and with them the blocks, whose bitmasks are no wider
     than the vertices with an edge; both are checked as the table grows.
-    `_nbc_walk`, which lists the sets, is the second route: `verify_isf_nbc`
-    and `verify_tf_theorems` check these counts against it.
+    The second routes: `verify_isf_nbc` checks Whitney's alternating sum of
+    these counts against the two-route chromatic polynomial, and
+    `verify_tf_theorems` checks the counts against `_nbc_walk`, which lists
+    the sets.
     """
     seq = order.sequence if order else G.sorted_edges()
-    # the counts by size k, packed as the sum of count << width * k; no
-    # count exceeds 2**len(seq), so one field never carries into the next
-    width = len(seq) + 1
-    # a state holds at most min(step + 1, n) counts of width bits
-    state_bits = [min(step + 1, G.n) * width for step in range(1, width)]
-    # every step keeps a state: a table of one state already spends this much
-    if sum(state_bits) > _COUNT_BITS:
-        raise _count_bits_exceeded()
-    # the k vertices with an edge are numbered 0..k-1 as the steps reach
-    # them, so a bitmask has at most k <= min(2|E|, n) bits whatever the
-    # labels; a state's at most min(step, k/2) blocks then hold less than
-    # twice the bits of its counts
-    index: dict[int, int] = {}
-    down = []
-    for u, v in reversed(seq):
-        down.append((index.setdefault(u, len(index)), index.setdefault(v, len(index))))
-    # rest[w]: the neighbours of w over the edges still to come
-    rest = [0] * len(index)
-    for u, v in down:
-        rest[u] |= 1 << v
-        rest[v] |= 1 << u
+    width, state_bits, down, rest = _transfer_setup(G, seq)
     table: dict[tuple[int, ...], int] = {(): 1}
     spent = 0
     for (u, v), per_state in zip(down, state_bits):
@@ -461,14 +446,106 @@ def nbc_sets(G: Graph, order: EdgeOrder | None = None) -> dict[int, int]:
                     key = tuple(sorted(kept))
                     nxt[key] = nxt.get(key, 0) + (counts << width)
             if len(nxt) > limit:
-                if limit < _TABLE_BUDGET:
-                    raise _count_bits_exceeded()
-                raise BudgetExceededError(
-                    f"NBC transfer table exceeds its budget of {_TABLE_BUDGET} states"
-                )
+                raise _table_exceeded(limit)
         spent += len(nxt) * per_state
         table = nxt
     return unpack_counts(table[()], width)
+
+
+def _isf_nbc_counts(G: Graph) -> dict[int, int]:
+    """Counts by size of the increasing spanning forests that are NBC sets
+    under the lexicographic edge order, by the `nbc_sets` transfer with one
+    more state field.
+
+    A state is (blocks, taken): the blocks of `nbc_sets` and the bitmask of
+    the frontier vertices that have already taken their one edge from below.
+    The edge (i, j), i < j, is taken only when it passes the closure test and
+    j is not in `taken`; taking it sets j's bit, and a vertex leaves `taken`
+    with its last edge.  Taken from the order-largest down, a vertex's edges
+    to larger vertices come before its edges from below, so a set bit marks
+    a vertex with only edges from below left.  The same two budgets cap the
+    table.
+    """
+    width, state_bits, down, rest = _transfer_setup(G, G.sorted_edges())
+    table: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    spent = 0
+    for (u, v), per_state in zip(down, state_bits):
+        ub, vb = 1 << u, 1 << v  # v is the larger label of the edge
+        rest[u] ^= vb
+        rest[v] ^= ub
+        gone = (0 if rest[u] else ub) | (0 if rest[v] else vb)
+        limit = min(_TABLE_BUDGET, (_COUNT_BITS - spent) // per_state)
+        nxt: dict[tuple[tuple[int, ...], int], int] = {}
+        for (blocks, taken), counts in table.items():
+            bu, bv = ub, vb
+            for b in blocks:
+                if b & ub:
+                    bu = b
+                if b & vb:
+                    bv = b
+            if gone:
+                key = (_without(blocks, gone) if bu != ub or bv != vb else blocks,
+                       taken & ~gone)
+            else:
+                key = (blocks, taken)
+            nxt[key] = nxt.get(key, 0) + counts
+            if bu != bv and not taken & vb:
+                w = bu
+                while w and not rest[(w & -w).bit_length() - 1] & bv:
+                    w &= w - 1
+                if not w:  # no edge still to come joins bu and bv
+                    merged = (bu | bv) & ~gone
+                    kept = [b for b in blocks if b != bu and b != bv]
+                    if merged & (merged - 1):
+                        kept.append(merged)
+                    key = (tuple(sorted(kept)), (taken | vb) & ~gone)
+                    nxt[key] = nxt.get(key, 0) + (counts << width)
+            if len(nxt) > limit:
+                raise _table_exceeded(limit)
+        spent += len(nxt) * per_state
+        table = nxt
+    return unpack_counts(table[(), 0], width)
+
+
+def _transfer_setup(G: Graph, seq: Sequence[Edge]) -> tuple[int, list[int], list, list[int]]:
+    """What the NBC transfers over the edge order `seq` share: the count
+    field width, the count bits a state holds at each step, the edges taken
+    from the order-largest down with each endpoint renumbered, and `rest`,
+    the neighbours of each renumbered vertex over the edges still to come.
+    Refuses when a table of one state would already pass the bits budget.
+    """
+    # the counts by size k, packed as the sum of count << width * k; no
+    # count exceeds 2**len(seq), so one field never carries into the next
+    width = len(seq) + 1
+    # a state holds at most min(step + 1, n) counts of width bits
+    state_bits = [min(step + 1, G.n) * width for step in range(1, width)]
+    # every step keeps a state: a table of one state already spends this much
+    if sum(state_bits) > _COUNT_BITS:
+        raise _count_bits_exceeded()
+    # the k vertices with an edge are numbered 0..k-1 as the steps reach
+    # them, so a bitmask has at most k <= min(2|E|, n) bits whatever the
+    # labels; a state's at most min(step, k/2) blocks then hold less than
+    # twice the bits of its counts
+    index: dict[int, int] = {}
+    down = []
+    for u, v in reversed(seq):
+        down.append((index.setdefault(u, len(index)), index.setdefault(v, len(index))))
+    # rest[w]: the neighbours of w over the edges still to come
+    rest = [0] * len(index)
+    for u, v in down:
+        rest[u] |= 1 << v
+        rest[v] |= 1 << u
+    return width, state_bits, down, rest
+
+
+def _table_exceeded(limit: int) -> BudgetExceededError:
+    """The refusal of an NBC transfer whose table passed `limit` states, the
+    lesser of the table budget and what the bits budget leaves."""
+    if limit < _TABLE_BUDGET:
+        return _count_bits_exceeded()
+    return BudgetExceededError(
+        f"NBC transfer table exceeds its budget of {_TABLE_BUDGET} states"
+    )
 
 
 def _count_bits_exceeded(what: str = "NBC transfer", steps: str = "edges"
@@ -646,23 +723,26 @@ def verify_isf_nbc(G: Graph) -> Report:
 
     Every identity is computed along both of its routes.  `passed` is False
     only if an assertion that must hold for every graph fails, which would
-    falsify this implementation rather than the mathematics.  The edge,
-    output and member budgets refuse before either walk starts: the members
-    are counted by `nbc_sets`, which bounds the ISF walk too, as ISF is a
-    subset of NBC.  Both families are kept as bitmasks over the NBC walk's
-    edge order.  The NBC counts of the walk must equal those of the
-    `nbc_sets` transfer.
+    falsify this implementation rather than the mathematics.  No family is
+    listed: the set facts come from three counts by size, the ISF counts of
+    the factored polynomial, the NBC counts of `nbc_sets` and the ISF ∩ NBC
+    counts of the joint transfer.  ISF ⊆ NBC exactly when the joint counts
+    equal the ISF counts, and at any size the two families are equal exactly
+    when all three counts agree there.  The joint counts are the second
+    route of the factorization while the theorem holds, and Whitney's
+    alternating sum checks the NBC counts against the chromatic polynomial.
+    The output budget refuses first, then the transfers' table and bits
+    budgets as their tables grow.
     """
     report = Report()
-    nbc_counts = _walk_budgets(G)
+    _within_output_budget(G.n)
+    nbc_counts = nbc_sets(G)
     chrom = chromatic_polynomial(G)
-    seq, nbc = _checked_nbc_walk(G, nbc_counts)
-    isf = set(_increasing_masks(seq))
-    enum_poly = counts_to_polynomial(count_by_size(isf), G.n)
+    joint = _isf_nbc_counts(G)
     factored = isf_polynomial(G)
-    report.check(
-        "isf_enumeration_vs_factorization", enum_poly, factored, expect_equal=True
-    )
+    isf_counts = {G.n - d: c for d, c in enumerate(factored.coeffs) if c}
+    report.check("isf_enumeration_vs_factorization", counts_to_polynomial(joint, G.n),
+                 factored, expect_equal=True)
 
     whitney = counts_to_polynomial({m: (-1) ** m * c for m, c in nbc_counts.items()}, G.n)
     report.check("whitney_alternating_sum_vs_chromatic", whitney, chrom,
@@ -676,17 +756,16 @@ def verify_isf_nbc(G: Graph) -> Report:
     report.fact("isf_chromatic_identity_iff_peo", isf_eq_chrom == natural_peo,
                 required=True)
 
-    contained = isf <= nbc
+    contained = joint == isf_counts
     report.fact("isf_subset_of_nbc", contained, required=True)
     if not contained:
-        report.witnesses["isf_not_in_nbc"] = sorted(
-            sorted(members(seq, s)) for s in isf - nbc
-        )[:3]
+        report.witnesses["isf_not_in_nbc_by_size"] = {
+            k: d for k in sorted(isf_counts.keys() | joint.keys())
+            if (d := isf_counts.get(k, 0) - joint.get(k, 0))
+        }
 
-    eq_all = isf == nbc
-    eq_two = {s for s in isf if s.bit_count() == 2} == {
-        s for s in nbc if s.bit_count() == 2
-    }
+    eq_all = contained and isf_counts == nbc_counts
+    eq_two = joint.get(2, 0) == isf_counts.get(2, 0) == nbc_counts.get(2, 0)
     report.fact("isf_equals_nbc_all_sizes", eq_all)
     report.fact("isf_equals_nbc_at_size_2", eq_two)
     report.fact(
@@ -696,7 +775,7 @@ def verify_isf_nbc(G: Graph) -> Report:
     )
 
     ao = acyclic_orientation_count(G, chromatic=chrom)
-    isf_total = len(isf)
+    isf_total = factored(1)
     report.fact("isf_at_most_ao", isf_total <= ao, required=True)
     report.fact("isf_equals_ao_iff_peo", (isf_total == ao) == natural_peo,
                 required=True)

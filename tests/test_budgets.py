@@ -47,14 +47,18 @@ def test_one_setattr_on_a_budget_constant_reaches_every_reader(monkeypatch):
     K7 = graphcore.Graph(7, itertools.combinations(range(1, 8), 2))
     monkeypatch.setattr(graphcore, "_EDGE_BUDGET", 20)
     for walk in (graphcore.enumerate_isf, graphcore.isf_set_list, graphcore.nbc_set_list,
-                 graphcore.verify_isf_nbc, patterns.tf_set_list, patterns.tf_polynomial,
-                 patterns.verify_tf_theorems):
+                 patterns.tf_set_list, patterns.tf_polynomial, patterns.verify_tf_theorems):
         with pytest.raises(BudgetExceededError,
                            match="^21 edges exceeds the enumeration budget 20$"):
             walk(K7)
+    # graph verify lists no family: the transfers' budgets bound it
+    assert graphcore.verify_isf_nbc(K7).passed
     monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 4)
-    with pytest.raises(BudgetExceededError, match="^NBC transfer table exceeds its budget of 4"):
-        graphcore.nbc_sets(graphcore.Graph(4, itertools.combinations(range(1, 5), 2)))
+    K4 = graphcore.Graph(4, itertools.combinations(range(1, 5), 2))
+    for transfer in (graphcore.nbc_sets, graphcore._isf_nbc_counts, graphcore.verify_isf_nbc):
+        with pytest.raises(BudgetExceededError,
+                           match="^NBC transfer table exceeds its budget of 4"):
+            transfer(K4)
     tetrahedron = simplicial.PureComplex(4, 2, itertools.combinations(range(1, 5), 3))
     monkeypatch.setattr(simplicial, "_FACET_BUDGET", 3)
     for sweep in (simplicial.enumerate_cage_free, simplicial.verify_product_formula):

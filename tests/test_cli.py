@@ -976,11 +976,10 @@ _FAN_22 = PureComplex(24, 2, [(1, k, k + 1) for k in range(2, 24)]).to_json()
 # size: the NBC sets of the path, the ISF of the fan's 22-edge upper link
 @pytest.mark.parametrize(
     "kind, payload, refusal",
-    [("graph", _PATH_26, "33554432 NBC sets"),
-     ("forest", _PATH_26, "33554432 NBC sets"),
+    [("forest", _PATH_26, "33554432 NBC sets"),
      ("complex", _FAN_22,
       "upper link of peak (1,): 4194304 increasing spanning forests")],
-    ids=["graph-26-vertex-path", "forest-26-vertex-path", "complex-22-facet-fan"],
+    ids=["forest-26-vertex-path", "complex-22-facet-fan"],
 )
 def test_verify_refuses_before_it_walks(tmp_path, kind, payload, refusal):
     # within the edge or facet budget, every subset is a member: a walk
@@ -997,6 +996,28 @@ def test_verify_refuses_before_it_walks(tmp_path, kind, payload, refusal):
 
 _K10 = Graph(10, itertools.combinations(range(1, 11), 2)).to_json()
 _FULL_7 = PureComplex(7, 2, itertools.combinations(range(1, 8), 3)).to_json()
+_PATH_21 = Graph(21, [(k, k + 1) for k in range(1, 21)]).to_json()
+
+
+# `graph verify` lists no family, so neither the edge budget nor the member
+# budget bounds it: K10 has 45 edges and 10! NBC sets, the seeded G(16, 0.3)
+# has 29 edges, and the paths have 2**20 and 2**25 NBC sets
+@pytest.mark.parametrize(
+    "payload, edges, seconds",
+    [(_K10, 45, 20), (gen_graph(3, 16, 0.3).to_json(), 29, 20), (_PATH_21, 20, 2),
+     (_PATH_26, 25, 2)],
+    ids=["graph-K10", "graph-G16-0.3", "graph-21-vertex-path", "graph-26-vertex-path"],
+)
+def test_graph_verify_counts_without_walking(tmp_path, payload, edges, seconds):
+    assert len(payload["edges"]) == edges
+    path = write(tmp_path, "in.json", payload)
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", "graph", "verify", path,
+                     preexec_fn=_limit_address_space_to_1_gib, timeout=60)
+    assert time.perf_counter() - start < seconds
+    assert proc.returncode == 0 and proc.stderr == "ok\n"
+    report = json.loads(proc.stdout)
+    assert report["passed"] and report["boolean_facts"]["isf_subset_of_nbc"]
 
 
 # the number of terms, prod_B (1 + |B|), is known before the expansion:

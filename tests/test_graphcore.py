@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from isfkit import chromatic, graphcore
 from isfkit.errors import BudgetExceededError, InputError, InternalCheckError
 from isfkit.graphcore import (
+    _increasing_masks,
     _nbc_walk,
     EdgeOrder,
     Graph,
@@ -457,14 +458,18 @@ def test_nbc_transfer_memory_does_not_grow_with_the_vertex_labels(monkeypatch):
 
 def test_nbc_transfer_refuses_past_its_count_bits(monkeypatch):
     # a 10-vertex path handles sum(min(k + 1, 10) * 10 for k in 1..9) = 540
-    # bits of counts; a 30-vertex path passes 540 bits early
+    # bits of counts; a 30-vertex path passes 540 bits early.  The joint
+    # ISF ∩ NBC transfer shares the bound.
     monkeypatch.setattr(graphcore, "_COUNT_BITS", 540)
-    assert sum(nbc_sets(Graph(10, [(i, i + 1) for i in range(1, 10)])).values()) == 2**9
-    with pytest.raises(BudgetExceededError, match="540 bits of counts"):
-        nbc_sets(Graph(30, [(i, i + 1) for i in range(1, 30)]))
+    for transfer in (nbc_sets, graphcore._isf_nbc_counts):
+        assert sum(transfer(Graph(10, [(i, i + 1) for i in range(1, 10)])).values()) == 2**9
+        with pytest.raises(BudgetExceededError, match="540 bits of counts"):
+            transfer(Graph(30, [(i, i + 1) for i in range(1, 30)]))
 
 
-def test_verify_isf_nbc_catches_transfer_counts_that_differ_from_the_walk(monkeypatch):
+def test_verify_isf_nbc_fails_when_the_nbc_counts_are_off_by_one(monkeypatch):
+    # the NBC counts have their second route in Whitney's alternating sum
+    # against the two-route chromatic polynomial
     transfer = graphcore.nbc_sets
 
     def one_set_too_many(G, order=None):
@@ -473,8 +478,99 @@ def test_verify_isf_nbc_catches_transfer_counts_that_differ_from_the_walk(monkey
         return counts
 
     monkeypatch.setattr(graphcore, "nbc_sets", one_set_too_many)
-    with pytest.raises(InternalCheckError, match="NBC counts"):
-        verify_isf_nbc(paw_peo())
+    for G in (paw_peo(), paw_non_peo(), complete_graph(5)):
+        report = verify_isf_nbc(G)
+        assert not report.passed
+        named = {c.name: c.equal for c in report.identity_checks}
+        assert not named["whitney_alternating_sum_vs_chromatic"]
+
+
+def _walked_isf_nbc(G):
+    """ISF ∩ NBC counted by size from the two walks, the transfer's oracle."""
+    seq, masks = _nbc_walk(G, None)
+    return count_by_size(set(_increasing_masks(seq)) & set(masks))
+
+
+def _seeded_graphs(seed, count):
+    """Random graphs with n <= 8 and at most 25 edges."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 8)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        yield Graph(n, rng.sample(pairs, rng.randint(0, min(25, len(pairs)))))
+
+
+def test_isf_nbc_transfer_matches_the_walks():
+    for G in _seeded_graphs(47, 300):
+        joint = graphcore._isf_nbc_counts(G)
+        assert joint == _walked_isf_nbc(G), G
+        # ISF ⊆ NBC: the joint counts are the factored ISF counts
+        factored = isf_polynomial(G)
+        assert counts_to_polynomial(joint, G.n) == factored, G
+
+
+class _ReversedLexGraph(Graph):
+    """A graph whose edge list, and with it the joint transfer's order, runs
+    in reversed lexicographic order."""
+
+    __slots__ = ()
+
+    def sorted_edges(self):
+        return sorted(self.edges, reverse=True)
+
+
+def test_isf_nbc_transfer_without_the_from_below_field_is_caught(monkeypatch):
+    mutant = nbc_sets  # the joint transfer with its from-below field dropped
+    assert any(mutant(G) != _walked_isf_nbc(G) for G in _seeded_graphs(47, 50))
+    monkeypatch.setattr(graphcore, "_isf_nbc_counts", mutant)
+    report = verify_isf_nbc(paw_non_peo())
+    assert not report.passed
+    assert not report.boolean_facts["isf_subset_of_nbc"]
+
+
+def test_isf_nbc_transfer_under_the_reversed_lex_order_is_caught():
+    # the broken circuit of the 4-cycle under the reversed lex order,
+    # {(1,2), (1,4), (2,3)}, is an increasing forest
+    C4 = cycle_graph(4)
+    assert C4.edges == {(1, 2), (1, 4), (2, 3), (3, 4)}
+    mutant = _ReversedLexGraph(4, C4.edges)
+    assert graphcore._isf_nbc_counts(C4) == enumerate_isf(C4)
+    assert enumerate_isf(C4) == {0: 1, 1: 4, 2: 5, 3: 2}
+    assert graphcore._isf_nbc_counts(mutant) == {0: 1, 1: 4, 2: 5, 3: 1}
+    assert verify_isf_nbc(C4).passed
+    report = verify_isf_nbc(mutant)
+    assert not report.passed
+    assert not report.boolean_facts["isf_subset_of_nbc"]
+    assert report.witnesses["isf_not_in_nbc_by_size"] == {3: 1}
+
+
+def test_verify_isf_nbc_witnesses_the_sizes_where_isf_leaves_nbc(monkeypatch):
+    transfer = graphcore._isf_nbc_counts
+
+    def one_set_dropped(G):
+        counts = transfer(G)
+        counts[2] -= 1
+        return counts
+
+    monkeypatch.setattr(graphcore, "_isf_nbc_counts", one_set_dropped)
+    report = verify_isf_nbc(paw_peo())
+    assert not report.passed
+    assert not report.boolean_facts["isf_subset_of_nbc"]
+    assert report.witnesses["isf_not_in_nbc_by_size"] == {2: 1}
+    assert report.to_json()["witnesses"]["isf_not_in_nbc_by_size"] == {"2": 1}
+
+
+def test_verify_isf_nbc_walks_no_family(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("verify_isf_nbc walked a family")
+
+    monkeypatch.setattr(graphcore, "downward_closed", no_walk)
+    with pytest.raises(AssertionError, match="walked a family"):
+        _walked_isf_nbc(paw_peo())
+    for G in (complete_graph(5), paw_peo(), paw_non_peo()):
+        report = verify_isf_nbc(G)
+        assert report.passed
+        assert "isf_not_in_nbc_by_size" not in report.witnesses
 
 
 def test_whitney_alternating_sum():
