@@ -183,6 +183,19 @@ def _within_member_budget(size: int, family: str) -> None:
         )
 
 
+def _within_weighted_budget(sizes: Sequence[int], family: str) -> None:
+    """Refuse the weighted expansion over blocks of these sizes past the
+    member budget, before it starts: by its terms, one per `family` member,
+    prod_B (1 + |B|), then by the variables it prints, the term count with
+    |B| of its 1 + |B| choices in each block B,
+    sum_B |B| prod_{B' != B} (1 + |B'|)."""
+    terms = prod(1 + s for s in sizes)
+    _within_member_budget(terms, family)
+    _within_member_budget(
+        sum(s * (terms // (1 + s)) for s in sizes), "variables in the weighted terms"
+    )
+
+
 def _check_permutation(perm: Sequence[int], n: int) -> list[int]:
     perm = [require_int(v, "permutation entry") for v in perm]
     if sorted(perm) != list(range(1, n + 1)):
@@ -262,15 +275,15 @@ def isf_polynomial(
     With a weights mapping, each edge contributes its own variable and the
     result is the weighted product prod_k (t + sum of weights over E_k),
     expanded to one term per increasing spanning forest.  The output budget
-    caps n, and the member budget the forests of a weighted result.
+    caps n, and the member budget the forests of a weighted result and the
+    variables it prints.
     """
     _within_output_budget(G.n)
     blocks = edge_partition(G)
+    sizes = [len(blocks[k]) for k in range(1, G.n + 1)]
     if weights is None:
-        return poly_from_linear_factors(
-            [len(blocks[k]) for k in range(1, G.n + 1)]
-        )
-    _within_member_budget(_isf_count(G), "increasing spanning forests")
+        return poly_from_linear_factors(sizes)
+    _within_weighted_budget(sizes, "increasing spanning forests")
     return WeightedGF(
         [weights[e] for e in sorted(blocks[k])] for k in range(1, G.n + 1)
     )

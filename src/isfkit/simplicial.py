@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
@@ -158,11 +157,12 @@ class PureComplex:
 class SpanningSubcomplex:
     """A spanning subcomplex: a facet subset plus every lower face of the parent.
 
-    `_masks` holds the kept facets' ridge bitmasks (`PureComplex._ridge_masks`);
-    `cage_free_subcomplexes` builds them with the subcomplex, and otherwise
-    they are built on first use."""
+    `_masks` holds the kept facets' ridge bitmasks (`PureComplex._ridge_masks`)
+    and `_free` the bitmask of its free ridges, those in exactly one kept
+    facet.  `cage_free_subcomplexes` carries both from its build; otherwise
+    `_kept_masks` builds both on first use."""
 
-    __slots__ = ("parent", "kept_facets", "_masks")
+    __slots__ = ("parent", "kept_facets", "_masks", "_free")
 
     def __init__(self, parent: PureComplex, kept_facets: Iterable[Sequence[int]]):
         kept = set()
@@ -176,16 +176,7 @@ class SpanningSubcomplex:
         self.parent = parent
         self.kept_facets = frozenset(kept)
         self._masks = None
-
-    @classmethod
-    def _of(cls, parent: PureComplex, kept: frozenset[Face], masks: Sequence[int]):
-        """A subcomplex keeping some of the parent's own facets, with their
-        ridge masks: the facets are the checked ones, so nothing is checked."""
-        self = cls.__new__(cls)
-        self.parent = parent
-        self.kept_facets = kept
-        self._masks = masks
-        return self
+        self._free = None
 
     def faces(self) -> set[Face]:
         """All faces: lower-dimensional parent faces plus kept facets' closures."""
@@ -244,22 +235,49 @@ def cage_free_subcomplexes(delta: PureComplex) -> list[SpanningSubcomplex]:
     """Every cage-free spanning subcomplex: at most one facet per block.
 
     Each keeps facets of delta, which `PureComplex` has checked, so each is
-    built directly, with its kept facets' ridge masks.  A subcomplex's kept
-    facets are its prefix's frozenset joined with a one-facet frozenset made
-    once per facet: a set entry keeps its hash, so no facet is hashed twice."""
+    built directly, with its kept facets' ridge masks and its free ridges.
+    A subcomplex's kept facets are its prefix's frozenset joined with a
+    one-facet frozenset made once per facet: a set entry keeps its hash, so
+    no facet is hashed twice.  Along the block product each prefix also
+    carries the ridges of its facets met at least once and at least twice;
+    the free ridges of a finished subcomplex are those met once only, so
+    `has_leaf` and the first collapse round of `top_homology_rank` scan no
+    facet."""
     mask = delta._ridge_masks()
-    # (kept facets, their masks), in `walks.block_transversals` order; a
-    # subcomplex that keeps no facet of the block keeps its prefix's pair
-    chosen = [(frozenset(), ())]
-    for _, block in sorted(phi_partition(delta).items()):
-        options = [None] + [(frozenset((f,)), (mask[f],)) for f in sorted(block)]
-        chosen = [
-            pair if add is None else (pair[0] | add[0], pair[1] + add[1])
-            for pair in chosen
-            for add in options
-        ]
-    of = SpanningSubcomplex._of
-    return [of(delta, fs, ms) for fs, ms in chosen]
+    blocks = [[(frozenset((f,)), (mask[f],), mask[f]) for f in sorted(block)]
+              for _, block in sorted(phi_partition(delta).items())]
+    last = blocks.pop() if blocks else []
+    # (kept facets, their masks, ridges met once or more, twice or more), in
+    # `walks.block_transversals` order; a prefix that keeps no facet of the
+    # block is kept as it is
+    chosen = [(frozenset(), (), 0, 0)]
+    for options in blocks:
+        grown = []
+        for prefix in chosen:
+            grown.append(prefix)
+            fs, ms, once, twice = prefix
+            for s, t, m in options:
+                grown.append((fs | s, ms + t, once | m, twice | once & m))
+        chosen = grown
+    # the last block makes the subcomplexes themselves, without a prefix
+    # tuple each; twice lies within once, so once ^ twice is met once only
+    new = SpanningSubcomplex.__new__
+    out = []
+    for fs, ms, once, twice in chosen:
+        upsilon = new(SpanningSubcomplex)
+        upsilon.parent = delta
+        upsilon.kept_facets = fs
+        upsilon._masks = ms
+        upsilon._free = once ^ twice
+        out.append(upsilon)
+        for s, t, m in last:
+            upsilon = new(SpanningSubcomplex)
+            upsilon.parent = delta
+            upsilon.kept_facets = fs | s
+            upsilon._masks = ms + t
+            upsilon._free = (once | m) ^ (twice | once & m)
+            out.append(upsilon)
+    return out
 
 
 def enumerate_cage_free(delta: PureComplex) -> dict[int, int]:
@@ -294,15 +312,15 @@ def cf_polynomial(
 
     With a weights mapping, each facet contributes its own variable, and the
     product is expanded to one term per cage-free subcomplex; the member
-    budget caps their number, prod_B (1 + |B|).
+    budget caps their number, prod_B (1 + |B|), and the variables they
+    print (`graphcore._within_weighted_budget`).
     """
     partition = phi_partition(delta)
     blocks = [block for _, block in sorted(partition.items())]
+    sizes = [len(b) for b in blocks]
     if weights is None:
-        return poly_from_linear_factors([len(b) for b in blocks])
-    graphcore._within_member_budget(
-        prod(1 + len(b) for b in blocks), "cage-free subcomplexes"
-    )
+        return poly_from_linear_factors(sizes)
+    graphcore._within_weighted_budget(sizes, "cage-free subcomplexes")
     return WeightedGF([weights[f] for f in sorted(block)] for block in blocks)
 
 
@@ -461,12 +479,15 @@ def _touched(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _kept_masks(upsilon: SpanningSubcomplex) -> Sequence[int]:
-    """The kept facets' ridge masks of a publicly built subcomplex, built
-    on first use."""
-    mask = upsilon.parent._ridge_masks()
-    upsilon._masks = [mask[f] for f in upsilon.kept_facets]
-    return upsilon._masks
+def _kept_masks(upsilon: SpanningSubcomplex) -> tuple[Sequence[int], int]:
+    """The kept facets' ridge masks and the free-ridge mask: those a
+    subcomplex carries, or, for one from the public constructor, built and
+    stored on first use."""
+    if upsilon._masks is None:
+        mask = upsilon.parent._ridge_masks()
+        upsilon._masks = [mask[f] for f in upsilon.kept_facets]
+        upsilon._free = _free_ridges(upsilon._masks)
+    return upsilon._masks, upsilon._free
 
 
 def _free_ridges(masks: Iterable[int]) -> int:
@@ -486,17 +507,19 @@ def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
     removing it leaves the rank unchanged (an elementary collapse, which
     preserves homology).  A free ridge stays free as other facets go, so
     each round removes every facet with a free ridge, until none is left.
-    The rounds read the ridge masks the subcomplex carries, with one
-    `_free_ridges` call each.
+    The first round reads the free-ridge mask the subcomplex carries
+    (`_kept_masks`); each later round, reached only while a core is left,
+    finds the core's free ridges with one `_free_ridges` call.  A cage-free
+    subcomplex collapses to nothing, most of them in the first round.
     Only the remaining core is eliminated with `exactla.echelon` (rows by
     the parent's ridge index; an empty core has rank 0).  The top homology
     group embeds in a free abelian group, so it is torsion-free and its
     integral rank equals this rational one.
     """
-    # an empty mask sequence is rebuilt, empty, by `_kept_masks`
-    core = upsilon._masks or _kept_masks(upsilon)
-    while core and (free := _free_ridges(core)):
+    core, free = _kept_masks(upsilon)
+    while free:
         core = [m for m in core if not m & free]
+        free = _free_ridges(core) if core else 0
     if not core:
         return 0
     matrix = [[0] * len(core) for _ in range(max(core).bit_length())]
@@ -510,8 +533,10 @@ def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
 
 
 def has_leaf(upsilon: SpanningSubcomplex) -> bool:
-    """Whether some ridge lies in exactly one kept facet."""
-    return bool(_free_ridges(upsilon._masks or _kept_masks(upsilon)))
+    """Whether some ridge lies in exactly one kept facet: whether the
+    free-ridge mask the subcomplex carries (`_kept_masks`) is nonzero, so no
+    facet is scanned.  Every nonempty cage-free subcomplex has one."""
+    return bool(_kept_masks(upsilon)[1])
 
 
 def is_shifted(obj: PureComplex | SpanningSubcomplex) -> bool:

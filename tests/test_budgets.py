@@ -66,6 +66,32 @@ def test_one_setattr_on_a_budget_constant_reaches_every_reader(monkeypatch):
             sweep(tetrahedron)
 
 
+def test_weighted_outputs_are_bounded_by_the_variables_they_print(monkeypatch):
+    # each variable is distinct, so every coefficient is 1 and the printed
+    # variables are the monomials' lengths; the budget admits exactly them
+    path = graphcore.Graph(4, [(1, 2), (2, 3), (3, 4)])
+    fan = simplicial.PureComplex(5, 2, [(1, 2, 3), (1, 3, 4), (1, 2, 4), (1, 4, 5)])
+    for expand, obj, items, terms in (
+        (graphcore.isf_polynomial, path, path.edges, "8 increasing spanning forests"),
+        (simplicial.cf_polynomial, fan, fan.facets, "12 cage-free subcomplexes"),
+    ):
+        monkeypatch.undo()
+        weights = {x: x for x in items}
+        printed = sum(len(t["monomial"]) for t in expand(obj, weights).to_json())
+        monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", printed)
+        expand(obj, weights)  # exactly at the budget
+        monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", printed - 1)
+        with pytest.raises(BudgetExceededError, match=(
+                f"^{printed} variables in the weighted terms exceed the member budget "
+                f"{printed - 1}$")):
+            expand(obj, weights)
+        count = int(terms.split()[0])
+        monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", count - 1)
+        with pytest.raises(BudgetExceededError,
+                           match=f"^{terms} exceed the member budget {count - 1}$"):
+            expand(obj, weights)
+
+
 _CONSTANT = re.compile(r"^(_[A-Z_]+_BUDGET|_COUNT_BITS) = ", re.M)
 _ROW = re.compile(r"^\| `(\w+)\.(_\w+)` \| ([^|]+) \|", re.M)
 

@@ -1021,12 +1021,18 @@ def test_graph_verify_counts_without_walking(tmp_path, payload, edges, seconds):
 
 
 # the number of terms, prod_B (1 + |B|), is known before the expansion:
-# 10! for K10, and 24,883,200 for the full 2-complex on seven vertices
+# 10! for K10, and 24,883,200 for the full 2-complex on seven vertices; so
+# are the variables they print, sum_B |B| prod_{B' != B} (1 + |B'|): the
+# 21-vertex path and the 20-facet fan have 2**20 terms, within the budget,
+# of 10 variables on average, which once ran out of memory
 @pytest.mark.parametrize(
     "kind, action, payload, refusal",
     [("graph", "isf", _K10, "3628800 increasing spanning forests"),
-     ("complex", "cf", _FULL_7, "24883200 cage-free subcomplexes")],
-    ids=["graph-K10", "complex-full-7"],
+     ("complex", "cf", _FULL_7, "24883200 cage-free subcomplexes"),
+     ("graph", "isf", _PATH_21, "10485760 variables in the weighted terms"),
+     ("complex", "cf", PureComplex(22, 2, [(1, k, k + 1) for k in range(2, 22)]).to_json(),
+      "10485760 variables in the weighted terms")],
+    ids=["graph-K10", "complex-full-7", "graph-21-vertex-path", "complex-20-facet-fan"],
 )
 def test_weighted_outputs_refuse_past_the_member_budget_at_once(tmp_path, kind, action,
                                                                 payload, refusal):

@@ -382,13 +382,64 @@ def test_built_subcomplexes_equal_the_publicly_constructed_ones():
             delta = random_complex(rng, rng.randint(d + 1, 6), d=d)
             for built in cage_free_subcomplexes(delta):
                 public = SpanningSubcomplex(delta, sorted(built.kept_facets))
-                assert public._masks is None  # built on first use
+                assert public._masks is None and public._free is None  # first use
                 for clone in (built, copy.copy(built),
                               pickle.loads(pickle.dumps(built))):
                     assert clone.kept_facets == public.kept_facets
                     assert top_homology_rank(clone) == top_homology_rank(public)
                     assert has_leaf(clone) == has_leaf(public)
                     assert sorted(clone._masks) == sorted(public._masks)
+                    assert clone._free == public._free
+
+
+def _ridges_in_one_kept_facet(upsilon):
+    """The oracle of the free-ridge mask: the ridges a Counter over the kept
+    facets' ridges meets once, as bits of the parent's sorted ridge index."""
+    index = {r: i for i, r in enumerate(upsilon.parent.ridges())}
+    met = Counter(r for f in upsilon.kept_facets
+                  for r in itertools.combinations(f, upsilon.parent.d))
+    return sum(1 << index[r] for r, count in met.items() if count == 1)
+
+
+def _corpus(seed):
+    rng = random.Random(seed)
+    for d in (1, 2, 3):
+        for _ in range(8):
+            yield random_complex(rng, rng.randint(d + 1, 6), d=d)
+
+
+def test_built_subcomplexes_carry_the_ridges_in_one_kept_facet():
+    shared = 0  # subcomplexes with a ridge in two kept facets
+    for delta in _corpus(71):
+        for built in cage_free_subcomplexes(delta):
+            free = _ridges_in_one_kept_facet(built)
+            for clone in (built, copy.copy(built), pickle.loads(pickle.dumps(built))):
+                assert clone._free == free
+            public = SpanningSubcomplex(delta, built.kept_facets)
+            assert public._free is None
+            assert has_leaf(public) == bool(free) and public._free == free
+            ridges = {r for f in built.kept_facets for r in itertools.combinations(f, delta.d)}
+            shared += len(ridges) != free.bit_count()
+    assert shared  # the `twice` half of the build is exercised
+
+
+def test_carried_free_ridges_spare_the_scans(monkeypatch):
+    # has_leaf scans no facet of a built subcomplex, and top_homology_rank
+    # scans only a core left after its first round, read from the carried mask
+    calls = []
+    scan = simplicial._free_ridges
+    monkeypatch.setattr(simplicial, "_free_ridges", lambda masks: calls.append(1) or scan(masks))
+    cores = {False: 0, True: 0}
+    for delta in _corpus(73):
+        for built in cage_free_subcomplexes(delta):
+            assert has_leaf(built) == bool(built.kept_facets)
+            assert calls == []
+            core = [m for m in built._masks if not m & built._free]
+            assert top_homology_rank(built) == 0
+            assert bool(calls) == bool(core)
+            cores[bool(core)] += 1
+            calls.clear()
+    assert cores[False] and cores[True]
 
 
 def test_cage_free_count_of_22_one_facet_blocks_is_quick():
