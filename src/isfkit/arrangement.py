@@ -125,7 +125,8 @@ class GaussRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction, which hashes like an equal int
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def is_real(self) -> bool:
         return self.im == 0
@@ -188,11 +189,14 @@ class LabeledMultigraph:
     """A multigraph on {0..n}: optional plain edges from 0, labeled edges between
     nonzero vertices (nonzero Gaussian-rational labels, parallels allowed).
 
-    The fields are never assigned after construction, so the intersection
-    lattice, built on first use by `_lattice_of`, is kept in `_lattice`;
-    it takes no part in repr or JSON."""
+    The fields are never assigned after construction, so three derived
+    values are kept in slots that take no part in repr or JSON: `_edges`,
+    the canonical edge list, sorted once at construction; `_arrangement`,
+    built on first use by `build_arrangement`; and `_lattice`, built on
+    first use by `_lattice_of`."""
 
-    __slots__ = ("n", "zero_edges", "labeled_edges", "_lattice")
+    __slots__ = ("n", "zero_edges", "labeled_edges", "_edges", "_arrangement",
+                 "_lattice")
 
     def __init__(
         self,
@@ -225,15 +229,17 @@ class LabeledMultigraph:
         self.n = n
         self.zero_edges = frozenset(zset)
         self.labeled_edges = frozenset(lset)
+        self._edges = (
+            *[(0, k, None) for k in sorted(zset)],
+            *sorted(lset, key=lambda e: (e[0], e[1], e[2].sort_key())),
+        )
+        self._arrangement = None
         self._lattice = None
 
     def edge_list(self) -> list[EdgeToken]:
-        """All edges in a canonical deterministic order."""
-        out: list[EdgeToken] = [(0, k, None) for k in sorted(self.zero_edges)]
-        out.extend(
-            sorted(self.labeled_edges, key=lambda e: (e[0], e[1], e[2].sort_key()))
-        )
-        return out
+        """All edges in a canonical deterministic order: the zero edges by
+        endpoint, then the labeled edges by endpoints and label."""
+        return list(self._edges)
 
     def is_real(self) -> bool:
         return all(z.is_real() for _, _, z in self.labeled_edges)
@@ -242,12 +248,7 @@ class LabeledMultigraph:
         return {
             "n": self.n,
             "zero_edges": sorted(self.zero_edges),
-            "edges": [
-                [i, j, z.to_json()]
-                for i, j, z in sorted(
-                    self.labeled_edges, key=lambda e: (e[0], e[1], e[2].sort_key())
-                )
-            ],
+            "edges": [[i, j, z.to_json()] for i, j, z in self._edges if i],
         }
 
     @classmethod
@@ -272,7 +273,7 @@ class LabeledMultigraph:
     def __repr__(self):
         return (
             f"LabeledMultigraph(n={self.n}, zero_edges={sorted(self.zero_edges)}, "
-            f"labeled_edges={self.edge_list()[len(self.zero_edges):]})"
+            f"labeled_edges={[e for e in self._edges if e[0]]})"
         )
 
 
@@ -329,9 +330,7 @@ def is_perfectly_labeled(G: LabeledMultigraph) -> PerfectLabelingResult:
     (3) a j-k edge together with 0-k forces 0-j.
     """
     by_pair: dict[tuple[int, int], list[GaussRational]] = defaultdict(list)
-    for i, j, z in sorted(
-        G.labeled_edges, key=lambda e: (e[0], e[1], e[2].sort_key())
-    ):
+    for i, j, z in G.edge_list()[len(G.zero_edges):]:
         by_pair[(i, j)].append(z)
     by_top: dict[int, list[tuple[int, GaussRational]]] = defaultdict(list)
     for (i, j), labels in sorted(by_pair.items()):
@@ -379,18 +378,21 @@ class Arrangement(_Frozen):
 
 
 def build_arrangement(G: LabeledMultigraph) -> Arrangement:
-    """One hyperplane per edge: x_i = label * x_j for i-j, x_k = 0 for 0-k."""
-    _within_output_budget(G.n)
-    normals = []
-    for i, j, z in G.edge_list():
-        vec = [GR_ZERO] * G.n
-        if i == 0:
-            vec[j - 1] = GR_ONE
-        else:
-            vec[i - 1] = GR_ONE
-            vec[j - 1] = -z
-        normals.append(tuple(vec))
-    return Arrangement(G.n, tuple(normals), G.is_real())
+    """One hyperplane per edge: x_i = label * x_j for i-j, x_k = 0 for 0-k.
+    Built on the first call and kept on G."""
+    if G._arrangement is None:
+        _within_output_budget(G.n)
+        normals = []
+        for i, j, z in G.edge_list():
+            vec = [GR_ZERO] * G.n
+            if i == 0:
+                vec[j - 1] = GR_ONE
+            else:
+                vec[i - 1] = GR_ONE
+                vec[j - 1] = -z
+            normals.append(tuple(vec))
+        G._arrangement = Arrangement(G.n, tuple(normals), G.is_real())
+    return G._arrangement
 
 
 class IntersectionLattice:
@@ -473,21 +475,12 @@ def _realification(normal: Sequence[GaussRational]) -> tuple[tuple[int, ...], ..
     return tuple(xy), tuple([-c for c in xy[n:]] + xy[:n])
 
 
-def intersection_lattice(A: Arrangement) -> IntersectionLattice:
-    """Build the flats rank by rank, deduplicating each rank by echelon form.
-
-    A real arrangement eliminates its own rows in Z^n, one row per normal
-    and per rank; a non-real one eliminates its realification in Z^(2n),
-    two rows per normal and per rank.  Both give the same lattice on real
-    normals, since the realified form of real rows is their form doubled.
-
-    Each flat X is joined only with the atoms not below it.  Every atom a
-    below a flat Z of rank r is reached as X v a from some flat X of rank
-    r - 1 that does not contain a, so OR-ing the masks of all such X, plus
-    the bit of a, gives the full atom set of Z with no further elimination.
-    A central arrangement has one flat of top rank rho, the span of all
-    atoms, so the joins from rank rho - 1 take its form with no elimination.
-    """
+def _atom_forms(A: Arrangement) -> tuple[int, list[tuple], tuple]:
+    """The rows per rank (1 for a real arrangement, 2 for a realified one),
+    the echelon form of each distinct hyperplane in order, and the top's
+    form.  A real arrangement eliminates its own rows in Z^n, a non-real one
+    its realification in Z^(2n); both give the same lattice on real normals,
+    since the realified form of real rows is their form doubled."""
     if len(A.normals) > _HYPERPLANE_BUDGET:
         raise BudgetExceededError(
             f"{len(A.normals)} hyperplanes exceeds budget {_HYPERPLANE_BUDGET}"
@@ -505,33 +498,84 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
         f = echelon(rows)
         if f not in atom_forms:
             atom_forms.append(f)
-    top_form = echelon(row for atom in atom_forms for row in atom)
+    return per_rank, atom_forms, echelon(row for atom in atom_forms for row in atom)
+
+
+def intersection_lattice(A: Arrangement) -> IntersectionLattice:
+    """Build the flats rank by rank, deduplicating each rank by echelon form.
+
+    Each flat X is joined with the atoms a not below it, in order.  Every
+    atom below a flat Z of rank r is reached as X v a from some flat X of
+    rank r - 1 that does not contain it, so OR-ing the masks of all such X,
+    plus the bit of a, gives the full atom set of Z.  A join already known
+    is read, not eliminated again.  The lattice of flats is semimodular
+    (Orlik-Terao, *Arrangements of Hyperplanes*, 1992, section 2.1): for
+    the lower cover W that X was first reached from, Y = W v a is a stored
+    flat of X's rank and X v a = X v Y, so the join of each pair {X, Y} is
+    kept for the level.  Failing that, a cover of X found so far whose mask
+    already holds X and a is the join, since both have rank r + 1.  Only
+    when both miss is form + atom eliminated.  A central arrangement has one
+    flat of top rank rho, the span of all atoms, so the joins from rank
+    rho - 1 take its form with no elimination, and the joins of the bottom
+    are the atoms' own forms.  Each level still finds its flats in the
+    order of its (X, a) pairs, so the order of `rank` and the point where
+    the lattice budget refuses do not depend on which way a join was found.
+    """
+    per_rank, atom_forms, top_form = _atom_forms(A)
     ranks: dict[int, int] = {0: 0}
     atom_joins: dict[tuple[int, int], int] = {}
-    level: dict[tuple, int] = {(): 0}
+    # each flat of a level: its form, its mask and the lower cover it was
+    # first reached from
+    level: list[tuple[tuple, int, int]] = [((), 0, 0)]
     while level:
-        joined_masks: dict[tuple, int] = {}
-        joined_forms: list[tuple[int, int, tuple]] = []
+        index: dict[tuple, int] = {}  # the form of each flat found, to its place
+        masks: list[int] = []  # the atoms found below each flat so far
+        reached_from: list[int] = []
+        pair_joins: dict[tuple[int, int], int] = {}
+        joins: list[tuple[int, int, int]] = []
+
+        def place(form: tuple, mask: int) -> int:
+            z = index.get(form)
+            if z is None:
+                if len(ranks) + len(masks) >= _LATTICE_BUDGET:
+                    raise BudgetExceededError(
+                        f"intersection lattice exceeds {_LATTICE_BUDGET} elements"
+                    )
+                z = index[form] = len(masks)
+                masks.append(0)
+                reached_from.append(mask)
+            return z
+
         # a level's flats share one rank; from rank rho - 1 each join is the top
-        coatoms = len(next(iter(level))) + per_rank == len(top_form)
-        for form, mask in level.items():
+        coatoms = len(level[0][0]) + per_rank == len(top_form)
+        for form, mask, below in level:
+            covers: list[int] = []  # the places of X's covers found so far
             for a, atom in enumerate(atom_forms):
-                if mask >> a & 1:
+                bit = 1 << a
+                if mask & bit:
                     continue
-                joined = top_form if coatoms else echelon(form + atom)
-                if joined not in joined_masks:
-                    joined_masks[joined] = 0
-                    if len(ranks) + len(joined_masks) > _LATTICE_BUDGET:
-                        raise BudgetExceededError(
-                            f"intersection lattice exceeds {_LATTICE_BUDGET} elements"
-                        )
-                joined_masks[joined] |= mask | 1 << a
-                joined_forms.append((mask, a, joined))
-        for mask, a, joined in joined_forms:
-            atom_joins[mask, a] = joined_masks[joined]
-        for form, mask in joined_masks.items():
+                if coatoms or not mask:
+                    z = place(top_form if coatoms else atom, mask)
+                else:
+                    other = atom_joins[below, a]
+                    pair = (mask, other) if mask < other else (other, mask)
+                    z = pair_joins.get(pair)
+                    if z is None:
+                        for z in covers:  # each holds X; the join is one holding a
+                            if masks[z] & bit:
+                                break
+                        else:
+                            z = place(echelon(form + atom), mask)
+                        pair_joins[pair] = z
+                masks[z] |= mask | bit
+                if z not in covers:
+                    covers.append(z)
+                joins.append((mask, a, z))
+        for mask, a, z in joins:
+            atom_joins[mask, a] = masks[z]
+        level = [(form, masks[z], reached_from[z]) for form, z in index.items()]
+        for form, mask, _ in level:
             ranks[mask] = len(form) // per_rank
-        level = joined_masks
     return IntersectionLattice(ranks, atom_joins)
 
 

@@ -11,12 +11,15 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from isfkit.errors import InternalCheckError
+from isfkit.errors import BudgetExceededError, InternalCheckError
 from isfkit.graphcore import EdgeOrder, Graph, simple_cycles
 from isfkit.patterns import RootedLabeledForest
 from isfkit.polycore import IntPolynomial
 from isfkit.simplicial import PureComplex, SpanningSubcomplex
-from isfkit.arrangement import GaussRational, LabeledMultigraph, atom_blocks
+from isfkit import arrangement
+from isfkit.arrangement import (GaussRational, IntersectionLattice, LabeledMultigraph,
+                                atom_blocks)
+from isfkit.exactla import echelon
 
 
 # -- the two labelings of the paw graph (triangle plus a pendant edge) -------
@@ -482,6 +485,41 @@ def oracle_rho_and_chi(G: LabeledMultigraph) -> tuple[int, IntPolynomial]:
                 rho - len(_echelon_basis(subset)), (-1) ** r
             )
     return rho, chi
+
+
+def oracle_intersection_lattice(A) -> IntersectionLattice:
+    """The lattice of flats by one elimination per (flat X, atom a) pair
+    with a not below X, rank by rank, with the library's atom forms and
+    budgets: the builder before it read known joins.  Each level keeps its
+    flats in the order its pairs first reach them."""
+    per_rank, atom_forms, top_form = arrangement._atom_forms(A)
+    ranks: dict[int, int] = {0: 0}
+    atom_joins: dict[tuple[int, int], int] = {}
+    level: dict[tuple, int] = {(): 0}
+    while level:
+        joined_masks: dict[tuple, int] = {}
+        joined_forms: list[tuple[int, int, tuple]] = []
+        coatoms = len(next(iter(level))) + per_rank == len(top_form)
+        for form, mask in level.items():
+            for a, atom in enumerate(atom_forms):
+                if mask >> a & 1:
+                    continue
+                joined = top_form if coatoms else echelon(form + atom)
+                if joined not in joined_masks:
+                    joined_masks[joined] = 0
+                    if len(ranks) + len(joined_masks) > arrangement._LATTICE_BUDGET:
+                        raise BudgetExceededError(
+                            f"intersection lattice exceeds "
+                            f"{arrangement._LATTICE_BUDGET} elements"
+                        )
+                joined_masks[joined] |= mask | 1 << a
+                joined_forms.append((mask, a, joined))
+        for mask, a, joined in joined_forms:
+            atom_joins[mask, a] = joined_masks[joined]
+        for form, mask in joined_masks.items():
+            ranks[mask] = len(form) // per_rank
+        level = joined_masks
+    return IntersectionLattice(ranks, atom_joins)
 
 
 def oracle_mobius(L) -> dict[int, int]:

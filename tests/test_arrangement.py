@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,6 +30,7 @@ from isfkit.arrangement import (
     topology_report,
     verify_isf_chi,
 )
+from isfkit.exactla import echelon
 from isfkit.polycore import IntPolynomial
 from isfkit import graphcore
 from isfkit.cli import gen_multigraph
@@ -39,6 +42,7 @@ from helpers import (
     cycle_graph,
     graph_as_multigraph,
     oracle_flat_count,
+    oracle_intersection_lattice,
     oracle_is_supersolvable,
     oracle_lattice_nbc_sets,
     oracle_modular_elements,
@@ -91,6 +95,13 @@ def test_gauss_rational_json():
     assert GaussRational.from_json(z.to_json()) == z
     assert GaussRational.from_json({"re": "2"}) == GaussRational(2)
     assert GaussRational.from_json({"re": -3, "im": "06/4"}) == GaussRational(-3, Fraction(3, 2))
+
+
+def test_a_real_gauss_rational_hashes_like_the_equal_number():
+    for z, x in ((GaussRational(1), 1), (GaussRational(Fraction(1, 2)), Fraction(1, 2))):
+        assert z == x and hash(z) == hash(x)
+        assert len({z, x}) == 1
+    assert len({GaussRational(1, 1), GaussRational(1), 1}) == 2
 
 
 @pytest.mark.parametrize(
@@ -329,16 +340,100 @@ def test_real_rows_build_the_lattice_of_the_realification():
 
 
 def test_verify_and_topology_share_one_lattice(monkeypatch):
-    built = []
+    built, made = [], []
 
     def counting(A):
         built.append(A)
         return intersection_lattice(A)
 
+    class CountingArrangement(Arrangement):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
     monkeypatch.setattr(arrangement, "intersection_lattice", counting)
+    monkeypatch.setattr(arrangement, "Arrangement", CountingArrangement)
     G = anchored_multigraph()
+    assert G.is_real()
     assert verify_isf_chi(G).passed and topology_report(G).passed
     assert len(built) == 1
+    assert len(made) == 1  # the region count reads the kept arrangement
+
+    def fresh_sort(G):
+        return ([(0, k, None) for k in sorted(G.zero_edges)]
+                + sorted(G.labeled_edges, key=lambda e: (e[0], e[1], e[2].sort_key())))
+
+    monkeypatch.undo()  # a local class does not pickle
+    built = anchored_multigraph()
+    assert verify_isf_chi(built).passed and built._arrangement is not None
+    for H in (built, anchored_multigraph(), bare_parallel_pair()):
+        for twin in (H, copy.copy(H), pickle.loads(pickle.dumps(H))):
+            assert twin.edge_list() == fresh_sort(twin) == fresh_sort(H), H
+
+
+def complete_multigraph(n, labels, zero=()):
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return LabeledMultigraph(n, zero, [(i, j, q) for i, j in pairs for q in labels])
+
+
+LARGE_LATTICES = [
+    complete_multigraph(6, [1], zero=range(1, 6)),  # 20 atoms, 825 flats
+    complete_multigraph(5, [1, 2]),  # 20 atoms, 667 flats
+]
+
+
+def assert_same_lattice(L, ref, G):
+    # _mobius reads the atom joins in rank order, so the key order is kept too
+    assert list(L.rank.items()) == list(ref.rank.items()), G
+    assert list(L._atom_joins.items()) == list(ref._atom_joins.items()), G
+    assert list(L.mobius.items()) == list(ref.mobius.items()), G
+
+
+def test_lattice_equals_the_one_elimination_per_pair_oracle():
+    sizes = []
+    for G in itertools.chain((G for G, _ in lattice_corpus()), LARGE_LATTICES):
+        A = build_arrangement(G)
+        L = intersection_lattice(A)
+        assert_same_lattice(L, oracle_intersection_lattice(A), G)
+        sizes.append(L.size)
+    assert sizes[-2:] == [825, 667]
+
+
+def test_lattice_budget_refuses_where_the_oracle_refuses(monkeypatch):
+    cases = [(anchored_multigraph(), range(1, 15)),
+             (complete_multigraph(4, [1]), range(1, 17)),
+             (complete_multigraph(4, [1, 2]), range(10, 120, 7)),
+             (LARGE_LATTICES[1], (21, 22, 200, 666, 667))]
+    refused = 0
+    for G, budgets in cases:
+        A = build_arrangement(G)
+        for budget in budgets:
+            monkeypatch.setattr(arrangement, "_LATTICE_BUDGET", budget)
+            try:
+                ref = oracle_intersection_lattice(A)
+            except BudgetExceededError as exc:
+                refused += 1
+                with pytest.raises(BudgetExceededError, match=f"^{exc}$"):
+                    intersection_lattice(A)
+            else:
+                assert_same_lattice(intersection_lattice(A), ref, G)
+    assert refused >= 30
+
+
+def test_lattice_eliminates_once_per_new_join(monkeypatch):
+    # K4 with all-ones labels: 6 hyperplanes and 15 flats, 24 cover pairs
+    # X < Z with Z below the top (6 above the bottom, 18 above the atoms);
+    # at most one elimination each, one per atom and one for the top
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(arrangement, "echelon", counting)
+    L = intersection_lattice(build_arrangement(complete_multigraph(4, [1])))
+    assert L.size == 15 and len(L.atoms) == 6
+    assert len(calls) <= 6 + 1 + 24
 
 
 def test_kept_lattice_equals_a_fresh_build():
