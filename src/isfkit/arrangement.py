@@ -248,7 +248,8 @@ class LabeledMultigraph:
         return {
             "n": self.n,
             "zero_edges": sorted(self.zero_edges),
-            "edges": [[i, j, z.to_json()] for i, j, z in self._edges if i],
+            "edges": [[i, j, z.to_json()]
+                      for i, j, z in self.edge_list()[len(self.zero_edges):]],
         }
 
     @classmethod
@@ -273,7 +274,7 @@ class LabeledMultigraph:
     def __repr__(self):
         return (
             f"LabeledMultigraph(n={self.n}, zero_edges={sorted(self.zero_edges)}, "
-            f"labeled_edges={[e for e in self._edges if e[0]]})"
+            f"labeled_edges={self.edge_list()[len(self.zero_edges):]})"
         )
 
 

@@ -364,9 +364,9 @@ def test_verify_and_topology_share_one_lattice(monkeypatch):
                 + sorted(G.labeled_edges, key=lambda e: (e[0], e[1], e[2].sort_key())))
 
     monkeypatch.undo()  # a local class does not pickle
-    built = anchored_multigraph()
-    assert verify_isf_chi(built).passed and built._arrangement is not None
-    for H in (built, anchored_multigraph(), bare_parallel_pair()):
+    kept = anchored_multigraph()
+    assert verify_isf_chi(kept).passed and kept._arrangement is not None
+    for H in (kept, anchored_multigraph(), bare_parallel_pair()):
         for twin in (H, copy.copy(H), pickle.loads(pickle.dumps(H))):
             assert twin.edge_list() == fresh_sort(twin) == fresh_sort(H), H
 
@@ -391,7 +391,8 @@ def assert_same_lattice(L, ref, G):
 
 def test_lattice_equals_the_one_elimination_per_pair_oracle():
     sizes = []
-    for G in itertools.chain((G for G, _ in lattice_corpus()), LARGE_LATTICES):
+    for G in itertools.chain(seeded_multigraphs(), gaussian_multigraphs(),
+                             real_fraction_multigraphs(), LARGE_LATTICES):
         A = build_arrangement(G)
         L = intersection_lattice(A)
         assert_same_lattice(L, oracle_intersection_lattice(A), G)
