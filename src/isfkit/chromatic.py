@@ -1,14 +1,17 @@
-"""The two routes of the chromatic polynomial.  `graphcore` imports this
+"""The routes of the chromatic polynomial.  `graphcore` imports this
 module only when it colours a graph, so the commands that do not colour
 never compile it.
 
-Route one, `_by_contraction`, is a memoized deletion- and addition-
-contraction recursion on tuples of neighbour bitmasks.  Route two,
-`_class_counts`, is a transfer over the vertices whose states are the
-partitions of the frontier into colour classes; its counts by the number
-of classes are expanded in the falling-factorial basis.  The routes share
-no table; `graphcore.chromatic_polynomial` compares them.  Their budgets
-are the constants of `graphcore`.
+`_by_contraction` is a memoized deletion- and addition-contraction
+recursion on tuples of neighbour bitmasks.  `_by_colour_classes` expands
+the counts of `_class_counts`, a transfer over the vertices whose states
+are the partitions of the frontier into colour classes, in the
+falling-factorial basis.  The two share no table, and each χ identity
+compares two routes: `graphcore.chromatic_polynomial` (`graph chromatic`,
+`complex verify`, `forest verify`) compares these two, and
+`graphcore.verify_isf_nbc` (`graph verify`) compares the colour classes
+with Whitney's signed counts of the NBC transfer, so the recursion does
+not run there.  Their budgets are the constants of `graphcore`.
 """
 
 from __future__ import annotations
@@ -92,6 +95,14 @@ def _class_counts(G: Graph) -> tuple[list[int], int]:
         spent += len(nxt) * per_state
         table = nxt
     return table[()], isolated
+
+
+def _by_colour_classes(G: Graph) -> list[int]:
+    """The coefficients of P(G), in t**i, from `_class_counts`: each
+    partition into k colour classes is coloured in t(t-1)...(t-k+1) ways,
+    and a vertex without an edge multiplies by t."""
+    counts, isolated = _class_counts(G)
+    return [0] * isolated + _falling_to_power(counts)
 
 
 def _transfer_bits_exceeded() -> BudgetExceededError:

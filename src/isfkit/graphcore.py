@@ -15,11 +15,13 @@ partition of the vertices that still have an edge to come.  With one more
 field, the vertices that have taken their edge from below, the same transfer
 counts the increasing forests that are NBC sets, so `verify_isf_nbc` checks
 ISF ⊆ NBC by counts and lists no set; the walks remain the second route of
-`verify_tf_theorems` and of the set listings.  The chromatic polynomial
-compares the two routes of `chromatic`: a memoized deletion- and
-addition-contraction recursion on neighbour bitmasks, and the counts of a
-colour-class transfer over the vertices, expanded in the falling-factorial
-basis.
+`verify_tf_theorems` and of the set listings.  A graph keeps its NBC counts
+under the lexicographic order once `nbc_sets` has found them.  The
+chromatic polynomial compares the two routes of `chromatic`: a memoized
+deletion- and addition-contraction recursion on neighbour bitmasks, and the
+counts of a colour-class transfer over the vertices, expanded in the
+falling-factorial basis.  `verify_isf_nbc` compares the colour classes with
+Whitney's signed NBC counts instead, and runs no recursion.
 """
 
 from __future__ import annotations
@@ -67,9 +69,14 @@ _ORIENTATION_BUDGET = 16  # edges that acyclic_orientation_count cross-checks
 
 
 class Graph:
-    """A simple graph with vertex set {1..n} and edges stored as (i, j), i < j."""
+    """A simple graph with vertex set {1..n} and edges stored as (i, j), i < j.
 
-    __slots__ = ("n", "edges")
+    The fields are never assigned after construction, so one derived value
+    is kept in a slot that takes no part in equality, repr or JSON: `_nbc`,
+    the NBC counts by size under the lexicographic order, found on first
+    use by `nbc_sets`."""
+
+    __slots__ = ("n", "edges", "_nbc")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         n = require_int(n, "vertex count n")
@@ -88,6 +95,7 @@ class Graph:
             clean.add((i, j))
         self.n = n
         self.edges = frozenset(clean)
+        self._nbc = None
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
@@ -146,12 +154,22 @@ class Graph:
 
 
 class EdgeOrder:
-    """A total order on the edges of a graph; default is lexicographic."""
+    """A total order on the edges of a graph; default is lexicographic.
+    Each entry must be a pair of ints, and is stored smaller endpoint first."""
 
     __slots__ = ("sequence",)
 
     def __init__(self, sequence: Sequence[Edge]):
-        seq = [(min(e), max(e)) for e in sequence]
+        seq = []
+        for e in sequence:
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise InputError(f"edge {e} must have exactly two endpoints") from None
+            if type(i) is not int or type(j) is not int:  # require_int's test
+                require_int(i, "edge endpoint")
+                require_int(j, "edge endpoint")
+            seq.append((i, j) if i < j else (j, i))
         if len(set(seq)) != len(seq):
             raise InputError("edge order contains duplicates")
         self.sequence = tuple(seq)
@@ -163,9 +181,18 @@ class EdgeOrder:
     @classmethod
     def from_sequence(cls, graph: Graph, sequence: Sequence[Edge]) -> "EdgeOrder":
         order = cls(sequence)
-        if set(order.sequence) != graph.edges:
-            raise InputError("edge order must be a permutation of the edge set")
+        _order_sequence(graph, order)
         return order
+
+
+def _order_sequence(G: Graph, order: EdgeOrder | None) -> Sequence[Edge]:
+    """The edges of G in `order`, lexicographic when it is None; refuses an
+    order of another edge set."""
+    if order is None:
+        return G.sorted_edges()
+    if set(order.sequence) != G.edges:
+        raise InputError("edge order must be a permutation of the edge set")
+    return order.sequence
 
 
 def _within_output_budget(n: int) -> None:
@@ -346,10 +373,9 @@ def _nbc_walk(G: Graph, order: EdgeOrder | None):
     bitmask of the edges incident to its component; merging the components
     of s's endpoints closes the edges incident to both."""
     _edges_within_budget(G)
-    order = order or EdgeOrder.lexicographic(G)
     # walk position i holds the i-th largest edge; the edges below it are
     # the bits above i
-    seq = order.sequence[::-1]
+    seq = tuple(_order_sequence(G, order))[::-1]
     incident = [0] * (G.n + 1)
     for i, (u, v) in enumerate(seq):
         incident[u] |= 1 << i
@@ -400,8 +426,20 @@ def nbc_set_list(G: Graph, order: EdgeOrder | None = None) -> list[frozenset[Edg
 
 
 def nbc_sets(G: Graph, order: EdgeOrder | None = None) -> dict[int, int]:
-    """Counts of NBC edge sets by size, by a connectivity transfer that
-    lists no set.
+    """Counts of NBC edge sets by size, by `_nbc_transfer`, which lists no
+    set.  G keeps its counts under the default lexicographic order from the
+    first call, and each call returns its own copy; a call with `order`
+    always runs the transfer, and refuses an order of another edge set."""
+    if order is not None:
+        return _nbc_transfer(G, _order_sequence(G, order))
+    if G._nbc is None:
+        G._nbc = _nbc_transfer(G, G.sorted_edges())
+    return dict(G._nbc)
+
+
+def _nbc_transfer(G: Graph, seq: Sequence[Edge]) -> dict[int, int]:
+    """Counts of NBC edge sets by size under the edge order `seq`, by a
+    connectivity transfer that lists no set.
 
     The edges are taken from the order-largest down, as `_nbc_walk` takes
     them.  A state is the partition, into the components of the chosen
@@ -421,11 +459,10 @@ def nbc_sets(G: Graph, order: EdgeOrder | None = None) -> dict[int, int]:
     on a long path, and with them the blocks, whose bitmasks are no wider
     than the vertices with an edge; both are checked as the table grows.
     The second routes: `verify_isf_nbc` checks Whitney's alternating sum of
-    these counts against the two-route chromatic polynomial, and
-    `verify_tf_theorems` checks the counts against `_nbc_walk`, which lists
-    the sets.
+    these counts against the colour-class transfer's chromatic polynomial,
+    and `verify_tf_theorems` checks the counts against `_nbc_walk`, which
+    lists the sets.
     """
-    seq = order.sequence if order else G.sorted_edges()
     width, state_bits, down, rest = _transfer_setup(G, seq)
     table: dict[tuple[int, ...], int] = {(): 1}
     spent = 0
@@ -622,8 +659,7 @@ def chromatic_polynomial(G: Graph) -> IntPolynomial:
     """
     from . import chromatic  # only the commands that colour compile it
     _within_output_budget(G.n)
-    counts, isolated = chromatic._class_counts(G)
-    by_transfer = [0] * isolated + chromatic._falling_to_power(counts)
+    by_transfer = chromatic._by_colour_classes(G)
     by_recursion = chromatic._by_contraction(G)
     if by_recursion != by_transfer:
         raise InternalCheckError(
@@ -742,15 +778,21 @@ def verify_isf_nbc(G: Graph) -> Report:
     counts of the joint transfer.  ISF ⊆ NBC exactly when the joint counts
     equal the ISF counts, and at any size the two families are equal exactly
     when all three counts agree there.  The joint counts are the second
-    route of the factorization while the theorem holds, and Whitney's
-    alternating sum checks the NBC counts against the chromatic polynomial.
-    The output budget refuses first, then the transfers' table and bits
-    budgets as their tables grow.
+    route of the factorization while the theorem holds.  χ has two routes
+    that share no table: Whitney's signed NBC counts,
+    sum (-1)**m |NBC_m| t**(n-m), and the colour-class transfer of
+    `chromatic`; `whitney_alternating_sum_vs_chromatic` compares them, and
+    the colour-class χ feeds the PEO and orientation facts.  The contraction
+    recursion of `chromatic_polynomial` does not run here.  G keeps its NBC
+    counts, so a later `nbc_sets(G)` does not rerun the transfer.  The output
+    budget refuses first, then the transfers' table and bits budgets as
+    their tables grow.
     """
+    from . import chromatic  # only the commands that colour compile it
     report = Report()
     _within_output_budget(G.n)
     nbc_counts = nbc_sets(G)
-    chrom = chromatic_polynomial(G)
+    chrom = IntPolynomial(chromatic._by_colour_classes(G))
     joint = _isf_nbc_counts(G)
     factored = isf_polynomial(G)
     isf_counts = {G.n - d: c for d, c in enumerate(factored.coeffs) if c}

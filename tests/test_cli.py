@@ -997,16 +997,21 @@ def test_verify_refuses_before_it_walks(tmp_path, kind, payload, refusal):
 _K10 = Graph(10, itertools.combinations(range(1, 11), 2)).to_json()
 _FULL_7 = PureComplex(7, 2, itertools.combinations(range(1, 8), 3)).to_json()
 _PATH_21 = Graph(21, [(k, k + 1) for k in range(1, 21)]).to_json()
+_GRID_7 = Graph(49, [(v, v + 1) for v in range(1, 50) if v % 7]
+                + [(v, v + 7) for v in range(1, 43)]).to_json()
 
 
 # `graph verify` lists no family, so neither the edge budget nor the member
 # budget bounds it: K10 has 45 edges and 10! NBC sets, the seeded G(16, 0.3)
-# has 29 edges, and the paths have 2**20 and 2**25 NBC sets
+# has 29 edges, and the paths have 2**20 and 2**25 NBC sets.  Its χ routes
+# are Whitney's NBC counts and the colour classes, so the contraction
+# recursion, whose memo refuses the row-major 7×7 grid, does not run.
 @pytest.mark.parametrize(
     "payload, edges, seconds",
     [(_K10, 45, 20), (gen_graph(3, 16, 0.3).to_json(), 29, 20), (_PATH_21, 20, 2),
-     (_PATH_26, 25, 2)],
-    ids=["graph-K10", "graph-G16-0.3", "graph-21-vertex-path", "graph-26-vertex-path"],
+     (_PATH_26, 25, 2), (_GRID_7, 84, 10)],
+    ids=["graph-K10", "graph-G16-0.3", "graph-21-vertex-path", "graph-26-vertex-path",
+         "graph-7x7-grid"],
 )
 def test_graph_verify_counts_without_walking(tmp_path, payload, edges, seconds):
     assert len(payload["edges"]) == edges

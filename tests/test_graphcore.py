@@ -1,6 +1,9 @@
+import copy
 import itertools
 import math
+import pickle
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -276,6 +279,64 @@ def test_nbc_counts_independent_of_order(seed):
         assert nbc_sets(G, order=EdgeOrder.from_sequence(G, shuffled)) == base
 
 
+def test_edge_order_refuses_entries_that_are_not_pairs_of_ints():
+    K3 = complete_graph(3)
+    for entry, message in (((1, 2, 3), "edge (1, 2, 3) must have exactly two endpoints"),
+                           (5, "edge 5 must have exactly two endpoints"),
+                           ((1.0, 3), "edge endpoint must be an integer, got 1.0"),
+                           ((True, 3), "edge endpoint must be an integer, got True"),
+                           ((1, "3"), "edge endpoint must be an integer, got '3'")):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            EdgeOrder.from_sequence(K3, [(1, 2), entry, (2, 3)])
+    order = EdgeOrder.from_sequence(K3, [(2, 1), (3, 1), [3, 2]])
+    assert order.sequence == ((1, 2), (1, 3), (2, 3))
+    assert all(type(v) is int for e in order.sequence for v in e)
+
+
+def test_nbc_counts_and_listing_refuse_an_order_of_another_edge_set():
+    G = Graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
+    assert nbc_sets(G) == {0: 1, 1: 4, 2: 5, 3: 2}
+    for other in ([(1, 2), (1, 4)], [(1, 2), (1, 3), (2, 3)],
+                  [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]):
+        for count_or_list in (nbc_sets, nbc_set_list):
+            with pytest.raises(InputError,
+                               match="^edge order must be a permutation of the edge set$"):
+                count_or_list(G, EdgeOrder(other))
+
+
+def test_nbc_sets_keeps_the_lexicographic_counts(monkeypatch):
+    runs = []
+    transfer = graphcore._nbc_transfer
+
+    def counting(G, seq):
+        runs.append(tuple(seq))
+        return transfer(G, seq)
+
+    monkeypatch.setattr(graphcore, "_nbc_transfer", counting)
+    G = paw_non_peo()
+    first, second = nbc_sets(G), nbc_sets(G)
+    assert len(runs) == 1
+    assert first == second == {0: 1, 1: 4, 2: 5, 3: 2} and first is not second
+    first[0] += 1
+    second[5] = 7
+    assert nbc_sets(G) == {0: 1, 1: 4, 2: 5, 3: 2} and len(runs) == 1
+    # an order, even the lexicographic one, always runs the transfer
+    lex = EdgeOrder.lexicographic(G)
+    assert nbc_sets(G, lex) == nbc_sets(G, order=lex) == nbc_sets(G)
+    assert len(runs) == 3
+    for twin in (copy.copy(G), copy.deepcopy(G), pickle.loads(pickle.dumps(G))):
+        assert twin == G and hash(twin) == hash(G) and repr(twin) == repr(G)
+        assert nbc_sets(twin) == nbc_sets(G)
+    assert len(runs) == 3
+    # `graph verify` finds the counts that a later call reads
+    H = complete_graph(5)
+    assert verify_isf_nbc(H).passed
+    assert nbc_sets(H) == {0: 1, 1: 10, 2: 35, 3: 50, 4: 24}
+    assert len(runs) == 4
+    fresh = complete_graph(5)
+    assert pickle.loads(pickle.dumps(fresh)) == fresh and fresh._nbc is None
+
+
 def test_chromatic_worked_examples():
     assert chromatic_polynomial(paw_peo()).coeffs == (0, -2, 5, -4, 1)
     assert chromatic_polynomial(Graph(3)) == IntPolynomial.monomial(3)
@@ -428,7 +489,7 @@ def test_nbc_transfer_table_budget_counts_states(monkeypatch):
         assert sum(nbc_sets(K).values()) == math.factorial(n)
         monkeypatch.setattr(graphcore, "_TABLE_BUDGET", bell - 1)
         with pytest.raises(BudgetExceededError, match=f"budget of {bell - 1} states"):
-            nbc_sets(K)
+            nbc_sets(complete_graph(n))  # K keeps its counts
     # a path keeps one state, whatever its length
     monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 1)
     path = Graph(200, [(i, i + 1) for i in range(1, 200)])
@@ -479,6 +540,48 @@ def test_verify_isf_nbc_fails_when_the_nbc_counts_are_off_by_one(monkeypatch):
 
     monkeypatch.setattr(graphcore, "nbc_sets", one_set_too_many)
     for G in (paw_peo(), paw_non_peo(), complete_graph(5)):
+        report = verify_isf_nbc(G)
+        assert not report.passed
+        named = {c.name: c.equal for c in report.identity_checks}
+        assert not named["whitney_alternating_sum_vs_chromatic"]
+
+
+def test_verify_isf_nbc_runs_no_contraction(monkeypatch):
+    # χ has two routes in `graph verify`: Whitney's signed NBC counts and
+    # the colour classes; the χ it reports is that of chromatic_polynomial
+    def no_recursion(G):
+        raise AssertionError("verify_isf_nbc ran the contraction recursion")
+
+    corpus = list(_seeded_graphs(53, 60)) + [cycle_graph(9), complete_graph(8)]
+    monkeypatch.setattr(chromatic, "_by_contraction", no_recursion)
+    with pytest.raises(AssertionError, match="contraction recursion"):
+        chromatic_polynomial(paw_peo())
+    reports = []
+    for G in corpus:
+        report = verify_isf_nbc(G)
+        assert report.passed, G
+        reports.append(report)
+    monkeypatch.undo()
+    for G, report in zip(corpus, reports):
+        named = {c.name: c for c in report.identity_checks}
+        whitney = named["whitney_alternating_sum_vs_chromatic"]
+        assert whitney.equal
+        assert whitney.right.to_json() == chromatic_polynomial(G).to_json(), G
+
+
+def test_verify_isf_nbc_fails_when_the_colour_classes_are_off_by_one(monkeypatch):
+    # the colour-class χ has its second route in Whitney's signed NBC
+    # counts; past eight vertices the orientation count, which reads χ at
+    # -1, has no cross-check of its own that would raise first
+    by_classes = chromatic._by_colour_classes
+
+    def one_colouring_too_many(G):
+        coeffs = by_classes(G)
+        coeffs[0] += 1
+        return coeffs
+
+    monkeypatch.setattr(chromatic, "_by_colour_classes", one_colouring_too_many)
+    for G in (cycle_graph(9), complete_graph(9), Graph(10, [(1, 2), (2, 10), (3, 4)])):
         report = verify_isf_nbc(G)
         assert not report.passed
         named = {c.name: c.equal for c in report.identity_checks}
