@@ -33,7 +33,7 @@ from .exactla import echelon
 from .graphcore import (_edge_problem, _increasing_masks, _within_output_budget,
                         counts_to_polynomial)
 from .polycore import IntPolynomial, poly_from_linear_factors
-from .report import Report, _Frozen, _set
+from .report import Report, _Frozen, _Kept, _set
 from .walks import block_transversals, count_by_size, downward_closed, members
 
 __all__ = [
@@ -185,11 +185,11 @@ GR_ONE = GaussRational(1)
 EdgeToken = tuple[int, int, GaussRational | None]
 
 
-class LabeledMultigraph:
+class LabeledMultigraph(_Kept):
     """A multigraph on {0..n}: optional plain edges from 0, labeled edges between
     nonzero vertices (nonzero Gaussian-rational labels, parallels allowed).
 
-    The fields are never assigned after construction, so three derived
+    The fields cannot be assigned after construction, so three derived
     values are kept in slots that take no part in repr or JSON: `_edges`,
     the canonical edge list, sorted once at construction; `_arrangement`,
     built on first use by `build_arrangement`; and `_lattice`, built on
@@ -226,15 +226,15 @@ class LabeledMultigraph:
             if (i, j, label) in lset:
                 raise InputError(f"duplicate edge ({i},{j}) with equal label")
             lset.add((i, j, label))
-        self.n = n
-        self.zero_edges = frozenset(zset)
-        self.labeled_edges = frozenset(lset)
-        self._edges = (
+        _set(self, "n", n)
+        _set(self, "zero_edges", frozenset(zset))
+        _set(self, "labeled_edges", frozenset(lset))
+        _set(self, "_edges", (
             *[(0, k, None) for k in sorted(zset)],
             *sorted(lset, key=lambda e: (e[0], e[1], e[2].sort_key())),
-        )
-        self._arrangement = None
-        self._lattice = None
+        ))
+        _set(self, "_arrangement", None)
+        _set(self, "_lattice", None)
 
     def edge_list(self) -> list[EdgeToken]:
         """All edges in a canonical deterministic order: the zero edges by

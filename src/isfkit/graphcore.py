@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from .polycore import IntPolynomial, WeightedGF, poly_from_linear_factors
-from .report import Report
+from .report import Report, _Kept, _set
 from .walks import count_by_size, downward_closed, members, unpack_counts
 
 __all__ = [
@@ -68,10 +68,10 @@ _VERTEX_BUDGET = 8  # vertices of the orientation cross-check's table
 _ORIENTATION_BUDGET = 16  # edges that acyclic_orientation_count cross-checks
 
 
-class Graph:
+class Graph(_Kept):
     """A simple graph with vertex set {1..n} and edges stored as (i, j), i < j.
 
-    The fields are never assigned after construction, so one derived value
+    The fields cannot be assigned after construction, so one derived value
     is kept in a slot that takes no part in equality, repr or JSON: `_nbc`,
     the NBC counts by size under the lexicographic order, found on first
     use by `nbc_sets`."""
@@ -86,16 +86,18 @@ class Graph:
         for e in edges:
             if len(e) != 2:
                 raise InputError(f"edge {e} must have exactly two endpoints")
-            i = require_int(e[0], "edge endpoint")
-            j = require_int(e[1], "edge endpoint")
+            i, j = e[0], e[1]
+            if type(i) is not int or type(j) is not int:  # require_int's test
+                require_int(i, "edge endpoint")
+                require_int(j, "edge endpoint")
             if not (1 <= i < j <= n):
                 raise InputError(f"edge ({i},{j}) {_edge_problem(i, j, n)}")
             if (i, j) in clean:
                 raise InputError(f"edge ({i},{j}) is repeated")
             clean.add((i, j))
-        self.n = n
-        self.edges = frozenset(clean)
-        self._nbc = None
+        _set(self, "n", n)
+        _set(self, "edges", frozenset(clean))
+        _set(self, "_nbc", None)
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}

@@ -6,7 +6,8 @@ generating-function identities for triangle-free graphs.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
@@ -376,54 +377,72 @@ def tf_polynomial(G: Graph) -> IntPolynomial:
 def _tf_step(table: dict, frontier: list[int], w: int, below: list[int],
              top: Sequence[int], width: int) -> tuple[list[int], dict]:
     """One vertex of the `tf_polynomial` transfer: the label w, joined to
-    the earlier labels `below`, is added to `table` over `frontier`; top[v]
-    > w exactly when the label v has a neighbour after w.  Returns the new
-    frontier, the labels up to w that keep a later neighbour, and its table.
+    the earlier labels `below`, in increasing order, is added to `table`
+    over `frontier`; top[v] > w exactly when the label v has a neighbour
+    after w.  Returns the new frontier, the labels up to w that keep a
+    later neighbour, and its table.
 
-    States are read by frontier position, found by bisection as a frontier
-    is increasing, w at the end with 0.  A lone y that leaves the frontier
-    by joining w changes only the edge number, so those are counted by a
-    binomial; only the lone y that stay on the frontier are listed.
+    The ordering sweep calls this mostly on tables of one to five states,
+    so the work per call is kept small.  A state is projected onto the kept
+    frontier positions by one `itemgetter` (one position, or none, by a
+    slice, so the result is a tuple), with w at the end.  Hanging w below
+    x rewrites x's entry only when x was alone, as the entry of a vertex
+    with company is already its maximum m.  Only a neighbour after x can be
+    a lone y > m; the lone y that leave the frontier by joining w change
+    only the edge number, so they are counted by a binomial, multiplied in
+    only when some leave, and only the lone y that stay are listed.
     """
     budget = graphcore._TABLE_BUDGET
-    kept = [v for v in (*frontier, w) if top[v] > w]
-    pick = [bisect_left(frontier, v) for v in kept]
-    slot = {v: s for s, v in enumerate(kept)}
-    w_slot = slot.get(w)
-    below = [(bisect_left(frontier, x), x, slot.get(x)) for x in below]
-    # x itself is never a lone y above m, so fewer than len(below) leave
-    spreads = [(1 + (1 << width)) ** a for a in range(len(below))]
+    picks, kept = [], []
+    for i, v in enumerate(frontier):
+        if top[v] > w:
+            picks.append(i)
+            kept.append(v)
+    if len(picks) > 1:
+        project = itemgetter(*picks)
+    else:
+        project = itemgetter(slice(picks[0], picks[0] + 1) if picks else slice(0))
+    alone = joined = ()  # w's entry, if w stays: alone, or below a neighbour
+    if top[w] > w:
+        kept.append(w)
+        alone, joined = (0,), (w,)
+    # each neighbour x: its frontier position, its new slot and the later ones
+    joins: list[tuple] = []
+    for x in reversed(below):
+        joins.append((frontier.index(x), x, kept.index(x) if top[x] > w else None,
+                      joins[::-1]))
+    spread = 1 + (1 << width)
     nxt: dict[tuple[int, ...], int] = {}
     for state, counts in table.items():
-        tops = (*state, 0)
-        stay = [tops[i] for i in pick]
-        key = tuple(stay)
-        nxt[key] = nxt.get(key, 0) + counts
-        alone = [(y, s) for i, y, s in below if not tops[i]]
-        for i, x, x_slot in below:
-            m = tops[i] or x
-            base = stay.copy()
-            if x_slot is not None:
-                base[x_slot] = m
-            if w_slot is not None:
-                base[w_slot] = w
-            gone, listed = 0, ()
-            for y, s in alone:
-                if y > m:
+        body = project(state)
+        stay = body + alone
+        nxt[stay] = nxt.get(stay, 0) + counts
+        body += joined
+        for i, x, x_slot, later in joins:
+            m = state[i]
+            key = body
+            if not m:  # x was alone: its maximum is now x
+                m = x
+                if x_slot is not None:
+                    key = body[:x_slot] + (x,) + body[x_slot + 1:]
+            gone, listed = 0, []
+            for j, y, s, _ in later:
+                if y > m and not state[j]:
                     if s is None:
                         gone += 1
                     else:
-                        listed += (s,)
-            packed = (counts << width) * spreads[gone]
-            key = tuple(base)
+                        listed.append(s)
+            packed = counts << width
+            if gone:
+                packed *= spread ** gone
             nxt[key] = nxt.get(key, 0) + packed
             for r in range(1, len(listed) + 1):
                 for ys in itertools.combinations(listed, r):
-                    grown = base.copy()
+                    grown = list(key)
                     for s in ys:
                         grown[s] = w
-                    key = tuple(grown)
-                    nxt[key] = nxt.get(key, 0) + (packed << width * r)
+                    grown = tuple(grown)
+                    nxt[grown] = nxt.get(grown, 0) + (packed << width * r)
         if len(nxt) > budget:
             raise BudgetExceededError(
                 f"tight-forest transfer table exceeds its budget of {budget} states")
@@ -434,11 +453,17 @@ def _tf_close(table: dict, frontier: list[int], width: int) -> int:
     """`_tf_step(table, frontier, n, ...)[1][()]` for the last label n, whose
     neighbours are the frontier, with no table: n alone keeps the counts,
     and n below a neighbour x of root path maximum m takes along any subset
-    of the g lone y > m, so counts are summed by g and spread once per g."""
+    of the g lone y > m, so counts are summed by g and spread once per g.
+    A state with no lone vertex, so no 0, adds n below each x with g = 0
+    and is not scanned.  No close fused with the step of label n - 1 is
+    kept: in paired runs the fused close was slower."""
     total = 0
-    by_g = [0] * len(frontier)
+    by_g = [0] * (len(frontier) + 1)
     for state, counts in table.items():
         total += counts
+        if 0 not in state:
+            by_g[0] += counts * len(state)
+            continue
         # the frontier is increasing, so the lone y above m are a suffix
         alone = [y for y, m in zip(frontier, state) if not m]
         g = len(alone)
@@ -615,44 +640,63 @@ def verify_tf_theorems(G: Graph) -> Report:
 def _tf_orderings(G: Graph):
     """(perm, the counts of G.relabeled(perm), packed as in `tf_polynomial`)
     for every ordering, in `itertools.permutations` order, whose labeled
-    graph, keyed by a bitmask over label pairs, was not seen before.
+    graph was not seen before.
 
-    Let sigma be the inverse of perm: sigma[k-1] gets label k.  The
-    transfer table after labels 1..k depends only on sigma[:k], which fixes
-    the edges among those labels and which of them keep a later neighbour,
-    so each table is kept under its prefix for k <= n - 2 and a later
-    ordering resumes from its longest kept prefix; `_tf_close` adds label n.
+    A labeled graph is keyed by its label pairs: the edge of labels a < b
+    is bit (b - 1) * n + (a - 1), read per edge from a pair-bit table, so
+    row b of the key holds the lower neighbours of b.  Only a key not seen
+    before reads each label's lower neighbours and its largest neighbour
+    from the rows.  The transfer table after labels 1..k depends only on
+    the key's bits below k * n, the edges among those labels, and on the
+    mask of the labels up to k with a neighbour above k: every `below` up
+    to k is in the low bits, and each top[v] > w test for v <= w <= k reads
+    the low bits or the mask.  So each table for k <= n - 2 is kept under
+    that signature, which a vertex prefix fixes, and a later labeling
+    resumes from its longest kept one; `_tf_close` adds label n.
     """
     n = G.n
     width = len(graphcore._edges_within_budget(G)) + 1
-    # the neighbours of each vertex, all 0-based, so perm[u] is u's label
-    nbrs = [[u - 1 for u in us] for us in G.adjacency().values()]
+    # bit[a][b]: the bit of the label pair a, b, the larger label major
+    bit = [[1 << (max(a, b) - 1) * n + min(a, b) - 1 if a and b else 0
+            for b in range(n + 1)] for a in range(n + 1)]
     edges = [(u - 1, v - 1) for u, v in G.edges]
+    row = (1 << n) - 1
     seen: set[int] = set()
-    tables = {(): ([], {(): 1})}
+    # tables[k]: the signature of labels 1..k -> (frontier, table)
+    tables: list[dict[int, tuple]] = [{} for _ in range(max(n - 1, 1))]
+    tables[0][0] = ([], {(): 1})
     for perm in itertools.permutations(range(1, n + 1)):
         key = 0
-        top = [0] * (n + 1)  # each label's largest later neighbour label
         for u, v in edges:
-            a, b = perm[u], perm[v]
-            if a > b:
-                a, b = b, a
-            key |= 1 << a * n + b
-            if b > top[a]:
-                top[a] = b
+            key |= bit[perm[u]][perm[v]]
         if key in seen:
             continue
         seen.add(key)
-        sigma = sorted(range(n), key=perm.__getitem__)
-        k = max(n - 2, 0)
-        while tuple(sigma[:k]) not in tables:
+        below = [[]] * (n + 1)
+        top = [0] * (n + 1)  # each label's largest neighbour above it
+        for b in range(2, n + 1):
+            lower = key >> (b - 1) * n & row
+            below[b] = [a for a in range(1, b) if lower >> a - 1 & 1]
+            for a in below[b]:
+                top[a] = b
+        # sigs[k]: the low bits of labels 1..k, with the mask above them;
+        # label k joins the mask, and a label whose last neighbour is k leaves
+        sigs, mask = [0], 0
+        for k in range(1, n - 1):
+            if top[k] > k:
+                mask |= 1 << k
+            for a in below[k]:
+                if top[a] == k:
+                    mask ^= 1 << a
+            sigs.append(key & (1 << k * n) - 1 | mask << n * n)
+        k = len(sigs) - 1
+        while sigs[k] not in tables[k]:
             k -= 1
-        frontier, table = tables[tuple(sigma[:k])]
+        frontier, table = tables[k][sigs[k]]
         for w in range(k + 1, n):
-            below = [x for u in nbrs[sigma[w - 1]] if (x := perm[u]) < w]
-            frontier, table = _tf_step(table, frontier, w, below, top, width)
-            if w <= n - 2:
-                tables[tuple(sigma[:w])] = (frontier, table)
+            frontier, table = _tf_step(table, frontier, w, below[w], top, width)
+            if w < len(sigs):
+                tables[w][sigs[w]] = (frontier, table)
         yield perm, _tf_close(table, frontier, width)
 
 

@@ -52,6 +52,30 @@ class _Frozen(_Value):
 _set = object.__setattr__
 
 
+class _Kept:
+    """A class whose `__init__` sets each public field once with `_set`, and
+    whose private slots keep values derived from the fields, filled on
+    first use.  Assigning a public field, or deleting any slot, raises
+    AttributeError, so a kept value never outlives its fields.  It pickles
+    and copies through its constructor, called with the public fields in
+    slot order, and hands the private slots over as slot state."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if name[0] != "_":
+            raise AttributeError(f"cannot assign to field {name!r}")
+        _set(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        slots = self.__slots__
+        return (type(self), tuple(getattr(self, s) for s in slots if s[0] != "_"),
+                (None, {s: getattr(self, s) for s in slots if s[0] == "_"}))
+
+
 class IdentityCheck(_Frozen):
     """Two sides of one polynomial/count identity, with the observed outcome."""
 

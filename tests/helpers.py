@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from isfkit.errors import BudgetExceededError, InternalCheckError
 from isfkit.graphcore import EdgeOrder, Graph, simple_cycles
+from isfkit import patterns
 from isfkit.patterns import RootedLabeledForest
 from isfkit.polycore import IntPolynomial
 from isfkit.simplicial import PureComplex, SpanningSubcomplex
@@ -299,6 +300,50 @@ def oracle_tf_roots_report(G: Graph, roots_of) -> dict:
         },
         "witnesses": witnesses,
     }
+
+
+def oracle_tf_orderings(G: Graph):
+    """The ordering sweep of `patterns._tf_orderings`, with its tables kept
+    under vertex prefixes: (perm, packed counts) for the first ordering of
+    each labeled graph, in `itertools.permutations` order.
+
+    Let sigma be the inverse of perm: sigma[k-1] gets label k.  The table
+    after labels 1..k depends only on sigma[:k], so each table for
+    k <= n - 2 is kept under its prefix and a later ordering resumes from
+    its longest kept prefix.  The last label n is added by one more step,
+    not by `_tf_close`, so the oracle checks the close too; it calls the
+    step through the module, so a test can count the calls."""
+    n = G.n
+    width = len(G.edges) + 1
+    # the neighbours of each vertex, all 0-based, so perm[u] is u's label
+    nbrs = [[u - 1 for u in us] for us in G.adjacency().values()]
+    edges = [(u - 1, v - 1) for u, v in G.edges]
+    seen: set[int] = set()
+    tables = {(): ([], {(): 1})}
+    for perm in itertools.permutations(range(1, n + 1)):
+        key = 0
+        top = [0] * (n + 1)  # each label's largest later neighbour label
+        for u, v in edges:
+            a, b = perm[u], perm[v]
+            if a > b:
+                a, b = b, a
+            key |= 1 << a * n + b
+            if b > top[a]:
+                top[a] = b
+        if key in seen:
+            continue
+        seen.add(key)
+        sigma = sorted(range(n), key=perm.__getitem__)
+        k = max(n - 2, 0)
+        while tuple(sigma[:k]) not in tables:
+            k -= 1
+        frontier, table = tables[tuple(sigma[:k])]
+        for w in range(k + 1, n + 1):
+            below = sorted(x for u in nbrs[sigma[w - 1]] if (x := perm[u]) < w)
+            frontier, table = patterns._tf_step(table, frontier, w, below, top, width)
+            if w <= n - 2:
+                tables[tuple(sigma[:w])] = (frontier, table)
+        yield perm, table[()]
 
 
 def oracle_coloring_count(G: Graph, t: int) -> int:

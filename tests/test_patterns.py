@@ -44,6 +44,7 @@ from helpers import (
     non_increasing_tree,
     oracle_increasing,
     oracle_long_cycles_have_chords,
+    oracle_tf_orderings,
     oracle_tf_roots_report,
     oracle_tf_sets,
 )
@@ -631,6 +632,65 @@ def test_roots_sweep_polynomials_match_the_walk_on_six_vertices():
     pairs = list(itertools.combinations(range(1, 7), 2))
     for _ in range(5):
         _check_sweep_against_the_walk(Graph(6, rng.sample(pairs, 8)))
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The labels w of every `_tf_step` call, through the module."""
+    calls = []
+    step = patterns._tf_step
+
+    def counted(table, frontier, w, *rest):
+        calls.append(w)
+        return step(table, frontier, w, *rest)
+
+    monkeypatch.setattr(patterns, "_tf_step", counted)
+    return calls
+
+
+def _check_sweep_against_the_oracle(G, step_calls):
+    """The label-keyed sweep yields the (perm, packed) list of the sweep
+    that keeps its tables under vertex prefixes, in at most its steps for
+    the labels below n (the oracle adds label n by a step, not a close);
+    returns both step counts."""
+    steps = []
+    yielded = []
+    for sweep in (patterns._tf_orderings, oracle_tf_orderings):
+        before = len(step_calls)
+        yielded.append(list(sweep(G)))
+        steps.append(sum(w < G.n for w in step_calls[before:]))
+    assert yielded[0] == yielded[1], G
+    assert steps[0] <= steps[1], G
+    return steps
+
+
+def test_roots_sweep_equals_the_vertex_prefix_oracle_on_every_graph_up_to_five_vertices(
+    step_calls
+):
+    for n in range(6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            _check_sweep_against_the_oracle(
+                Graph(n, itertools.compress(pairs, chosen)), step_calls)
+
+
+def test_roots_sweep_equals_the_vertex_prefix_oracle_on_six_vertices(step_calls):
+    rng = random.Random(3506)
+    corpus = [complete_graph(6), Graph(6), Graph(6, [(1, 4), (2, 6), (3, 5)]),
+              *_DISCONNECTED_NON_FORESTS.values()]
+    corpus += [random_graph(rng, 6, p) for p in (0.2, 0.3, 0.5, 0.7) for _ in range(4)]
+    for G in corpus:
+        _check_sweep_against_the_oracle(G, step_calls)
+
+
+def test_roots_sweep_takes_fewer_steps_than_the_vertex_prefix_oracle(step_calls):
+    # a labeling's table is shared with every labeling of the same edges
+    # among labels 1..k and the same labels with a later neighbour, not
+    # only with those that put the same vertices first
+    path6 = Graph(6, [(i, i + 1) for i in range(1, 6)])
+    for G in (path6, house_graph()):
+        swept, oracle = _check_sweep_against_the_oracle(G, step_calls)
+        assert swept < oracle, G
 
 
 def _check_closes_against_the_step(G, orderings=None):

@@ -11,9 +11,13 @@ from isfkit.arrangement import (
     Arrangement,
     LabeledMultigraph,
     PerfectLabelingResult,
+    _lattice_of,
     build_arrangement,
+    characteristic_polynomial,
+    verify_isf_chi,
 )
 from isfkit.errors import InputError
+from isfkit.graphcore import Graph, nbc_sets
 from isfkit.patterns import Pattern, QPOResult
 from isfkit.polycore import IntPolynomial
 from isfkit.report import IdentityCheck, Report
@@ -65,6 +69,41 @@ def test_pickle_and_copy_keep_the_fields(cls, args, kwargs):
     for clone in (copy.copy(value), copy.deepcopy(value),
                   pickle.loads(pickle.dumps(value))):
         assert type(clone) is cls and clone == value
+
+
+def test_graph_and_multigraph_fields_refuse_assignment_and_copies_keep_what_is_kept():
+    # a graph assigned new edges would keep the NBC counts of the old ones
+    G = Graph(3, [(1, 2), (1, 3), (2, 3)])
+    assert nbc_sets(G) == {0: 1, 1: 3, 2: 2}
+    for name, value in (("n", 2), ("edges", frozenset({(1, 2)}))):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(G, name, value)
+        with pytest.raises(AttributeError):
+            delattr(G, name)
+    assert (G.n, G.edges) == (3, {(1, 2), (1, 3), (2, 3)})
+    assert nbc_sets(G) == {0: 1, 1: 3, 2: 2}
+    for twin in (copy.copy(G), copy.deepcopy(G), pickle.loads(pickle.dumps(G))):
+        assert type(twin) is Graph and twin == G
+        assert hash(twin) == hash(G) and repr(twin) == repr(G)
+        assert twin._nbc == {0: 1, 1: 3, 2: 2} and nbc_sets(twin) == nbc_sets(G)
+        with pytest.raises(AttributeError):
+            twin.edges = frozenset()
+    M = anchored_multigraph()
+    assert verify_isf_chi(M).passed
+    chi = characteristic_polynomial(_lattice_of(M))
+    for name in ("n", "zero_edges", "labeled_edges"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(M, name, getattr(LabeledMultigraph(1), name))
+        with pytest.raises(AttributeError):
+            delattr(M, name)
+    for twin in (copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M))):
+        assert type(twin) is LabeledMultigraph and repr(twin) == repr(M)
+        assert twin.edge_list() == M.edge_list()
+        assert twin._arrangement == M._arrangement == build_arrangement(M)
+        assert twin._lattice is not None
+        assert characteristic_polynomial(_lattice_of(twin)) == chi
+        with pytest.raises(AttributeError):
+            twin.n = 4
 
 
 def test_frozen_equality_is_field_wise_and_hash_follows_it():
