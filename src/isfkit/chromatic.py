@@ -11,7 +11,9 @@ compares two routes: `graphcore.chromatic_polynomial` (`graph chromatic`,
 `complex verify`, `forest verify`) compares these two, and
 `graphcore.verify_isf_nbc` (`graph verify`) compares the colour classes
 with Whitney's signed counts of the NBC transfer, so the recursion does
-not run there.  Their budgets are the constants of `graphcore`.
+not run there.  The colour classes run through `graphcore._run_transfer`,
+which applies the table and bits budgets, and the recursion checks its
+memo against the same two constants of `graphcore`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import graphcore
-from .errors import BudgetExceededError
 from .graphcore import Graph
 
 
@@ -48,28 +49,18 @@ def _class_counts(G: Graph) -> tuple[list[int], int]:
     of the k - o closed classes, o being the state's open classes, or joins
     an open class that holds no neighbour of w.  A vertex leaves its class
     after its last neighbour, and a class left empty is closed.
-
-    `_TABLE_BUDGET` caps the states, and `_COUNT_BITS` the bits of counts
-    the table holds, summed over the steps; a count is at most the Bell
-    number of the placed vertices, so a long path is refused before any
-    step.
     """
     adj, isolated = _neighbour_masks(G)
-    budget = graphcore._TABLE_BUDGET
     # step j holds counts for k = 0..j, each below j**j
     state_bits = [(j + 1) * j * j.bit_length() for j in range(1, len(adj) + 1)]
-    if sum(state_bits) > graphcore._COUNT_BITS:
-        raise _transfer_bits_exceeded()
     # leave[w]: the vertices whose last neighbour is w, w itself if it has
     # no later one
     leave = [0] * len(adj)
     for v, nb in enumerate(adj):
         leave[max(v, nb.bit_length() - 1)] |= 1 << v
-    table: dict[tuple[int, ...], list[int]] = {(): [1]}
-    spent = 0
-    for w, per_state in enumerate(state_bits):
+
+    def step(table: dict[tuple[int, ...], list[int]], w: int, limit: int):
         wb, earlier, keep = 1 << w, adj[w] & ((1 << w) - 1), ~leave[w]
-        limit = min(budget, (graphcore._COUNT_BITS - spent) // per_state)
         nxt: dict[tuple[int, ...], list[int]] = {}
 
         def add(classes, counts):
@@ -87,13 +78,11 @@ def _class_counts(G: Graph) -> tuple[list[int], int]:
                 if not c & earlier:
                     add((*classes[:i], c | wb, *classes[i + 1:]), padded)
             if len(nxt) > limit:
-                if limit < budget:
-                    raise _transfer_bits_exceeded()
-                raise BudgetExceededError(
-                    f"colour-class transfer exceeds its budget of {budget} states"
-                )
-        spent += len(nxt) * per_state
-        table = nxt
+                break
+        return nxt
+
+    table = graphcore._run_transfer("colour-class transfer", "vertices", range(len(adj)),
+                                    {(): [1]}, step, state_bits)
     return table[()], isolated
 
 
@@ -103,10 +92,6 @@ def _by_colour_classes(G: Graph) -> list[int]:
     and a vertex without an edge multiplies by t."""
     counts, isolated = _class_counts(G)
     return [0] * isolated + _falling_to_power(counts)
-
-
-def _transfer_bits_exceeded() -> BudgetExceededError:
-    return graphcore._count_bits_exceeded("colour-class transfer", "vertices")
 
 
 def _falling_to_power(counts: Sequence[int]) -> list[int]:
@@ -238,10 +223,7 @@ def _by_contraction(G: Graph) -> list[int]:
             coeffs = [p + sign * q for p, q in zip(first, [*second, 0])]
         memo[core] = coeffs
         spent += (v + 1) * v * v.bit_length()
-        if len(memo) > budget:
-            raise BudgetExceededError(
-                f"chromatic recursion exceeds its budget of {budget} memo entries"
-            )
-        if spent > graphcore._COUNT_BITS:
-            raise graphcore._count_bits_exceeded("chromatic recursion", "memo entries")
+        if len(memo) > budget or spent > graphcore._COUNT_BITS:
+            raise graphcore._refusal("chromatic recursion", "memo entries",
+                                     bits=len(memo) <= budget)
     return [0] * (isolated + a) + _times_t_minus_one(memo[root], b)

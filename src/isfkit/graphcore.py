@@ -455,26 +455,20 @@ def _nbc_transfer(G: Graph, seq: Sequence[Edge]) -> dict[int, int]:
     edge.
 
     The cost grows with the table, not with the sets: the 200-vertex path
-    keeps one state, K_n peaks at the Bell number B(n-1).  `_TABLE_BUDGET`
-    caps the states the table holds, and `_COUNT_BITS` the bits of packed
-    counts it handles, summed over the edges, which bounds long counts, as
-    on a long path, and with them the blocks, whose bitmasks are no wider
-    than the vertices with an edge; both are checked as the table grows.
-    The second routes: `verify_isf_nbc` checks Whitney's alternating sum of
-    these counts against the colour-class transfer's chromatic polynomial,
-    and `verify_tf_theorems` checks the counts against `_nbc_walk`, which
-    lists the sets.
+    keeps one state, K_n peaks at the Bell number B(n-1).  `_run_transfer`
+    applies the budgets.  The second routes: `verify_isf_nbc` checks
+    Whitney's alternating sum of these counts against the colour-class
+    transfer's chromatic polynomial, and `verify_tf_theorems` checks the
+    counts against `_nbc_walk`, which lists the sets.
     """
     width, state_bits, down, rest = _transfer_setup(G, seq)
-    table: dict[tuple[int, ...], int] = {(): 1}
-    spent = 0
-    for (u, v), per_state in zip(down, state_bits):
+
+    def step(table: dict[tuple[int, ...], int], edge: Edge, limit: int):
+        u, v = edge
         ub, vb = 1 << u, 1 << v
         rest[u] ^= vb
         rest[v] ^= ub
         gone = (0 if rest[u] else ub) | (0 if rest[v] else vb)
-        # the table may grow to the states either budget leaves
-        limit = min(_TABLE_BUDGET, (_COUNT_BITS - spent) // per_state)
         nxt: dict[tuple[int, ...], int] = {}
         for blocks, counts in table.items():
             bu, bv = ub, vb
@@ -498,9 +492,10 @@ def _nbc_transfer(G: Graph, seq: Sequence[Edge]) -> dict[int, int]:
                     key = tuple(sorted(kept))
                     nxt[key] = nxt.get(key, 0) + (counts << width)
             if len(nxt) > limit:
-                raise _table_exceeded(limit)
-        spent += len(nxt) * per_state
-        table = nxt
+                break
+        return nxt
+
+    table = _run_transfer("NBC transfer", "edges", down, {(): 1}, step, state_bits)
     return unpack_counts(table[()], width)
 
 
@@ -515,18 +510,16 @@ def _isf_nbc_counts(G: Graph) -> dict[int, int]:
     j is not in `taken`; taking it sets j's bit, and a vertex leaves `taken`
     with its last edge.  Taken from the order-largest down, a vertex's edges
     to larger vertices come before its edges from below, so a set bit marks
-    a vertex with only edges from below left.  The same two budgets cap the
-    table.
+    a vertex with only edges from below left.
     """
     width, state_bits, down, rest = _transfer_setup(G, G.sorted_edges())
-    table: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
-    spent = 0
-    for (u, v), per_state in zip(down, state_bits):
+
+    def step(table: dict[tuple[tuple[int, ...], int], int], edge: Edge, limit: int):
+        u, v = edge
         ub, vb = 1 << u, 1 << v  # v is the larger label of the edge
         rest[u] ^= vb
         rest[v] ^= ub
         gone = (0 if rest[u] else ub) | (0 if rest[v] else vb)
-        limit = min(_TABLE_BUDGET, (_COUNT_BITS - spent) // per_state)
         nxt: dict[tuple[tuple[int, ...], int], int] = {}
         for (blocks, taken), counts in table.items():
             bu, bv = ub, vb
@@ -553,9 +546,10 @@ def _isf_nbc_counts(G: Graph) -> dict[int, int]:
                     key = (tuple(sorted(kept)), (taken | vb) & ~gone)
                     nxt[key] = nxt.get(key, 0) + (counts << width)
             if len(nxt) > limit:
-                raise _table_exceeded(limit)
-        spent += len(nxt) * per_state
-        table = nxt
+                break
+        return nxt
+
+    table = _run_transfer("NBC transfer", "edges", down, {((), 0): 1}, step, state_bits)
     return unpack_counts(table[(), 0], width)
 
 
@@ -563,17 +557,12 @@ def _transfer_setup(G: Graph, seq: Sequence[Edge]) -> tuple[int, list[int], list
     """What the NBC transfers over the edge order `seq` share: the count
     field width, the count bits a state holds at each step, the edges taken
     from the order-largest down with each endpoint renumbered, and `rest`,
-    the neighbours of each renumbered vertex over the edges still to come.
-    Refuses when a table of one state would already pass the bits budget.
-    """
+    the neighbours of each renumbered vertex over the edges still to come."""
     # the counts by size k, packed as the sum of count << width * k; no
     # count exceeds 2**len(seq), so one field never carries into the next
     width = len(seq) + 1
     # a state holds at most min(step + 1, n) counts of width bits
     state_bits = [min(step + 1, G.n) * width for step in range(1, width)]
-    # every step keeps a state: a table of one state already spends this much
-    if sum(state_bits) > _COUNT_BITS:
-        raise _count_bits_exceeded()
     # the k vertices with an edge are numbered 0..k-1 as the steps reach
     # them, so a bitmask has at most k <= min(2|E|, n) bits whatever the
     # labels; a state's at most min(step, k/2) blocks then hold less than
@@ -590,22 +579,33 @@ def _transfer_setup(G: Graph, seq: Sequence[Edge]) -> tuple[int, list[int], list
     return width, state_bits, down, rest
 
 
-def _table_exceeded(limit: int) -> BudgetExceededError:
-    """The refusal of an NBC transfer whose table passed `limit` states, the
-    lesser of the table budget and what the bits budget leaves."""
-    if limit < _TABLE_BUDGET:
-        return _count_bits_exceeded()
-    return BudgetExceededError(
-        f"NBC transfer table exceeds its budget of {_TABLE_BUDGET} states"
-    )
+def _run_transfer(what: str, unit: str, steps, table: dict, step, state_bits) -> dict:
+    """The last table of the transfer `what` from `table` over `steps`, one
+    `unit` each: `step(table, s, limit)` returns the next table, and may stop
+    growing it past `limit` states, the lesser of `_TABLE_BUDGET` and the
+    states that `_COUNT_BITS` leaves.  That caps the bits of counts summed
+    over the steps, a state holding at most `state_bits[i]` at the i-th step,
+    and bounds long counts, as on a long path.  A state per step already
+    spends sum(state_bits), so that is checked first."""
+    if sum(state_bits) > _COUNT_BITS:
+        raise _refusal(what, unit, bits=True)
+    spent = 0
+    for s, per_state in zip(steps, state_bits):
+        limit = min(_TABLE_BUDGET, (_COUNT_BITS - spent) // per_state)
+        table = step(table, s, limit)
+        if len(table) > limit:
+            if limit < _TABLE_BUDGET:
+                raise _refusal(what, unit, bits=True)
+            raise _refusal(f"{what} table", "states", bits=False)
+        spent += len(table) * per_state
+    return table
 
 
-def _count_bits_exceeded(what: str = "NBC transfer", steps: str = "edges"
-                         ) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"{what} exceeds its budget of {_COUNT_BITS} bits of counts "
-        f"summed over the {steps}"
-    )
+def _refusal(what: str, unit: str, bits: bool) -> BudgetExceededError:
+    """The refusal of `what` past `_TABLE_BUDGET` `unit`, or, with `bits`,
+    past `_COUNT_BITS` bits of counts summed over the `unit`."""
+    budget = f"{_COUNT_BITS} bits of counts summed over the" if bits else _TABLE_BUDGET
+    return BudgetExceededError(f"{what} exceeds its budget of {budget} {unit}")
 
 
 def _without(blocks: tuple[int, ...], gone: int) -> tuple[int, ...]:

@@ -444,8 +444,7 @@ def _tf_step(table: dict, frontier: list[int], w: int, below: list[int],
                     grown = tuple(grown)
                     nxt[grown] = nxt.get(grown, 0) + (packed << width * r)
         if len(nxt) > budget:
-            raise BudgetExceededError(
-                f"tight-forest transfer table exceeds its budget of {budget} states")
+            raise graphcore._refusal("tight-forest transfer table", "states", bits=False)
     return kept, nxt
 
 

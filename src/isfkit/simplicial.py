@@ -24,7 +24,7 @@ from . import graphcore
 from .exactla import echelon
 from .graphcore import Graph, counts_to_polynomial
 from .polycore import IntPolynomial, WeightedGF, poly_from_linear_factors
-from .report import Report
+from .report import Report, _Kept, _set
 from .walks import independent_set_counts
 
 __all__ = [
@@ -50,8 +50,10 @@ _FACET_BUDGET = 22  # facets of the cage-free sweep; past it, BudgetExceededErro
 Face = tuple[int, ...]
 
 
-class PureComplex:
-    """A pure d-dimensional simplicial complex on {1..n}, stored by facets."""
+class PureComplex(_Kept):
+    """A pure d-dimensional simplicial complex on {1..n}, stored by facets.
+    The fields cannot be assigned after construction, so `_masks` keeps
+    the facets' ridge bitmasks (`_ridge_masks`) from their first use."""
 
     __slots__ = ("n", "d", "facets", "_masks")
 
@@ -71,10 +73,10 @@ class PureComplex:
             if face in clean:
                 raise InputError(f"facet {list(face)} is repeated")
             clean.add(face)
-        self.n = n
-        self.d = d
-        self.facets = frozenset(clean)
-        self._masks = None
+        _set(self, "n", n)
+        _set(self, "d", d)
+        _set(self, "facets", frozenset(clean))
+        _set(self, "_masks", None)
 
     def faces(self) -> set[Face]:
         """Downward closure of the facets, excluding the empty face."""

@@ -3,7 +3,8 @@ set a budget, and the named constant each one defaults to.  Every other
 budget is a module constant that no caller sets; a new keyword has to be
 added here, so it is argued for in review.  README's Budgets table must
 list every budget constant with its current value, and the library must
-read each one."""
+read each one.  The transfers' table and bits budgets are applied by one
+runner, `graphcore._run_transfer`, tested here with a fake step."""
 
 import ast
 import inspect
@@ -13,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from isfkit import arrangement, graphcore, patterns, simplicial
+from isfkit import arrangement, chromatic, graphcore, patterns, simplicial
 from isfkit.errors import BudgetExceededError
+
+from helpers import complete_bipartite, cycle_graph
 
 # the benchmark's count hooks (perfbench/tracer.py COUNT_HOOKS) bind these
 # two by name, and a hook that fails to bind makes a traced run incorrect;
@@ -59,6 +62,17 @@ def test_one_setattr_on_a_budget_constant_reaches_every_reader(monkeypatch):
         with pytest.raises(BudgetExceededError,
                            match="^NBC transfer table exceeds its budget of 4"):
             transfer(K4)
+    # K4's tight-forest table peaks at 6 states, K3,3's colour classes at
+    # B(3) = 5, and the recursion on the 6-cycle keeps more than 4 cores
+    for reader, graph, refusal in (
+        (patterns.tf_polynomial, K4, "tight-forest transfer table exceeds its budget of 4 states"),
+        (chromatic._class_counts, complete_bipartite([1, 2, 3], [4, 5, 6]),
+         "colour-class transfer table exceeds its budget of 4 states"),
+        (chromatic._by_contraction, cycle_graph(6),
+         "chromatic recursion exceeds its budget of 4 memo entries"),
+    ):
+        with pytest.raises(BudgetExceededError, match=f"^{refusal}$"):
+            reader(graph)
     tetrahedron = simplicial.PureComplex(4, 2, itertools.combinations(range(1, 5), 3))
     monkeypatch.setattr(simplicial, "_FACET_BUDGET", 3)
     for sweep in (simplicial.enumerate_cage_free, simplicial.verify_product_formula):
@@ -135,3 +149,84 @@ def test_every_budget_constant_is_read_by_the_library():
         unread += [f"{prefix}.{name}" for name in _CONSTANT.findall(source)
                    if name not in read]
     assert unread == []
+
+
+def _fake_transfer(sizes):
+    """A step that returns a table of sizes[s] states at step s, and the
+    list of the (step, limit) pairs it was called with."""
+    calls = []
+
+    def step(table, s, limit):
+        calls.append((s, limit))
+        return dict.fromkeys(range(sizes[s]), 1)
+
+    return step, calls
+
+
+def test_the_runner_refuses_a_table_past_the_table_budget(monkeypatch):
+    monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 3)
+    step, calls = _fake_transfer([3, 3])
+    assert graphcore._run_transfer("fake transfer", "steps", range(2), {}, step, [1, 1]) == {
+        0: 1, 1: 1, 2: 1}
+    assert calls == [(0, 3), (1, 3)]
+    # a step past the limit refuses, and the steps after it never run
+    step, calls = _fake_transfer([3, 4, 1])
+    with pytest.raises(BudgetExceededError,
+                       match="^fake transfer table exceeds its budget of 3 states$"):
+        graphcore._run_transfer("fake transfer", "steps", range(3), {}, step, [1, 1, 1])
+    assert calls == [(0, 3), (1, 3)]
+
+
+def test_the_runner_names_the_bits_budget_when_it_sets_the_limit(monkeypatch):
+    # the first table spends 3 of 6 bits, so the second may hold 3 states
+    monkeypatch.setattr(graphcore, "_COUNT_BITS", 6)
+    step, calls = _fake_transfer([3, 3])
+    assert len(graphcore._run_transfer("fake transfer", "steps", range(2), {}, step,
+                                       [1, 1])) == 3
+    assert calls == [(0, 6), (1, 3)]
+    step, calls = _fake_transfer([3, 4, 1])
+    with pytest.raises(BudgetExceededError, match=(
+            "^fake transfer exceeds its budget of 6 bits of counts summed over the steps$")):
+        graphcore._run_transfer("fake transfer", "steps", range(3), {}, step, [1, 1, 1])
+    assert calls == [(0, 6), (1, 3)]
+
+
+def test_the_runner_refuses_before_the_first_step_what_one_state_would_pass(monkeypatch):
+    monkeypatch.setattr(graphcore, "_COUNT_BITS", 6)
+    step, calls = _fake_transfer([1, 1, 1])
+    graphcore._run_transfer("fake transfer", "steps", range(3), {}, step, [2, 2, 2])
+    step, calls = _fake_transfer([1, 1, 1])
+    with pytest.raises(BudgetExceededError, match="^fake transfer exceeds its budget of 6 bits"):
+        graphcore._run_transfer("fake transfer", "steps", range(3), {}, step, [2, 2, 3])
+    assert calls == []
+
+
+def _readers(names: set[str]) -> set[str]:
+    """The top-level functions of src/isfkit, as module.function, that read
+    any of `names` as a name or a module attribute."""
+    src = Path(__file__).parents[1] / "src" / "isfkit"
+    found = set()
+    for path in src.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name in names and isinstance(node.ctx, ast.Load):
+                    found.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    return found
+
+
+def test_only_the_runner_and_the_refusal_read_the_table_and_bits_budgets():
+    # a new transfer runs through graphcore._run_transfer, which applies
+    # both budgets, and words its refusal by graphcore._refusal; only the
+    # tight-forest step and the recursion's memo check their own tables
+    assert _readers({"_TABLE_BUDGET", "_COUNT_BITS"}) == {
+        "graphcore._run_transfer",
+        "graphcore._refusal",
+        "patterns._tf_step",
+        "chromatic._by_contraction",
+    }

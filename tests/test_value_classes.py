@@ -104,6 +104,22 @@ def test_graph_and_multigraph_fields_refuse_assignment_and_copies_keep_what_is_k
         assert characteristic_polynomial(_lattice_of(twin)) == chi
         with pytest.raises(AttributeError):
             twin.n = 4
+    # a complex assigned new facets would keep the ridge masks of the old ones
+    D = PureComplex(4, 2, [(1, 2, 3), (1, 2, 4)])
+    masks = dict(D._ridge_masks())
+    assert set(masks) == {(1, 2, 3), (1, 2, 4)}
+    for name, value in (("n", 5), ("d", 1), ("facets", frozenset({(1, 2, 3)}))):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(D, name, value)
+        with pytest.raises(AttributeError):
+            delattr(D, name)
+    assert D._ridge_masks() == masks
+    for twin in (copy.copy(D), copy.deepcopy(D), pickle.loads(pickle.dumps(D))):
+        assert type(twin) is PureComplex and twin == D
+        assert hash(twin) == hash(D) and repr(twin) == repr(D)
+        assert twin._masks == masks
+        with pytest.raises(AttributeError):
+            twin.facets = frozenset()
 
 
 def test_frozen_equality_is_field_wise_and_hash_follows_it():
