@@ -17,7 +17,7 @@ import pytest
 from isfkit import arrangement, chromatic, graphcore, patterns, simplicial
 from isfkit.errors import BudgetExceededError
 
-from helpers import complete_bipartite, cycle_graph
+from helpers import complete_bipartite, complete_graph, cycle_graph
 
 # the benchmark's count hooks (perfbench/tracer.py COUNT_HOOKS) bind these
 # two by name, and a hook that fails to bind makes a traced run incorrect;
@@ -192,13 +192,46 @@ def test_the_runner_names_the_bits_budget_when_it_sets_the_limit(monkeypatch):
 
 
 def test_the_runner_refuses_before_the_first_step_what_one_state_would_pass(monkeypatch):
+    # one state per step spends sum(state_bits): 6 bits runs, 7 refuses
     monkeypatch.setattr(graphcore, "_COUNT_BITS", 6)
     step, calls = _fake_transfer([1, 1, 1])
     graphcore._run_transfer("fake transfer", "steps", range(3), {}, step, [2, 2, 2])
+    assert len(calls) == 3
     step, calls = _fake_transfer([1, 1, 1])
     with pytest.raises(BudgetExceededError, match="^fake transfer exceeds its budget of 6 bits"):
         graphcore._run_transfer("fake transfer", "steps", range(3), {}, step, [2, 2, 3])
     assert calls == []
+
+
+def test_a_refused_table_stops_growing_once_past_its_limit(monkeypatch):
+    # each step stops its state loop once its table passes the limit, so a
+    # refused transfer does not build the rest of the table it was refused
+    run, sizes = graphcore._run_transfer, []
+
+    def recording(what, unit, steps, table, step, state_bits):
+        def counted(table, s, limit):
+            table = step(table, s, limit)
+            sizes.append(len(table))
+            return table
+
+        return run(what, unit, steps, table, counted, state_bits)
+
+    monkeypatch.setattr(graphcore, "_run_transfer", recording)
+    K5, K44 = complete_graph(5), complete_bipartite([1, 2, 3, 4], [5, 6, 7, 8])
+    for transfer, graph, budget in ((graphcore.nbc_sets, K5, 3),
+                                    (graphcore._isf_nbc_counts, K5, 3),
+                                    (chromatic._class_counts, K44, 5)):
+        monkeypatch.setattr(graphcore, "_TABLE_BUDGET", 1 << 17)
+        sizes.clear()
+        transfer(graphcore.Graph(graph.n, graph.edges))  # graph keeps no NBC counts
+        whole = list(sizes)
+        monkeypatch.setattr(graphcore, "_TABLE_BUDGET", budget)
+        sizes.clear()
+        with pytest.raises(BudgetExceededError, match=f"table exceeds its budget of {budget} "):
+            transfer(graph)
+        refused = len(sizes) - 1
+        assert sizes[:refused] == whole[:refused]
+        assert budget < sizes[refused] < whole[refused]
 
 
 def _readers(names: set[str]) -> set[str]:
