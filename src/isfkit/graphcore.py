@@ -64,8 +64,8 @@ _TABLE_BUDGET = 1 << 17  # states of the transfers, entries of the chromatic mem
 _COUNT_BITS = 1 << 31  # bits of counts each of those holds, summed over its steps
 _MEMBER_BUDGET = 1 << 20  # members a walk or listing visits, terms a weighted GF lists
 _OUTPUT_BUDGET = 10**5  # vertices of an output with an entry per vertex
-_VERTEX_BUDGET = 8  # vertices of the orientation cross-check's table
-_ORIENTATION_BUDGET = 16  # edges that acyclic_orientation_count cross-checks
+_VERTEX_BUDGET = 8  # 2-core vertices of the orientation cross-check's table
+_ORIENTATION_BUDGET = 16  # 2-core edges that acyclic_orientation_count cross-checks
 
 
 class Graph(_Kept):
@@ -452,7 +452,10 @@ def _nbc_transfer(G: Graph, seq: Sequence[Edge]) -> dict[int, int]:
     edge s = uv keeps the state; taking it is the closure test of the walk:
     u and v lie in different blocks, and no edge still to come joins those
     blocks.  Taking s merges them.  A vertex leaves its block after its last
-    edge.
+    edge.  One scan of a state's blocks finds those of u and v and keeps
+    the others as they are, since only the blocks of u and v can lose a
+    vertex or merge; within a step the closure test's answer is kept for
+    each pair of blocks, as the edges still to come do not change.
 
     The cost grows with the table, not with the sets: the 200-vertex path
     keeps one state, K_n peaks at the Bell number B(n-1).  `_run_transfer`
@@ -466,30 +469,49 @@ def _nbc_transfer(G: Graph, seq: Sequence[Edge]) -> dict[int, int]:
     def step(table: dict[tuple[int, ...], int], edge: Edge, limit: int):
         u, v = edge
         ub, vb = 1 << u, 1 << v
+        uv = ub | vb
         rest[u] ^= vb
         rest[v] ^= ub
         gone = (0 if rest[u] else ub) | (0 if rest[v] else vb)
+        keep = ~gone
         nxt: dict[tuple[int, ...], int] = {}
+        apart: dict[tuple[int, int], bool] = {}  # no edge to come joins the pair
         for blocks, counts in table.items():
-            bu, bv = ub, vb
+            bu, bv, hit, others = ub, vb, 0, []
             for b in blocks:
-                if b & ub:
-                    bu = b
-                if b & vb:
-                    bv = b
-            # only the blocks of u and v can lose a vertex
-            key = _without(blocks, gone) if gone and (bu != ub or bv != vb) else blocks
+                if b & uv:
+                    hit |= b
+                    if b & ub:
+                        bu = b
+                    if b & vb:
+                        bv = b
+                else:
+                    others.append(b)
+            if hit & gone:  # only the blocks of u and v can lose a vertex
+                stay = others.copy()
+                b = bu & keep
+                if b & (b - 1):
+                    stay.append(b)
+                if bv != bu:
+                    b = bv & keep
+                    if b & (b - 1):
+                        stay.append(b)
+                key = tuple(sorted(stay) if len(stay) > 1 else stay)
+            else:
+                key = blocks
             nxt[key] = nxt.get(key, 0) + counts
             if bu != bv:
-                w = bu
-                while w and not rest[(w & -w).bit_length() - 1] & bv:
-                    w &= w - 1
-                if not w:  # no edge still to come joins bu and bv
-                    merged = (bu | bv) & ~gone
-                    kept = [b for b in blocks if b != bu and b != bv]
+                far = apart.get((bu, bv))
+                if far is None:
+                    w = bu
+                    while w and not rest[(w & -w).bit_length() - 1] & bv:
+                        w &= w - 1
+                    far = apart[bu, bv] = not w
+                if far:
+                    merged = (bu | bv) & keep
                     if merged & (merged - 1):
-                        kept.append(merged)
-                    key = tuple(sorted(kept))
+                        others.append(merged)
+                    key = tuple(sorted(others) if len(others) > 1 else others)
                     nxt[key] = nxt.get(key, 0) + (counts << width)
             if len(nxt) > limit:
                 break
@@ -510,40 +532,63 @@ def _isf_nbc_counts(G: Graph) -> dict[int, int]:
     j is not in `taken`; taking it sets j's bit, and a vertex leaves `taken`
     with its last edge.  Taken from the order-largest down, a vertex's edges
     to larger vertices come before its edges from below, so a set bit marks
-    a vertex with only edges from below left.
+    a vertex with only edges from below left.  The blocks are scanned and
+    rebuilt, and the closure test kept per pair of blocks, as in
+    `_nbc_transfer`; the two step bodies stay apart so that neither hot
+    loop branches on its caller.
     """
     width, state_bits, down, rest = _transfer_setup(G, G.sorted_edges())
 
     def step(table: dict[tuple[tuple[int, ...], int], int], edge: Edge, limit: int):
         u, v = edge
         ub, vb = 1 << u, 1 << v  # v is the larger label of the edge
+        uv = ub | vb
         rest[u] ^= vb
         rest[v] ^= ub
         gone = (0 if rest[u] else ub) | (0 if rest[v] else vb)
+        keep = ~gone
         nxt: dict[tuple[tuple[int, ...], int], int] = {}
-        for (blocks, taken), counts in table.items():
-            bu, bv = ub, vb
+        apart: dict[tuple[int, int], bool] = {}  # no edge to come joins the pair
+        for state, counts in table.items():
+            blocks, taken = state
+            bu, bv, hit, others = ub, vb, 0, []
             for b in blocks:
-                if b & ub:
-                    bu = b
-                if b & vb:
-                    bv = b
-            if gone:
-                key = (_without(blocks, gone) if bu != ub or bv != vb else blocks,
-                       taken & ~gone)
+                if b & uv:
+                    hit |= b
+                    if b & ub:
+                        bu = b
+                    if b & vb:
+                        bv = b
+                else:
+                    others.append(b)
+            if hit & gone:  # only the blocks of u and v can lose a vertex
+                stay = others.copy()
+                b = bu & keep
+                if b & (b - 1):
+                    stay.append(b)
+                if bv != bu:
+                    b = bv & keep
+                    if b & (b - 1):
+                        stay.append(b)
+                key = (tuple(sorted(stay) if len(stay) > 1 else stay), taken & keep)
+            elif taken & gone:
+                key = (blocks, taken & keep)
             else:
-                key = (blocks, taken)
+                key = state
             nxt[key] = nxt.get(key, 0) + counts
             if bu != bv and not taken & vb:
-                w = bu
-                while w and not rest[(w & -w).bit_length() - 1] & bv:
-                    w &= w - 1
-                if not w:  # no edge still to come joins bu and bv
-                    merged = (bu | bv) & ~gone
-                    kept = [b for b in blocks if b != bu and b != bv]
+                far = apart.get((bu, bv))
+                if far is None:
+                    w = bu
+                    while w and not rest[(w & -w).bit_length() - 1] & bv:
+                        w &= w - 1
+                    far = apart[bu, bv] = not w
+                if far:
+                    merged = (bu | bv) & keep
                     if merged & (merged - 1):
-                        kept.append(merged)
-                    key = (tuple(sorted(kept)), (taken | vb) & ~gone)
+                        others.append(merged)
+                    key = (tuple(sorted(others) if len(others) > 1 else others),
+                           (taken | vb) & keep)
                     nxt[key] = nxt.get(key, 0) + (counts << width)
             if len(nxt) > limit:
                 break
@@ -608,30 +653,9 @@ def _refusal(what: str, unit: str, bits: bool) -> BudgetExceededError:
     return BudgetExceededError(f"{what} exceeds its budget of {budget} {unit}")
 
 
-def _without(blocks: tuple[int, ...], gone: int) -> tuple[int, ...]:
-    """The blocks with the vertices of `gone` removed and lone vertices
-    dropped."""
-    return tuple(sorted(b for b in (x & ~gone for x in blocks) if b & (b - 1)))
-
-
 # ---------------------------------------------------------------------------
 # Chromatic polynomial, two ways
 # ---------------------------------------------------------------------------
-
-
-def _independent_sets(G: Graph) -> list[bool]:
-    """For each vertex set, as a bitmask with vertex v at bit v-1: is it
-    independent in G?"""
-    neighbors = [0] * G.n
-    for i, j in G.edges:
-        neighbors[i - 1] |= 1 << (j - 1)
-        neighbors[j - 1] |= 1 << (i - 1)
-    independent = [True] * (1 << G.n)
-    for S in range(1, 1 << G.n):
-        rest = S & (S - 1)
-        low = (S ^ rest).bit_length() - 1
-        independent[S] = independent[rest] and not neighbors[low] & rest
-    return independent
 
 
 def count_proper_colorings(G: Graph, colors: int) -> int:
@@ -740,26 +764,55 @@ def acyclic_orientation_count(
 ) -> int:
     """Number of acyclic orientations, evaluated as (-1)**n P(G, -1).
 
-    Within the orientation budget on edges and the vertex budget of its
-    table, it is also counted without P by inclusion-exclusion over the
-    nonempty independent source sets T: a(S) = sum (-1)**(|T|+1) a(S - T)
-    over T within S, a(empty) = 1.  The totals must agree.
+    It is also counted without P on the 2-core of G, the graph left once
+    vertices without an edge and pendant edges are stripped, round after
+    round: a vertex without an edge leaves the count as it is, and a pendant
+    edge doubles it, whichever way it points.  Within the orientation budget
+    on the core's edges and the vertex budget on its vertices, the core's
+    count comes from inclusion-exclusion over its nonempty independent
+    source sets T: a(S) = sum (-1)**(|T|+1) a(S - T) over T within S,
+    a(empty) = 1.  The totals must agree.  A forest's core is empty, so a
+    forest of any size is checked.
     """
     chrom = chromatic if chromatic is not None else chromatic_polynomial(G)
     count = (-1) ** G.n * chrom(-1)
-    if len(G.edges) <= orientation_budget and G.n <= _VERTEX_BUDGET:
-        independent = _independent_sets(G)
-        acyclic = [1]
-        for S in range(1, len(independent)):
-            acyclic.append(0)
-            T = S
+    index = {w: k for k, w in enumerate({w for e in G.edges for w in e})}
+    nb = [0] * len(index)
+    for i, j in G.edges:
+        nb[index[i]] |= 1 << index[j]
+        nb[index[j]] |= 1 << index[i]
+    # strip the pendant edges; a vertex whose last edge goes is dropped
+    leaves = [w for w, m in enumerate(nb) if not m & (m - 1)]
+    pendant = 0
+    while leaves:
+        w = leaves.pop()
+        m = nb[w]
+        if m and not m & (m - 1):
+            x = m.bit_length() - 1
+            nb[w] = 0
+            nb[x] ^= 1 << w
+            pendant += 1
+            if not nb[x] & (nb[x] - 1):
+                leaves.append(x)
+    core = [w for w, m in enumerate(nb) if m]
+    if len(G.edges) - pendant <= orientation_budget and len(core) <= _VERTEX_BUDGET:
+        rank = {w: r for r, w in enumerate(core)}
+        masks = [sum(1 << rank[x] for x in rank if nb[w] >> x & 1) for w in core]
+        # sign[T]: (-1)**(|T|+1) for an independent T, 0 for a dependent one
+        sign, acyclic = [-1], [1]
+        for S in range(1, 1 << len(core)):
+            rest = S & (S - 1)
+            sign.append(0 if masks[(S ^ rest).bit_length() - 1] & rest else -sign[rest])
+            total, T = 0, S
             while T:
-                if independent[T]:
-                    acyclic[S] -= (-1) ** T.bit_count() * acyclic[S ^ T]
+                if sign[T]:
+                    total += sign[T] * acyclic[S ^ T]
                 T = (T - 1) & S
-        if acyclic[-1] != count:
+            acyclic.append(total)
+        if acyclic[-1] << pendant != count:
             raise InternalCheckError(
-                f"source-set recursion gives {acyclic[-1]}, chromatic route {count}"
+                f"source-set recursion gives {acyclic[-1] << pendant}, "
+                f"chromatic route {count}"
             )
     return count
 

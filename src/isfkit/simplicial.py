@@ -162,9 +162,12 @@ class SpanningSubcomplex:
     `_masks` holds the kept facets' ridge bitmasks (`PureComplex._ridge_masks`)
     and `_free` the bitmask of its free ridges, those in exactly one kept
     facet.  `cage_free_subcomplexes` carries both from its build; otherwise
-    `_kept_masks` builds both on first use."""
+    `_kept_masks` builds both on first use.  `parent` and `kept_facets` are
+    read-only properties over private slots, so the kept masks never
+    outlive the facets they were read from; the constructor and the build
+    store the slots directly."""
 
-    __slots__ = ("parent", "kept_facets", "_masks", "_free")
+    __slots__ = ("_parent", "_kept_facets", "_masks", "_free")
 
     def __init__(self, parent: PureComplex, kept_facets: Iterable[Sequence[int]]):
         kept = set()
@@ -175,10 +178,18 @@ class SpanningSubcomplex:
             if face in kept:
                 raise InputError(f"facet {list(face)} is repeated")
             kept.add(face)
-        self.parent = parent
-        self.kept_facets = frozenset(kept)
+        self._parent = parent
+        self._kept_facets = frozenset(kept)
         self._masks = None
         self._free = None
+
+    @property
+    def parent(self) -> PureComplex:
+        return self._parent
+
+    @property
+    def kept_facets(self) -> frozenset[Face]:
+        return self._kept_facets
 
     def faces(self) -> set[Face]:
         """All faces: lower-dimensional parent faces plus kept facets' closures."""
@@ -267,15 +278,15 @@ def cage_free_subcomplexes(delta: PureComplex) -> list[SpanningSubcomplex]:
     out = []
     for fs, ms, once, twice in chosen:
         upsilon = new(SpanningSubcomplex)
-        upsilon.parent = delta
-        upsilon.kept_facets = fs
+        upsilon._parent = delta
+        upsilon._kept_facets = fs
         upsilon._masks = ms
         upsilon._free = once ^ twice
         out.append(upsilon)
         for s, t, m in last:
             upsilon = new(SpanningSubcomplex)
-            upsilon.parent = delta
-            upsilon.kept_facets = fs | s
+            upsilon._parent = delta
+            upsilon._kept_facets = fs | s
             upsilon._masks = ms + t
             upsilon._free = (once | m) ^ (twice | once & m)
             out.append(upsilon)
@@ -367,8 +378,8 @@ def verify_product_formula(delta: PureComplex) -> Report:
     sets of at most `_FACET_BUDGET` facets, and the member budget reads each
     link's ISF product.  The orientation counts of the upper links are
     taken next, each on the vertices the link's edges touch, where an
-    isolated vertex does not change the count and the cross-check's vertex
-    budget reads the touched vertices.  A budget refusal in a link names
+    isolated vertex does not change the count; the cross-check's budgets
+    read the 2-core of that graph.  A budget refusal in a link names
     its peak.  The links, their touched graphs and the facet blocks are
     built once: the touched graphs also serve the PEO test of
     `is_simplicial_peo`, and the factored polynomial is read from the

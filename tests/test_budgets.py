@@ -234,6 +234,36 @@ def test_a_refused_table_stops_growing_once_past_its_limit(monkeypatch):
         assert budget < sizes[refused] < whole[refused]
 
 
+def test_every_state_of_an_nbc_step_checks_the_limit(monkeypatch):
+    # a state adds at most two keys, the one it stays as and the one it
+    # merges into, so a step that checks the limit after every state, a
+    # state that only stays included, stops within two states of the limit
+    run, sizes = graphcore._run_transfer, []
+
+    def recording(what, unit, steps, table, step, state_bits):
+        def counted(table, s, limit):
+            table = step(table, s, limit)
+            sizes.append(len(table) - limit)
+            return table
+
+        return run(what, unit, steps, table, counted, state_bits)
+
+    monkeypatch.setattr(graphcore, "_run_transfer", recording)
+    graphs = (complete_graph(6), complete_bipartite([1, 2, 3], [4, 5, 6]),
+              cycle_graph(7), graphcore.Graph(6, itertools.combinations((1, 3, 4, 6), 2)))
+    refused = 0
+    for transfer in (graphcore.nbc_sets, graphcore._isf_nbc_counts):
+        for graph, budget in itertools.product(graphs, range(1, 53)):
+            monkeypatch.setattr(graphcore, "_TABLE_BUDGET", budget)
+            sizes.clear()
+            try:
+                transfer(graphcore.Graph(graph.n, graph.edges))  # keeps no counts
+            except BudgetExceededError:
+                refused += 1
+            assert max(sizes) <= 2, (transfer.__name__, graph, budget)
+    assert refused > 100
+
+
 def _readers(names: set[str]) -> set[str]:
     """The top-level functions of src/isfkit, as module.function, that read
     any of `names` as a name or a module attribute."""

@@ -42,8 +42,9 @@ def _corpus():
         # and `graph verify`, which counts and lists no family, checks it
         for kind in ("graph", "forest"):
             yield f"K{n}-{kind}", kind, ("verify",), Graph(n, edges).to_json()
-    # nine vertices within the edge budget, past the orientation
-    # cross-check's vertex budget
+    # nine vertices within the edge budget; stripping the pendant edge
+    # (2, 5) leaves a 2-core of eight, within the orientation cross-check's
+    # vertex budget
     sparse = gen_graph(9, 9, 0.3).to_json()
     yield "g9", "graph", ("verify",), sparse
     yield "f9", "forest", ("verify",), sparse

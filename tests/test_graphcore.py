@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -480,6 +481,75 @@ def test_nbc_transfer_matches_the_walk_on_every_small_graph():
                 assert nbc_sets(G, order) == walked, (G, sequence)
 
 
+def _seeded_graphs_past_five(seed):
+    """Random graphs with n = 6..8: connected or not, and disconnected ones
+    whose two parts interleave their labels around a vertex without an
+    edge."""
+    rng = random.Random(seed)
+    for n in range(6, 9):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for _ in range(8):
+            yield Graph(n, rng.sample(pairs, rng.randint(0, min(18, len(pairs)))))
+        for _ in range(4):
+            alone = rng.randint(1, n)
+            part = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+            within = [(i, j) for i, j in pairs
+                      if alone not in (i, j) and part[i] == part[j]]
+            yield Graph(n, rng.sample(within, rng.randint(len(within) // 2, len(within))))
+
+
+def _component_sizes(G):
+    """The sizes of the components of G with an edge."""
+    parent = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for i, j in G.edges:
+        parent[find(i)] = find(j)
+    return sorted(Counter(find(v) for v in list(parent)).values())
+
+
+class _OrderedGraph(Graph):
+    """A graph whose edge list, and with it the joint transfer's order, is
+    the edge order it is built from."""
+
+    __slots__ = ("_order",)
+
+    def __init__(self, n, order):
+        super().__init__(n, order)
+        self._order = list(order)
+
+    def sorted_edges(self):
+        return list(self._order)
+
+
+def test_nbc_transfers_match_the_walks_past_five_vertices():
+    # each step scans a state's blocks once, cuts only the blocks of the
+    # edge's endpoints and keeps the closure test per pair of blocks; five
+    # seeded orders reach those paths in many arrangements
+    rng = random.Random(53)
+    corpus = list(_seeded_graphs_past_five(53))
+    assert any(len({v for e in G.edges for v in e}) < G.n for G in corpus)
+    assert any(len(_component_sizes(G)) > 1 for G in corpus if len(G.edges) > 4)
+    for G in corpus:
+        for _ in range(5):
+            sequence = G.sorted_edges()
+            rng.shuffle(sequence)
+            order = EdgeOrder.from_sequence(G, sequence)
+            walked = count_by_size(_nbc_walk(G, order)[1])
+            assert nbc_sets(G, order) == walked, (G, sequence)
+            # under the lexicographic order the closure test of the joint
+            # transfer never refuses an edge, as ISF ⊆ NBC; under a
+            # shuffled order it does
+            shuffled = _OrderedGraph(G.n, sequence)
+            assert graphcore._isf_nbc_counts(shuffled) == _walked_isf_nbc(shuffled), (
+                G, sequence)
+        assert graphcore._isf_nbc_counts(G) == _walked_isf_nbc(G), G
+
+
 def test_nbc_transfer_table_budget_counts_states(monkeypatch):
     # under the lexicographic order the table of K_n peaks at the
     # partitions of n - 1 frontier vertices, the Bell number B(n-1)
@@ -571,8 +641,8 @@ def test_verify_isf_nbc_runs_no_contraction(monkeypatch):
 
 def test_verify_isf_nbc_fails_when_the_colour_classes_are_off_by_one(monkeypatch):
     # the colour-class χ has its second route in Whitney's signed NBC
-    # counts; past eight vertices the orientation count, which reads χ at
-    # -1, has no cross-check of its own that would raise first
+    # counts; on a core past eight vertices the orientation count, which
+    # reads χ at -1, has no cross-check of its own that would raise first
     by_classes = chromatic._by_colour_classes
 
     def one_colouring_too_many(G):
@@ -581,11 +651,15 @@ def test_verify_isf_nbc_fails_when_the_colour_classes_are_off_by_one(monkeypatch
         return coeffs
 
     monkeypatch.setattr(chromatic, "_by_colour_classes", one_colouring_too_many)
-    for G in (cycle_graph(9), complete_graph(9), Graph(10, [(1, 2), (2, 10), (3, 4)])):
+    for G in (cycle_graph(9), complete_graph(9)):
         report = verify_isf_nbc(G)
         assert not report.passed
         named = {c.name: c.equal for c in report.identity_checks}
         assert not named["whitney_alternating_sum_vs_chromatic"]
+    # a forest's core is empty, so its orientation count is checked and
+    # raises before the report is made
+    with pytest.raises(InternalCheckError, match="source-set recursion"):
+        verify_isf_nbc(Graph(10, [(1, 2), (2, 10), (3, 4)]))
 
 
 def _walked_isf_nbc(G):
@@ -612,16 +686,6 @@ def test_isf_nbc_transfer_matches_the_walks():
         assert counts_to_polynomial(joint, G.n) == factored, G
 
 
-class _ReversedLexGraph(Graph):
-    """A graph whose edge list, and with it the joint transfer's order, runs
-    in reversed lexicographic order."""
-
-    __slots__ = ()
-
-    def sorted_edges(self):
-        return sorted(self.edges, reverse=True)
-
-
 def test_isf_nbc_transfer_without_the_from_below_field_is_caught(monkeypatch):
     mutant = nbc_sets  # the joint transfer with its from-below field dropped
     assert any(mutant(G) != _walked_isf_nbc(G) for G in _seeded_graphs(47, 50))
@@ -636,7 +700,7 @@ def test_isf_nbc_transfer_under_the_reversed_lex_order_is_caught():
     # {(1,2), (1,4), (2,3)}, is an increasing forest
     C4 = cycle_graph(4)
     assert C4.edges == {(1, 2), (1, 4), (2, 3), (3, 4)}
-    mutant = _ReversedLexGraph(4, C4.edges)
+    mutant = _OrderedGraph(4, sorted(C4.edges, reverse=True))
     assert graphcore._isf_nbc_counts(C4) == enumerate_isf(C4)
     assert enumerate_isf(C4) == {0: 1, 1: 4, 2: 5, 3: 2}
     assert graphcore._isf_nbc_counts(mutant) == {0: 1, 1: 4, 2: 5, 3: 1}
@@ -784,6 +848,70 @@ def test_orientation_cross_check_budget():
     assert acyclic_orientation_count(
         Graph(8, pairs[:16]), orientation_budget=15, chromatic=wrong
     ) == 1
+
+
+def test_orientation_cross_check_reads_the_2_core():
+    # vertices without an edge and pendant edges are stripped first, so the
+    # budgets read what is left: a forest of any size is cross-checked, and
+    # so is a graph whose core is small; χ off by one must then raise
+    t = IntPolynomial.t()
+    rng = random.Random(61)
+    path = Graph(40, [(i, i + 1) for i in range(1, 40)])
+    tree = Graph(30, [(rng.randint(1, k - 1), k) for k in range(2, 31)])
+    c5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+    hung = Graph(20, c5 + [(rng.randint(1, k - 1), k) for k in range(6, 18)])
+    assert len(hung.edges) == 17  # past the edge budget, with vertices 18..20 alone
+    cases = ((path, t * (t - 1) ** 39, 2**39),
+             (tree, t * (t - 1) ** 29, 2**29),
+             (hung, t**3 * ((t - 1) ** 5 - (t - 1)) * (t - 1) ** 12, 30 * 2**12))
+    for G, chi, count in cases:
+        assert acyclic_orientation_count(G, chromatic=chi) == count
+        with pytest.raises(InternalCheckError, match="source-set recursion"):
+            acyclic_orientation_count(G, chromatic=chi + 1)
+    # the keyword budget reads the core's five edges
+    wrong = acyclic_orientation_count(hung, orientation_budget=4, chromatic=cases[2][1] + 1)
+    assert wrong == 30 * 2**12 + 1
+    # cores past eight vertices keep χ alone
+    for G, count in ((cycle_graph(9), 2**9 - 2), (complete_graph(9), math.factorial(9))):
+        chi = chromatic_polynomial(G)
+        assert acyclic_orientation_count(G, chromatic=chi) == count
+        assert acyclic_orientation_count(G, chromatic=chi + 1) == count - 1
+
+
+def _isfkit_calls(run) -> set[str]:
+    """The isfkit functions, as module.name, that `run()` calls, leaving out
+    methods, those whose first argument is self or cls, such as
+    IntPolynomial.__call__."""
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        module = frame.f_globals.get("__name__", "")
+        if (event == "call" and module.startswith("isfkit.")
+                and code.co_varnames[:1] not in (("self",), ("cls",))):
+            called.add(f"{module}.{getattr(code, 'co_qualname', code.co_name)}")
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def test_the_orientation_route_shares_no_function_with_the_chromatic_routes():
+    # (-1)**n χ(-1) = a(G) holds as a check only while the source-set
+    # recursion computes nothing that χ's routes compute
+    rng = random.Random(67)
+    tree = Graph(12, [(rng.randint(1, k - 1), k) for k in range(2, 13)])
+    for G in (complete_graph(5), paw_peo(), tree):
+        chi = chromatic_polynomial(G)
+        orientation = _isfkit_calls(lambda: acyclic_orientation_count(G, chromatic=chi))
+        assert "isfkit.graphcore.acyclic_orientation_count" in orientation
+        for route in (chromatic._by_colour_classes, chromatic._by_contraction):
+            routed = _isfkit_calls(lambda: route(G))
+            assert f"isfkit.chromatic.{route.__name__}" in routed
+            assert orientation & routed == set(), (G, route.__name__)
 
 
 def test_verify_isf_nbc_peo_labeling():

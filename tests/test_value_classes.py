@@ -21,7 +21,13 @@ from isfkit.graphcore import Graph, nbc_sets
 from isfkit.patterns import Pattern, QPOResult
 from isfkit.polycore import IntPolynomial
 from isfkit.report import IdentityCheck, Report
-from isfkit.simplicial import PureComplex, phi_partition
+from isfkit.simplicial import (
+    PureComplex,
+    SpanningSubcomplex,
+    cage_free_subcomplexes,
+    has_leaf,
+    phi_partition,
+)
 
 from helpers import anchored_multigraph, fan_complex
 
@@ -120,6 +126,35 @@ def test_graph_and_multigraph_fields_refuse_assignment_and_copies_keep_what_is_k
         assert twin._masks == masks
         with pytest.raises(AttributeError):
             twin.facets = frozenset()
+
+
+def test_subcomplex_fields_refuse_assignment_and_copies_keep_the_masks():
+    # a subcomplex given other kept facets would keep the ridge masks and
+    # free ridges of the old ones
+    D = PureComplex(4, 2, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
+    ridge = D._ridge_masks()
+    built = [u for u in cage_free_subcomplexes(D) if len(u.kept_facets) == 2]
+    for upsilon in (SpanningSubcomplex(D, [(1, 2, 3), (1, 2, 4)]), *built):
+        kept = upsilon.kept_facets
+        for name, value in (("parent", PureComplex(4, 2)),
+                            ("kept_facets", frozenset({(1, 3, 4)}))):
+            with pytest.raises(AttributeError):
+                setattr(upsilon, name, value)
+            with pytest.raises(AttributeError):
+                delattr(upsilon, name)
+        assert upsilon.parent is D and upsilon.kept_facets == kept
+        assert has_leaf(upsilon)
+        masks = sorted(ridge[f] for f in kept)
+        assert sorted(upsilon._masks) == masks
+        # the free ridges are those of exactly one kept facet
+        assert upsilon._free == masks[0] ^ masks[1]
+        for twin in (copy.copy(upsilon), copy.deepcopy(upsilon),
+                     pickle.loads(pickle.dumps(upsilon))):
+            assert type(twin) is SpanningSubcomplex and repr(twin) == repr(upsilon)
+            assert twin.kept_facets == kept and twin.parent == D
+            assert sorted(twin._masks) == masks and twin._free == upsilon._free
+            with pytest.raises(AttributeError):
+                twin.kept_facets = frozenset()
 
 
 def test_frozen_equality_is_field_wise_and_hash_follows_it():
