@@ -861,15 +861,16 @@ def test_orientation_cross_check_reads_the_2_core():
     c5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
     hung = Graph(20, c5 + [(rng.randint(1, k - 1), k) for k in range(6, 18)])
     assert len(hung.edges) == 17  # past the edge budget, with vertices 18..20 alone
+    hung_chi = t**3 * ((t - 1) ** 5 - (t - 1)) * (t - 1) ** 12
     cases = ((path, t * (t - 1) ** 39, 2**39),
              (tree, t * (t - 1) ** 29, 2**29),
-             (hung, t**3 * ((t - 1) ** 5 - (t - 1)) * (t - 1) ** 12, 30 * 2**12))
+             (hung, hung_chi, 30 * 2**12))
     for G, chi, count in cases:
         assert acyclic_orientation_count(G, chromatic=chi) == count
         with pytest.raises(InternalCheckError, match="source-set recursion"):
             acyclic_orientation_count(G, chromatic=chi + 1)
     # the keyword budget reads the core's five edges
-    wrong = acyclic_orientation_count(hung, orientation_budget=4, chromatic=cases[2][1] + 1)
+    wrong = acyclic_orientation_count(hung, orientation_budget=4, chromatic=hung_chi + 1)
     assert wrong == 30 * 2**12 + 1
     # cores past eight vertices keep χ alone
     for G, count in ((cycle_graph(9), 2**9 - 2), (complete_graph(9), math.factorial(9))):
