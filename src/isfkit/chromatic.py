@@ -8,12 +8,17 @@ the counts of `_class_counts`, a transfer over the vertices whose states
 are the partitions of the frontier into colour classes, in the
 falling-factorial basis.  The two share no table, and each χ identity
 compares two routes: `graphcore.chromatic_polynomial` (`graph chromatic`,
-`complex verify`, `forest verify`) compares these two, and
-`graphcore.verify_isf_nbc` (`graph verify`) compares the colour classes
-with Whitney's signed counts of the NBC transfer, so the recursion does
-not run there.  The colour classes run through `graphcore._run_transfer`,
-which applies the table and bits budgets, and the recursion checks its
-memo against the same two constants of `graphcore`.
+`forest verify`) compares these two, and `graphcore.verify_isf_nbc`
+(`graph verify`) compares the colour classes with Whitney's signed counts
+of the NBC transfer, so the recursion does not run there.
+`graphcore.acyclic_orientation_count` given no χ (`complex verify`, on
+each upper link) takes the recursion alone where its source-set recursion
+fits the 2-core and checks it, and `chromatic_polynomial` elsewhere, so
+the colour classes run there only on a link whose core is past the
+orientation budgets.  The colour classes run through
+`graphcore._run_transfer`, which applies the table and bits budgets, and
+the recursion checks its memo, and its result before it starts, against
+the same two constants of `graphcore`.
 """
 
 from __future__ import annotations
@@ -193,9 +198,14 @@ def _by_contraction(G: Graph) -> list[int]:
     as a list of ints.  The recursion keeps its own stack, so long paths and
     cycles do not recurse.  `_TABLE_BUDGET` caps the memo's entries, and
     `_COUNT_BITS` the bits they hold: a core on v vertices has coefficients
-    below v**v.
+    below v**v.  The result on the vertices with an edge is bounded the same
+    way and refused before the recursion starts, so a long tree, whose core
+    is empty, cannot expand (t - 1)**b past the bits budget.
     """
     adj, isolated = _neighbour_masks(G)
+    v = len(adj)
+    if (v + 1) * v * v.bit_length() > graphcore._COUNT_BITS:
+        raise graphcore._refusal("chromatic recursion", "memo entries", bits=True)
     root, a, b = _strip(adj)
     budget = graphcore._TABLE_BUDGET
     memo: dict[tuple[int, ...], list[int]] = {(): [1]}

@@ -21,7 +21,9 @@ chromatic polynomial compares the two routes of `chromatic`: a memoized
 deletion- and addition-contraction recursion on neighbour bitmasks, and the
 counts of a colour-class transfer over the vertices, expanded in the
 falling-factorial basis.  `verify_isf_nbc` compares the colour classes with
-Whitney's signed NBC counts instead, and runs no recursion.
+Whitney's signed NBC counts instead, and runs no recursion; given no χ,
+`acyclic_orientation_count` checks the recursion alone against its
+source-set count where that runs.
 """
 
 from __future__ import annotations
@@ -773,31 +775,44 @@ def acyclic_orientation_count(
     source sets T: a(S) = sum (-1)**(|T|+1) a(S - T) over T within S,
     a(empty) = 1.  The totals must agree.  A forest's core is empty, so a
     forest of any size is checked.
+
+    P is the `chromatic` given, as `verify_isf_nbc` passes it.  Without
+    one, the output budget refuses first; then, where the recursion runs,
+    P comes from the contraction recursion of `chromatic` alone, which the
+    recursion checks, and elsewhere from `chromatic_polynomial`, which
+    compares it with the colour classes.  Either way the count has two
+    independent routes.
     """
-    chrom = chromatic if chromatic is not None else chromatic_polynomial(G)
-    count = (-1) ** G.n * chrom(-1)
-    index = {w: k for k, w in enumerate({w for e in G.edges for w in e})}
-    nb = [0] * len(index)
+    if chromatic is None:
+        _within_output_budget(G.n)
+    nb: dict[int, set[int]] = defaultdict(set)
     for i, j in G.edges:
-        nb[index[i]] |= 1 << index[j]
-        nb[index[j]] |= 1 << index[i]
-    # strip the pendant edges; a vertex whose last edge goes is dropped
-    leaves = [w for w, m in enumerate(nb) if not m & (m - 1)]
+        nb[i].add(j)
+        nb[j].add(i)
+    # strip the pendant edges, with neighbour sets so that a long tree is
+    # stripped in linear time; a vertex whose last edge goes is dropped
+    leaves = [w for w, s in nb.items() if len(s) == 1]
     pendant = 0
     while leaves:
         w = leaves.pop()
-        m = nb[w]
-        if m and not m & (m - 1):
-            x = m.bit_length() - 1
-            nb[w] = 0
-            nb[x] ^= 1 << w
+        if len(nb[w]) == 1:
+            x = nb[w].pop()
+            nb[x].remove(w)
             pendant += 1
-            if not nb[x] & (nb[x] - 1):
+            if len(nb[x]) == 1:
                 leaves.append(x)
-    core = [w for w, m in enumerate(nb) if m]
-    if len(G.edges) - pendant <= orientation_budget and len(core) <= _VERTEX_BUDGET:
+    core = [w for w, s in nb.items() if s]
+    checked = len(G.edges) - pendant <= orientation_budget and len(core) <= _VERTEX_BUDGET
+    if chromatic is None:
+        if checked:
+            from .chromatic import _by_contraction  # only colouring compiles it
+            chromatic = IntPolynomial(_by_contraction(G))
+        else:
+            chromatic = chromatic_polynomial(G)
+    count = (-1) ** G.n * chromatic(-1)
+    if checked:
         rank = {w: r for r, w in enumerate(core)}
-        masks = [sum(1 << rank[x] for x in rank if nb[w] >> x & 1) for w in core]
+        masks = [sum(1 << rank[x] for x in nb[w]) for w in core]
         # sign[T]: (-1)**(|T|+1) for an independent T, 0 for a dependent one
         sign, acyclic = [-1], [1]
         for S in range(1, 1 << len(core)):

@@ -52,10 +52,15 @@ Face = tuple[int, ...]
 
 class PureComplex(_Kept):
     """A pure d-dimensional simplicial complex on {1..n}, stored by facets.
-    The fields cannot be assigned after construction, so `_masks` keeps
-    the facets' ridge bitmasks (`_ridge_masks`) from their first use."""
+    The fields cannot be assigned after construction, so two private slots
+    keep values derived from them from their first use: `_masks`, the
+    facets' ridge bitmasks (`_ridge_masks`), and `_links`, the upper links,
+    the effective peaks, the links on their touched vertices and the facet
+    blocks (`_kept_links`), which the verify, the PEO test and the block
+    product read.  A relabeled complex is a new object with slots of its
+    own."""
 
-    __slots__ = ("n", "d", "facets", "_masks")
+    __slots__ = ("n", "d", "facets", "_masks", "_links")
 
     def __init__(self, n: int, d: int, facets: Iterable[Sequence[int]] = ()):
         n, d = require_int(n, "vertex count n"), require_int(d, "dimension d")
@@ -77,6 +82,7 @@ class PureComplex(_Kept):
         _set(self, "d", d)
         _set(self, "facets", frozenset(clean))
         _set(self, "_masks", None)
+        _set(self, "_links", None)
 
     def faces(self) -> set[Face]:
         """Downward closure of the facets, excluding the empty face."""
@@ -247,7 +253,8 @@ def _caged_ridge(f1: Face, f2: Face) -> Face | None:
 def cage_free_subcomplexes(delta: PureComplex) -> list[SpanningSubcomplex]:
     """Every cage-free spanning subcomplex: at most one facet per block.
 
-    Each keeps facets of delta, which `PureComplex` has checked, so each is
+    The blocks are those the complex keeps (`_kept_links`).  Each subcomplex
+    keeps facets of delta, which `PureComplex` has checked, so each is
     built directly, with its kept facets' ridge masks and its free ridges.
     A subcomplex's kept facets are its prefix's frozenset joined with a
     one-facet frozenset made once per facet: a set entry keeps its hash, so
@@ -258,7 +265,7 @@ def cage_free_subcomplexes(delta: PureComplex) -> list[SpanningSubcomplex]:
     facet."""
     mask = delta._ridge_masks()
     blocks = [[(frozenset((f,)), (mask[f],), mask[f]) for f in sorted(block)]
-              for _, block in sorted(phi_partition(delta).items())]
+              for _, block in sorted(_kept_links(delta)[3].items())]
     last = blocks.pop() if blocks else []
     # (kept facets, their masks, ridges met once or more, twice or more), in
     # `walks.block_transversals` order; a prefix that keeps no facet of the
@@ -370,6 +377,21 @@ def upper_links(delta: PureComplex) -> tuple[dict[Face, Graph], list[Face]]:
     return links, [sigma for sigma, e in edges.items() if e]
 
 
+def _kept_links(
+    delta: PureComplex,
+) -> tuple[dict[Face, Graph], list[Face], dict[Face, Graph],
+           dict[tuple[Face, int], frozenset[Face]]]:
+    """The complex's `_links` slot, filled on first use: its upper links and
+    effective peaks (`upper_links`), each effective peak's link on its
+    touched vertices (`_touched`) and the facet blocks (`phi_partition`).
+    The containers are shared, so their readers do not change them."""
+    if delta._links is None:
+        links, effective = upper_links(delta)
+        touched = {sigma: _touched(links[sigma]) for sigma in effective}
+        delta._links = links, effective, touched, phi_partition(delta)
+    return delta._links
+
+
 def verify_product_formula(delta: PureComplex) -> Report:
     """Check the factorization and upper-link product identities on one complex.
 
@@ -379,16 +401,17 @@ def verify_product_formula(delta: PureComplex) -> Report:
     link's ISF product.  The orientation counts of the upper links are
     taken next, each on the vertices the link's edges touch, where an
     isolated vertex does not change the count; the cross-check's budgets
-    read the 2-core of that graph.  A budget refusal in a link names
-    its peak.  The links, their touched graphs and the facet blocks are
-    built once: the touched graphs also serve the PEO test of
-    `is_simplicial_peo`, and the factored polynomial is read from the
-    blocks."""
+    read the 2-core of that graph, and, where they fit it, its χ comes from
+    the contraction recursion alone (`graphcore.acyclic_orientation_count`).
+    A budget refusal in a link names its peak.  The links, their touched
+    graphs and the facet blocks are read from the complex's `_links` slot
+    (`_kept_links`), built once per complex: the touched graphs also serve
+    the PEO test, here and in `is_simplicial_peo`, and the factored
+    polynomial is read from the blocks."""
     report = Report()
     _facets_within_budget(delta)
     graphcore._within_output_budget(delta.n)
-    links, effective = upper_links(delta)
-    touched = {sigma: _touched(links[sigma]) for sigma in effective}
+    links, effective, touched, partition = _kept_links(delta)
     ao_product = 1
     for sigma in effective:
         try:
@@ -398,7 +421,6 @@ def verify_product_formula(delta: PureComplex) -> Report:
             ao_product *= graphcore.acyclic_orientation_count(touched[sigma])
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"upper link of peak {sigma}: {exc}") from exc
-    partition = phi_partition(delta)
     factored = poly_from_linear_factors([len(b) for b in partition.values()])
     counts = enumerate_cage_free(delta)
     enum_poly = counts_to_polynomial(counts, len(partition))
@@ -452,13 +474,14 @@ def is_simplicial_peo(
     via the equivalent statement that every upper link is PEO-ordered by
     the natural labels; the routes must agree.  A link is tested on the k
     vertices its edges touch, numbered 1..k in increasing order: a vertex
-    with no edge has no earlier neighbours, so it changes nothing.
+    with no edge has no earlier neighbours, so it changes nothing, and an
+    empty link is PEO-ordered, so the effective peaks' links suffice.  Both
+    routes read the complex's `_links` slot (`_kept_links`); a relabeled
+    complex fills its own.
     """
     complex_ = delta if labeling is None else delta.relabeled(labeling)
-    links, _ = upper_links(complex_)
-    return _peo_by_both_routes(
-        complex_, phi_partition(complex_), map(_touched, links.values())
-    )
+    _, _, touched, partition = _kept_links(complex_)
+    return _peo_by_both_routes(complex_, partition, touched.values())
 
 
 def _peo_by_both_routes(
@@ -520,18 +543,26 @@ def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
     removing it leaves the rank unchanged (an elementary collapse, which
     preserves homology).  A free ridge stays free as other facets go, so
     each round removes every facet with a free ridge, until none is left.
-    The first round reads the free-ridge mask the subcomplex carries
-    (`_kept_masks`); each later round, reached only while a core is left,
-    finds the core's free ridges with one `_free_ridges` call.  A cage-free
-    subcomplex collapses to nothing, most of them in the first round.
+    The first round reads the free-ridge mask the subcomplex carries in its
+    slots, which `_kept_masks` fills only for one that carries none; each
+    later round, reached only while a core is left, finds the core's free
+    ridges with one `_free_ridges` call.  A cage-free subcomplex collapses
+    to nothing, most of them in the first round, so a round filters with a
+    plain loop, which costs no function call as a comprehension would.
     Only the remaining core is eliminated with `exactla.echelon` (rows by
     the parent's ridge index; an empty core has rank 0).  The top homology
     group embeds in a free abelian group, so it is torsion-free and its
     integral rank equals this rational one.
     """
-    core, free = _kept_masks(upsilon)
+    core, free = upsilon._masks, upsilon._free
+    if core is None:
+        core, free = _kept_masks(upsilon)
     while free:
-        core = [m for m in core if not m & free]
+        left = []
+        for m in core:
+            if not m & free:
+                left.append(m)
+        core = left
         free = _free_ridges(core) if core else 0
     if not core:
         return 0
@@ -547,23 +578,36 @@ def top_homology_rank(upsilon: SpanningSubcomplex) -> int:
 
 def has_leaf(upsilon: SpanningSubcomplex) -> bool:
     """Whether some ridge lies in exactly one kept facet: whether the
-    free-ridge mask the subcomplex carries (`_kept_masks`) is nonzero, so no
-    facet is scanned.  Every nonempty cage-free subcomplex has one."""
-    return bool(_kept_masks(upsilon)[1])
+    free-ridge mask the subcomplex carries in its `_free` slot is nonzero,
+    so no facet is scanned; `_kept_masks` fills the slot only for one that
+    carries none.  Every nonempty cage-free subcomplex has one."""
+    if upsilon._masks is None:
+        return bool(_kept_masks(upsilon)[1])
+    return bool(upsilon._free)
 
 
 def is_shifted(obj: PureComplex | SpanningSubcomplex) -> bool:
-    """Exchange condition: swapping any vertex for a smaller one stays a face."""
-    faces = obj.faces()
-    for face in faces:
-        members = set(face)
-        for k in face:
-            for j in range(1, k):
-                if j in members:
-                    continue
-                swapped = tuple(sorted(members - {k} | {j}))
-                if swapped not in faces:
-                    return False
+    """Exchange condition: swapping any vertex of a face for a smaller one
+    outside it stays a face.
+
+    It is tested on the generators alone, each swap within the generator's
+    own level: the facets of a complex; the kept facets of a subcomplex and
+    the parent's ridges, which hold every lower face.  That suffices: if a
+    face s lies in a generator F and j is not in s, then s - k + j lies in
+    F - k + j when j is not in F, and in F itself otherwise.  So a facet of
+    d + 1 vertices costs at most (d + 1) n swaps, and no 2**(d+1) faces are
+    listed."""
+    if isinstance(obj, SpanningSubcomplex):
+        levels = (obj.kept_facets, set(obj.parent.ridges()))
+    else:
+        levels = (obj.facets,)
+    for level in levels:
+        for face in level:
+            members = set(face)
+            for k in face:
+                for j in range(1, k):
+                    if j not in members and tuple(sorted(members - {k} | {j})) not in level:
+                        return False
     return True
 
 

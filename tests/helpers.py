@@ -8,6 +8,7 @@ results are checked against genuinely independent computations.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -106,6 +107,22 @@ def bowtie_complex() -> PureComplex:
 
 def tetrahedron_boundary() -> PureComplex:
     return PureComplex(4, 2, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+
+
+def oracle_is_shifted(obj: PureComplex | SpanningSubcomplex) -> bool:
+    """The exchange condition on every face: swapping any vertex of a face
+    for a smaller one outside it stays a face."""
+    faces = obj.faces()
+    for face in faces:
+        members = set(face)
+        for k in face:
+            for j in range(1, k):
+                if j in members:
+                    continue
+                swapped = tuple(sorted(members - {k} | {j}))
+                if swapped not in faces:
+                    return False
+    return True
 
 
 # -- multigraphs -------------------------------------------------------------
@@ -696,3 +713,24 @@ def avoiding(blockers):
         return state
 
     return extend
+
+
+def isfkit_calls(run) -> set[str]:
+    """The isfkit functions, as module.name, that `run()` calls, leaving out
+    methods, those whose first argument is self or cls, such as
+    IntPolynomial.__call__."""
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        module = frame.f_globals.get("__name__", "")
+        if (event == "call" and module.startswith("isfkit.")
+                and code.co_varnames[:1] not in (("self",), ("cls",))):
+            called.add(f"{module}.{getattr(code, 'co_qualname', code.co_name)}")
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called

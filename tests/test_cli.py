@@ -680,6 +680,20 @@ def test_complex_verify_on_nine_vertices_counts_links_on_their_own_vertices(
         oracle_acyclic_orientation_count(links[s]) for s in effective)
 
 
+def test_complex_verify_of_one_facet_of_dimension_19_is_quick(tmp_path):
+    # the structure report's shifted test once listed all 2**20 faces of the
+    # facet; it reads the facet and its ridges alone
+    delta = PureComplex(20, 19, [range(1, 21)])
+    path = write(tmp_path, "facet.json", delta.to_json())
+    start = time.perf_counter()
+    proc = run_child("-m", "isfkit.cli", "complex", "verify", path, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 0 and proc.stderr == "ok\n"
+    report = json.loads(proc.stdout)
+    assert report["passed"] is True and report["structure"]["is_shifted"] is True
+    assert report["witnesses"]["cage_free_count"] == report["witnesses"]["ao_product"] == 2
+
+
 @pytest.mark.parametrize(
     "content",
     [b'{"labels": [' + b"7" * 5000 + b'], "parents": {}}', b"\xff\xfe{}", None],

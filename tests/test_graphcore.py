@@ -4,7 +4,6 @@ import math
 import pickle
 import random
 import re
-import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -49,6 +48,7 @@ from helpers import (
     forest_from_edge_set,
     house_graph,
     increasing_tree,
+    isfkit_calls,
     non_increasing_tree,
     oracle_acyclic_orientation_count,
     oracle_chromatic_by_partitions,
@@ -879,25 +879,47 @@ def test_orientation_cross_check_reads_the_2_core():
         assert acyclic_orientation_count(G, chromatic=chi + 1) == count - 1
 
 
-def _isfkit_calls(run) -> set[str]:
-    """The isfkit functions, as module.name, that `run()` calls, leaving out
-    methods, those whose first argument is self or cls, such as
-    IntPolynomial.__call__."""
-    called = set()
+def test_orientation_count_refuses_past_the_output_budget_before_stripping():
+    # without χ the output budget refuses first, before the strip or any χ
+    # route reads the graph
+    n = graphcore._OUTPUT_BUDGET + 1
+    for G in (Graph(n, [(k, k + 1) for k in range(1, n)]), Graph(n, [(1, 2)])):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match=f"^n={n} exceeds the output budget {n - 1}$"):
+            acyclic_orientation_count(G)
+        assert time.perf_counter() - start < 1
 
-    def profile(frame, event, arg):
-        code = frame.f_code
-        module = frame.f_globals.get("__name__", "")
-        if (event == "call" and module.startswith("isfkit.")
-                and code.co_varnames[:1] not in (("self",), ("cls",))):
-            called.add(f"{module}.{getattr(code, 'co_qualname', code.co_name)}")
 
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return called
+def test_orientation_count_of_a_long_tree_reads_the_contraction_bits_budget(monkeypatch):
+    # a tree's core is empty, so its χ comes from the contraction recursion
+    # alone, whose result on v vertices with an edge is refused past
+    # (v + 1) * v * bitlen(v) bits before (t - 1)**(v - 1) is expanded
+    path = Graph(10, [(k, k + 1) for k in range(1, 10)])
+    monkeypatch.setattr(graphcore, "_COUNT_BITS", 11 * 10 * 4)
+    assert acyclic_orientation_count(path) == 2**9
+    monkeypatch.setattr(graphcore, "_COUNT_BITS", 11 * 10 * 4 - 1)
+    with pytest.raises(BudgetExceededError, match=(
+            "^chromatic recursion exceeds its budget of 439 bits of counts summed "
+            "over the memo entries$")):
+        acyclic_orientation_count(path)
+    monkeypatch.undo()
+    # at the default budget a 2,000-vertex path expands and a 13,000-vertex
+    # one refuses at once; chromatic_polynomial runs the colour classes
+    # first, which refuse both
+    for n, count in ((2000, 2**1999), (13000, None)):
+        G = Graph(n, [(k, k + 1) for k in range(1, n)])
+        start = time.perf_counter()
+        if count is None:
+            with pytest.raises(BudgetExceededError,
+                               match="^chromatic recursion exceeds its budget of 2147483648 bits"):
+                acyclic_orientation_count(G)
+        else:
+            assert acyclic_orientation_count(G) == count
+        assert time.perf_counter() - start < 1
+        with pytest.raises(BudgetExceededError,
+                           match="^colour-class transfer exceeds its budget of 2147483648 bits"):
+            chromatic_polynomial(G)
 
 
 def test_the_orientation_route_shares_no_function_with_the_chromatic_routes():
@@ -907,10 +929,10 @@ def test_the_orientation_route_shares_no_function_with_the_chromatic_routes():
     tree = Graph(12, [(rng.randint(1, k - 1), k) for k in range(2, 13)])
     for G in (complete_graph(5), paw_peo(), tree):
         chi = chromatic_polynomial(G)
-        orientation = _isfkit_calls(lambda: acyclic_orientation_count(G, chromatic=chi))
+        orientation = isfkit_calls(lambda: acyclic_orientation_count(G, chromatic=chi))
         assert "isfkit.graphcore.acyclic_orientation_count" in orientation
         for route in (chromatic._by_colour_classes, chromatic._by_contraction):
-            routed = _isfkit_calls(lambda: route(G))
+            routed = isfkit_calls(lambda: route(G))
             assert f"isfkit.chromatic.{route.__name__}" in routed
             assert orientation & routed == set(), (G, route.__name__)
 

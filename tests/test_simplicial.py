@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from isfkit.errors import BudgetExceededError, InputError
+from isfkit.errors import BudgetExceededError, InputError, InternalCheckError
 from isfkit.graphcore import Graph, find_peo, is_peo
 from isfkit.polycore import poly_from_linear_factors
 from isfkit.simplicial import (
@@ -29,7 +29,7 @@ from isfkit.simplicial import (
     upper_links,
     verify_product_formula,
 )
-from isfkit import graphcore, simplicial
+from isfkit import chromatic, graphcore, simplicial
 from isfkit.exactla import echelon
 
 from helpers import (
@@ -38,6 +38,8 @@ from helpers import (
     bipyramid,
     bowtie_complex,
     fan_complex,
+    isfkit_calls,
+    oracle_is_shifted,
     oracle_top_homology_rank,
     oracle_upper_links,
     tetrahedron_boundary,
@@ -317,6 +319,38 @@ def test_product_formula_partitions_the_facets_once(monkeypatch):
         assert calls == [delta]
 
 
+def test_a_link_count_off_by_one_in_the_contraction_is_caught(monkeypatch):
+    # every link of the bipyramid fits the source-set recursion, which then
+    # checks the contraction χ alone; with the vertex budget at 0 the
+    # triangle link of peak 1 does not, and chromatic_polynomial compares
+    # the contraction with the colour classes
+    contraction = chromatic._by_contraction
+    monkeypatch.setattr(chromatic, "_by_contraction",
+                        lambda G: [c + (i == 0) for i, c in enumerate(contraction(G))])
+    with pytest.raises(InternalCheckError, match="^source-set recursion gives "):
+        verify_product_formula(bipyramid())
+    monkeypatch.setattr(graphcore, "_VERTEX_BUDGET", 0)
+    with pytest.raises(InternalCheckError,
+                       match="^contraction and colour-class chromatic polynomials differ"):
+        verify_product_formula(bipyramid())
+
+
+def test_link_counts_run_no_colour_classes_where_every_core_fits(monkeypatch):
+    # each link of a complex on at most six vertices touches at most five,
+    # so its core fits and its χ is the contraction's, checked by the
+    # recursion; a core past the vertex budget brings the colour classes in
+    rng = random.Random(79)
+    corpus = [bipyramid(), fan_complex(), tetrahedron_boundary()]
+    corpus += [random_complex(rng, rng.randint(3, 6)) for _ in range(8)]
+    for delta in corpus:
+        calls = isfkit_calls(lambda: verify_product_formula(delta))
+        assert "isfkit.chromatic._class_counts" not in calls
+        assert "isfkit.chromatic._by_contraction" in calls or not upper_links(delta)[1]
+    monkeypatch.setattr(graphcore, "_VERTEX_BUDGET", 2)
+    calls = isfkit_calls(lambda: verify_product_formula(bipyramid()))
+    assert "isfkit.chromatic._class_counts" in calls
+
+
 def test_simplicial_peo_bipyramid_labelings():
     delta = bipyramid()
     assert is_simplicial_peo(delta)
@@ -575,6 +609,53 @@ def test_shifted_detection():
     shifted = shifted_closure(5, 2, [(2, 3, 5)])
     assert is_shifted(shifted)
     assert is_shifted(tetrahedron_boundary())
+
+
+def _shifted_corpus(seed):
+    """Complexes of dimension 1 to 3 on at most seven vertices, half of them
+    shifted closures, some with a facet removed, and of each a few spanning
+    subcomplexes: all facets, none, a random half, and the shifted closure
+    of a random part, which a shifted parent holds."""
+    rng = random.Random(seed)
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        n = rng.randint(d + 1, 7)
+        if rng.random() < 0.5:
+            seeds = [rng.sample(range(1, n + 1), d + 1) for _ in range(rng.randint(1, 3))]
+            facets = set(shifted_closure(n, d, seeds).facets)
+            if rng.random() < 0.3:
+                facets.discard(rng.choice(sorted(facets)))
+            delta = PureComplex(n, d, facets)
+        else:
+            delta = random_complex(rng, n, rng.choice((0.2, 0.5, 0.8)), d)
+        yield delta
+        facets = sorted(delta.facets)
+        part = [f for f in facets if rng.random() < 0.5]
+        closed = shifted_closure(n, d, rng.sample(facets, min(2, len(facets)))).facets
+        for kept in (facets, (), part, closed & delta.facets):
+            yield SpanningSubcomplex(delta, kept)
+
+
+def test_shifted_test_on_generators_matches_the_face_oracle():
+    outcomes = Counter()
+    for obj in _shifted_corpus(83):
+        assert is_shifted(obj) == oracle_is_shifted(obj), obj
+        outcomes[type(obj).__name__, is_shifted(obj)] += 1
+    assert sum(outcomes.values()) == 2000
+    assert min(outcomes.values()) >= 150, outcomes
+
+
+def test_shifted_test_of_one_facet_is_polynomial_in_the_dimension():
+    # the face-level test lists 2**(d+1) faces; the generators are one facet
+    # and its d + 1 ridges, or the facet's complex itself
+    for d in (19, 40, 100):
+        delta = PureComplex(d + 1, d, [range(1, d + 2)])
+        start = time.perf_counter()
+        assert is_shifted(delta) and is_shifted(full_subcomplex(delta))
+        assert is_shifted(SpanningSubcomplex(delta, []))
+        assert time.perf_counter() - start < 1
+    # the ridges of a facet that skips vertex 1 are not shifted
+    assert not is_shifted(SpanningSubcomplex(PureComplex(4, 2, [(2, 3, 4)]), []))
 
 
 def test_shifted_complexes_are_peo():

@@ -26,10 +26,13 @@ from isfkit.simplicial import (
     SpanningSubcomplex,
     cage_free_subcomplexes,
     has_leaf,
+    is_simplicial_peo,
     phi_partition,
+    upper_links,
+    verify_product_formula,
 )
 
-from helpers import anchored_multigraph, fan_complex
+from helpers import anchored_multigraph, bipyramid, fan_complex
 
 
 def _arrangement():
@@ -155,6 +158,34 @@ def test_subcomplex_fields_refuse_assignment_and_copies_keep_the_masks():
             assert sorted(twin._masks) == masks and twin._free == upsilon._free
             with pytest.raises(AttributeError):
                 twin.kept_facets = frozenset()
+
+
+def test_a_complex_keeps_its_upper_links_apart_from_what_callers_get():
+    # the links, effective peaks, touched graphs and blocks are kept once per
+    # complex; what upper_links and phi_partition return is the caller's own
+    for early in (True, False):
+        D = bipyramid()
+        expected = verify_product_formula(bipyramid()).to_json()
+        if early:  # mutate before the complex fills its slot
+            links, effective = upper_links(D)
+            links.clear(), effective.clear(), phi_partition(D).clear()
+        assert verify_product_formula(D).to_json() == expected and is_simplicial_peo(D)
+        kept = D._links
+        assert kept is not None
+        links, effective = upper_links(D)
+        blocks = phi_partition(D)
+        assert (links, effective, blocks) == (kept[0], kept[1], kept[3])
+        assert links is not kept[0] and effective is not kept[1] and blocks is not kept[3]
+        links.clear(), effective.append((9,)), blocks.clear()
+        assert verify_product_formula(D).to_json() == expected and is_simplicial_peo(D)
+        assert D._links is kept and len(kept[3]) == 5 and kept[1] == [(1,), (2,), (3,)]
+        for twin in (copy.copy(D), copy.deepcopy(D), pickle.loads(pickle.dumps(D))):
+            assert type(twin) is PureComplex and twin == D and hash(twin) == hash(D)
+            assert twin._links == kept
+            assert verify_product_formula(twin).to_json() == expected
+        # a relabeled complex is a new object with a slot of its own
+        assert not is_simplicial_peo(D, [5, 3, 2, 4, 1])
+        assert D._links is kept and D.relabeled([1, 2, 3, 4, 5])._links is None
 
 
 def test_frozen_equality_is_field_wise_and_hash_follows_it():
