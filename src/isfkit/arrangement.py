@@ -3,14 +3,14 @@ rationals, intersection lattices, characteristic polynomials, perfect
 labelings, lattice NBC theory, signed-graph coloring, and supersolvability.
 
 The intersection lattice is built as a lattice of flats: each element is
-the bitmask of the hyperplanes (atoms) containing it.  Construction joins
-flats with atoms in integer arithmetic, with denominators cleared.  A real
-arrangement has the lattice of its complexification, so each real normal
-enters as its one row in Z^n, and the canonical integer echelon form
-(`exactla.echelon`) of a set of rows tells their spans apart; its length is
-the rank.  Only a non-real arrangement is realified: a normal v = x + iy
-enters as the rows (x, y) and (-y, x) in Z^(2n), whose Q-span determines the
-Q(i)-span of the normals, and half the form's length is the rank.  Once
+the bitmask of the hyperplanes (atoms) containing it.  The hyperplanes are
+x_i = z*x_j and x_k = 0, so the arrangement is gain-graphic, and by
+Zaslavsky ("Biased graphs. IV", J. Combin. Theory Ser. B 89, 2003) a flat
+is a set of coordinates forced to zero plus balanced blocks with
+potentials.  Construction joins flats with atoms by one union-find step on
+that closure form (`_join`), whose canonical normalization tells flats
+apart: integer potentials on a real arrangement, Gaussian rationals on a
+non-real one; the rank is the support size less the number of blocks.  Once
 built, the masks are the elements, and order, meet and join are bit
 operations on them.  The lattice NBC sets come from the closure test on
 these masks, with no circuit listed: the walk takes the atoms from the
@@ -25,11 +25,10 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
 from . import graphcore
-from .exactla import echelon
 from .graphcore import (_edge_problem, _increasing_masks, _within_output_budget,
                         counts_to_polynomial)
 from .polycore import IntPolynomial, poly_from_linear_factors
@@ -74,8 +73,9 @@ class GaussRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction is immutable, so one given is kept, not copied
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -115,7 +115,7 @@ class GaussRational:
         return _coerce(other) / self
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -129,7 +129,7 @@ class GaussRational:
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def sort_key(self):
         return (self.re, self.im)
@@ -468,67 +468,153 @@ def _real_rows(normals: Sequence[Sequence[GaussRational]],
     return [_integers([row[k].re for k in cols]) for row in normals]
 
 
-def _realification(normal: Sequence[GaussRational]) -> tuple[tuple[int, ...], ...]:
-    """The rows (x, y) and (-y, x) of v = x + iy, a multiple of v and of i*v,
-    as integer vectors in Z^(2n).  Only a non-real arrangement needs them."""
-    n = len(normal)
-    xy = _integers([z.re for z in normal] + [z.im for z in normal])
-    return tuple(xy), tuple([-c for c in xy[n:]] + xy[:n])
+def _primitive(values: list[int]) -> list[int]:
+    """A real block's potentials: the primitive integer vector with a
+    positive root entry, the first."""
+    g = gcd(*values)
+    if values[0] < 0:
+        g = -g
+    return values if g == 1 else [v // g for v in values]
 
 
-def _atom_forms(A: Arrangement) -> tuple[int, list[tuple], tuple]:
-    """The rows per rank (1 for a real arrangement, 2 for a realified one),
-    the echelon form of each distinct hyperplane in order, and the top's
-    form.  A real arrangement eliminates its own rows in Z^n, a non-real one
-    its realification in Z^(2n); both give the same lattice on real normals,
-    since the realified form of real rows is their form doubled."""
+def _monic(values: list[GaussRational]) -> list[GaussRational]:
+    """A non-real block's potentials: divided by the root entry, the first."""
+    root = values[0]
+    return [v / root for v in values]
+
+
+def _join(form: tuple, edge: tuple, normalize: Callable) -> tuple:
+    """The flat of `form` cut by the hyperplane a*x_i + b*x_j = 0 of `edge`
+    (i, a, j, b); a zero edge x_i = 0 is (i, 1, i, 0).
+
+    A form holds, per support coordinate, None when the flat forces it to 0,
+    and otherwise (root, p): the flat sets x_k = p * t_B on each block B of
+    coordinates, which the least coordinate, the root, names.  An edge to a
+    zero coordinate, or inside one block with a*p_i + b*p_j != 0 (a zero
+    edge always), zeroes the block; an edge across two blocks merges them,
+    the first's potentials times b*p_j and the second's times -a*p_i, so
+    that the edge holds on the merged block.  A flat already on the
+    hyperplane is returned as it is."""
+    i, a, j, b = edge
+    ci, cj = form[i], form[j]
+    if ci is None:
+        if cj is None:
+            return form
+        dead = cj[0]
+    elif cj is None:
+        dead = ci[0]
+    else:
+        ri, p = ci
+        rj, q = cj
+        if ri == rj:
+            if a * p + b * q == 0:
+                return form
+            dead = ri
+        else:
+            s, t = b * q, -a * p
+            block, values = [], []
+            for k, c in enumerate(form):
+                if c is not None:
+                    if c[0] == ri:
+                        block.append(k)
+                        values.append(c[1] * s)
+                    elif c[0] == rj:
+                        block.append(k)
+                        values.append(c[1] * t)
+            root, out = block[0], list(form)
+            for k, v in zip(block, normalize(values)):
+                out[k] = (root, v)
+            return tuple(out)
+    return tuple([None if c is not None and c[0] == dead else c for c in form])
+
+
+def _gain_edges(A: Arrangement) -> tuple[int, list[tuple], Callable]:
+    """The number of support coordinates, those where some normal is
+    nonzero (dropping the others changes no flat), each hyperplane as the
+    edge (i, a, j, b) of `_join` on them, and the normalization of the
+    potentials.  A real arrangement's edges have integer coefficients and
+    its potentials are integers (`_primitive`); a non-real one's are
+    Gaussian rationals (`_monic`).  Past the hyperplane budget, or with a
+    zero normal or one of more than two nonzero entries, which is not
+    gain-graphic, the arrangement is refused."""
     if len(A.normals) > _HYPERPLANE_BUDGET:
         raise BudgetExceededError(
             f"{len(A.normals)} hyperplanes exceeds budget {_HYPERPLANE_BUDGET}"
         )
-    if any(not any(row) for row in A.normals):
-        raise InputError("hyperplane normals must be nonzero")
-    cols = _support(A.normals)
-    if A.real_flag:
-        per_rank, row_sets = 1, [(row,) for row in _real_rows(A.normals, cols)]
-    else:
-        per_rank = 2
-        row_sets = [_realification([normal[k] for k in cols]) for normal in A.normals]
-    atom_forms: list[tuple] = []
-    for rows in row_sets:
-        f = echelon(rows)
-        if f not in atom_forms:
-            atom_forms.append(f)
-    return per_rank, atom_forms, echelon(row for atom in atom_forms for row in atom)
+    # the nonzero entries of each normal; the shared GR_ZERO that
+    # `build_arrangement` fills in is skipped without a test
+    entries = []
+    for h, row in enumerate(A.normals):
+        nonzero = [k for k, z in enumerate(row) if z is not GR_ZERO and z]
+        if not nonzero:
+            raise InputError("hyperplane normals must be nonzero")
+        if len(nonzero) > 2:
+            raise InputError(
+                f"hyperplane {h} has {len(nonzero)} nonzero normal entries; an "
+                f"intersection lattice needs at most two (x_i = z*x_j or x_k = 0)"
+            )
+        entries.append(nonzero)
+    cols = {k: c for c, k in enumerate(sorted(set().union(*entries)))}
+    edges = []
+    for row, (i, *rest) in zip(A.normals, entries):
+        if not rest:
+            edges.append((cols[i], 1, cols[i], 0))
+            continue
+        j = rest[0]
+        if A.real_flag:  # (x, y) times the product of their denominators
+            x, y = row[i].re, row[j].re
+            a, b = x.numerator * y.denominator, y.numerator * x.denominator
+        else:
+            a, b = row[i], row[j]
+        edges.append((cols[i], a, cols[j], b))
+    normalize = _primitive if A.real_flag else _monic
+    return len(cols), edges, normalize
 
 
 def intersection_lattice(A: Arrangement) -> IntersectionLattice:
-    """Build the flats rank by rank, deduplicating each rank by echelon form.
+    """Build the flats rank by rank, deduplicating each rank by the closure
+    form of `_join`: by Zaslavsky ("Biased graphs. IV", J. Combin. Theory
+    Ser. B 89, 2003) a flat of this gain-graphic arrangement is its zero
+    coordinates and balanced blocks with potentials, and the normalized form
+    is canonical, so two flats are equal exactly when their forms are.
 
     Each flat X is joined with the atoms a not below it, in order.  Every
     atom below a flat Z of rank r is reached as X v a from some flat X of
     rank r - 1 that does not contain it, so OR-ing the masks of all such X,
     plus the bit of a, gives the full atom set of Z.  A join already known
-    is read, not eliminated again.  The lattice of flats is semimodular
+    is read, not computed again.  The lattice of flats is semimodular
     (Orlik-Terao, *Arrangements of Hyperplanes*, 1992, section 2.1): for
     the lower cover W that X was first reached from, Y = W v a is a stored
     flat of X's rank and X v a = X v Y, so the join of each pair {X, Y} is
     kept for the level.  Failing that, a cover of X found so far whose mask
     already holds X and a is the join, since both have rank r + 1.  Only
-    when both miss is form + atom eliminated.  A central arrangement has one
-    flat of top rank rho, the span of all atoms, so the joins from rank
-    rho - 1 take its form with no elimination, and the joins of the bottom
-    are the atoms' own forms.  Each level still finds its flats in the
-    order of its (X, a) pairs, so the order of `rank` and the point where
-    the lattice budget refuses do not depend on which way a join was found.
+    when both miss is the form joined with the atom.  A central arrangement
+    has one flat of top rank rho, the join of all atoms, so the joins from
+    rank rho - 1 take its form with no closure step, and the joins of the
+    bottom are the atoms' own forms.  Each level still finds its flats in
+    the order of its (X, a) pairs, so the order of `rank` and the point
+    where the lattice budget refuses do not depend on which way a join was
+    found.
     """
-    per_rank, atom_forms, top_form = _atom_forms(A)
+    support, edges, normalize = _gain_edges(A)
+    bottom = tuple((k, 1) for k in range(support))
+    # each distinct hyperplane's form, to the first edge that gives it
+    atoms: dict[tuple, tuple] = {}
+    for edge in edges:
+        atoms.setdefault(_join(bottom, edge, normalize), edge)
+    atom_forms, atom_edges = list(atoms), list(atoms.values())
+    top = bottom
+    for edge in atom_edges:
+        top = _join(top, edge, normalize)
+    rho = support - sum(c is not None and c[0] == k for k, c in enumerate(top))
     ranks: dict[int, int] = {0: 0}
     atom_joins: dict[tuple[int, int], int] = {}
     # each flat of a level: its form, its mask and the lower cover it was
     # first reached from
-    level: list[tuple[tuple, int, int]] = [((), 0, 0)]
+    level: list[tuple[tuple, int, int]] = [(bottom, 0, 0)]
+    rank = 0
     while level:
+        rank += 1
         index: dict[tuple, int] = {}  # the form of each flat found, to its place
         masks: list[int] = []  # the atoms found below each flat so far
         reached_from: list[int] = []
@@ -547,8 +633,7 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
                 reached_from.append(mask)
             return z
 
-        # a level's flats share one rank; from rank rho - 1 each join is the top
-        coatoms = len(level[0][0]) + per_rank == len(top_form)
+        coatoms = rank == rho  # from rank rho - 1 each join is the top
         for form, mask, below in level:
             covers: list[int] = []  # the places of X's covers found so far
             for a, atom in enumerate(atom_forms):
@@ -556,7 +641,7 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
                 if mask & bit:
                     continue
                 if coatoms or not mask:
-                    z = place(top_form if coatoms else atom, mask)
+                    z = place(top if coatoms else atom, mask)
                 else:
                     other = atom_joins[below, a]
                     pair = (mask, other) if mask < other else (other, mask)
@@ -566,7 +651,7 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
                             if masks[z] & bit:
                                 break
                         else:
-                            z = place(echelon(form + atom), mask)
+                            z = place(_join(form, atom_edges[a], normalize), mask)
                         pair_joins[pair] = z
                 masks[z] |= mask | bit
                 if z not in covers:
@@ -575,8 +660,8 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
         for mask, a, z in joins:
             atom_joins[mask, a] = masks[z]
         level = [(form, masks[z], reached_from[z]) for form, z in index.items()]
-        for form, mask, _ in level:
-            ranks[mask] = len(form) // per_rank
+        for _, mask, _ in level:
+            ranks[mask] = rank
     return IntersectionLattice(ranks, atom_joins)
 
 
@@ -769,13 +854,16 @@ def region_count_deletion_restriction(A: Arrangement) -> int:
     normals, with no lattice.  The recursion stops at two hyperplanes: k
     independent hyperplanes cut space into 2^k regions."""
 
-    def rec(normals: list[Sequence[int]], dim: int) -> int:
+    def distinct(normals: list[Sequence[int]]) -> list[tuple[int, ...]]:
         seen: dict[tuple, None] = {}
         for v in normals:
             norm = _normalize_real(v)
             if norm is not None:
                 seen.setdefault(norm, None)
-        hs = list(seen)
+        return list(seen)
+
+    def rec(hs: list[tuple[int, ...]], dim: int) -> int:
+        """r of the distinct primitive normals hs."""
         if len(hs) <= 2:  # distinct hyperplanes through 0: 2 are independent
             return 1 << len(hs)
         h = hs[-1]
@@ -787,12 +875,12 @@ def region_count_deletion_restriction(A: Arrangement) -> int:
             [h[pivot] * g[k] - h[k] * g[pivot] for k in range(dim) if k != pivot]
             for g in rest
         ]
-        return rec(rest, dim) + rec(restricted, dim - 1)
+        return rec(rest, dim) + rec(distinct(restricted), dim - 1)
 
     if not A.real_flag:
         raise InputError("region counting requires all-real edge labels")
     cols = _support(A.normals)
-    return rec(_real_rows(A.normals, cols), len(cols))
+    return rec(distinct(_real_rows(A.normals, cols)), len(cols))
 
 
 def topology_report(G: LabeledMultigraph) -> Report:

@@ -29,16 +29,20 @@ from . import graphcore
 from .graphcore import Graph
 
 
-def _neighbour_masks(G: Graph) -> tuple[list[int], int]:
-    """The neighbour bitmasks of the vertices with an edge, numbered 0, 1, ...
-    in label order, and the number of vertices without an edge."""
-    touched = sorted({v for e in G.edges for v in e})
+def _touched(G: Graph) -> list[int]:
+    """The vertices with an edge, in label order."""
+    return sorted({v for e in G.edges for v in e})
+
+
+def _neighbour_masks(G: Graph, touched: Sequence[int]) -> list[int]:
+    """The neighbour bitmasks of the vertices `touched`, those with an edge,
+    numbered 0, 1, ... in label order."""
     index = {v: i for i, v in enumerate(touched)}
     masks = [0] * len(touched)
     for i, j in G.edges:
         masks[index[i]] |= 1 << index[j]
         masks[index[j]] |= 1 << index[i]
-    return masks, G.n - len(touched)
+    return masks
 
 
 def _class_counts(G: Graph) -> tuple[list[int], int]:
@@ -55,9 +59,14 @@ def _class_counts(G: Graph) -> tuple[list[int], int]:
     an open class that holds no neighbour of w.  A vertex leaves its class
     after its last neighbour, and a class left empty is closed.
     """
-    adj, isolated = _neighbour_masks(G)
+    touched = _touched(G)
     # step j holds counts for k = 0..j, each below j**j
-    state_bits = [(j + 1) * j * j.bit_length() for j in range(1, len(adj) + 1)]
+    state_bits = [(j + 1) * j * j.bit_length() for j in range(1, len(touched) + 1)]
+    # the runner checks these bits before its first step: run it with no
+    # step, so that a graph past the bits budget is refused before its
+    # neighbour masks are built
+    graphcore._run_transfer("colour-class transfer", "vertices", (), {}, None, state_bits)
+    adj = _neighbour_masks(G, touched)
     # leave[w]: the vertices whose last neighbour is w, w itself if it has
     # no later one
     leave = [0] * len(adj)
@@ -88,7 +97,7 @@ def _class_counts(G: Graph) -> tuple[list[int], int]:
 
     table = graphcore._run_transfer("colour-class transfer", "vertices", range(len(adj)),
                                     {(): [1]}, step, state_bits)
-    return table[()], isolated
+    return table[()], G.n - len(touched)
 
 
 def _by_colour_classes(G: Graph) -> list[int]:
@@ -202,11 +211,12 @@ def _by_contraction(G: Graph) -> list[int]:
     way and refused before the recursion starts, so a long tree, whose core
     is empty, cannot expand (t - 1)**b past the bits budget.
     """
-    adj, isolated = _neighbour_masks(G)
-    v = len(adj)
-    if (v + 1) * v * v.bit_length() > graphcore._COUNT_BITS:
+    touched = _touched(G)
+    v = len(touched)
+    if (v + 1) * v * v.bit_length() > graphcore._COUNT_BITS:  # before the masks
         raise graphcore._refusal("chromatic recursion", "memo entries", bits=True)
-    root, a, b = _strip(adj)
+    isolated = G.n - v
+    root, a, b = _strip(_neighbour_masks(G, touched))
     budget = graphcore._TABLE_BUDGET
     memo: dict[tuple[int, ...], list[int]] = {(): [1]}
     splits: dict[tuple[int, ...], tuple] = {}

@@ -1,8 +1,5 @@
 """The library's one exact elimination: fraction-free Gauss-Jordan over the
-integers, for simplicial homology ranks (integer boundary matrices) and for
-the intersection lattices of `arrangement` (a real arrangement's normals
-enter as their own integer rows in Z^n; only a non-real normal x + iy is
-realified, as the integer rows (x, y) and (-y, x) in Z^(2n)).
+integers, for the ranks of simplicial homology (integer boundary matrices).
 
 Each step replaces a row by p*row - f*pivot_row, where p is the pivot and f
 the row's entry in the pivot column, and divides the result by the gcd of its

@@ -785,23 +785,29 @@ def acyclic_orientation_count(
     """
     if chromatic is None:
         _within_output_budget(G.n)
-    nb: dict[int, set[int]] = defaultdict(set)
+    # strip the pendant edges in linear time: each vertex keeps its degree
+    # and the XOR of its neighbours left, so a vertex of degree one names its
+    # last neighbour; a vertex whose last edge goes is dropped.  The lists
+    # take n + 1 entries, as the chromatic polynomial evaluated below does
+    degree, link = [0] * (G.n + 1), [0] * (G.n + 1)
     for i, j in G.edges:
-        nb[i].add(j)
-        nb[j].add(i)
-    # strip the pendant edges, with neighbour sets so that a long tree is
-    # stripped in linear time; a vertex whose last edge goes is dropped
-    leaves = [w for w, s in nb.items() if len(s) == 1]
+        degree[i] += 1
+        degree[j] += 1
+        link[i] ^= j
+        link[j] ^= i
+    leaves = [w for w, d in enumerate(degree) if d == 1]
     pendant = 0
     while leaves:
         w = leaves.pop()
-        if len(nb[w]) == 1:
-            x = nb[w].pop()
-            nb[x].remove(w)
+        if degree[w] == 1:
+            x = link[w]
+            degree[w] = 0
+            degree[x] -= 1
+            link[x] ^= w
             pendant += 1
-            if len(nb[x]) == 1:
+            if degree[x] == 1:
                 leaves.append(x)
-    core = [w for w, s in nb.items() if s]
+    core = [w for w, d in enumerate(degree) if d]
     checked = len(G.edges) - pendant <= orientation_budget and len(core) <= _VERTEX_BUDGET
     if chromatic is None:
         if checked:
@@ -812,7 +818,11 @@ def acyclic_orientation_count(
     count = (-1) ** G.n * chromatic(-1)
     if checked:
         rank = {w: r for r, w in enumerate(core)}
-        masks = [sum(1 << rank[x] for x in nb[w]) for w in core]
+        masks = [0] * len(core)
+        for i, j in G.edges:  # an edge of two core vertices is a core edge
+            if degree[i] and degree[j]:
+                masks[rank[i]] |= 1 << rank[j]
+                masks[rank[j]] |= 1 << rank[i]
         # sign[T]: (-1)**(|T|+1) for an independent T, 0 for a dependent one
         sign, acyclic = [-1], [1]
         for S in range(1, 1 << len(core)):

@@ -85,7 +85,11 @@ class PureComplex(_Kept):
         _set(self, "_links", None)
 
     def faces(self) -> set[Face]:
-        """Downward closure of the facets, excluding the empty face."""
+        """Downward closure of the facets, excluding the empty face.  A facet
+        f has 2^|f| subsets, so past the member budget over the facets it is
+        refused before any face is listed."""
+        graphcore._within_member_budget(sum(1 << len(f) for f in self.facets),
+                                        "facet subsets")
         out: set[Face] = set()
         for f in self.facets:
             for k in range(1, len(f) + 1):
@@ -198,7 +202,8 @@ class SpanningSubcomplex:
         return self._kept_facets
 
     def faces(self) -> set[Face]:
-        """All faces: lower-dimensional parent faces plus kept facets' closures."""
+        """All faces: lower-dimensional parent faces plus kept facets' closures;
+        the parent's faces are listed first, so its bound refuses first."""
         out = {f for f in self.parent.faces() if len(f) <= self.parent.d}
         for f in self.kept_facets:
             for k in range(1, len(f) + 1):

@@ -85,7 +85,7 @@ def block_transversals(blocks: Iterable[Sequence]) -> Iterator[tuple]:
 
 def count_by_size(masks: Iterable[int]) -> dict[int, int]:
     """Member counts keyed by member size, in increasing size."""
-    return dict(sorted(Counter(mask.bit_count() for mask in masks).items()))
+    return dict(sorted(Counter(map(int.bit_count, masks)).items()))
 
 
 def unpack_counts(packed: int, width: int) -> dict[int, int]:

@@ -11,8 +11,9 @@ import itertools
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
-from isfkit.errors import BudgetExceededError, InternalCheckError
+from isfkit.errors import BudgetExceededError, InputError, InternalCheckError
 from isfkit.graphcore import EdgeOrder, Graph, simple_cycles
 from isfkit import patterns
 from isfkit.patterns import RootedLabeledForest
@@ -549,12 +550,50 @@ def oracle_rho_and_chi(G: LabeledMultigraph) -> tuple[int, IntPolynomial]:
     return rho, chi
 
 
+def _oracle_integers(values):
+    """The Fractions scaled by the lcm of their denominators."""
+    scale = lcm(*(q.denominator for q in values))
+    return [q.numerator * (scale // q.denominator) for q in values]
+
+
+def _oracle_atom_forms(A) -> tuple[int, list[tuple], tuple]:
+    """The rows per rank (1 for a real arrangement, 2 for a realified one),
+    the `exactla.echelon` form of each distinct hyperplane in order, and the
+    top's form, on the coordinates some normal touches.  A real normal is
+    its own integer row in Z^n; a non-real one v = x + iy is realified as
+    the rows (x, y) and (-y, x) in Z^(2n), whose Q-span determines the
+    Q(i)-span of the normals.  The library's hyperplane budget and its
+    zero-normal refusal apply."""
+    if len(A.normals) > arrangement._HYPERPLANE_BUDGET:
+        raise BudgetExceededError(
+            f"{len(A.normals)} hyperplanes exceeds budget {arrangement._HYPERPLANE_BUDGET}"
+        )
+    if any(not any(row) for row in A.normals):
+        raise InputError("hyperplane normals must be nonzero")
+    cols = sorted({k for row in A.normals for k, z in enumerate(row) if z})
+    if A.real_flag:
+        per_rank = 1
+        row_sets = [(_oracle_integers([row[k].re for k in cols]),) for row in A.normals]
+    else:
+        per_rank, row_sets = 2, []
+        for row in A.normals:
+            xy = _oracle_integers([row[k].re for k in cols] + [row[k].im for k in cols])
+            row_sets.append((xy, [-c for c in xy[len(cols):]] + xy[:len(cols)]))
+    atom_forms: list[tuple] = []
+    for rows in row_sets:
+        f = echelon(rows)
+        if f not in atom_forms:
+            atom_forms.append(f)
+    return per_rank, atom_forms, echelon(row for atom in atom_forms for row in atom)
+
+
 def oracle_intersection_lattice(A) -> IntersectionLattice:
-    """The lattice of flats by one elimination per (flat X, atom a) pair
-    with a not below X, rank by rank, with the library's atom forms and
-    budgets: the builder before it read known joins.  Each level keeps its
-    flats in the order its pairs first reach them."""
-    per_rank, atom_forms, top_form = arrangement._atom_forms(A)
+    """The lattice of flats by one `exactla.echelon` elimination per (flat
+    X, atom a) pair with a not below X, rank by rank, with atom forms of its
+    own (`_oracle_atom_forms`) and the library's budgets.  It shares no code
+    with the library's gain-graph closure.  Each level keeps its flats in
+    the order its pairs first reach them."""
+    per_rank, atom_forms, top_form = _oracle_atom_forms(A)
     ranks: dict[int, int] = {0: 0}
     atom_joins: dict[tuple[int, int], int] = {}
     level: dict[tuple, int] = {(): 0}

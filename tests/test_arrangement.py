@@ -30,7 +30,6 @@ from isfkit.arrangement import (
     topology_report,
     verify_isf_chi,
 )
-from isfkit.exactla import echelon
 from isfkit.polycore import IntPolynomial
 from isfkit import graphcore
 from isfkit.cli import gen_multigraph
@@ -424,17 +423,48 @@ def test_lattice_budget_refuses_where_the_oracle_refuses(monkeypatch):
 def test_lattice_eliminates_once_per_new_join(monkeypatch):
     # K4 with all-ones labels: 6 hyperplanes and 15 flats, 24 cover pairs
     # X < Z with Z below the top (6 above the bottom, 18 above the atoms);
-    # at most one elimination each, one per atom and one for the top
+    # one closure join per atom, one per atom to fold them into the top and
+    # at most one per cover pair above the atoms, 6 + 6 + 18, stays within
+    # the echelon builder's one elimination per atom, one for the top and
+    # one per cover pair
     calls = []
+    join = arrangement._join
 
-    def counting(rows):
-        calls.append(rows)
-        return echelon(rows)
+    def counting(form, edge, normalize):
+        calls.append(edge)
+        return join(form, edge, normalize)
 
-    monkeypatch.setattr(arrangement, "echelon", counting)
+    monkeypatch.setattr(arrangement, "_join", counting)
     L = intersection_lattice(build_arrangement(complete_multigraph(4, [1])))
     assert L.size == 15 and len(L.atoms) == 6
     assert len(calls) <= 6 + 1 + 24
+
+
+def test_closure_join_zeroes_merges_and_rescales():
+    # x_k = p * t_B on each block B, named by its least coordinate
+    join, real = arrangement._join, arrangement._primitive
+    bottom = ((0, 1), (1, 1), (2, 1))
+    # a zero edge x_1 = 0 zeroes its block
+    assert join(bottom, (1, 1, 1, 0), real) == ((0, 1), None, (2, 1))
+    # x_0 - 2 x_1 = 0 merges {0} and {1}: x_0 = 2t, x_1 = t
+    merged = join(bottom, (0, 1, 1, -2), real)
+    assert merged == ((0, 2), (0, 1), (2, 1))
+    # and 3 x_0 - 6 x_1 = 0, the same hyperplane, is already on the flat
+    assert join(merged, (0, 3, 1, -6), real) is merged
+    # x_0 - 3 x_1 = 0 inside the block is unbalanced: it zeroes the block
+    assert join(merged, (0, 1, 1, -3), real) == (None, None, (2, 1))
+    # an edge to a zero coordinate zeroes the other block
+    assert join(((0, 1), None, (2, 1)), (1, 1, 2, -1), real) == ((0, 1), None, None)
+    # merging two merged blocks rescales both sides: x_1 + 4 x_2 = 0 with
+    # x_0 = 2s, x_1 = s and x_2 = 3u, x_3 = u gives s = 12v, u = -v
+    form = join(join(merged + ((3, 1),), (2, 1, 3, -3), real), (1, 1, 2, 4), real)
+    assert form == ((0, 24), (0, 12), (0, -3), (0, -1))
+    # a non-real block is divided by its root entry
+    i = GaussRational(0, 1)
+    gauss = join(bottom, (0, GaussRational(1), 2, -i), arrangement._monic)
+    assert gauss == ((0, 1), (1, 1), (0, -i))
+    assert join(gauss, (0, GaussRational(1), 2, i), arrangement._monic) == (
+        None, (1, 1), None)
 
 
 def test_kept_lattice_equals_a_fresh_build():
@@ -472,6 +502,20 @@ def test_lattice_budget(monkeypatch):
         intersection_lattice(build_arrangement(G))
     monkeypatch.setattr(arrangement, "_HYPERPLANE_BUDGET", 4)
     assert intersection_lattice(build_arrangement(G)).size == 16
+
+
+def test_lattice_refuses_a_normal_of_three_entries_before_any_join(monkeypatch):
+    # x_i = z*x_j and x_k = 0 give every lattice the library builds; a
+    # normal of three nonzero entries is not gain-graphic
+    def no_join(*args):
+        raise AssertionError("a join ran before the refusal")
+
+    monkeypatch.setattr(arrangement, "_join", no_join)
+    one, zero = GaussRational(1), GaussRational(0)
+    for real in (True, False):
+        A = Arrangement(3, ((one, -one, zero), (one, one, one), (zero, zero, one)), real)
+        with pytest.raises(InputError, match="^hyperplane 1 has 3 nonzero normal entries"):
+            intersection_lattice(A)
 
 
 def test_lattice_size_budget(monkeypatch):

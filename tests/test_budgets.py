@@ -10,6 +10,7 @@ import ast
 import inspect
 import itertools
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -293,3 +294,58 @@ def test_only_the_runner_and_the_refusal_read_the_table_and_bits_budgets():
         "patterns._tf_step",
         "chromatic._by_contraction",
     }
+
+
+def test_only_simplicial_imports_the_row_reduction():
+    # one row reduction, exactla.echelon, serves the homology ranks; the
+    # intersection lattices close gain graphs and eliminate nothing
+    src = Path(__file__).parents[1] / "src" / "isfkit"
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").rpartition(".")[2]
+                names = {alias.name for alias in node.names}
+                if module == "exactla" or (not node.module and "exactla" in names):
+                    importers.add(path.stem)
+            elif isinstance(node, ast.Import):
+                if any(alias.name.endswith("exactla") for alias in node.names):
+                    importers.add(path.stem)
+    assert importers == {"simplicial"}
+
+
+def test_long_path_colouring_refuses_before_building_its_masks():
+    # 100,000 vertices with an edge pass the bits budget of both chromatic
+    # routes; a neighbour mask per vertex would take 100,000 bits each
+    path = graphcore.Graph(100_000, [(i, i + 1) for i in range(1, 100_000)])
+    for colour, refusal in (
+        (graphcore.chromatic_polynomial,
+         "colour-class transfer exceeds its budget of 2147483648 bits of counts "
+         "summed over the vertices"),
+        (graphcore.acyclic_orientation_count,
+         "chromatic recursion exceeds its budget of 2147483648 bits of counts "
+         "summed over the memo entries"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=f"^{refusal}$"):
+            colour(path)
+        assert time.perf_counter() - start < 0.5, colour.__name__
+
+
+def test_face_listing_is_refused_before_it_starts(monkeypatch):
+    # one facet of dimension 20 has 2^21 subsets, past the member budget
+    facet = range(1, 22)
+    delta = simplicial.PureComplex(21, 20, [facet])
+    for listing in (delta, simplicial.full_subcomplex(delta)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match="^2097152 facet subsets exceed the member budget 1048576$"):
+            listing.faces()
+        assert time.perf_counter() - start < 1, listing
+    # the bound counts the empty face too: two triangles, 8 + 8 subsets
+    pair = simplicial.PureComplex(4, 2, [(1, 2, 3), (2, 3, 4)])
+    monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", 16)
+    assert len(pair.faces()) == 4 + 5 + 2
+    monkeypatch.setattr(graphcore, "_MEMBER_BUDGET", 15)
+    with pytest.raises(BudgetExceededError, match="^16 facet subsets exceed"):
+        pair.faces()
