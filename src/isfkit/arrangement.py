@@ -189,14 +189,16 @@ class LabeledMultigraph(_Kept):
     """A multigraph on {0..n}: optional plain edges from 0, labeled edges between
     nonzero vertices (nonzero Gaussian-rational labels, parallels allowed).
 
-    The fields cannot be assigned after construction, so three derived
+    The fields cannot be assigned after construction, so five derived
     values are kept in slots that take no part in repr or JSON: `_edges`,
     the canonical edge list, sorted once at construction; `_arrangement`,
-    built on first use by `build_arrangement`; and `_lattice`, built on
-    first use by `_lattice_of`."""
+    built on first use by `build_arrangement`; `_lattice`, built on first
+    use by `_lattice_of`; `_isf`, the factored ISF polynomial, kept by
+    `multigraph_isf_polynomial` once its enumeration cross-check has passed;
+    and `_perfect`, the `is_perfectly_labeled` result."""
 
     __slots__ = ("n", "zero_edges", "labeled_edges", "_edges", "_arrangement",
-                 "_lattice")
+                 "_lattice", "_isf", "_perfect")
 
     def __init__(
         self,
@@ -235,6 +237,8 @@ class LabeledMultigraph(_Kept):
         ))
         _set(self, "_arrangement", None)
         _set(self, "_lattice", None)
+        _set(self, "_isf", None)
+        _set(self, "_perfect", None)
 
     def edge_list(self) -> list[EdgeToken]:
         """All edges in a canonical deterministic order: the zero edges by
@@ -294,8 +298,12 @@ def multigraph_isf_polynomial(
 
     Within the budget, the edge sets are also enumerated by the
     no-two-edges-into-a-vertex-from-below criterion (parallel edges count
-    as a cycle); disagreement with the factored form is a library bug.
+    as a cycle); disagreement with the factored form is a library bug.  A
+    polynomial whose cross-check passed is kept on G and returned by later
+    calls; one whose cross-check was skipped is not kept.
     """
+    if G._isf is not None:
+        return G._isf
     blocks = multigraph_edge_partition(G)
     factored = poly_from_linear_factors(
         [len(blocks[k]) for k in range(1, G.n + 1)]
@@ -307,6 +315,7 @@ def multigraph_isf_polynomial(
             raise InternalCheckError(
                 f"multigraph ISF enumeration {enum!r} != factored {factored!r}"
             )
+        G._isf = factored
     return factored
 
 
@@ -329,7 +338,17 @@ def is_perfectly_labeled(G: LabeledMultigraph) -> PerfectLabelingResult:
     (1) edges i-k and j-k (i<j<k) force an i-j edge labeled by the quotient;
     (2) parallel edges at j-k force the plain edge 0-j;
     (3) a j-k edge together with 0-k forces 0-j.
+
+    The result is kept on G, so the conditions are checked once per
+    multigraph.
     """
+    if G._perfect is None:
+        G._perfect = _first_violation(G)
+    return G._perfect
+
+
+def _first_violation(G: LabeledMultigraph) -> PerfectLabelingResult:
+    """The scan behind `is_perfectly_labeled`, conditions in order."""
     by_pair: dict[tuple[int, int], list[GaussRational]] = defaultdict(list)
     for i, j, z in G.edge_list()[len(G.zero_edges):]:
         by_pair[(i, j)].append(z)
@@ -851,8 +870,9 @@ def region_count_deletion_restriction(A: Arrangement) -> int:
     """Regions of a real arrangement by Zaslavsky's deletion-restriction
     recurrence r(A) = r(A - H) + r(A restricted to H) ("Facing up to
     arrangements", Mem. Amer. Math. Soc. 154, 1975), in linear algebra on the
-    normals, with no lattice.  The recursion stops at two hyperplanes: k
-    independent hyperplanes cut space into 2^k regions."""
+    normals, with no lattice.  The recursion stops at two hyperplanes, which
+    are independent and cut space into 4 regions, or in the plane, where k
+    distinct lines through 0 cut it into 2k regions."""
 
     def distinct(normals: list[Sequence[int]]) -> list[tuple[int, ...]]:
         seen: dict[tuple, None] = {}
@@ -866,6 +886,8 @@ def region_count_deletion_restriction(A: Arrangement) -> int:
         """r of the distinct primitive normals hs."""
         if len(hs) <= 2:  # distinct hyperplanes through 0: 2 are independent
             return 1 << len(hs)
+        if dim == 2:
+            return 2 * len(hs)
         h = hs[-1]
         rest = hs[:-1]
         pivot = next(i for i, x in enumerate(h) if x != 0)

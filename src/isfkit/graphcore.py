@@ -608,8 +608,14 @@ def _transfer_setup(G: Graph, seq: Sequence[Edge]) -> tuple[int, list[int], list
     # the counts by size k, packed as the sum of count << width * k; no
     # count exceeds 2**len(seq), so one field never carries into the next
     width = len(seq) + 1
-    # a state holds at most min(step + 1, n) counts of width bits
-    state_bits = [min(step + 1, G.n) * width for step in range(1, width)]
+    # a state holds at most min(step + 1, n) counts of width bits at the
+    # steps 1..width - 1
+    state_bits = [k * width for k in range(2, min(width, G.n) + 1)]
+    state_bits += [G.n * width] * (width - 1 - len(state_bits))
+    # the runner checks these bits before its first step: run it with no
+    # step, so that a graph past the bits budget is refused before its
+    # neighbour masks are built
+    _run_transfer("NBC transfer", "edges", (), {}, None, state_bits)
     # the k vertices with an edge are numbered 0..k-1 as the steps reach
     # them, so a bitmask has at most k <= min(2|E|, n) bits whatever the
     # labels; a state's at most min(step, k/2) blocks then hold less than

@@ -12,7 +12,6 @@ independent sets of a graph by size without listing them.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -85,7 +84,11 @@ def block_transversals(blocks: Iterable[Sequence]) -> Iterator[tuple]:
 
 def count_by_size(masks: Iterable[int]) -> dict[int, int]:
     """Member counts keyed by member size, in increasing size."""
-    return dict(sorted(Counter(map(int.bit_count, masks)).items()))
+    counts: dict[int, int] = {}
+    for mask in masks:
+        k = mask.bit_count()
+        counts[k] = counts.get(k, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def unpack_counts(packed: int, width: int) -> dict[int, int]:

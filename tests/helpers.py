@@ -664,10 +664,14 @@ def oracle_is_supersolvable(L) -> bool:
     return 0 in modular and climb(0)
 
 
-def oracle_region_count(A) -> int:
+def oracle_region_count(A, planar: list[int] | None = None) -> int:
     """Regions of a real arrangement by the deletion-restriction recurrence
-    r(A) = r(A - H) + r(A restricted to H), run down to the empty
-    arrangement, over Fraction normals scaled to a leading 1."""
+    r(A) = r(A - H) + r(A restricted to H), over Fraction normals scaled to a
+    leading 1, in the coordinates that some normal uses.  With no `planar`
+    it runs down to the empty arrangement.  Given `planar`, it stops only at
+    two hyperplanes, which cut space into 4 regions, and never in the plane;
+    the line count of each arrangement of three or more distinct lines in a
+    plane that it passes through is appended to `planar`."""
 
     def rec(normals, dim: int) -> int:
         hs = []
@@ -677,6 +681,11 @@ def oracle_region_count(A) -> int:
                 hs.append([x / lead for x in v])
         if not hs:
             return 1
+        if planar is not None:
+            if len(hs) <= 2:
+                return 1 << len(hs)
+            if dim == 2:
+                planar.append(len(hs))
         h, rest = hs[-1], hs[:-1]
         pivot = next(i for i, x in enumerate(h) if x)
         # g restricted to H, in the coordinates other than the pivot
@@ -685,7 +694,8 @@ def oracle_region_count(A) -> int:
         return rec(rest, dim) + rec(restricted, dim - 1)
 
     assert A.real_flag
-    return rec([[z.re for z in row] for row in A.normals], A.dim)
+    cols = [k for k in range(A.dim) if any(row[k] for row in A.normals)]
+    return rec([[row[k].re for k in cols] for row in A.normals], len(cols))
 
 
 def oracle_lattice_nbc_sets(G: LabeledMultigraph, order) -> set[frozenset[int]]:

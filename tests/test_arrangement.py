@@ -370,6 +370,57 @@ def test_verify_and_topology_share_one_lattice(monkeypatch):
             assert twin.edge_list() == fresh_sort(twin) == fresh_sort(H), H
 
 
+def test_verify_and_topology_check_the_isf_polynomial_and_labeling_once(monkeypatch):
+    enumerated, scanned = [], []
+    masks, scan = arrangement._increasing_masks, arrangement._first_violation
+
+    def counting_masks(edges):
+        enumerated.append(edges)
+        return masks(edges)
+
+    def counting_scan(G):
+        scanned.append(G)
+        return scan(G)
+
+    expected = {}
+    for make in (anchored_multigraph, bare_parallel_pair):
+        G = make()
+        expected[make] = (verify_isf_chi(G).to_json(), topology_report(G).to_json())
+    monkeypatch.setattr(arrangement, "_increasing_masks", counting_masks)
+    monkeypatch.setattr(arrangement, "_first_violation", counting_scan)
+    for make in (anchored_multigraph, bare_parallel_pair):
+        G = make()
+        enumerated.clear(), scanned.clear()
+        assert (verify_isf_chi(G).to_json(), topology_report(G).to_json()) == expected[make]
+        assert len(enumerated) == 1 and len(scanned) == 1
+        assert G._isf is multigraph_isf_polynomial(G) == multigraph_isf_polynomial(make())
+        assert G._perfect is is_perfectly_labeled(G) == is_perfectly_labeled(make())
+        assert len(enumerated) == 2 and len(scanned) == 2  # the two fresh ones
+
+
+def test_the_isf_polynomial_is_kept_only_once_its_cross_check_has_passed(monkeypatch):
+    masks = arrangement._increasing_masks
+
+    def off_by_one(edges):  # loses the empty set
+        return itertools.islice(masks(edges), 1, None)
+
+    monkeypatch.setattr(arrangement, "_increasing_masks", off_by_one)
+    G = anchored_multigraph()
+    for check in (multigraph_isf_polynomial, multigraph_isf_polynomial, verify_isf_chi):
+        with pytest.raises(InternalCheckError):
+            check(G)
+        assert G._isf is None
+    with pytest.raises(InternalCheckError):
+        topology_report(anchored_multigraph())
+    monkeypatch.undo()
+    # five edges: a budget of four skips the cross-check, which keeps nothing
+    skipped = anchored_multigraph()
+    assert multigraph_isf_polynomial(skipped, cross_check_budget=4).coeffs == (4, 8, 5, 1)
+    assert skipped._isf is None
+    assert multigraph_isf_polynomial(skipped).coeffs == (4, 8, 5, 1)
+    assert skipped._isf.coeffs == (4, 8, 5, 1)
+
+
 def complete_multigraph(n, labels, zero=()):
     pairs = itertools.combinations(range(1, n + 1), 2)
     return LabeledMultigraph(n, zero, [(i, j, q) for i, j in pairs for q in labels])
@@ -755,12 +806,20 @@ def test_region_count_matches_the_unpruned_recursion_and_nbc():
 
 
 def test_regions_against_deletion_restriction():
-    rng = random.Random(73)
-    for _ in range(12):
-        G = random_multigraph(rng, rng.randint(1, 4))
-        L = intersection_lattice(build_arrangement(G))
-        zaslavsky = sum(lattice_nbc(L).values())
-        assert zaslavsky == region_count_deletion_restriction(build_arrangement(G))
+    # k distinct lines through 0 cut the plane into 2k regions, where the
+    # recursion stopped only at two hyperplanes goes on down to them
+    rng = random.Random(83)
+    reached = 0
+    for _ in range(300):
+        G = random_multigraph(rng, rng.randint(2, 6), max_edges=9)
+        A = build_arrangement(G)
+        L = intersection_lattice(A)
+        planar = []
+        regions = region_count_deletion_restriction(A)
+        assert regions == oracle_region_count(A, planar), G
+        assert regions == sum(map(abs, L.mobius.values())) == sum(lattice_nbc(L).values()), G
+        reached += bool(planar)
+    assert reached >= 100
 
 
 def test_signed_chromatic_examples():

@@ -332,6 +332,19 @@ def test_long_path_colouring_refuses_before_building_its_masks():
         assert time.perf_counter() - start < 0.5, colour.__name__
 
 
+def test_long_path_nbc_transfers_refuse_before_building_their_masks():
+    # the NBC transfers pass the bits budget on 99,999 edges; the neighbour
+    # masks over the edges to come would take up to 100,000 bits each
+    refusal = ("NBC transfer exceeds its budget of 2147483648 bits of counts "
+               "summed over the edges")
+    for count in (graphcore.nbc_sets, graphcore.verify_isf_nbc):
+        path = graphcore.Graph(100_000, [(i, i + 1) for i in range(1, 100_000)])
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=f"^{refusal}$"):
+            count(path)
+        assert time.perf_counter() - start < 0.5, count.__name__
+
+
 def test_face_listing_is_refused_before_it_starts(monkeypatch):
     # one facet of dimension 20 has 2^21 subsets, past the member budget
     facet = range(1, 22)

@@ -14,6 +14,7 @@ from isfkit.arrangement import (
     _lattice_of,
     build_arrangement,
     characteristic_polynomial,
+    topology_report,
     verify_isf_chi,
 )
 from isfkit.errors import InputError
@@ -110,6 +111,8 @@ def test_graph_and_multigraph_fields_refuse_assignment_and_copies_keep_what_is_k
         assert twin.edge_list() == M.edge_list()
         assert twin._arrangement == M._arrangement == build_arrangement(M)
         assert twin._lattice is not None
+        assert twin._isf == M._isf == IntPolynomial((4, 8, 5, 1))
+        assert twin._perfect == M._perfect == PerfectLabelingResult(True)
         assert characteristic_polynomial(_lattice_of(twin)) == chi
         with pytest.raises(AttributeError):
             twin.n = 4
@@ -129,6 +132,51 @@ def test_graph_and_multigraph_fields_refuse_assignment_and_copies_keep_what_is_k
         assert twin._masks == masks
         with pytest.raises(AttributeError):
             twin.facets = frozenset()
+
+
+def _filled_graph():
+    G = Graph(3, [(1, 2), (1, 3), (2, 3)])
+    nbc_sets(G)
+    return G
+
+
+def _filled_multigraph():
+    M = anchored_multigraph()
+    verify_isf_chi(M), topology_report(M)
+    return M
+
+
+def _filled_complex():
+    D = bipyramid()
+    verify_product_formula(D), D._ridge_masks()
+    return D
+
+
+def _kept_value(value):
+    # a kept lattice is a plain object: compare what it holds
+    return vars(value) if hasattr(value, "__dict__") else value
+
+
+@pytest.mark.parametrize("make, fill", [
+    (lambda: Graph(3, [(1, 2)]), _filled_graph),
+    (anchored_multigraph, _filled_multigraph),
+    (bipyramid, _filled_complex),
+], ids=["Graph", "LabeledMultigraph", "PureComplex"])
+def test_every_kept_slot_is_set_at_construction_and_carried_by_copies(make, fill):
+    # a slot that __init__ leaves unset cannot be read, pickled or copied
+    slots = [s for s in make().__slots__ if s[0] == "_"]
+    fresh = make()
+    for slot in slots:
+        getattr(fresh, slot)
+    for twin in (copy.copy(fresh), copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+        assert [getattr(twin, s) for s in slots] == [getattr(fresh, s) for s in slots]
+    # the filling calls reach every kept slot, and copies carry each value over
+    filled = fill()
+    assert [s for s in slots if getattr(filled, s) is None] == []
+    for twin in (copy.copy(filled), copy.deepcopy(filled),
+                 pickle.loads(pickle.dumps(filled))):
+        for slot in slots:
+            assert _kept_value(getattr(twin, slot)) == _kept_value(getattr(filled, slot)), slot
 
 
 def test_subcomplex_fields_refuse_assignment_and_copies_keep_the_masks():
