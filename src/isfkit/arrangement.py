@@ -547,6 +547,12 @@ def _join(form: tuple, edge: tuple, normalize: Callable) -> tuple:
     return tuple([None if c is not None and c[0] == dead else c for c in form])
 
 
+def _within_hyperplane_budget(count: int) -> None:
+    """Refuse a lattice of `count` hyperplanes, one per normal or edge."""
+    if count > _HYPERPLANE_BUDGET:
+        raise BudgetExceededError(f"{count} hyperplanes exceeds budget {_HYPERPLANE_BUDGET}")
+
+
 def _gain_edges(A: Arrangement) -> tuple[int, list[tuple], Callable]:
     """The number of support coordinates, those where some normal is
     nonzero (dropping the others changes no flat), each hyperplane as the
@@ -556,10 +562,7 @@ def _gain_edges(A: Arrangement) -> tuple[int, list[tuple], Callable]:
     Gaussian rationals (`_monic`).  Past the hyperplane budget, or with a
     zero normal or one of more than two nonzero entries, which is not
     gain-graphic, the arrangement is refused."""
-    if len(A.normals) > _HYPERPLANE_BUDGET:
-        raise BudgetExceededError(
-            f"{len(A.normals)} hyperplanes exceeds budget {_HYPERPLANE_BUDGET}"
-        )
+    _within_hyperplane_budget(len(A.normals))
     # the nonzero entries of each normal; the shared GR_ZERO that
     # `build_arrangement` fills in is skipped without a test
     entries = []
@@ -685,8 +688,12 @@ def intersection_lattice(A: Arrangement) -> IntersectionLattice:
 
 
 def _lattice_of(G: LabeledMultigraph) -> IntersectionLattice:
-    """G's intersection lattice, built on the first call and kept on G."""
+    """G's intersection lattice, built on the first call and kept on G.
+    The hyperplane budget is read from the edges, before any dense normal
+    is built."""
     if G._lattice is None:
+        _within_output_budget(G.n)
+        _within_hyperplane_budget(len(G._edges))
         G._lattice = intersection_lattice(build_arrangement(G))
     return G._lattice
 
@@ -786,8 +793,8 @@ def verify_isf_chi(G: LabeledMultigraph) -> Report:
     multichain factorization and the transversal/NBC facts.  Transversals
     and NBC sets are bitmasks over the NBC walk's atom order."""
     report = Report()
+    L = _lattice_of(G)  # first: its hyperplane budget refuses from the edges
     isf = multigraph_isf_polynomial(G)
-    L = _lattice_of(G)
     chi = characteristic_polynomial(L)
     perfect = is_perfectly_labeled(G)
     report.fact("perfectly_labeled", perfect.ok)

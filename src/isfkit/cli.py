@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
+from collections import Counter
+from math import comb, prod
 
 from . import graphcore
 from .errors import BudgetExceededError, InputError, InternalCheckError, require_int
@@ -109,17 +110,17 @@ def _parse_ordering(raw: str | None):
     return [require_int(v, "--ordering entry") for v in value]
 
 
-def _refuse_unprintable_isf(G: graphcore.Graph) -> None:
-    """Refuse an ISF polynomial that the int-to-string limit cannot write,
-    before expanding it.  Its value at 1, prod_k (1 + |E_k|), is the sum of
-    its n + 1 nonnegative coefficients, so the largest is at least
-    p(1) / (n + 1): past the bound below, it has more digits than the limit
-    allows.  A result under the bound is expanded, and `to_json` still
-    refuses it if it is too large."""
+def _refuse_unprintable(sizes: list[int]) -> None:
+    """Refuse a product prod_k (t + s_k) over the factor sizes s_k that the
+    int-to-string limit cannot write, before expanding it.  Its value at 1,
+    prod_k (1 + s_k), is the sum of its len(sizes) + 1 nonnegative
+    coefficients, so the largest is at least that sum over len(sizes) + 1:
+    past the bound below, it has more digits than the limit allows.  A
+    result under the bound is expanded, and `to_json` still refuses it if
+    it is too large."""
     limit = sys.get_int_max_str_digits()
-    if not limit:
-        return
-    if graphcore._isf_count(G) >= (G.n + 1) * 10**limit:
+    if limit and prod((1 + s) ** k for s, k in Counter(sizes).items()) >= (
+            len(sizes) + 1) * 10**limit:
         raise BudgetExceededError(
             f"result too large to write: a coefficient exceeds the limit "
             f"({limit} digits) for integer string conversion"
@@ -132,7 +133,8 @@ def _graph_action(action: str, args) -> tuple[object, bool]:
         if args.weighted:
             gf = graphcore.isf_polynomial(G, weights={e: e for e in G.edges})
             return gf.to_json(), True
-        _refuse_unprintable_isf(G)
+        graphcore._within_output_budget(G.n)
+        _refuse_unprintable([len(E) for E in graphcore.edge_partition(G).values()])
         return graphcore.isf_polynomial(G).to_json(), True
     if action == "chromatic":
         return graphcore.chromatic_polynomial(G).to_json(), True
@@ -157,6 +159,7 @@ def _complex_action(action: str, args) -> tuple[object, bool]:
                 delta, weights={f: f for f in delta.facets}
             )
             return gf.to_json(), True
+        _refuse_unprintable([len(B) for B in simplicial.phi_partition(delta).values()])
         return simplicial.cf_polynomial(delta).to_json(), True
     if action == "links":
         links, effective = simplicial.upper_links(delta)
@@ -181,10 +184,12 @@ def _multigraph_action(action: str, args) -> tuple[object, bool]:
     from . import arrangement
     G = arrangement.LabeledMultigraph.from_json(_load_json(args.input))
     if action == "chi":
-        L = arrangement.intersection_lattice(arrangement.build_arrangement(G))
+        L = arrangement._lattice_of(G)
         chi = arrangement.characteristic_polynomial(L)
         return {"chi": chi.to_json(), "lattice_size": L.size, "rank": L.rho}, True
     if action == "isf":
+        blocks = arrangement.multigraph_edge_partition(G)
+        _refuse_unprintable([len(E) for E in blocks.values()])
         return arrangement.multigraph_isf_polynomial(G).to_json(), True
     if action == "perfect":
         result = arrangement.is_perfectly_labeled(G)

@@ -765,6 +765,33 @@ def find_peo(G: Graph) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 
+def _two_core(G: Graph) -> tuple[list[int], int]:
+    """Each label's degree in the 2-core of G, the induced subgraph left
+    once pendant edges are stripped, round after round (0 outside it; entry
+    0 unused), and the number of pendant edges stripped.  In linear time:
+    each vertex keeps its degree and the XOR of its neighbours left, so a
+    vertex of degree one names its last neighbour."""
+    degree, link = [0] * (G.n + 1), [0] * (G.n + 1)
+    for i, j in G.edges:
+        degree[i] += 1
+        degree[j] += 1
+        link[i] ^= j
+        link[j] ^= i
+    leaves = [w for w, d in enumerate(degree) if d == 1]
+    pendant = 0
+    while leaves:
+        w = leaves.pop()
+        if degree[w] == 1:
+            x = link[w]
+            degree[w] = 0
+            degree[x] -= 1
+            link[x] ^= w
+            pendant += 1
+            if degree[x] == 1:
+                leaves.append(x)
+    return degree, pendant
+
+
 def acyclic_orientation_count(
     G: Graph,
     orientation_budget: int = _ORIENTATION_BUDGET,
@@ -791,28 +818,7 @@ def acyclic_orientation_count(
     """
     if chromatic is None:
         _within_output_budget(G.n)
-    # strip the pendant edges in linear time: each vertex keeps its degree
-    # and the XOR of its neighbours left, so a vertex of degree one names its
-    # last neighbour; a vertex whose last edge goes is dropped.  The lists
-    # take n + 1 entries, as the chromatic polynomial evaluated below does
-    degree, link = [0] * (G.n + 1), [0] * (G.n + 1)
-    for i, j in G.edges:
-        degree[i] += 1
-        degree[j] += 1
-        link[i] ^= j
-        link[j] ^= i
-    leaves = [w for w, d in enumerate(degree) if d == 1]
-    pendant = 0
-    while leaves:
-        w = leaves.pop()
-        if degree[w] == 1:
-            x = link[w]
-            degree[w] = 0
-            degree[x] -= 1
-            link[x] ^= w
-            pendant += 1
-            if degree[x] == 1:
-                leaves.append(x)
+    degree, pendant = _two_core(G)
     core = [w for w, d in enumerate(degree) if d]
     checked = len(G.edges) - pendant <= orientation_budget and len(core) <= _VERTEX_BUDGET
     if chromatic is None:

@@ -725,12 +725,19 @@ def tf_integer_roots_classification(G: Graph) -> Report:
     tested again: the sweep stops at the first graph with integer roots,
     so the first witness and its roots are those of the full sweep.
 
-    Tightness depends only on the relative order of labels inside a tree,
-    so TF(G) is the product of TF(C) over the components C, each numbered
-    by the rank of its labels, and has only integer roots exactly when
-    every factor does.  So a graph with several components first sweeps
-    each component, by least vertex, and has no witness if one has none;
-    otherwise the sweep of G finds the first witness.
+    A labeling G_s of m edges has only integer roots exactly when every
+    edge set is a tight forest, TF(G_s) = t**(n - m) * (t + 1)**m: the
+    coefficients are nonnegative, so the roots are -r_i with integers
+    r_i >= 0; every edge is tight, so sum r_i = m; any two edges are a
+    tight forest, their root paths reading 12, 123 or 132, so
+    e_2 = C(m, 2) and sum r_i**2 = m**2 - m * (m - 1) = m = sum r_i, which
+    forces each r_i into {0, 1}.  Tightness reads only the relative order
+    of labels inside a tree, so an edge set of a subgraph H that is not a
+    tight forest under the rank order s induces on H is none in G_s, and
+    TF(G_s)(1) < 2**m.  So each component of G's 2-core
+    (`graphcore._two_core`), numbered by rank, by least vertex, is swept
+    first, and if one has no witness, G is not swept.  A forest's core is
+    empty.  A core's witness is never reported: G is then swept in full.
     """
     if G.n > _SWEEP_VERTEX_BUDGET:
         raise BudgetExceededError(
@@ -746,11 +753,14 @@ def tf_integer_roots_classification(G: Graph) -> Report:
     forest = len(G.edges) == G.n - len(parts)
     report = Report()
     report.fact("is_forest", forest)
+    # a component's 2-core is connected, so it is one core component
+    degree, _ = graphcore._two_core(G)
+    cores = [K for K in ({v for v in C if degree[v]} for C in parts) if K]
     found = None
-    if len(parts) < 2 or all(
-        _integer_root_ordering(
-            graphcore._by_rank(C, [e for e in G.edges if e[0] in C]))
-        for C in parts
+    if all(
+        _integer_root_ordering(graphcore._by_rank(
+            K, [(u, v) for u, v in G.edges if u in K and v in K]))
+        for K in cores
     ):
         found = _integer_root_ordering(G)
     report.fact("integer_root_ordering_exists", found is not None)

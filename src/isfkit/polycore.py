@@ -40,7 +40,9 @@ class IntPolynomial:
 
     Coefficients are stored ascending by degree: ``coeffs[i]`` multiplies
     ``t**i``.  The zero polynomial is the empty tuple; nonzero polynomials
-    never carry a trailing zero coefficient.
+    never carry a trailing zero coefficient.  It hashes by its coefficients,
+    so assigning or deleting them raises AttributeError, as in
+    `report._Frozen`; it copies and pickles through its constructor.
     """
 
     __slots__ = ("coeffs",)
@@ -51,7 +53,16 @@ class IntPolynomial:
             require_int(c, "polynomial coefficient")
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return IntPolynomial, (self.coeffs,)
 
     # -- constructors ---------------------------------------------------
 

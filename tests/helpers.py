@@ -8,10 +8,19 @@ results are checked against genuinely independent computations.
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import resource
+import subprocess
 import sys
+import tempfile
+import time
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
+
+import isfkit
 
 from isfkit.errors import BudgetExceededError, InputError, InternalCheckError
 from isfkit.graphcore import EdgeOrder, Graph, simple_cycles
@@ -783,3 +792,35 @@ def isfkit_calls(run) -> set[str]:
     finally:
         sys.setprofile(None)
     return called
+
+
+def run_child(*args, **options):
+    """Run python with the given arguments, importing the isfkit under test
+    whether installed or not; options go to subprocess.run."""
+    package_root = str(Path(isfkit.__file__).resolve().parents[1])
+    search = [package_root, os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
+        **options,
+    )
+
+
+def run_cli_limited(argv, data, address_space=1 << 30, timeout=60):
+    """Write `data` as the JSON input and run `python -m isfkit.cli *argv
+    input` in a child process whose address space `RLIMIT_AS` caps; the
+    limit is set in the child only.  Returns its exit code, its stderr
+    lines and the wall time in seconds."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        start = time.perf_counter()
+        proc = run_child("-m", "isfkit.cli", *argv, path, preexec_fn=limit,
+                         timeout=timeout)
+        return proc.returncode, proc.stderr.splitlines(), time.perf_counter() - start

@@ -7,7 +7,6 @@ import os
 import pkgutil
 import re
 import resource
-import subprocess
 import sys
 import tempfile
 import time
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import isfkit
-from isfkit import cli, graphcore, simplicial
+from isfkit import arrangement, cli, graphcore, polycore, simplicial
 from isfkit.cli import gen_complex, gen_graph, gen_multigraph, run
 from isfkit.arrangement import LabeledMultigraph
 from isfkit.errors import BudgetExceededError, InputError
@@ -34,6 +33,8 @@ from helpers import (
     oracle_acyclic_orientation_count,
     oracle_coloring_count,
     paw_peo,
+    run_child,
+    run_cli_limited,
     tetrahedron_boundary,
 )
 
@@ -964,20 +965,6 @@ def test_generators_refuse_a_pool_past_the_output_budget():
             gen(1, n)
 
 
-def run_child(*args, **options):
-    """Run python with the given arguments, importing the isfkit under test
-    whether installed or not; options go to subprocess.run."""
-    package_root = str(Path(isfkit.__file__).resolve().parents[1])
-    search = [package_root, os.environ.get("PYTHONPATH", "")]
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
-        **options,
-    )
-
-
 def _limit_address_space_to_1_gib():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -1163,6 +1150,53 @@ def test_multigraph_actions_refuse_a_hundred_million_vertices_at_once(
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "input error: n=100000000 exceeds the output budget 100000"]
+
+
+_LABELED_PATH_20K = {"n": 20000, "zero_edges": [],
+                     "edges": [[i, i + 1, {"re": "1"}] for i in range(1, 20000)]}
+_ZERO_EDGES_100K = {"n": 10**5, "zero_edges": list(range(1, 10**5 + 1)), "edges": []}
+_TRIANGLE_STRIP_100K = {"n": 10**5 + 2, "d": 2,
+                        "facets": [[k, k + 1, k + 2] for k in range(1, 10**5 + 1)]}
+
+
+@pytest.mark.parametrize("action", ["chi", "verify", "regions"])
+def test_multigraph_lattices_refuse_past_the_hyperplane_budget_before_the_normals(action):
+    # the dense normals of 19,999 edges over 20,000 coordinates once ran out
+    # of a 1 GiB address space, and the command exited 3; the refusal takes
+    # at most a few times the parse, which `multigraph perfect` also does
+    code, err, seconds = run_cli_limited(["multigraph", action], _LABELED_PATH_20K)
+    assert code == 2
+    assert err == ["input error: 19999 hyperplanes exceeds budget 20"]
+    parsed, _, parse_seconds = run_cli_limited(["multigraph", "perfect"], _LABELED_PATH_20K)
+    assert parsed == 0 and seconds < 3 * parse_seconds + 0.5
+
+
+_UNPRINTABLE = ("input error: result too large to write: a coefficient exceeds the "
+                "limit (4300 digits) for integer string conversion")
+
+
+@pytest.mark.parametrize("kind, action, payload, parse", [
+    ("multigraph", "isf", _ZERO_EDGES_100K, "perfect"),
+    ("complex", "cf", _TRIANGLE_STRIP_100K, "verify"),
+], ids=["multigraph-100000-zero-edges", "complex-100000-triangle-strip"])
+def test_products_refuse_an_unprintable_result_before_expanding_it(
+    tmp_path, capsys, monkeypatch, kind, action, payload, parse
+):
+    # prod_k (1 + s_k) = 2**100000 bounds the largest coefficient from below;
+    # the refusal is the library's own, with no interpreter advice
+    code, err, seconds = run_cli_limited([kind, action], payload)
+    assert (code, err) == (2, [_UNPRINTABLE])
+    # `complex verify` refuses the strip at its facet budget after the parse
+    _, _, parse_seconds = run_cli_limited([kind, parse], payload)
+    assert seconds < 3 * parse_seconds + 0.5
+
+    def expand(*args):
+        raise AssertionError("the product was expanded")
+
+    for module in (arrangement, polycore, simplicial):
+        monkeypatch.setattr(module, "poly_from_linear_factors", expand)
+    code, out, err = invoke(capsys, [kind, action, write(tmp_path, "in.json", payload)])
+    assert (code, out, err.splitlines()) == (2, "", [_UNPRINTABLE])
 
 
 def test_multigraph_perfect_on_a_hundred_million_vertices(tmp_path):

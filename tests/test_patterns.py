@@ -595,10 +595,84 @@ def test_roots_sweep_of_a_disconnected_non_forest_sweeps_components_only(
         pass
     assert split < steps
     if name == "K3+3K1":
-        # one labeled graph per component, one step per vertex
-        assert split == 6
+        # one labeled graph, the triangle, one step per vertex; the
+        # isolated vertices lie outside the 2-core and are not swept
+        assert split == 3
     assert report == oracle_tf_roots_report(G, _roots_table())
     assert not report["boolean_facts"]["integer_root_ordering_exists"]
+
+
+def _every_small_graph(top):
+    for n in range(top + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            yield Graph(n, itertools.compress(pairs, chosen))
+
+
+def test_integer_roots_exactly_when_every_edge_set_is_a_tight_forest():
+    # the lemma behind skipping G once a core has no witness: a labeling of
+    # m edges has integer roots exactly when its packed counts are those of
+    # C(m, k) tight forests of k edges for every k, that is (1 + 2**w)**m
+    start = time.perf_counter()
+    roots_of = functools.cache(lambda n, w, packed: poly_integer_roots(
+        counts_to_polynomial(unpack_counts(packed, w), n)))
+    labelings = Counter()
+    for G in _every_small_graph(5):
+        m, w = len(G.edges), len(G.edges) + 1
+        for perm, packed in patterns._tf_orderings(G):
+            all_tight = packed == (1 + (1 << w)) ** m
+            assert (roots_of(G.n, w, packed) is not None) == all_tight, (G, perm)
+            labelings[all_tight] += 1
+    assert labelings == {True: 9728, False: 38348}
+    assert time.perf_counter() - start < 3
+
+
+def _sweep_calls(monkeypatch, G):
+    """The `_tf_step` and `_tf_close` calls of G's roots sweep: a close adds
+    the last vertex, so it counts as a step."""
+    calls = []
+    for name in ("_tf_step", "_tf_close"):
+        def counted(*args, call=getattr(patterns, name)):
+            calls.append(1)
+            return call(*args)
+        monkeypatch.setattr(patterns, name, counted)
+    tf_integer_roots_classification(G)
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("G, core", [
+    (Graph(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)]), complete_graph(3)),
+    (Graph(6, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (3, 6)]), cycle_graph(4)),
+], ids=["K3-with-a-pendant-path-of-3", "C4-with-two-pendant-vertices"])
+def test_roots_sweep_of_a_connected_non_forest_sweeps_its_core_only(G, core, monkeypatch):
+    # connected, so no component split saves anything; the pendant edges
+    # and every degree-2 core vertex must stay out of and in the core
+    assert _sweep_calls(monkeypatch, G) == _sweep_calls(monkeypatch, core)
+    assert _sweep_calls(monkeypatch, core) < sum(1 for _ in patterns._tf_orderings(G))
+    assert tf_integer_roots_classification(G).to_json() == oracle_tf_roots_report(
+        G, _roots_table())
+
+
+def test_a_core_witness_is_never_reported_for_g(monkeypatch):
+    # should a core sweep find a witness, G is swept in full, and its own
+    # first witness, or none, is reported
+    sweep = patterns._integer_root_ordering
+    G = None
+
+    def core_has_a_witness(H):
+        if H is G:
+            return sweep(H)
+        return tuple(range(1, H.n + 1)), [-1] * H.n
+
+    monkeypatch.setattr(patterns, "_integer_root_ordering", core_has_a_witness)
+    roots_of = _roots_table()
+    graphs = list(_every_small_graph(4)) + [
+        Graph(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)]),
+        _DISCONNECTED_NON_FORESTS["C4+K2"]]
+    for G in graphs:
+        assert tf_integer_roots_classification(G).to_json() == oracle_tf_roots_report(
+            G, roots_of), G
 
 
 def _check_sweep_against_the_walk(G):

@@ -14,6 +14,7 @@ from isfkit.arrangement import (
     _lattice_of,
     build_arrangement,
     characteristic_polynomial,
+    multigraph_isf_polynomial,
     topology_report,
     verify_isf_chi,
 )
@@ -50,6 +51,7 @@ _FROZEN = [
      {"ok": False, "failed_condition": 2, "witness": (3, 4)}),
     (Arrangement, (_arrangement().dim, _arrangement().normals, True),
      {"dim": _arrangement().dim, "normals": _arrangement().normals, "real_flag": True}),
+    (IntPolynomial, ((4, 8, 5, 1),), {"coeffs": (4, 8, 5, 1)}),
 ]
 _IDS = [cls.__name__ for cls, _, _ in _FROZEN]
 
@@ -132,6 +134,25 @@ def test_graph_and_multigraph_fields_refuse_assignment_and_copies_keep_what_is_k
         assert twin._masks == masks
         with pytest.raises(AttributeError):
             twin.facets = frozenset()
+
+
+def test_a_kept_isf_polynomial_refuses_assignment_and_copies_keep_its_hash():
+    # the multigraph returns its kept polynomial itself: assigning its
+    # coefficients once corrupted every later call and verify_isf_chi
+    M = anchored_multigraph()
+    p = multigraph_isf_polynomial(M)
+    assert p is M._isf
+    with pytest.raises(AttributeError, match="^cannot assign to field 'coeffs'$"):
+        p.coeffs = (1,)
+    with pytest.raises(AttributeError, match="^cannot delete field 'coeffs'$"):
+        del p.coeffs
+    with pytest.raises(AttributeError):
+        p.degree_bound = 3  # no new attribute either
+    assert multigraph_isf_polynomial(M).coeffs == (4, 8, 5, 1)
+    assert verify_isf_chi(M).passed
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(twin) is IntPolynomial and twin == p and hash(twin) == hash(p)
+        assert {twin: 1}[p] == 1
 
 
 def _filled_graph():
